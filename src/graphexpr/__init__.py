@@ -36,12 +36,10 @@ from .graphs import (
     UNDIRECTED,
     Graph,
     check_potential,
-    dijkstra_reduced,
     edge_shift,
     floyd_vertex_weighted,
     is_negative_cycle,
     parse_weights,
-    reverse,
 )
 from .oracle import (
     GenSpec,
@@ -58,8 +56,6 @@ from .paths import (
     apsp_outcome,
     detect_negative_cycle,
     ncd_outcome,
-    reweighted_pattern,
-    shortest_path_potential,
 )
 from .triangles import TriFold, count_triangles, triangle_summary
 
@@ -96,12 +92,10 @@ __all__ = [
     "UNDIRECTED",
     "Graph",
     "check_potential",
-    "dijkstra_reduced",
     "edge_shift",
     "floyd_vertex_weighted",
     "is_negative_cycle",
     "parse_weights",
-    "reverse",
     "GenSpec",
     "gen_fixture",
     "gen_random",
@@ -114,8 +108,6 @@ __all__ = [
     "apsp_outcome",
     "detect_negative_cycle",
     "ncd_outcome",
-    "reweighted_pattern",
-    "shortest_path_potential",
     "TriFold",
     "count_triangles",
     "triangle_summary",

@@ -136,9 +136,20 @@ def subexpressions(node) -> tuple:
     return ()
 
 
-def fold_expression(root, combine):
-    """Iterative post-order fold: ``combine(node, child_values) -> value``."""
+def fold_expression(root, combine, label=lambda: "root"):
+    """Iterative post-order fold: ``combine(node, child_values, where)``
+    returns the value of ``node``.
+
+    ``where()`` renders the location of the node being combined, such as
+    ``root/1/bind[p]/child``, from the frame stack; ``label()`` renders the
+    location of ``root``.  Rendering costs O(depth), so combine functions
+    call it only to report a violation, an error or a verify failure.
+    """
     frames = [[root, subexpressions(root), 0, []]]
+
+    def where():
+        return "/".join([label()] + [_step(n, i - 1) for n, _, i, _ in frames[:-1]])
+
     while True:
         frame = frames[-1]
         node, kids, i, vals = frame
@@ -147,11 +158,20 @@ def fold_expression(root, combine):
             child = kids[i]
             frames.append([child, subexpressions(child), 0, []])
         else:
-            value = combine(node, vals)
+            value = combine(node, vals, where)
             frames.pop()
             if not frames:
                 return value
             frames[-1][3].append(value)
+
+
+def _step(node, index):
+    """Location step from ``node`` to its ``index``-th child."""
+    if isinstance(node, Inc):
+        return "child"
+    if isinstance(node, (Subst, SubstTd)):
+        return f"bind[{node.bindings[index][0]}]"
+    return str(index)
 
 
 def walk(root):
@@ -378,14 +398,6 @@ class Violation:
         return f"{self.path}: {self.message}{where}"
 
 
-def _child_label(node, index):
-    if isinstance(node, (Union, Join)):
-        return f"/{index}"
-    if isinstance(node, Inc):
-        return "/child"
-    return f"/bind[{node.bindings[index][0]}]"
-
-
 def _merge_name_sets(parts, on_duplicate):
     parts = sorted(parts, key=len, reverse=True)
     base = parts[0] if parts else set()
@@ -402,7 +414,7 @@ def validate(e: Expression) -> list:
     """Structural checks on a parsed expression.  Returns a list of
     Violations (empty when the expression is well formed)."""
     violations = []
-    _validate_node(e.root, "root", violations, td_only=False)
+    _validate_node(e.root, lambda: "root", violations, td_only=False)
     return violations
 
 
@@ -412,115 +424,89 @@ def validate_or_raise(e: Expression) -> None:
         raise ValidationError("\n".join(str(v) for v in violations))
 
 
-def _validate_node(root, root_path, violations, td_only):
-    """Post-order walk computing evaluated vertex-name sets; appends
+def _validate_node(root, label, violations, td_only):
+    """Post-order pass computing evaluated vertex-name sets; appends
     violations.  Returns the name set of ``root``."""
 
-    def bad(path, node, message):
-        violations.append(Violation(path, message, getattr(node, "pos", None)))
+    def combine(node, vals, where):
+        def bad(at, message):
+            violations.append(Violation(where(), message, getattr(at, "pos", None)))
 
-    frames = [[root, root_path, subexpressions(root), 0, []]]
-    result = None
-    while frames:
-        frame = frames[-1]
-        node, path, kids, i, vals = frame
-        if i < len(kids):
-            frame[3] += 1
-            child = kids[i]
-            frames.append(
-                [child, path + _child_label(node, i), subexpressions(child), 0, []]
-            )
-            continue
+        def duplicate(nm):
+            bad(node, f"duplicate vertex name {nm!r}")
 
         if td_only and not isinstance(node, TD_NODE_TYPES):
-            bad(path, node, "pattern is not a tree-depth expression (join/subst not allowed)")
+            bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
 
         if isinstance(node, Empty):
-            names = set()
-        elif isinstance(node, Vertex):
-            names = {node.name}
-        elif isinstance(node, (Union, Join)):
+            return set()
+        if isinstance(node, Vertex):
+            return {node.name}
+        if isinstance(node, (Union, Join)):
             if len(node.children) < 2:
-                bad(path, node, "union/join needs at least two children")
-            names = _merge_name_sets(
-                vals, lambda nm: bad(path, node, f"duplicate vertex name {nm!r}")
-            )
-        elif isinstance(node, Inc):
+                bad(node, "union/join needs at least two children")
+            return _merge_name_sets(vals, duplicate)
+        if isinstance(node, Inc):
             names = vals[0]
             for target in sorted(node.neighbor_names):
                 if target not in names:
-                    bad(path, node, f"unknown inc target {target!r}")
+                    bad(node, f"unknown inc target {target!r}")
             if node.name in names:
-                bad(path, node, f"duplicate vertex name {node.name!r}")
+                duplicate(node.name)
             names.add(node.name)
-        elif isinstance(node, Subst):
-            _check_pattern(node.pattern, path, bad)
-            _check_bindings(node, node.pattern.names, vals, path, bad)
-            names = _merge_name_sets(
-                vals, lambda nm: bad(path, node, f"duplicate vertex name {nm!r}")
+            return names
+        if isinstance(node, Subst):
+            _check_pattern(node.pattern, bad)
+            _check_bindings(node, node.pattern.names, vals, bad)
+            return _merge_name_sets(vals, duplicate)
+        if isinstance(node, SubstTd):
+            _validate_node(
+                node.pattern_expr, lambda: where() + "/pattern", violations, td_only=True
             )
-        elif isinstance(node, SubstTd):
-            pattern_names = _validate_td_pattern(node, path, violations, bad)
-            _check_bindings(node, pattern_names, vals, path, bad)
-            names = _merge_name_sets(
-                vals, lambda nm: bad(path, node, f"duplicate vertex name {nm!r}")
-            )
-        else:
-            bad(path, node, f"unknown node type {type(node).__name__}")
-            names = set()
+            pattern_names = pattern_vertex_order(node.pattern_expr)
+            if len(pattern_names) < 2:
+                bad(node, "subst-td pattern has fewer than two vertices")
+            _check_bindings(node, pattern_names, vals, bad)
+            return _merge_name_sets(vals, duplicate)
+        bad(node, f"unknown node type {type(node).__name__}")
+        return set()
 
-        frames.pop()
-        if frames:
-            frames[-1][4].append(names)
-        else:
-            result = names
-    return result
+    return fold_expression(root, combine, label)
 
 
-def _check_pattern(pattern, path, bad):
+def _check_pattern(pattern, bad):
     names = set(pattern.names)
     if len(pattern.names) < 2:
-        bad(path, pattern, "pattern needs at least two vertices")
+        bad(pattern, "pattern needs at least two vertices")
     if len(names) != len(pattern.names):
-        bad(path, pattern, "duplicate pattern vertex name")
+        bad(pattern, "duplicate pattern vertex name")
     for (a, b) in pattern.edges:
         if a == b:
-            bad(path, pattern, f"loop edge on pattern vertex {a!r}")
+            bad(pattern, f"loop edge on pattern vertex {a!r}")
         if a not in names or b not in names:
-            bad(path, pattern, f"pattern edge ({a!r}, {b!r}) uses undeclared vertex")
+            bad(pattern, f"pattern edge ({a!r}, {b!r}) uses undeclared vertex")
 
 
-def _check_bindings(node, pattern_names, vals, path, bad):
+def _check_bindings(node, pattern_names, vals, bad):
     seen = set()
     pattern_set = set(pattern_names)
     for (bname, _), child_names in zip(node.bindings, vals):
         if bname in seen:
-            bad(path, node, f"pattern vertex {bname!r} bound twice")
+            bad(node, f"pattern vertex {bname!r} bound twice")
         seen.add(bname)
         if bname not in pattern_set:
-            bad(path, node, f"binding for unknown pattern vertex {bname!r}")
+            bad(node, f"binding for unknown pattern vertex {bname!r}")
         if not child_names:
-            bad(path, node, f"binding {bname!r} is the empty graph")
+            bad(node, f"binding {bname!r} is the empty graph")
     for pname in pattern_names:
         if pname not in seen:
-            bad(path, node, f"pattern vertex {pname!r} has no binding")
-
-
-def _validate_td_pattern(node, path, violations, bad):
-    """Validate the subst-td pattern expression in its own name scope and
-    return its vertex names (in evaluation order)."""
-    ppath = path + "/pattern"
-    _validate_node(node.pattern_expr, ppath, violations, td_only=True)
-    order = pattern_vertex_order(node.pattern_expr)
-    if len(order) < 2:
-        bad(path, node, "subst-td pattern has fewer than two vertices")
-    return order
+            bad(node, f"pattern vertex {pname!r} has no binding")
 
 
 def pattern_vertex_order(pattern_expr) -> tuple:
     """Vertex order of an evaluated tree-depth pattern expression."""
 
-    def combine(node, vals):
+    def combine(node, vals, _where):
         if isinstance(node, Vertex):
             return [node.name]
         if isinstance(node, Inc):
@@ -545,7 +531,7 @@ def evaluate(e: Expression) -> Graph:
 
 
 def _evaluate_node(root, mode):
-    def combine(node, vals):
+    def combine(node, vals, _where):
         if isinstance(node, Empty):
             return ([], set())
         if isinstance(node, Vertex):
@@ -637,7 +623,7 @@ def _substitute(pattern_order, pattern_edges, parts_by_name, mode):
 def inc_nesting(node) -> int:
     """Maximum number of inc nodes on a root-to-leaf path."""
 
-    def combine(n, vals):
+    def combine(n, vals, _where):
         depth = max(vals, default=0)
         return depth + 1 if isinstance(n, Inc) else depth
 
@@ -647,7 +633,7 @@ def inc_nesting(node) -> int:
 def params(e: Expression) -> Params:
     """Extract the parameter triple (k, h, l) of an expression."""
 
-    def combine(node, vals):
+    def combine(node, vals, _where):
         k = max((v[0] for v in vals), default=0)
         h = max((v[1] for v in vals), default=0)
         l = max((v[2] for v in vals), default=0)
@@ -688,7 +674,7 @@ def normalize(e: Expression) -> Expression:
     children on the way.  The evaluated graph is unchanged: same vertex
     names, same edges.  Subst-td pattern expressions are left alone."""
 
-    def combine(node, vals):
+    def combine(node, vals, _where):
         if isinstance(node, (Empty, Vertex)):
             return node
         if isinstance(node, Inc):
@@ -712,15 +698,3 @@ def normalize(e: Expression) -> Expression:
         return acc
 
     return Expression(e.mode, fold_expression(e.root, combine))
-
-
-def is_normalized(e: Expression) -> bool:
-    return not any(isinstance(n, (Union, Join)) for n in _main_tree_nodes(e.root))
-
-
-def _main_tree_nodes(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(subexpressions(node))

@@ -32,9 +32,9 @@ from .expr import (
     Vertex,
     collect_vertex_names,
     evaluate,
+    fold_expression,
     inc_nesting,
     pattern_vertex_order,
-    subexpressions,
 )
 from .graphs import DIRECTED, Graph
 
@@ -69,9 +69,6 @@ class SubgraphView:
             for v in self.graph.out_neighbors(u):
                 if v in self.vertices and (kind == DIRECTED or u <= v):
                     yield (u, v)
-
-    def materialize(self) -> Graph:
-        return self.graph.induced(self.vertices)
 
 
 @dataclass
@@ -115,19 +112,8 @@ def fold(e: Expression, handlers: HandlerSet, *, graph: Graph = None, verify=Non
     if graph is None:
         graph = evaluate(e)
     stats = FoldStats()
-    frames = [[e.root, "root", None, 0, []]]
-    result = None
-    while frames:
-        frame = frames[-1]
-        node, path, kids, i, vals = frame
-        if kids is None:
-            kids = frame[2] = subexpressions(node)
-        if i < len(kids):
-            frame[3] += 1
-            child = kids[i]
-            frames.append([child, f"{path}/{_step(node, i)}", None, 0, []])
-            continue
 
+    def combine(node, vals, where):
         # vals holds (summary, inc_depth) pairs for the children
         depth = max((d for _, d in vals), default=0)
         try:
@@ -172,28 +158,18 @@ def fold(e: Expression, handlers: HandlerSet, *, graph: Graph = None, verify=Non
                 raise InputError(f"unknown node type {type(node).__name__}")
         except Exception as exc:
             if not getattr(exc, "_fold_path", None):
-                exc._fold_path = path
-                exc.args = (f"{exc.args[0] if exc.args else exc!r} [at {path}]",) + exc.args[1:]
+                path = exc._fold_path = where()
+                message = exc.args[0] if exc.args else repr(exc)
+                exc.args = (f"{message} [at {path}]",) + exc.args[1:]
             raise
 
         if verify is not None:
             sub = graph.induced(collect_vertex_names(node))
-            verify(path, node, value, sub)
+            verify(where(), node, value, sub)
+        return value, depth
 
-        frames.pop()
-        if frames:
-            frames[-1][4].append((value, depth))
-        else:
-            result = value
-    return result, stats
-
-
-def _step(node, i):
-    if isinstance(node, Inc):
-        return "child"
-    if isinstance(node, (Subst, SubstTd)):
-        return f"bind[{node.bindings[i][0]}]"
-    return str(i)
+    value, _ = fold_expression(e.root, combine)
+    return value, stats
 
 
 def _aligned(node, order, vals):
@@ -238,45 +214,31 @@ def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
 
 
 def fold_td_expression(pattern_expr, pattern_graph: Graph, *, empty, vertex, union, inc):
-    """Iterative post-order fold over a pure tree-depth expression.
+    """Post-order fold over a pure tree-depth expression.
 
     ``inc`` is called as ``inc(child_value, name, in_names, out_names, view)``
     with a view of the child sub-pattern induced from ``pattern_graph``.
     Values carry their sub-pattern vertex sets internally.
     """
-    frames = [[pattern_expr, None, 0, []]]
-    result = None
-    while frames:
-        frame = frames[-1]
-        node, kids, i, vals = frame
-        if kids is None:
-            kids = frame[1] = subexpressions(node)
-        if i < len(kids):
-            frame[2] += 1
-            frames.append([kids[i], None, 0, []])
-            continue
+
+    def combine(node, vals, _where):
         if isinstance(node, Empty):
-            pair = (empty(), set())
-        elif isinstance(node, Vertex):
-            pair = (vertex(node.name), {node.name})
-        elif isinstance(node, Union):
+            return (empty(), set())
+        if isinstance(node, Vertex):
+            return (vertex(node.name), {node.name})
+        if isinstance(node, Union):
             names = set()
             for _, s in vals:
                 names |= s
-            pair = (union([v for v, _ in vals]), names)
-        elif isinstance(node, Inc):
+            return (union([v for v, _ in vals]), names)
+        if isinstance(node, Inc):
             child_value, names = vals[0]
             view = SubgraphView(pattern_graph, frozenset(names))
             value = inc(child_value, node.name, node.in_names, node.out_names, view)
             names.add(node.name)
-            pair = (value, names)
-        else:
-            raise InputError(
-                f"{type(node).__name__} node inside a tree-depth pattern expression"
-            )
-        frames.pop()
-        if frames:
-            frames[-1][3].append(pair)
-        else:
-            result = pair
-    return result[0]
+            return (value, names)
+        raise InputError(
+            f"{type(node).__name__} node inside a tree-depth pattern expression"
+        )
+
+    return fold_expression(pattern_expr, combine)[0]

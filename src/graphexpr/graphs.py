@@ -12,10 +12,9 @@ sum.
 
 from __future__ import annotations
 
-import heapq
 import math
 
-from .errors import ContractViolation, InputError
+from .errors import InputError
 
 INF = math.inf
 
@@ -123,18 +122,18 @@ class Graph:
         return f"Graph({self.kind}, n={self.n}, m={self.m})"
 
 
-def reverse(g: Graph) -> Graph:
-    """Flip every edge direction; vertex set unchanged."""
-    if g.kind != DIRECTED:
-        raise InputError("reverse is defined for directed graphs")
-    return Graph(DIRECTED, g.vertices, [(v, u) for (u, v) in g.edges])
-
-
 def check_total_weights(g: Graph, w: dict) -> None:
+    """Every vertex of ``g`` needs a finite weight in ``w``."""
     missing = [v for v in g.vertices if v not in w]
     if missing:
         raise InputError(
             "weight map is missing vertices: " + ", ".join(sorted(missing)[:5])
+        )
+    infinite = [v for v in g.vertices if not math.isfinite(w[v])]
+    if infinite:
+        raise InputError(
+            "weight map has non-finite weights: "
+            + ", ".join(f"{v}={w[v]}" for v in sorted(infinite)[:5])
         )
 
 
@@ -158,45 +157,6 @@ def check_potential(g: Graph, costs: dict, pi: dict, tol: float = TOL) -> bool:
         if costs[(u, v)] + pi[u] - pi[v] < -tol:
             return False
     return True
-
-
-def dijkstra_reduced(g: Graph, costs: dict, pi: dict, sources) -> dict:
-    """Multi-source Dijkstra under reduced costs ``c(e) + pi(tail) - pi(head)``.
-
-    ``sources`` is an iterable of ``(vertex, initial_label)`` pairs; initial
-    labels may be negative (they play the role of first-hop reduced costs from
-    a virtual source).  Every relaxed edge must have non-negative reduced
-    cost, otherwise the supplied potential was not feasible and a
-    ContractViolation is raised.  Returns a label for every vertex
-    (``inf`` when unreachable); labels live in reduced-cost space, callers
-    convert back by adding ``pi(target)``.
-    """
-    if g.kind != DIRECTED:
-        raise InputError("dijkstra_reduced requires a directed graph")
-    dist = {v: INF for v in g.vertices}
-    heap = []
-    for v, lab in sources:
-        if v not in dist:
-            raise InputError(f"source {v!r} is not a vertex of the graph")
-        if lab < dist[v]:
-            dist[v] = lab
-            heapq.heappush(heap, (lab, v))
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v] + TOL:
-            continue
-        for u in g._out[v]:
-            rc = costs[(v, u)] + pi[v] - pi[u]
-            if rc < -TOL:
-                raise ContractViolation(
-                    f"negative reduced cost {rc} on edge ({v!r}, {u!r}); "
-                    "potential is not feasible"
-                )
-            nd = d + max(rc, 0.0)
-            if nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return dist
 
 
 def floyd_vertex_weighted(g: Graph, w: dict):
@@ -255,7 +215,10 @@ def parse_weights(text: str) -> dict:
             raise InputError(f"weights line {lineno}: expected name<TAB>weight")
         name, value = parts
         try:
-            weights[name.strip()] = float(value)
+            weight = float(value)
         except ValueError:
             raise InputError(f"weights line {lineno}: bad number {value!r}") from None
+        if not math.isfinite(weight):
+            raise InputError(f"weights line {lineno}: weight {value!r} is not finite")
+        weights[name.strip()] = weight
     return weights

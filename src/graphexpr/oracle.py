@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import ContractViolation, InputError
 from .expr import (
     Empty,
     Expression,
@@ -42,6 +42,7 @@ from .graphs import (
     UNDIRECTED,
     Graph,
     canonical_edge,
+    check_total_weights,
 )
 
 # ---------------------------------------------------------------------------
@@ -63,13 +64,12 @@ def _shifted_edges(g: Graph, w: dict):
     return [(u, v, w[u]) for (u, v) in g.edges]
 
 
-def oracle_ncd(g: Graph, w: dict) -> bool:
-    """Bellman-Ford from a virtual super-source on edge-shifted costs; an
-    improving edge after n rounds witnesses a negative cycle."""
-    if g.kind != DIRECTED:
-        raise InputError("negative cycles are detected on directed graphs")
+def _super_source_labels(g: Graph, w: dict):
+    """Bellman-Ford from a virtual super-source wired to every vertex by a
+    zero-cost edge, on edge-shifted costs.  Returns the labels, or None when
+    an edge still improves after n rounds (a negative cycle)."""
     edges = _shifted_edges(g, w)
-    label = {v: 0.0 for v in g.vertices}  # super-source: zero-cost edge to all
+    label = {v: 0.0 for v in g.vertices}
     for _ in range(g.n):
         changed = False
         for u, v, c in edges:
@@ -78,8 +78,32 @@ def oracle_ncd(g: Graph, w: dict) -> bool:
                 label[v] = alt
                 changed = True
         if not changed:
-            return False
-    return any(label[u] + c < label[v] - TOL for u, v, c in edges)
+            return label
+    if any(label[u] + c < label[v] - TOL for u, v, c in edges):
+        return None
+    return label
+
+
+def oracle_ncd(g: Graph, w: dict) -> bool:
+    """True iff Bellman-Ford from a virtual super-source finds a negative
+    cycle under edge-shifted costs."""
+    if g.kind != DIRECTED:
+        raise InputError("negative cycles are detected on directed graphs")
+    return _super_source_labels(g, w) is None
+
+
+def shortest_path_potential(g: Graph, w: dict) -> dict:
+    """Distances from a virtual source connected to every vertex by a
+    zero-cost edge, under edge-shifted costs.  The result is a feasible
+    potential; raises ContractViolation when the graph has a negative cycle
+    (the caller was supposed to rule that out)."""
+    if g.kind != DIRECTED:
+        raise InputError("potentials are defined on directed graphs")
+    check_total_weights(g, w)
+    pi = _super_source_labels(g, w)
+    if pi is None:
+        raise ContractViolation("graph has a negative cycle; no potential exists")
+    return pi
 
 
 def oracle_apsp(g: Graph, w: dict):

@@ -86,43 +86,8 @@ class ModuleSummary:
     children: tuple
 
 
-def vertices_of(summary):
-    return summary.min_out.keys() if not isinstance(summary, NcdSummary) else summary.potential.keys()
-
-
 # ---------------------------------------------------------------------------
 # Primitives
-
-
-def shortest_path_potential(g: Graph, w: dict) -> dict:
-    """Distances from a virtual source connected to every vertex by a
-    zero-cost edge, under edge-shifted costs.  The result is a feasible
-    potential; raises ContractViolation when the graph has a negative cycle
-    (the caller was supposed to rule that out)."""
-    if g.kind != DIRECTED:
-        raise InputError("potentials are defined on directed graphs")
-    check_total_weights(g, w)
-    pi = {v: 0.0 for v in g.vertices}
-    edges = [(u, v, w[u]) for (u, v) in g.edges]
-    for _ in range(g.n):
-        changed = False
-        for u, v, c in edges:
-            alt = pi[u] + c
-            if alt < pi[v] - TOL:
-                pi[v] = alt
-                changed = True
-        if not changed:
-            return pi
-    for u, v, c in edges:
-        if pi[u] + c < pi[v] - TOL:
-            raise ContractViolation("graph has a negative cycle; no potential exists")
-    return pi
-
-
-def reweighted_pattern(pattern_graph: Graph, child_msps: dict):
-    """The substitution pattern with each vertex weighted by the msp of the
-    graph bound to it."""
-    return pattern_graph, dict(child_msps)
 
 
 def _dijkstra_labels(vertices, adjacency, reduced_cost, sources):
@@ -218,14 +183,13 @@ def ncd_inc(f, x, in_names, out_names, w, view):
 
 
 def _pattern_distances(pattern_graph, children):
-    """Floyd on the reweighted pattern.  Returns NEGATIVE_CYCLE or
-    ``(omega, D, row_min, col_min, pi_h, msp)``."""
+    """Floyd on the pattern weighted by the child msps.  Returns
+    NEGATIVE_CYCLE or ``(omega, D, row_min, col_min, pi_h, msp)``."""
     omega = {name: s.msp for name, s in children}
-    hg, wts = reweighted_pattern(pattern_graph, omega)
-    res = floyd_vertex_weighted(hg, wts)
+    res = floyd_vertex_weighted(pattern_graph, omega)
     if is_negative_cycle(res):
         return NEGATIVE_CYCLE
-    names = hg.vertices
+    names = pattern_graph.vertices
     row_min = {p: min(res[(p, q)] for q in names) for p in names}
     col_min = {p: min(res[(q, p)] for q in names) for p in names}
     pi_h = {p: col_min[p] - omega[p] for p in names}

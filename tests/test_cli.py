@@ -147,6 +147,19 @@ def test_solve_ncd_missing_weight_entry(capsys, tmp_path):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("problem", ["ncd", "apsp"])
+@pytest.mark.parametrize("weights", ["x\tnan\na\t-1\n", "x\tinf\na\t-inf\n"])
+def test_solve_rejects_non_finite_weights(capsys, tmp_path, problem, weights):
+    f = tmp_path / "c.expr"
+    f.write_text("(directed (inc x ((x a) (a x)) (vertex a)))\n")
+    w = tmp_path / "w.tsv"
+    w.write_text(weights)
+    code, out, err = run(capsys, "solve", problem, str(f), str(w))
+    assert code == 2
+    assert "not finite" in err
+    assert out == ""
+
+
 def test_solve_apsp_matrix_with_inf(capsys, tmp_path):
     f = tmp_path / "u.expr"
     f.write_text("(directed (union (vertex a) (vertex b)))\n")

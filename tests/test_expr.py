@@ -125,6 +125,26 @@ def test_validate_accepts_wellformed():
     assert validate(e) == []
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "(directed (union (vertex a) (subst (graph (p q) ((p q)))"
+            " ((p (inc x ((x zz)) (vertex b))) (q (vertex c))))))",
+            "root/1/bind[p]: unknown inc target 'zz'",
+        ),
+        (
+            "(directed (subst-td (inc r () (union (vertex q) (inc q () (vertex p))))"
+            " ((p (vertex a)) (q (vertex b)) (r (vertex c)))))",
+            "root/pattern/child: duplicate vertex name 'q'",
+        ),
+    ],
+)
+def test_validate_reports_node_location(text, expected):
+    found = [f"{v.path}: {v.message}" for v in validate(parse(text))]
+    assert expected in found
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

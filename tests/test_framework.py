@@ -202,6 +202,56 @@ def test_handler_error_carries_node_path():
         fold(e, hs)
 
 
+NESTED = (
+    "(directed (subst (graph (a b) ()) ((a (vertex u))"
+    " (b (subst (graph (p q) ()) ((p (inc x () (vertex y))) (q (vertex z))))))))"
+)
+
+
+def test_handler_error_message_is_unquoted():
+    def boom(f, name, inn, out, view):
+        raise RuntimeError("boom")
+
+    hs = counting_handlers()
+    hs.on_inc = boom
+    with pytest.raises(RuntimeError) as info:
+        fold(parse(NESTED), hs)
+    assert str(info.value) == "boom [at root/bind[b]/bind[p]]"
+    assert info.value._fold_path == "root/bind[b]/bind[p]"
+
+
+def test_verify_receives_node_paths_in_post_order():
+    seen = []
+    fold(parse(NESTED), counting_handlers(), verify=lambda path, *_: seen.append(path))
+    assert seen == [
+        "root/bind[a]",
+        "root/bind[b]/bind[p]/child",
+        "root/bind[b]/bind[p]",
+        "root/bind[b]/bind[q]",
+        "root/bind[b]",
+        "root",
+    ]
+
+
+def test_handler_error_path_on_deep_normalized_chain():
+    r = 3001
+    leaves = " ".join(f"(inc x{i} () (vertex a{i}))" for i in range(r))
+    e = normalize(parse(f"(directed (union {leaves}))"))
+
+    def boom(f, name, inn, out, view):
+        if name == "x0":
+            raise RuntimeError("boom")
+        return f + 1
+
+    hs = counting_handlers()
+    hs.on_inc = boom
+    with pytest.raises(RuntimeError) as info:
+        fold(e, hs)
+    path = "root" + "/bind[a]" * (r - 1)
+    assert info.value._fold_path == path
+    assert str(info.value).endswith(f" [at {path}]")
+
+
 def test_inc_view_sees_child_subgraph_only():
     e = parse(
         "(undirected (join (vertex z) (inc x ((x a)) "

@@ -1,5 +1,5 @@
 """Graph primitives: edge shift, potentials, Dijkstra with initial labels,
-vertex-weighted Floyd, reversal."""
+vertex-weighted Floyd, weight files."""
 
 import math
 import random
@@ -16,19 +16,30 @@ from graphexpr import (
     Graph,
     InputError,
     check_potential,
-    dijkstra_reduced,
+    detect_negative_cycle,
     edge_shift,
     floyd_vertex_weighted,
     is_negative_cycle,
     oracle_apsp,
     oracle_ncd,
-    reverse,
+    parse,
 )
-from graphexpr.graphs import parse_weights
+from graphexpr.graphs import check_total_weights, parse_weights
+from graphexpr.oracle import shortest_path_potential
+from graphexpr.paths import _dijkstra_labels
 
 
 def dgraph(vertices, edges):
     return Graph(DIRECTED, vertices, edges)
+
+
+def dijkstra_labels(g, costs, pi, sources):
+    """The solvers' Dijkstra under reduced costs ``c(e) + pi(tail) - pi(head)``,
+    from ``(vertex, initial_label)`` sources."""
+    adjacency = {v: g.out_neighbors(v) for v in g.vertices}
+    return _dijkstra_labels(
+        g.vertices, adjacency, lambda a, b: costs[(a, b)] + pi[a] - pi[b], dict(sources)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -83,25 +94,25 @@ def test_check_potential_negative_edge_zero_potential():
 
 
 # ---------------------------------------------------------------------------
-# dijkstra_reduced
+# Dijkstra with initial labels
 
 
 def test_dijkstra_single_source_edgeless():
     g = dgraph("abc", [])
-    labels = dijkstra_reduced(g, {}, {v: 0.0 for v in "abc"}, [("a", 0.0)])
+    labels = dijkstra_labels(g, {}, {v: 0.0 for v in "abc"}, [("a", 0.0)])
     assert labels == {"a": 0.0, "b": INF, "c": INF}
 
 
 def test_dijkstra_zero_cost_path():
     g = dgraph("abc", [("a", "b"), ("b", "c")])
     costs = {("a", "b"): 0.0, ("b", "c"): 0.0}
-    labels = dijkstra_reduced(g, costs, {v: 0.0 for v in "abc"}, [("a", 0.0)])
+    labels = dijkstra_labels(g, costs, {v: 0.0 for v in "abc"}, [("a", 0.0)])
     assert labels == {"a": 0.0, "b": 0.0, "c": 0.0}
 
 
 def test_dijkstra_negative_initial_label_beats_relaxation():
     g = dgraph("ab", [("b", "a")])
-    labels = dijkstra_reduced(
+    labels = dijkstra_labels(
         g, {("b", "a"): 1.0}, {"a": 0.0, "b": 0.0}, [("a", -3.0), ("b", 0.0)]
     )
     assert labels["a"] == -3.0  # -3 < 0 + 1
@@ -110,7 +121,7 @@ def test_dijkstra_negative_initial_label_beats_relaxation():
 def test_dijkstra_rejects_infeasible_potential():
     g = dgraph("ab", [("a", "b")])
     with pytest.raises(ContractViolation):
-        dijkstra_reduced(g, {("a", "b"): -1.0}, {"a": 0.0, "b": 0.0}, [("a", 0.0)])
+        dijkstra_labels(g, {("a", "b"): -1.0}, {"a": 0.0, "b": 0.0}, [("a", 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +144,6 @@ def test_floyd_single_edge():
     d = floyd_vertex_weighted(g, {"a": 1.0, "b": 5.0})
     assert d[("a", "b")] == 6.0
     assert d[("b", "a")] == INF
-
-
-# ---------------------------------------------------------------------------
-# reverse
-
-
-def test_reverse_edgeless_identity():
-    g = dgraph("ab", [])
-    assert reverse(g).edges == frozenset()
-
-
-def test_reverse_flips_edge():
-    g = dgraph("ab", [("a", "b")])
-    assert reverse(g).edges == frozenset({("b", "a")})
-
-
-def test_reverse_two_cycle_fixed_point():
-    g = dgraph("ab", [("a", "b"), ("b", "a")])
-    assert reverse(g).edges == g.edges
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +205,6 @@ def test_edge_shifted_path_and_cycle_identities():
 
 
 def test_dijkstra_matches_bellman_ford_oracle():
-    from graphexpr.paths import shortest_path_potential
-
     rng = random.Random(3)
     checked = 0
     for _ in range(120):
@@ -227,7 +217,7 @@ def test_dijkstra_matches_bellman_ford_oracle():
         assert check_potential(g, costs, pi)
         want = oracle_apsp(g, w)
         for s in g.vertices:
-            labels = dijkstra_reduced(g, costs, pi, [(s, 0.0)])
+            labels = dijkstra_labels(g, costs, pi, [(s, 0.0)])
             for v in g.vertices:
                 got = labels[v] - pi[s] + pi[v] + w[v] if labels[v] < INF else INF
                 ref = want[(s, v)] if v != s else w[s]
@@ -298,3 +288,21 @@ def test_parse_weights_rejects_garbage():
         parse_weights("a\tnope\n")
     with pytest.raises(InputError):
         parse_weights("a 1.5\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_weights_rejects_non_finite(value):
+    with pytest.raises(InputError, match="not finite"):
+        parse_weights(f"a\t1\nb\t{value}\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_total_weights_rejects_non_finite(bad):
+    g = dgraph("ab", [("a", "b")])
+    check_total_weights(g, {"a": 1.0, "b": -2.0})
+    with pytest.raises(InputError, match="non-finite"):
+        check_total_weights(g, {"a": 1.0, "b": bad})
+    # library solvers check their weights through the same gate
+    e = parse("(directed (inc x ((x a) (a x)) (vertex a)))")
+    with pytest.raises(InputError, match="non-finite"):
+        detect_negative_cycle(e, {"x": bad, "a": -1.0})

@@ -22,11 +22,9 @@ from graphexpr import (
     oracle_apsp,
     oracle_ncd,
     parse,
-    reweighted_pattern,
-    shortest_path_potential,
 )
 from graphexpr.expr import Pattern
-from graphexpr.oracle import GenSpec, gen_random
+from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
     ModuleSummary,
     _full_singleton,
@@ -122,7 +120,7 @@ def test_ncd_inc_feasibility_needs_entry_shift():
 
 
 # ---------------------------------------------------------------------------
-# reweighted pattern + subst handlers
+# subst handlers
 
 
 def edge_pattern():
@@ -131,12 +129,6 @@ def edge_pattern():
 
 def two_cycle_pattern():
     return Pattern(DIRECTED, ("p", "q"), frozenset({("p", "q"), ("q", "p")}))
-
-
-def test_reweighted_pattern_uses_child_msp():
-    hg, wts = reweighted_pattern(edge_pattern().to_graph(), {"p": 1.0, "q": -2.0})
-    assert wts == {"p": 1.0, "q": -2.0}
-    assert hg.edges == frozenset({("p", "q")})
 
 
 def test_ncd_subst_two_cycle_with_negative_sum():
@@ -428,8 +420,6 @@ def test_reweighted_pattern_child_with_internal_negative_path():
     child = parse("(directed (subst (graph (p q) ((p q))) ((p (vertex a)) (q (vertex b)))))")
     summary, _ = ncd_outcome(child, {"a": -4.0, "b": 1.0})
     assert close(summary.msp, -4.0)  # single vertex a beats the a->b path (-3)
-    hg, wts = reweighted_pattern(edge_pattern().to_graph(), {"p": summary.msp, "q": 0.0})
-    assert wts["p"] == -4.0
 
 
 def test_ncd_subst_td_edgeless_pattern():
