@@ -16,6 +16,10 @@ The extracted parameter triple (k, h, l) is: k = nesting depth of inc nodes
 on root-to-leaf paths, h = largest explicit substitution pattern, l = largest
 inc nesting depth among subst-td pattern expressions.
 
+The evaluator builds every graph from vertex addition and one substitution
+routine: union and join are substitutions into an edgeless resp. complete
+pattern over their children.
+
 All tree walks are iterative; expression trees may be deep (e.g. the binary
 substitution chains produced by ``normalize``).
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import InputError
@@ -172,18 +177,6 @@ def _step(node, index):
     if isinstance(node, (Subst, SubstTd)):
         return f"bind[{node.bindings[index][0]}]"
     return str(index)
-
-
-def walk(root):
-    """Iterative pre-order over all nodes, including subst-td pattern
-    expressions."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(subexpressions(node))
-        if isinstance(node, SubstTd):
-            stack.append(node.pattern_expr)
 
 
 def collect_vertex_names(node) -> set:
@@ -537,8 +530,13 @@ def _evaluate_node(root, mode):
         if isinstance(node, Vertex):
             return ([node.name], set())
         if isinstance(node, (Union, Join)):
-            cross = isinstance(node, Join)
-            return _merge_parts(vals, mode, cross_all=cross)
+            # substitution into an edgeless resp. complete pattern over the
+            # children; the pairs are enumerated only for joins
+            order = range(len(vals))
+            pattern_edges = ()
+            if isinstance(node, Join):
+                pattern_edges = (permutations if mode == DIRECTED else combinations)(order, 2)
+            return _substitute(order, pattern_edges, vals, mode)
         if isinstance(node, Inc):
             verts, edges = vals[0]
             x = node.name
@@ -561,58 +559,30 @@ def _evaluate_node(root, mode):
     return fold_expression(root, combine)
 
 
-def _merge_parts(parts, mode, cross_all):
-    """Disjoint union of (vertices, edges) parts; with ``cross_all`` also adds
-    every edge between distinct parts (both directions when directed)."""
-    if not parts:
-        return ([], set())
-    verts = parts[0][0]
-    edges = max((p[1] for p in parts), key=len)
-    for _, es in parts:
+def _substitute(pattern_order, pattern_edges, parts, mode):
+    """Replace each pattern vertex by its part ``parts[name]`` (a pair of
+    vertex list and edge set); a pattern edge becomes the full set of edges
+    between the two parts, direction preserved.  The parts are consumed:
+    the result extends the first part's vertex list and the largest edge
+    set in place, so a left-deep chain costs O(1) per level plus its new
+    edges."""
+    ordered = [parts[pname] for pname in pattern_order]
+    edges = max((es for _, es in ordered), key=len)
+    for _, es in ordered:
         if es is not edges:
             edges.update(es)
-    if cross_all:
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                _add_cross_edges(edges, parts[i][0], parts[j][0], mode)
-    for vs, _ in parts[1:]:
-        verts.extend(vs)
-    return (verts, edges)
-
-
-def _add_cross_edges(edges, left, right, mode):
-    if mode == DIRECTED:
-        for a in left:
-            for b in right:
-                edges.add((a, b))
-                edges.add((b, a))
-    else:
-        for a in left:
-            for b in right:
-                edges.add(canonical_edge(mode, a, b))
-
-
-def _substitute(pattern_order, pattern_edges, parts_by_name, mode):
-    """Replace each pattern vertex by its bound part; a pattern edge becomes
-    the full set of edges between the two parts, direction preserved."""
-    verts = []
-    for pname in pattern_order:
-        verts.extend(parts_by_name[pname][0])
-    edges = max((p[1] for p in parts_by_name.values()), key=len, default=set())
-    for p in parts_by_name.values():
-        if p[1] is not edges:
-            edges.update(p[1])
+    # the cross edges read the parts' vertex lists, so they come before the
+    # first list grows
     for (pu, pv) in pattern_edges:
-        left = parts_by_name[pu][0]
-        right = parts_by_name[pv][0]
+        left = parts[pu][0]
+        right = parts[pv][0]
         if mode == DIRECTED:
-            for a in left:
-                for b in right:
-                    edges.add((a, b))
+            edges.update((a, b) for a in left for b in right)
         else:
-            for a in left:
-                for b in right:
-                    edges.add(canonical_edge(mode, a, b))
+            edges.update(canonical_edge(mode, a, b) for a in left for b in right)
+    verts = ordered[0][0]
+    for vs, _ in ordered[1:]:
+        verts.extend(vs)
     return (verts, edges)
 
 

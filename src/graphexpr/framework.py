@@ -2,12 +2,15 @@
 
 A problem is solved on an expression by supplying one handler per operation;
 the fold threads per-subtree summary values upward exactly as the expression
-is structured.  Handlers see only summaries and the node payload, with one
-exception: inc handlers receive a read-only view of the child subgraph,
-because adding a vertex inherently needs to look at the edges it closes
-(the view is induced from the fully evaluated graph, which equals the child
+is structured.  Handlers see only summaries and the node payload, with two
+exceptions.  Inc handlers receive a read-only view of the child subgraph,
+because adding a vertex inherently needs to look at the edges it closes.
+The view is induced from the whole evaluated graph, which equals the child
 subexpression's value since vertex names are globally unique and later
-operations never add edges inside an existing subtree).
+operations never add edges inside an existing subtree.  The fold evaluates
+the whole graph on first use, by an inc view or by ``verify``, so a solve
+whose main tree has no inc node never builds it.  Subst-td handlers receive
+the pattern graph, which the fold evaluates once per node.
 
 The fold also collects accounting statistics (pattern-order sums, inc
 nesting) that the theory bounds; ``assert_stats`` re-checks those bounds on
@@ -17,6 +20,7 @@ every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .errors import InputError
@@ -34,9 +38,8 @@ from .expr import (
     evaluate,
     fold_expression,
     inc_nesting,
-    pattern_vertex_order,
 )
-from .graphs import DIRECTED, Graph
+from .graphs import Graph
 
 
 class SubgraphView:
@@ -63,27 +66,21 @@ class SubgraphView:
                     total += 1
         return total // 2
 
-    def edges(self):
-        kind = self.graph.kind
-        for u in self.vertices:
-            for v in self.graph.out_neighbors(u):
-                if v in self.vertices and (kind == DIRECTED or u <= v):
-                    yield (u, v)
-
 
 @dataclass
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
     on_subst / on_subst_td receive the children as ``(pattern vertex name,
-    summary)`` pairs in pattern vertex order.
+    summary)`` pairs in pattern vertex order; on_subst_td also receives the
+    evaluated pattern graph.
     """
 
     base_empty: Callable
     base_vertex: Callable
     on_inc: Callable      # (child F, name, in_names, out_names, view) -> F
     on_subst: Callable    # (Pattern, [(name, F), ...]) -> F
-    on_subst_td: Callable  # (pattern_expr, [(name, F), ...]) -> F
+    on_subst_td: Callable  # (pattern_expr, pattern Graph, [(name, F), ...]) -> F
 
 
 @dataclass
@@ -101,16 +98,14 @@ class FoldStats:
         self.counts[kind] = self.counts.get(kind, 0) + 1
 
 
-def fold(e: Expression, handlers: HandlerSet, *, graph: Graph = None, verify=None):
+def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     """Fold a normalized, validated expression bottom-up.
 
-    Returns ``(summary, FoldStats)``.  ``graph`` may supply the evaluated
-    graph if the caller already has it.  ``verify``, when given, is called as
+    Returns ``(summary, FoldStats)``.  ``verify``, when given, is called as
     ``verify(path, node, summary, subgraph)`` after every handler with the
     materialized subgraph of that node (debug mode; quadratic).
     """
-    if graph is None:
-        graph = evaluate(e)
+    graph = cache(lambda: evaluate(e))
     stats = FoldStats()
 
     def combine(node, vals, where):
@@ -129,7 +124,7 @@ def fold(e: Expression, handlers: HandlerSet, *, graph: Graph = None, verify=Non
                 stats.bump("inc")
                 depth += 1
                 stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
-                view = SubgraphView(graph, frozenset(collect_vertex_names(node.child)))
+                view = SubgraphView(graph(), frozenset(collect_vertex_names(node.child)))
                 value = handlers.on_inc(
                     vals[0][0], node.name, node.in_names, node.out_names, view
                 )
@@ -142,13 +137,13 @@ def fold(e: Expression, handlers: HandlerSet, *, graph: Graph = None, verify=Non
                 value = handlers.on_subst(node.pattern, children)
             elif isinstance(node, SubstTd):
                 stats.bump("subst_td")
-                p_order = pattern_vertex_order(node.pattern_expr)
-                stats.sum_pattern_order += len(p_order)
+                pattern = evaluate(Expression(e.mode, node.pattern_expr))
+                stats.sum_pattern_order += pattern.n
                 stats.max_subtd_depth = max(
                     stats.max_subtd_depth, inc_nesting(node.pattern_expr)
                 )
-                children = _aligned(node, p_order, vals)
-                value = handlers.on_subst_td(node.pattern_expr, children)
+                children = _aligned(node, pattern.vertices, vals)
+                value = handlers.on_subst_td(node.pattern_expr, pattern, children)
             elif isinstance(node, (Union, Join)):
                 raise InputError(
                     "fold requires a normalized expression (no union/join); "
@@ -164,7 +159,7 @@ def fold(e: Expression, handlers: HandlerSet, *, graph: Graph = None, verify=Non
             raise
 
         if verify is not None:
-            sub = graph.induced(collect_vertex_names(node))
+            sub = graph().induced(collect_vertex_names(node))
             verify(where(), node, value, sub)
         return value, depth
 

@@ -18,7 +18,8 @@ from .errors import InputError
 
 INF = math.inf
 
-# Absolute tolerance for feasibility and equality checks on weights.
+# Tolerance for feasibility and equality checks on weights; the solvers
+# raise it to the rounding error of their weights (``paths.solve_tolerance``).
 TOL = 1e-9
 
 DIRECTED = "directed"
@@ -97,9 +98,6 @@ class Graph:
     def __contains__(self, v) -> bool:
         return v in self._vset
 
-    def has_edge(self, u, v) -> bool:
-        return canonical_edge(self.kind, u, v) in self.edges
-
     def out_neighbors(self, v):
         return self._out[v]
 
@@ -122,14 +120,14 @@ class Graph:
         return f"Graph({self.kind}, n={self.n}, m={self.m})"
 
 
-def check_total_weights(g: Graph, w: dict) -> None:
-    """Every vertex of ``g`` needs a finite weight in ``w``."""
-    missing = [v for v in g.vertices if v not in w]
+def check_total_weights(names, w: dict) -> None:
+    """Every vertex name in ``names`` needs a finite weight in ``w``."""
+    missing = [v for v in names if v not in w]
     if missing:
         raise InputError(
             "weight map is missing vertices: " + ", ".join(sorted(missing)[:5])
         )
-    infinite = [v for v in g.vertices if not math.isfinite(w[v])]
+    infinite = [v for v in names if not math.isfinite(w[v])]
     if infinite:
         raise InputError(
             "weight map has non-finite weights: "
@@ -142,7 +140,7 @@ def edge_shift(g: Graph, w: dict) -> dict:
     ``cost((x, y)) = w(x)``."""
     if g.kind != DIRECTED:
         raise InputError("edge_shift requires a directed graph")
-    check_total_weights(g, w)
+    check_total_weights(g.vertices, w)
     return {(u, v): w[u] for (u, v) in g.edges}
 
 
@@ -159,9 +157,9 @@ def check_potential(g: Graph, costs: dict, pi: dict, tol: float = TOL) -> bool:
     return True
 
 
-def floyd_vertex_weighted(g: Graph, w: dict):
+def floyd_vertex_weighted(g: Graph, w: dict, tol: float = TOL):
     """All-pairs distances under the vertex-weight convention, or the
-    NEGATIVE_CYCLE verdict.
+    NEGATIVE_CYCLE verdict (a closed walk below ``-tol``).
 
     dist(u, u) = w(u); dist(u, v) sums the weights of all path vertices
     including both endpoints.  Relaxation through a middle vertex k therefore
@@ -169,7 +167,7 @@ def floyd_vertex_weighted(g: Graph, w: dict):
     """
     if g.kind != DIRECTED:
         raise InputError("floyd_vertex_weighted requires a directed graph")
-    check_total_weights(g, w)
+    check_total_weights(g.vertices, w)
     vs = list(g.vertices)
     d = {u: {v: INF for v in vs} for u in vs}
     for u in vs:
@@ -198,7 +196,7 @@ def floyd_vertex_weighted(g: Graph, w: dict):
         row_i = d[i]
         for j in vs:
             if i != j and row_i[j] < INF and d[j][i] < INF:
-                if row_i[j] + d[j][i] - w[i] - w[j] < -TOL:
+                if row_i[j] + d[j][i] - w[i] - w[j] < -tol:
                     return NEGATIVE_CYCLE
     return {(i, j): d[i][j] for i in vs for j in vs}
 
@@ -213,12 +211,14 @@ def parse_weights(text: str) -> dict:
         parts = line.split("\t")
         if len(parts) != 2:
             raise InputError(f"weights line {lineno}: expected name<TAB>weight")
-        name, value = parts
+        name, value = parts[0].strip(), parts[1]
+        if name in weights:
+            raise InputError(f"weights line {lineno}: duplicate name {name!r}")
         try:
             weight = float(value)
         except ValueError:
             raise InputError(f"weights line {lineno}: bad number {value!r}") from None
         if not math.isfinite(weight):
             raise InputError(f"weights line {lineno}: weight {value!r} is not finite")
-        weights[name.strip()] = weight
+        weights[name] = weight
     return weights

@@ -99,7 +99,7 @@ def shortest_path_potential(g: Graph, w: dict) -> dict:
     (the caller was supposed to rule that out)."""
     if g.kind != DIRECTED:
         raise InputError("potentials are defined on directed graphs")
-    check_total_weights(g, w)
+    check_total_weights(g.vertices, w)
     pi = _super_source_labels(g, w)
     if pi is None:
         raise ContractViolation("graph has a negative cycle; no potential exists")

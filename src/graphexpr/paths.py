@@ -25,11 +25,13 @@ with the classic "cheapest detour that leaves this module" values.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 from . import framework
 from .errors import ContractViolation, InputError, VerificationError
-from .expr import Expression, evaluate, normalize, validate_or_raise
+from .expr import Expression, collect_vertex_names, normalize, validate_or_raise
+from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
 from .framework import HandlerSet, fold_td_expression
 from .graphs import (
     DIRECTED,
@@ -43,6 +45,9 @@ from .graphs import (
     floyd_vertex_weighted,
     is_negative_cycle,
 )
+
+# Rounding-error allowance per weight summed, in units of eps * max |w|.
+_ROUNDING_SLACK = 4
 
 # ---------------------------------------------------------------------------
 # Summary types
@@ -90,9 +95,10 @@ class ModuleSummary:
 # Primitives
 
 
-def _dijkstra_labels(vertices, adjacency, reduced_cost, sources):
-    """Dijkstra with (possibly negative) initial labels and non-negative
-    reduced edge costs.  Returns a label per vertex, inf when unreachable."""
+def _dijkstra_labels(vertices, adjacency, reduced_cost, sources, tol):
+    """Dijkstra with (possibly negative) initial labels and reduced edge
+    costs that are non-negative up to ``tol``.  Returns a label per vertex,
+    inf when unreachable."""
     dist = {v: INF for v in vertices}
     heap = []
     for v, lab in sources.items():
@@ -101,11 +107,11 @@ def _dijkstra_labels(vertices, adjacency, reduced_cost, sources):
             heapq.heappush(heap, (lab, v))
     while heap:
         d, v = heapq.heappop(heap)
-        if d > dist[v] + TOL:
+        if d > dist[v] + tol:
             continue
         for u in adjacency[v]:
             rc = reduced_cost(v, u)
-            if rc < -TOL:
+            if rc < -tol:
                 raise ContractViolation(
                     f"negative reduced cost on edge ({v!r}, {u!r}): potential not feasible"
                 )
@@ -116,7 +122,7 @@ def _dijkstra_labels(vertices, adjacency, reduced_cost, sources):
     return dist
 
 
-def _inc_core(pi, msp_child, x, in_names, out_names, w, view):
+def _inc_core(pi, msp_child, x, in_names, out_names, w, view, tol):
     """Shared machinery for adding vertex ``x`` to a child graph whose
     shortest-path feasible potential ``pi`` is known.
 
@@ -135,11 +141,12 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, view):
         adj_out,
         lambda a, b: w[a] + pi[a] - pi[b],
         {u: wx - pi[u] for u in out_names},
+        tol,
     )
 
     # a new negative cycle must run x -> ... -> u -> x for an in-neighbor u
     for u in in_names:
-        if fwd[u] < INF and fwd[u] + pi[u] + w[u] < -TOL:
+        if fwd[u] < INF and fwd[u] + pi[u] + w[u] < -tol:
             return NEGATIVE_CYCLE
 
     adj_in = {v: view.in_neighbors(v) for v in verts}
@@ -148,6 +155,7 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, view):
         adj_in,
         lambda a, b: w[b] + pi[b] - pi[a],
         {u: w[u] + pi[u] for u in in_names},
+        tol,
     )
 
     # cheapest arrival value at x for the virtual super-source: either enter
@@ -172,21 +180,21 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, view):
 # Negative cycle detection handlers
 
 
-def ncd_inc(f, x, in_names, out_names, w, view):
+def ncd_inc(f, x, in_names, out_names, w, view, tol):
     if is_negative_cycle(f):
         return f
-    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view)
+    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view, tol)
     if is_negative_cycle(core):
         return core
     new_pi, msp, _, _ = core
     return NcdSummary(new_pi, msp)
 
 
-def _pattern_distances(pattern_graph, children):
+def _pattern_distances(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps.  Returns
     NEGATIVE_CYCLE or ``(omega, D, row_min, col_min, pi_h, msp)``."""
     omega = {name: s.msp for name, s in children}
-    res = floyd_vertex_weighted(pattern_graph, omega)
+    res = floyd_vertex_weighted(pattern_graph, omega, tol)
     if is_negative_cycle(res):
         return NEGATIVE_CYCLE
     names = pattern_graph.vertices
@@ -196,11 +204,11 @@ def _pattern_distances(pattern_graph, children):
     return omega, res, row_min, col_min, pi_h, min(res.values())
 
 
-def ncd_subst(pattern, children):
+def ncd_subst(pattern, children, tol):
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    parts = _pattern_distances(pattern.to_graph(), children)
+    parts = _pattern_distances(pattern.to_graph(), children, tol)
     if is_negative_cycle(parts):
         return parts
     _, _, _, _, pi_h, msp = parts
@@ -212,7 +220,7 @@ def ncd_subst(pattern, children):
     return NcdSummary(potential, msp)
 
 
-def ncd_subst_td(pattern_expr, children):
+def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
     """Same contract as ncd_subst, but the pattern summary is computed by
     replaying the pattern's tree-depth expression with the inc handler over
     the reweighted pattern."""
@@ -220,14 +228,13 @@ def ncd_subst_td(pattern_expr, children):
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    hg = evaluate(Expression(DIRECTED, pattern_expr))
     inner = fold_td_expression(
         pattern_expr,
-        hg,
+        pattern_graph,
         empty=lambda: NcdSummary({}, INF),
         vertex=lambda name: NcdSummary({name: 0.0}, omega[name]),
         union=_merge_ncd,
-        inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, omega, view),
+        inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, omega, view, tol),
     )
     if is_negative_cycle(inner):
         return inner
@@ -340,11 +347,11 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     return FullSummary(s.potential, s.msp, s.min_out, s.min_in, dist)
 
 
-def apsp_inc(f, x, in_names, out_names, w, view):
+def apsp_inc(f, x, in_names, out_names, w, view, tol):
     f = ensure_full(f)
     if is_negative_cycle(f):
         return f
-    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view)
+    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view, tol)
     if is_negative_cycle(core):
         return core
     new_pi, msp, dfx, dtx = core
@@ -386,12 +393,12 @@ def _assemble_module(children, names, omega, D, row_min, col_min, pi_h, msp):
     )
 
 
-def apsp_subst(pattern, children):
+def apsp_subst(pattern, children, tol):
     for _, s in children:
         if is_negative_cycle(s):
             return s
     hg = pattern.to_graph()
-    parts = _pattern_distances(hg, children)
+    parts = _pattern_distances(hg, children, tol)
     if is_negative_cycle(parts):
         return parts
     omega, D, row_min, col_min, pi_h, msp = parts
@@ -400,27 +407,26 @@ def apsp_subst(pattern, children):
     )
 
 
-def apsp_subst_td(pattern_expr, children):
+def apsp_subst_td(pattern_expr, pattern_graph, children, tol):
     """Same contract as apsp_subst; the pattern's all-pairs distances come
     from replaying its tree-depth expression with the inc handler."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    hg = evaluate(Expression(DIRECTED, pattern_expr))
     inner = fold_td_expression(
         pattern_expr,
-        hg,
+        pattern_graph,
         empty=lambda: FullSummary({}, INF, {}, {}, {}),
         vertex=lambda name: _full_singleton(name, omega[name]),
         union=_merge_full,
-        inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, omega, view),
+        inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, omega, view, tol),
     )
     if is_negative_cycle(inner):
         return inner
     return _assemble_module(
         children,
-        hg.vertices,
+        pattern_graph.vertices,
         omega,
         inner.dist,
         inner.min_out,
@@ -434,42 +440,54 @@ def apsp_subst_td(pattern_expr, children):
 # Solvers
 
 
-def _gate(e: Expression, w: dict, problem: str):
+def _gate(e: Expression, w: dict, problem: str) -> Expression:
+    """Validate and normalize ``e`` and check ``w`` against its vertex names."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
     validate_or_raise(e)
     ne = normalize(e)
-    g = evaluate(ne)
-    check_total_weights(g, w)
-    return ne, g
+    check_total_weights(collect_vertex_names(ne.root), w)
+    return ne
+
+
+def solve_tolerance(w: dict) -> float:
+    """Tolerance of the feasibility and cycle tests of a solve under ``w``:
+    TOL, or the rounding error that sums of up to len(w) weights can carry,
+    whichever is larger.  An absolute TOL falls under float resolution at
+    large weights; a tolerance sized to rounding still finds a cycle that is
+    negative by more than that, however large the other weights are."""
+    scale = max(map(abs, w.values()), default=0.0)
+    return max(TOL, _ROUNDING_SLACK * len(w) * sys.float_info.epsilon * scale)
 
 
 def ncd_handlers(w: dict) -> HandlerSet:
+    tol = solve_tolerance(w)
     return HandlerSet(
         base_empty=lambda: NcdSummary({}, INF),
         base_vertex=lambda name: NcdSummary({name: 0.0}, w[name]),
-        on_inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, w, view),
-        on_subst=lambda pattern, children: ncd_subst(pattern, children),
-        on_subst_td=lambda pe, children: ncd_subst_td(pe, children),
+        on_inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, w, view, tol),
+        on_subst=lambda pattern, children: ncd_subst(pattern, children, tol),
+        on_subst_td=lambda pe, pg, children: ncd_subst_td(pe, pg, children, tol),
     )
 
 
 def apsp_handlers(w: dict) -> HandlerSet:
+    tol = solve_tolerance(w)
     return HandlerSet(
         base_empty=lambda: FullSummary({}, INF, {}, {}, {}),
         base_vertex=lambda name: _full_singleton(name, w[name]),
-        on_inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, w, view),
-        on_subst=lambda pattern, children: apsp_subst(pattern, children),
-        on_subst_td=lambda pe, children: apsp_subst_td(pe, children),
+        on_inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, w, view, tol),
+        on_subst=lambda pattern, children: apsp_subst(pattern, children, tol),
+        on_subst_td=lambda pe, pg, children: apsp_subst_td(pe, pg, children, tol),
     )
 
 
 def ncd_outcome(e: Expression, w: dict, *, verify=False):
     """Fold the expression with the NCD handlers.  Returns
     ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``."""
-    ne, g = _gate(e, w, "negative cycle detection")
+    ne = _gate(e, w, "negative cycle detection")
     checker = make_paths_verifier(w) if verify else None
-    return framework.fold(ne, ncd_handlers(w), graph=g, verify=checker)
+    return framework.fold(ne, ncd_handlers(w), verify=checker)
 
 
 def detect_negative_cycle(e: Expression, w: dict, *, verify=False) -> bool:
@@ -482,13 +500,10 @@ def detect_negative_cycle(e: Expression, w: dict, *, verify=False) -> bool:
 def apsp_outcome(e: Expression, w: dict, *, verify=False):
     """Fold with the all-pairs handlers and expand the root to a
     FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``."""
-    ne, g = _gate(e, w, "all-pairs shortest paths")
+    ne = _gate(e, w, "all-pairs shortest paths")
     checker = make_paths_verifier(w) if verify else None
-    value, stats = framework.fold(ne, apsp_handlers(w), graph=g, verify=checker)
-    value = ensure_full(value)
-    if checker is not None and not is_negative_cycle(value):
-        checker("root(final)", None, value, g)
-    return value, stats
+    value, stats = framework.fold(ne, apsp_handlers(w), verify=checker)
+    return ensure_full(value), stats
 
 
 def all_pairs(e: Expression, w: dict, *, verify=False):
@@ -510,6 +525,8 @@ def make_paths_verifier(w: dict, tol: float = 1e-6):
     """Checker for ``--verify`` runs: every emitted potential must be
     feasible on the node's materialized subgraph, and on small subgraphs the
     summary values are compared against an independent Floyd run."""
+    solve_tol = solve_tolerance(w)
+    tol = max(tol, solve_tol)
 
     def close(a, b):
         if a == INF or b == INF:
@@ -520,19 +537,20 @@ def make_paths_verifier(w: dict, tol: float = 1e-6):
         wr = {v: w[v] for v in sub.vertices}
         if is_negative_cycle(value):
             if sub.n <= _VERIFY_FLOYD_LIMIT:
-                if not is_negative_cycle(floyd_vertex_weighted(sub, wr)):
+                if not is_negative_cycle(floyd_vertex_weighted(sub, wr, solve_tol)):
                     raise VerificationError(
                         f"{path}: handler reported a negative cycle, subgraph has none"
                     )
             return
         costs = edge_shift(sub, wr)
-        if not check_potential(sub, costs, value.potential):
+        if not check_potential(sub, costs, value.potential, solve_tol):
             raise VerificationError(
                 f"{path}: emitted potential is not feasible on the node subgraph"
             )
         if sub.n > _VERIFY_FLOYD_LIMIT:
             return
-        ref = floyd_vertex_weighted(sub, wr)
+        value = ensure_full(value)
+        ref = floyd_vertex_weighted(sub, wr, solve_tol)
         if is_negative_cycle(ref):
             raise VerificationError(
                 f"{path}: subgraph has a negative cycle but the handler returned a summary"
@@ -542,7 +560,7 @@ def make_paths_verifier(w: dict, tol: float = 1e-6):
             raise VerificationError(
                 f"{path}: msp {value.msp} differs from reference {msp_ref}"
             )
-        if isinstance(value, (FullSummary, ModuleSummary)):
+        if isinstance(value, FullSummary):
             for u in value.min_out:
                 ref_out = min(ref[(u, v)] for v in sub.vertices)
                 ref_in = min(ref[(v, u)] for v in sub.vertices)
@@ -552,7 +570,6 @@ def make_paths_verifier(w: dict, tol: float = 1e-6):
                     raise VerificationError(
                         f"{path}: per-vertex min distances disagree with reference at {u!r}"
                     )
-        if isinstance(value, FullSummary):
             for pair, val in value.dist.items():
                 if not close(val, ref[pair]):
                     raise VerificationError(

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from . import framework
 from .errors import InputError
-from .expr import Expression, evaluate, normalize, validate_or_raise
+from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
+from .expr import Expression, normalize, validate_or_raise
 from .framework import FoldStats, HandlerSet, fold_td_expression
 from .graphs import UNDIRECTED
 
@@ -60,16 +61,14 @@ def combine_subst(pattern, children) -> TriFold:
     return TriFold(n, m, t)
 
 
-def combine_subst_td(pattern_expr, children) -> TriFold:
+def combine_subst_td(pattern_expr, pattern_graph, children) -> TriFold:
     """Same result as combine_subst on the evaluated pattern, but the
     pattern's triangles are found while replaying its tree-depth expression:
     each added pattern vertex x contributes n_u * n_v * n_x for every
     sub-pattern edge {u, v} inside its neighborhood."""
     by_name = dict(children)
     sizes = {name: f.n for name, f in by_name.items()}
-    h = evaluate(Expression(UNDIRECTED, pattern_expr))
 
-    edges: list = []
     tri_total = 0
 
     def on_inc(child_edges, x, in_names, out_names, view):
@@ -88,7 +87,7 @@ def combine_subst_td(pattern_expr, children) -> TriFold:
         return out
 
     edges = fold_td_expression(
-        pattern_expr, h, empty=list, vertex=lambda name: [], union=on_union, inc=on_inc
+        pattern_expr, pattern_graph, empty=list, vertex=lambda _: [], union=on_union, inc=on_inc
     )
 
     n = sum(f.n for f in by_name.values())
@@ -106,8 +105,8 @@ def handlers() -> HandlerSet:
         base_empty=lambda: TriFold(0, 0, 0),
         base_vertex=lambda name: TriFold(1, 0, 0),
         on_inc=lambda f, name, inn, out, view: combine_inc(f, name, inn | out, view),
-        on_subst=lambda pattern, children: combine_subst(pattern, children),
-        on_subst_td=lambda pexpr, children: combine_subst_td(pexpr, children),
+        on_subst=combine_subst,
+        on_subst_td=combine_subst_td,
     )
 
 
@@ -117,7 +116,6 @@ def triangle_summary(e: Expression, *, verify=None) -> tuple[TriFold, FoldStats]
         raise InputError("triangle counting requires an undirected expression")
     validate_or_raise(e)
     ne = normalize(e)
-    graph = evaluate(ne)
     checker = None
     if verify:
         from .oracle import oracle_triangles
@@ -131,7 +129,7 @@ def triangle_summary(e: Expression, *, verify=None) -> tuple[TriFold, FoldStats]
                     f"brute force on the materialized subgraph"
                 )
 
-    value, stats = framework.fold(ne, handlers(), graph=graph, verify=checker)
+    value, stats = framework.fold(ne, handlers(), verify=checker)
     return value, stats
 
 

@@ -32,6 +32,7 @@ from graphexpr import (
 )
 from graphexpr.cli import main as cli_main
 from graphexpr.expr import Pattern, pattern_vertex_order
+from graphexpr.graphs import TOL
 from graphexpr.oracle import GenSpec
 from graphexpr.paths import (
     apsp_outcome,
@@ -242,15 +243,15 @@ def test_criterion_6_handler_cross_equality():
             pat = Pattern(mode, pg.vertices, pg.edges)
             tri, ncd, apsp = _tiny_children(order, mode, seed)
             if mode == UNDIRECTED:
-                assert combine_subst(pat, tri) == combine_subst_td(pe, tri)
+                assert combine_subst(pat, tri) == combine_subst_td(pe, pg, tri)
                 continue
-            a, b = ncd_subst(pat, ncd), ncd_subst_td(pe, ncd)
+            a, b = ncd_subst(pat, ncd, TOL), ncd_subst_td(pe, pg, ncd, TOL)
             assert is_negative_cycle(a) == is_negative_cycle(b)
             if not is_negative_cycle(a):
                 assert _close(a.msp, b.msp, tol)
                 for k in a.potential:
                     assert _close(a.potential[k], b.potential[k], tol)
-            fa, fb = apsp_subst(pat, apsp), apsp_subst_td(pe, apsp)
+            fa, fb = apsp_subst(pat, apsp, TOL), apsp_subst_td(pe, pg, apsp, TOL)
             assert is_negative_cycle(fa) == is_negative_cycle(fb)
             if not is_negative_cycle(fa):
                 assert _close(fa.msp, fb.msp, tol)

@@ -160,6 +160,18 @@ def test_solve_rejects_non_finite_weights(capsys, tmp_path, problem, weights):
     assert out == ""
 
 
+@pytest.mark.parametrize("problem", ["ncd", "apsp"])
+def test_solve_rejects_duplicate_weight_names(capsys, tmp_path, problem):
+    f = tmp_path / "c.expr"
+    f.write_text("(directed (inc x ((x a) (a x)) (vertex a)))\n")
+    w = tmp_path / "w.tsv"
+    w.write_text("x\t1\na\t-5\na\t5\n")
+    code, out, err = run(capsys, "solve", problem, str(f), str(w))
+    assert code == 2
+    assert "line 3: duplicate name 'a'" in err
+    assert out == ""
+
+
 def test_solve_apsp_matrix_with_inf(capsys, tmp_path):
     f = tmp_path / "u.expr"
     f.write_text("(directed (union (vertex a) (vertex b)))\n")

@@ -1,6 +1,8 @@
 """Expression AST: parsing, validation, evaluation, parameters,
 normalization, printing round trips."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,23 @@ def test_evaluate_inc_directed_out_edges():
 def test_evaluate_directed_join_is_bidirected():
     g = evaluate(parse("(directed (join (vertex a) (vertex b)))"))
     assert g.edges == frozenset({("a", "b"), ("b", "a")})
+
+
+def test_long_normalized_union_chain_is_linear():
+    # normalize turns an r-way union into a substitution chain r deep; a
+    # vertex list copied at every level made this quadratic (about 12 s)
+    from graphexpr import count_triangles
+    from graphexpr.expr import Union
+
+    r = 50_000
+    root = Union(tuple(Vertex(f"v{i}") for i in range(r)))
+    start = time.perf_counter()
+    g = evaluate(normalize(Expression(DIRECTED, root)))
+    assert (g.n, g.m) == (r, 0)
+    assert time.perf_counter() - start < 5.0
+    start = time.perf_counter()
+    assert count_triangles(Expression(UNDIRECTED, root)) == 0
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def counting_handlers():
         base_vertex=lambda name: 1,
         on_inc=lambda f, name, inn, out, view: f + 1,
         on_subst=lambda pattern, children: sum(f for _, f in children),
-        on_subst_td=lambda pe, children: sum(f for _, f in children),
+        on_subst_td=lambda pe, pg, children: sum(f for _, f in children),
     )
 
 
@@ -53,7 +53,7 @@ def nm_handlers():
         base_vertex=lambda name: (1, 0),
         on_inc=lambda f, name, inn, out, view: (f[0] + 1, f[1] + len(inn | out)),
         on_subst=subst,
-        on_subst_td=lambda pe, children: (_ for _ in ()).throw(AssertionError),
+        on_subst_td=lambda pe, pg, children: (_ for _ in ()).throw(AssertionError),
     )
 
 
@@ -112,8 +112,7 @@ def graph_rebuild_handlers(mode):
                         edges.add(canonical_edge(mode, u, v))
         return (verts, edges)
 
-    def subst_td(pe, children):
-        pg = evaluate(Expression(mode, pe))
+    def subst_td(pe, pg, children):
         from graphexpr.expr import Pattern
 
         return subst(Pattern(mode, pg.vertices, pg.edges), children)
@@ -261,7 +260,9 @@ def test_inc_view_sees_child_subgraph_only():
 
     def spy(f, name, inn, out, view):
         seen["vertices"] = set(view.vertices)
-        seen["edges"] = set(view.edges())
+        seen["edges"] = {
+            (u, v) for u in view.vertices for v in view.out_neighbors(u) if u <= v
+        }
         return f + 1
 
     hs = counting_handlers()
@@ -271,3 +272,36 @@ def test_inc_view_sees_child_subgraph_only():
     # any join edges
     assert seen["vertices"] == {"a", "b"}
     assert seen["edges"] == set()
+
+
+def test_fold_evaluates_the_whole_graph_only_for_inc_views(monkeypatch):
+    # a solve whose main tree has no inc node (and no verify) never builds
+    # the whole graph; each subst-td pattern is evaluated once per node
+    from collections import Counter
+
+    from graphexpr import DIRECTED, all_pairs, count_triangles, framework, gen_weights
+    from graphexpr.expr import Inc, SubstTd, collect_vertex_names, fold_expression
+
+    evaluated = []
+    real = framework.evaluate
+    monkeypatch.setattr(framework, "evaluate", lambda e: evaluated.append(e.root) or real(e))
+    seen_inc = seen_plain = 0
+    for seed in range(70):
+        for mode in (UNDIRECTED, DIRECTED):
+            e = corpus_instance(seed, mode, 25)
+            nodes = []
+            fold_expression(e.root, lambda node, _vals, _where: nodes.append(node))
+            patterns = Counter(id(n.pattern_expr) for n in nodes if isinstance(n, SubstTd))
+            has_inc = any(isinstance(n, Inc) for n in nodes)
+            evaluated.clear()
+            if mode == UNDIRECTED:
+                count_triangles(e)
+            else:
+                all_pairs(e, gen_weights(collect_vertex_names(e.root), 0.0, 5.0, seed))
+            pattern_evals = Counter(id(r) for r in evaluated if id(r) in patterns)
+            assert pattern_evals == patterns, seed
+            whole = len(evaluated) - sum(pattern_evals.values())
+            assert whole == (1 if has_inc else 0), seed
+            seen_inc += has_inc
+            seen_plain += not has_inc
+    assert seen_inc and seen_plain

@@ -24,7 +24,7 @@ from graphexpr import (
     oracle_ncd,
     parse,
 )
-from graphexpr.graphs import check_total_weights, parse_weights
+from graphexpr.graphs import TOL, check_total_weights, parse_weights
 from graphexpr.oracle import shortest_path_potential
 from graphexpr.paths import _dijkstra_labels
 
@@ -38,7 +38,11 @@ def dijkstra_labels(g, costs, pi, sources):
     from ``(vertex, initial_label)`` sources."""
     adjacency = {v: g.out_neighbors(v) for v in g.vertices}
     return _dijkstra_labels(
-        g.vertices, adjacency, lambda a, b: costs[(a, b)] + pi[a] - pi[b], dict(sources)
+        g.vertices,
+        adjacency,
+        lambda a, b: costs[(a, b)] + pi[a] - pi[b],
+        dict(sources),
+        TOL,
     )
 
 
@@ -199,7 +203,7 @@ def test_edge_shifted_path_and_cycle_identities():
             shifted = sum(costs[e] for e in zip(path, path[1:]))
             total = sum(w[v] for v in path)
             assert math.isclose(shifted, total - w[path[-1]], abs_tol=1e-9)
-            if len(path) >= 2 and g.has_edge(path[-1], path[0]):
+            if len(path) >= 2 and (path[-1], path[0]) in g.edges:
                 cycle_cost = shifted + costs[(path[-1], path[0])]
                 assert math.isclose(cycle_cost, total, abs_tol=1e-9)
 
@@ -296,12 +300,17 @@ def test_parse_weights_rejects_non_finite(value):
         parse_weights(f"a\t1\nb\t{value}\n")
 
 
+def test_parse_weights_rejects_duplicate_names():
+    with pytest.raises(InputError, match="line 3: duplicate name 'a'"):
+        parse_weights("a\t1\n# comment\na \t2\n")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_check_total_weights_rejects_non_finite(bad):
     g = dgraph("ab", [("a", "b")])
-    check_total_weights(g, {"a": 1.0, "b": -2.0})
+    check_total_weights(g.vertices, {"a": 1.0, "b": -2.0})
     with pytest.raises(InputError, match="non-finite"):
-        check_total_weights(g, {"a": 1.0, "b": bad})
+        check_total_weights(g.vertices, {"a": 1.0, "b": bad})
     # library solvers check their weights through the same gate
     e = parse("(directed (inc x ((x a) (a x)) (vertex a)))")
     with pytest.raises(InputError, match="non-finite"):

@@ -1,6 +1,8 @@
 """Shortest-path machinery: potentials, negative cycle detection, all-pairs
 distances, handler cross-equality, oracle equivalence."""
 
+import math
+
 import pytest
 
 from graphexpr import (
@@ -24,6 +26,7 @@ from graphexpr import (
     parse,
 )
 from graphexpr.expr import Pattern
+from graphexpr.graphs import TOL
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
     ModuleSummary,
@@ -136,19 +139,19 @@ def test_ncd_subst_two_cycle_with_negative_sum():
         ("p", _ncd_single("a", -3.0)),
         ("q", _ncd_single("b", 2.0)),
     ]
-    assert is_negative_cycle(ncd_subst(two_cycle_pattern(), children))
+    assert is_negative_cycle(ncd_subst(two_cycle_pattern(), children, TOL))
 
 
 def test_ncd_subst_edge_pattern_msp():
     children = [("p", _ncd_single("a", 1.0)), ("q", _ncd_single("b", -2.0))]
-    out = ncd_subst(edge_pattern(), children)
+    out = ncd_subst(edge_pattern(), children, TOL)
     assert close(out.msp, -2.0)
 
 
 def test_ncd_subst_edgeless_pattern_is_min():
     pat = Pattern(DIRECTED, ("p", "q"), frozenset())
     children = [("p", _ncd_single("a", 4.0)), ("q", _ncd_single("b", 7.0))]
-    assert close(ncd_subst(pat, children).msp, 4.0)
+    assert close(ncd_subst(pat, children, TOL).msp, 4.0)
 
 
 def _ncd_single(name, weight):
@@ -163,7 +166,7 @@ def _ncd_single(name, weight):
 
 def test_apsp_subst_directed_edge():
     children = [("p", _full_singleton("a", 1.0)), ("q", _full_singleton("b", 5.0))]
-    out = apsp_subst(edge_pattern(), children)
+    out = apsp_subst(edge_pattern(), children, TOL)
     assert isinstance(out, ModuleSummary)
     assert close(out.pattern_dist[("p", "q")], 6.0)
     assert close(out.min_out["a"], 1.0)
@@ -175,14 +178,14 @@ def test_apsp_subst_directed_edge():
 def test_apsp_subst_edgeless_keeps_child_minima():
     pat = Pattern(DIRECTED, ("p", "q"), frozenset())
     children = [("p", _full_singleton("a", 2.0)), ("q", _full_singleton("b", 9.0))]
-    out = apsp_subst(pat, children)
+    out = apsp_subst(pat, children, TOL)
     assert close(out.min_out["a"], 2.0)
     assert close(out.min_out["b"], 9.0)
 
 
 def test_apsp_subst_bidirected_pair():
     children = [("p", _full_singleton("a", -1.0)), ("q", _full_singleton("b", 3.0))]
-    out = apsp_subst(two_cycle_pattern(), children)
+    out = apsp_subst(two_cycle_pattern(), children, TOL)
     assert close(out.pattern_dist[("p", "q")], 2.0)
     assert close(out.pattern_dist[("q", "p")], 2.0)
     assert close(out.min_out["a"], -1.0)
@@ -227,7 +230,7 @@ def test_apsp_inc_shortcut_through_new_vertex():
 
 def test_to_full_single_subst_under_root():
     children = [("p", _full_singleton("a", 1.0)), ("q", _full_singleton("b", 5.0))]
-    full = to_full_summary(apsp_subst(edge_pattern(), children))
+    full = to_full_summary(apsp_subst(edge_pattern(), children, TOL))
     assert close(full.dist[("a", "b")], 6.0)
     assert full.dist[("b", "a")] == INF
     assert close(full.dist[("a", "a")], 1.0)
@@ -279,10 +282,10 @@ def test_subst_td_directed_path_pattern():
     names = pattern_vertex_order(top)
     assert names == ("p1", "p2", "p3")
     children = _summaries_for(names, (1.0, 2.0, 3.0), "apsp")
-    out = apsp_subst_td(top, children)
-    assert close(out.pattern_dist[("p1", "p3")], 6.0)
     pg = evaluate(Expression(DIRECTED, top))
-    ref = apsp_subst(Pattern(DIRECTED, pg.vertices, pg.edges), children)
+    out = apsp_subst_td(top, pg, children, TOL)
+    assert close(out.pattern_dist[("p1", "p3")], 6.0)
+    ref = apsp_subst(Pattern(DIRECTED, pg.vertices, pg.edges), children, TOL)
     _assert_module_summaries_equal(out, ref)
 
 
@@ -292,7 +295,8 @@ def test_subst_td_negative_cycle_in_pattern():
     leaf = Inc("p1", frozenset(), frozenset(), Empty())
     top = Inc("p2", frozenset({"p1"}), frozenset({"p1"}), leaf)  # 2-cycle
     children = _summaries_for(("p1", "p2"), (-3.0, 2.0), "ncd")
-    assert is_negative_cycle(ncd_subst_td(top, children))
+    pg = evaluate(Expression(DIRECTED, top))
+    assert is_negative_cycle(ncd_subst_td(top, pg, children, TOL))
 
 
 def _assert_module_summaries_equal(a, b, tol=1e-9):
@@ -322,8 +326,8 @@ def test_handler_cross_equality_on_generated_patterns():
         pat = Pattern(DIRECTED, pg.vertices, pg.edges)
 
         ncd_children = _summaries_for(names, weights, "ncd")
-        a = ncd_subst(pat, ncd_children)
-        b = ncd_subst_td(pe, ncd_children)
+        a = ncd_subst(pat, ncd_children, TOL)
+        b = ncd_subst_td(pe, pg, ncd_children, TOL)
         assert is_negative_cycle(a) == is_negative_cycle(b)
         if not is_negative_cycle(a):
             assert close(a.msp, b.msp)
@@ -331,8 +335,8 @@ def test_handler_cross_equality_on_generated_patterns():
                 assert close(a.potential[k], b.potential[k])
 
         apsp_children = _summaries_for(names, weights, "apsp")
-        fa = apsp_subst(pat, apsp_children)
-        fb = apsp_subst_td(pe, apsp_children)
+        fa = apsp_subst(pat, apsp_children, TOL)
+        fb = apsp_subst_td(pe, pg, apsp_children, TOL)
         assert is_negative_cycle(fa) == is_negative_cycle(fb)
         if not is_negative_cycle(fa):
             _assert_module_summaries_equal(fa, fb)
@@ -432,7 +436,7 @@ def test_ncd_subst_td_edgeless_pattern():
         )
     )
     children = [("p1", _ncd_single("a", 4.0)), ("p2", _ncd_single("b", -1.5))]
-    out = ncd_subst_td(pe, children)
+    out = ncd_subst_td(pe, evaluate(Expression(DIRECTED, pe)), children, TOL)
     assert close(out.msp, -1.5)
 
 
@@ -457,3 +461,47 @@ def test_to_full_detour_propagates_through_nested_spine():
         assert close(value.dist[pair], want, 1e-6), pair
     # spot check: a -> b must use the apex (3 + (-2) + 4)
     assert close(value.dist[("a", "b")], 5.0)
+
+
+def test_verdict_and_msp_are_invariant_under_weight_scaling(paths_corpus):
+    # an absolute tolerance falls below float resolution near 1e12 (one ulp
+    # is about 1e-4), where feasible potentials used to raise
+    # ContractViolation (seed 60 at 1e12, seed 284 at 1e9)
+    for seed, (e, g, w, p) in enumerate(paths_corpus):
+        for outcome in (ncd_outcome, apsp_outcome):
+            base, _ = outcome(e, w)
+            for c in (1e6, 1e9, 1e12):
+                scaled, _ = outcome(e, {v: c * x for v, x in w.items()})
+                assert is_negative_cycle(scaled) == is_negative_cycle(base), (seed, c)
+                if not is_negative_cycle(base):
+                    assert math.isclose(scaled.msp, c * base.msp, rel_tol=1e-9), (seed, c)
+
+
+def test_verify_accepts_correct_answers_at_large_weights(paths_corpus):
+    # the verifier's feasibility and distance checks use the solve's
+    # tolerance; an absolute one rejected correct potentials at 1e12
+    for e, g, w, p in paths_corpus[:200]:
+        scaled = {v: 1e12 * x for v, x in w.items()}
+        ncd_outcome(e, scaled, verify=True)
+        apsp_outcome(e, scaled, verify=True)
+
+
+@pytest.mark.parametrize("big", [1e9, 1e12])
+def test_large_weight_elsewhere_does_not_hide_a_negative_cycle(big):
+    # the cycle x -> a -> x weighs -0.5 whatever the isolated vertex weighs
+    e = parse("(directed (union (vertex big) (inc x ((x a) (a x)) (vertex a))))")
+    w = {"big": big, "x": -1.0, "a": 0.5}
+    assert oracle_ncd(evaluate(e), w)
+    assert detect_negative_cycle(e, w, verify=True)
+    assert is_negative_cycle(all_pairs(e, w, verify=True))
+
+
+def test_verdicts_match_oracle_next_to_a_large_isolated_vertex(paths_corpus):
+    from graphexpr.expr import Union, Vertex
+
+    for seed, (e, g, w, p) in enumerate(paths_corpus[:300]):
+        big_e = Expression(DIRECTED, Union((Vertex("big"), e.root)))
+        big_w = {**w, "big": 1e12}
+        want = oracle_ncd(evaluate(big_e), big_w)
+        assert detect_negative_cycle(big_e, big_w) == want, seed
+        assert is_negative_cycle(all_pairs(big_e, big_w)) == want, seed

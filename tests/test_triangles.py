@@ -108,7 +108,9 @@ def test_subst_td_matches_subst_on_triangle():
         ("q", TriFold(1, 0, 0)),
         ("r", TriFold(1, 0, 0)),
     ]
-    assert combine_subst_td(k3_td_pattern(), children) == TriFold(4, 5, 2)
+    pe = k3_td_pattern()
+    pg = evaluate(Expression(UNDIRECTED, pe))
+    assert combine_subst_td(pe, pg, children) == TriFold(4, 5, 2)
 
 
 def test_subst_td_edgeless_pattern():
@@ -119,13 +121,15 @@ def test_subst_td_edgeless_pattern():
         )
     )
     children = [("p", TriFold(2, 1, 1)), ("q", TriFold(3, 0, 0))]
-    assert combine_subst_td(pe, children).t == 1
+    pg = evaluate(Expression(UNDIRECTED, pe))
+    assert combine_subst_td(pe, pg, children).t == 1
 
 
 def test_subst_td_tree_pattern_with_singletons_is_triangle_free():
     pe = gen_fixture("substar", 4).root
     children = [(nm, TriFold(1, 0, 0)) for nm in sorted_pattern_names(pe)]
-    assert combine_subst_td(pe, children).t == 0
+    pg = evaluate(Expression(UNDIRECTED, pe))
+    assert combine_subst_td(pe, pg, children).t == 0
 
 
 def sorted_pattern_names(pe):
@@ -182,7 +186,7 @@ def test_subst_td_equals_subst_on_generated_patterns():
         ]
         pg = evaluate(Expression(UNDIRECTED, pe))
         pat = Pattern(UNDIRECTED, pg.vertices, pg.edges)
-        assert combine_subst(pat, children) == combine_subst_td(pe, children), seed
+        assert combine_subst(pat, children) == combine_subst_td(pe, pg, children), seed
 
 
 def test_inc_monotonicity():
