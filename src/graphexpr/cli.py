@@ -301,11 +301,7 @@ def _fixture_header(args):
 
 def cmd_bench(args):
     sizes = sorted(int(s) for s in args.sizes.split(","))
-    mode = DIRECTED if args.mode == "D" else UNDIRECTED
-    if args.problem == "tc" and mode == DIRECTED:
-        raise InputError("bench tc requires --mode U")
-    if args.problem in ("ncd", "apsp") and mode == UNDIRECTED:
-        raise InputError(f"bench {args.problem} requires --mode D")
+    mode = UNDIRECTED if args.problem == "tc" else DIRECTED
     header = [
         "n", "m", "k", "h", "l", "wall_time_s",
         "sum_pattern_order", "max_inc_nesting", "leaf_count",
@@ -410,8 +406,8 @@ def build_parser():
     p_bench = sub.add_parser("bench", add_help=False,
                              help="timing table over a seeded corpus")
     p_bench.add_argument("--help", action="help")
-    p_bench.add_argument("problem", choices=("tc", "ncd", "apsp"))
-    p_bench.add_argument("--mode", choices=("D", "U"), required=True)
+    p_bench.add_argument("problem", choices=("tc", "ncd", "apsp"),
+                         help="tc runs on undirected, ncd and apsp on directed expressions")
     p_bench.add_argument("-k", type=int, default=0)
     p_bench.add_argument("-h", type=int, default=0)
     p_bench.add_argument("-l", type=int, default=0)

@@ -453,10 +453,11 @@ def _validate_node(root, label, violations, td_only):
             _check_bindings(node, node.pattern.names, vals, bad)
             return _merge_name_sets(vals, duplicate)
         if isinstance(node, SubstTd):
-            _validate_node(
-                node.pattern_expr, lambda: where() + "/pattern", violations, td_only=True
+            pattern_names = sorted(
+                _validate_node(
+                    node.pattern_expr, lambda: where() + "/pattern", violations, td_only=True
+                )
             )
-            pattern_names = pattern_vertex_order(node.pattern_expr)
             if len(pattern_names) < 2:
                 bad(node, "subst-td pattern has fewer than two vertices")
             _check_bindings(node, pattern_names, vals, bad)
@@ -494,23 +495,6 @@ def _check_bindings(node, pattern_names, vals, bad):
     for pname in pattern_names:
         if pname not in seen:
             bad(node, f"pattern vertex {pname!r} has no binding")
-
-
-def pattern_vertex_order(pattern_expr) -> tuple:
-    """Vertex order of an evaluated tree-depth pattern expression."""
-
-    def combine(node, vals, _where):
-        if isinstance(node, Vertex):
-            return [node.name]
-        if isinstance(node, Inc):
-            vals[0].append(node.name)
-            return vals[0]
-        out = []
-        for v in vals:
-            out.extend(v)
-        return out
-
-    return tuple(fold_expression(pattern_expr, combine))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ The view is induced from the whole evaluated graph, which equals the child
 subexpression's value since vertex names are globally unique and later
 operations never add edges inside an existing subtree.  The fold evaluates
 the whole graph on first use, by an inc view or by ``verify``, so a solve
-whose main tree has no inc node never builds it.  Subst-td handlers receive
-the pattern graph, which the fold evaluates once per node.
+whose main tree has no inc node never builds it.  Substitution handlers
+receive the pattern as a graph: the fold builds each explicit pattern's
+graph once per fold, however many nodes share it, and evaluates each
+subst-td pattern once per node.
 
 The fold also collects accounting statistics (pattern-order sums, inc
 nesting) that the theory bounds; ``assert_stats`` re-checks those bounds on
@@ -30,6 +32,7 @@ from .expr import (
     Inc,
     Join,
     Params,
+    Pattern,
     Subst,
     SubstTd,
     Union,
@@ -71,15 +74,15 @@ class SubgraphView:
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
-    on_subst / on_subst_td receive the children as ``(pattern vertex name,
-    summary)`` pairs in pattern vertex order; on_subst_td also receives the
-    evaluated pattern graph.
+    on_subst / on_subst_td receive the pattern graph and the children as
+    ``(pattern vertex name, summary)`` pairs in pattern vertex order;
+    on_subst_td also receives the pattern's tree-depth expression.
     """
 
     base_empty: Callable
     base_vertex: Callable
     on_inc: Callable      # (child F, name, in_names, out_names, view) -> F
-    on_subst: Callable    # (Pattern, [(name, F), ...]) -> F
+    on_subst: Callable    # (pattern Graph, [(name, F), ...]) -> F
     on_subst_td: Callable  # (pattern_expr, pattern Graph, [(name, F), ...]) -> F
 
 
@@ -106,6 +109,9 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     materialized subgraph of that node (debug mode; quadratic).
     """
     graph = cache(lambda: evaluate(e))
+    # normalization shares two pattern objects across whole chains; the
+    # cache is local so that no pattern outlives the fold
+    pattern_graph = cache(Pattern.to_graph)
     stats = FoldStats()
 
     def combine(node, vals, where):
@@ -134,7 +140,7 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 stats.sum_pattern_order += order
                 stats.max_subst_order = max(stats.max_subst_order, order)
                 children = _aligned(node, node.pattern.names, vals)
-                value = handlers.on_subst(node.pattern, children)
+                value = handlers.on_subst(pattern_graph(node.pattern), children)
             elif isinstance(node, SubstTd):
                 stats.bump("subst_td")
                 pattern = evaluate(Expression(e.mode, node.pattern_expr))

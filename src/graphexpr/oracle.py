@@ -30,8 +30,8 @@ from .expr import (
     Union,
     Vertex,
     collect_vertex_names,
+    evaluate,
     params,
-    pattern_vertex_order,
     validate,
 )
 from .graphs import (
@@ -273,9 +273,11 @@ def _build(spec, rng):
         if kind == "k":
             pieces.append(_gen_td(rng, namer, mode, spec.k, size))
         elif kind == "h":
-            pieces.append(_planted_subst(rng, namer, mode, spec, size))
+            # a planted pattern has exactly h vertices
+            pieces.append(_gen_subst(rng, namer, mode, spec, size, spec.h, spec.k, 0))
         else:
-            pieces.append(_planted_subst_td(rng, namer, mode, spec, size))
+            # a planted pattern expression has inc nesting exactly l
+            pieces.append(_gen_subst_td(rng, namer, mode, spec, size, spec.l, spec.k, 0))
     if remaining > 0:
         pieces.append(_gen_node(rng, namer, mode, spec, remaining, spec.k, 0))
     rng.shuffle(pieces)
@@ -364,27 +366,27 @@ def _random_pattern(rng, mode, names, sizes):
     return Pattern(mode, tuple(names), frozenset(edges))
 
 
-def _planted_subst(rng, namer, mode, spec, size):
-    """Substitution node whose pattern has exactly h vertices."""
-    t = spec.h
-    sizes = _split(rng, size, t)
+def _gen_subst(rng, namer, mode, spec, budget, t, kcap, depth):
+    """Substitution node over ``budget`` vertices whose random pattern has
+    ``t`` vertices; the bound sub-expressions start at ``depth``."""
+    sizes = _split(rng, budget, t)
     names = [namer.fresh("p") for _ in range(t)]
     pattern = _random_pattern(rng, mode, names, sizes)
     bindings = tuple(
-        (nm, _gen_node(rng, namer, mode, spec, sz, spec.k, 0)) for nm, sz in zip(names, sizes)
+        (nm, _gen_node(rng, namer, mode, spec, sz, kcap, depth)) for nm, sz in zip(names, sizes)
     )
     return Subst(pattern, bindings)
 
 
-def _planted_subst_td(rng, namer, mode, spec, size, depth=None):
-    """Subst-td node whose pattern expression has inc nesting exactly l."""
-    d = depth if depth is not None else spec.l
-    t = rng.randint(max(2, d), min(size, max(2, d) + 3))
+def _gen_subst_td(rng, namer, mode, spec, budget, d, kcap, depth):
+    """Subst-td node over ``budget`` vertices whose pattern expression has
+    inc nesting exactly ``d``; the bound sub-expressions start at ``depth``."""
+    t = rng.randint(max(2, d), min(budget, max(2, d) + 3))
     pattern_expr = _gen_td(rng, namer, mode, d, t)
-    order = pattern_vertex_order(pattern_expr)
-    sizes = _split(rng, size, len(order))
+    order = evaluate(Expression(mode, pattern_expr)).vertices
+    sizes = _split(rng, budget, len(order))
     bindings = tuple(
-        (nm, _gen_node(rng, namer, mode, spec, sz, spec.k, 0))
+        (nm, _gen_node(rng, namer, mode, spec, sz, kcap, depth))
         for nm, sz in zip(order, sizes)
     )
     return SubstTd(pattern_expr, bindings)
@@ -418,25 +420,10 @@ def _gen_node(rng, namer, mode, spec, budget, kcap, depth):
         return Inc(namer.fresh(), inn, out, child)
     if kind == "subst":
         t = rng.randint(2, min(spec.h, budget))
-        sizes = _split(rng, budget, t)
-        names = [namer.fresh("p") for _ in range(t)]
-        pattern = _random_pattern(rng, mode, names, sizes)
-        bindings = tuple(
-            (nm, _gen_node(rng, namer, mode, spec, sz, kcap, depth + 1))
-            for nm, sz in zip(names, sizes)
-        )
-        return Subst(pattern, bindings)
+        return _gen_subst(rng, namer, mode, spec, budget, t, kcap, depth + 1)
     if kind == "subst_td":
         d = rng.randint(1, min(spec.l, budget))
-        t = rng.randint(max(2, d), min(budget, max(2, d) + 3))
-        pattern_expr = _gen_td(rng, namer, mode, d, t)
-        order = pattern_vertex_order(pattern_expr)
-        sizes = _split(rng, budget, len(order))
-        bindings = tuple(
-            (nm, _gen_node(rng, namer, mode, spec, sz, kcap, depth + 1))
-            for nm, sz in zip(order, sizes)
-        )
-        return SubstTd(pattern_expr, bindings)
+        return _gen_subst_td(rng, namer, mode, spec, budget, d, kcap, depth + 1)
     # union / join
     parts = rng.randint(2, min(4, budget))
     sizes = _split(rng, budget, parts)
@@ -499,7 +486,7 @@ def gen_fixture(name: str, p: int, clique: int = 1) -> Expression:
         if clique < 0:
             raise InputError("clique parameter must be non-negative")
         pattern_expr = _substar_td(p, center="pc", mid="pm", leaf="pl")
-        order = pattern_vertex_order(pattern_expr)
+        order = evaluate(Expression(UNDIRECTED, pattern_expr)).vertices
         namer = _Namer("u")
         bindings = []
         for pname in order:

@@ -76,16 +76,16 @@ class FullSummary:
 class ModuleSummary:
     """Distances known at pattern granularity (substitution nodes).
 
-    ``pattern_dist`` is the distance matrix of the reweighted pattern;
-    ``children`` keeps the child summaries so the node can later be expanded
-    to a FullSummary.
+    ``pattern_dist`` is the distance matrix of the pattern reweighted with
+    ``omega`` (the child msps, keyed in pattern vertex order); ``children``
+    keeps the child summaries so the node can later be expanded to a
+    FullSummary.
     """
 
     potential: dict
     msp: float
     min_out: dict
     min_in: dict
-    pattern_names: tuple
     pattern_dist: dict
     omega: dict
     children: tuple
@@ -190,34 +190,39 @@ def ncd_inc(f, x, in_names, out_names, w, view, tol):
     return NcdSummary(new_pi, msp)
 
 
-def _pattern_distances(pattern_graph, children, tol):
-    """Floyd on the pattern weighted by the child msps.  Returns
-    NEGATIVE_CYCLE or ``(omega, D, row_min, col_min, pi_h, msp)``."""
-    omega = {name: s.msp for name, s in children}
-    res = floyd_vertex_weighted(pattern_graph, omega, tol)
-    if is_negative_cycle(res):
-        return NEGATIVE_CYCLE
-    names = pattern_graph.vertices
-    row_min = {p: min(res[(p, q)] for q in names) for p in names}
-    col_min = {p: min(res[(q, p)] for q in names) for p in names}
-    pi_h = {p: col_min[p] - omega[p] for p in names}
-    return omega, res, row_min, col_min, pi_h, min(res.values())
+def _module_shifts(D, omega):
+    """Per pattern vertex p, the row resp. column minimum of the pattern
+    distance table ``D`` minus ``omega[p]``: what the cheapest pattern path
+    starting resp. ending at p adds to p's own msp (0 for p alone).  The
+    second map is the pattern's shortest-path potential."""
+    out_shift = {p: min(D[(p, q)] for q in omega) - omega[p] for p in omega}
+    in_shift = {p: min(D[(q, p)] for q in omega) - omega[p] for p in omega}
+    return out_shift, in_shift
 
 
-def ncd_subst(pattern, children, tol):
+def _shifted(children, shift, field):
+    """The union of the children's ``field`` maps, each child's values
+    shifted by ``shift`` of its pattern vertex."""
+    out = {}
+    for name, s in children:
+        d = shift[name]
+        for v, val in getattr(s, field).items():
+            out[v] = val + d
+    return out
+
+
+def ncd_subst(pattern_graph, children, tol):
+    """Floyd on the pattern weighted by the child msps; the pattern
+    potential shifts each child's potential."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    parts = _pattern_distances(pattern.to_graph(), children, tol)
-    if is_negative_cycle(parts):
-        return parts
-    _, _, _, _, pi_h, msp = parts
-    potential = {}
-    for name, s in children:
-        shift = pi_h[name]
-        for v, val in s.potential.items():
-            potential[v] = val + shift
-    return NcdSummary(potential, msp)
+    omega = {name: s.msp for name, s in children}
+    D = floyd_vertex_weighted(pattern_graph, omega, tol)
+    if is_negative_cycle(D):
+        return D
+    _, pi_h = _module_shifts(D, omega)
+    return NcdSummary(_shifted(children, pi_h, "potential"), min(D.values()))
 
 
 def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
@@ -238,12 +243,7 @@ def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
     )
     if is_negative_cycle(inner):
         return inner
-    potential = {}
-    for name, s in children:
-        shift = inner.potential[name]
-        for v, val in s.potential.items():
-            potential[v] = val + shift
-    return NcdSummary(potential, inner.msp)
+    return NcdSummary(_shifted(children, inner.potential, "potential"), inner.msp)
 
 
 def _merge_ncd(vals):
@@ -318,9 +318,7 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
             continue
         D = node.pattern_dist
         om = node.omega
-        names = node.pattern_names
-        row_min = {p: min(D[(p, q)] for q in names) for p in names}
-        col_min = {p: min(D[(q, p)] for q in names) for p in names}
+        out_shift, in_shift = _module_shifts(D, om)
         for p_i, s_i in node.children:
             for p_j, s_j in node.children:
                 if p_i == p_j:
@@ -337,12 +335,12 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
             # p, or leaving the whole node (detour c), module p not counted
             cyc = (
                 min(
-                    (D[(p, q)] + D[(q, p)] - om[p] - om[q] for q in names if q != p),
+                    (D[(p, q)] + D[(q, p)] - om[p] - om[q] for q in om if q != p),
                     default=INF,
                 )
                 - om[p]
             )
-            escape = row_min[p] - om[p] + c + col_min[p] - om[p]
+            escape = out_shift[p] + c + in_shift[p]
             stack.append((child, min(cyc, escape)))
     return FullSummary(s.potential, s.msp, s.min_out, s.min_in, dist)
 
@@ -376,35 +374,31 @@ def apsp_inc(f, x, in_names, out_names, w, view, tol):
     return FullSummary(new_pi, msp, min_out, min_in, dist)
 
 
-def _assemble_module(children, names, omega, D, row_min, col_min, pi_h, msp):
-    potential, min_out, min_in = {}, {}, {}
-    for name, s in children:
-        shift_pi = pi_h[name]
-        shift_out = row_min[name] - omega[name]
-        shift_in = col_min[name] - omega[name]
-        for v, val in s.potential.items():
-            potential[v] = val + shift_pi
-        for v, val in s.min_out.items():
-            min_out[v] = val + shift_out
-        for v, val in s.min_in.items():
-            min_in[v] = val + shift_in
+def _assemble_module(children, omega, D):
+    """Module summary of a substitution from the pattern distance table
+    ``D`` under the child msps ``omega``: a child's exits shift by its
+    module's out-shift, its entries and potential by the in-shift."""
+    out_shift, in_shift = _module_shifts(D, omega)
     return ModuleSummary(
-        potential, msp, min_out, min_in, tuple(names), D, omega, tuple(children)
+        _shifted(children, in_shift, "potential"),
+        min(D.values()),
+        _shifted(children, out_shift, "min_out"),
+        _shifted(children, in_shift, "min_in"),
+        D,
+        omega,
+        tuple(children),
     )
 
 
-def apsp_subst(pattern, children, tol):
+def apsp_subst(pattern_graph, children, tol):
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    hg = pattern.to_graph()
-    parts = _pattern_distances(hg, children, tol)
-    if is_negative_cycle(parts):
-        return parts
-    omega, D, row_min, col_min, pi_h, msp = parts
-    return _assemble_module(
-        children, hg.vertices, omega, D, row_min, col_min, pi_h, msp
-    )
+    omega = {name: s.msp for name, s in children}
+    D = floyd_vertex_weighted(pattern_graph, omega, tol)
+    if is_negative_cycle(D):
+        return D
+    return _assemble_module(children, omega, D)
 
 
 def apsp_subst_td(pattern_expr, pattern_graph, children, tol):
@@ -424,16 +418,7 @@ def apsp_subst_td(pattern_expr, pattern_graph, children, tol):
     )
     if is_negative_cycle(inner):
         return inner
-    return _assemble_module(
-        children,
-        pattern_graph.vertices,
-        omega,
-        inner.dist,
-        inner.min_out,
-        inner.min_in,
-        inner.potential,
-        inner.msp,
-    )
+    return _assemble_module(children, omega, inner.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +451,7 @@ def ncd_handlers(w: dict) -> HandlerSet:
         base_empty=lambda: NcdSummary({}, INF),
         base_vertex=lambda name: NcdSummary({name: 0.0}, w[name]),
         on_inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, w, view, tol),
-        on_subst=lambda pattern, children: ncd_subst(pattern, children, tol),
+        on_subst=lambda pg, children: ncd_subst(pg, children, tol),
         on_subst_td=lambda pe, pg, children: ncd_subst_td(pe, pg, children, tol),
     )
 
@@ -477,7 +462,7 @@ def apsp_handlers(w: dict) -> HandlerSet:
         base_empty=lambda: FullSummary({}, INF, {}, {}, {}),
         base_vertex=lambda name: _full_singleton(name, w[name]),
         on_inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, w, view, tol),
-        on_subst=lambda pattern, children: apsp_subst(pattern, children, tol),
+        on_subst=lambda pg, children: apsp_subst(pg, children, tol),
         on_subst_td=lambda pe, pg, children: apsp_subst_td(pe, pg, children, tol),
     )
 
@@ -519,14 +504,16 @@ def all_pairs(e: Expression, w: dict, *, verify=False):
 # Debug-mode verification
 
 _VERIFY_FLOYD_LIMIT = 64
+# least tolerance of the verifier's distance comparisons
+_VERIFY_TOL = 1e-6
 
 
-def make_paths_verifier(w: dict, tol: float = 1e-6):
+def make_paths_verifier(w: dict):
     """Checker for ``--verify`` runs: every emitted potential must be
     feasible on the node's materialized subgraph, and on small subgraphs the
     summary values are compared against an independent Floyd run."""
     solve_tol = solve_tolerance(w)
-    tol = max(tol, solve_tol)
+    tol = max(_VERIFY_TOL, solve_tol)
 
     def close(a, b):
         if a == INF or b == INF:

@@ -39,36 +39,27 @@ def combine_inc(f: TriFold, name, neighbors, view) -> TriFold:
     return TriFold(f.n + 1, f.m + len(neighbors), f.t + closed)
 
 
-def combine_subst(pattern, children) -> TriFold:
-    """Summary of substituting ``children`` into an explicit pattern."""
-    by_name = dict(children)
-    h = pattern.to_graph()
-    n = sum(f.n for f in by_name.values())
-    m = sum(f.m for f in by_name.values())
-    t = sum(f.t for f in by_name.values())
-    for (u, v) in h.edges:
-        fu, fv = by_name[u], by_name[v]
-        m += fu.n * fv.n
-        t += fu.m * fv.n + fu.n * fv.m
+def combine_subst(h, children) -> TriFold:
+    """Summary of substituting ``children`` into the explicit pattern graph
+    ``h``."""
+    sizes = {name: f.n for name, f in children}
     index = {name: i for i, name in enumerate(h.vertices)}
+    tri_total = 0
     for (u, v) in h.edges:
         if index[u] > index[v]:
             u, v = v, u
-        common = h.neighbors(u) & h.neighbors(v)
-        for c in common:
+        for c in h.neighbors(u) & h.neighbors(v):
             if index[c] > index[v]:  # count each pattern triangle once
-                t += by_name[u].n * by_name[v].n * by_name[c].n
-    return TriFold(n, m, t)
+                tri_total += sizes[u] * sizes[v] * sizes[c]
+    return _assemble(children, h.edges, tri_total)
 
 
 def combine_subst_td(pattern_expr, pattern_graph, children) -> TriFold:
-    """Same result as combine_subst on the evaluated pattern, but the
-    pattern's triangles are found while replaying its tree-depth expression:
-    each added pattern vertex x contributes n_u * n_v * n_x for every
+    """Same result as combine_subst on the pattern graph, but the pattern's
+    triangles are found while replaying its tree-depth expression: each
+    added pattern vertex x contributes n_u * n_v * n_x for every
     sub-pattern edge {u, v} inside its neighborhood."""
-    by_name = dict(children)
-    sizes = {name: f.n for name, f in by_name.items()}
-
+    sizes = {name: f.n for name, f in children}
     tri_total = 0
 
     def on_inc(child_edges, x, in_names, out_names, view):
@@ -89,11 +80,18 @@ def combine_subst_td(pattern_expr, pattern_graph, children) -> TriFold:
     edges = fold_td_expression(
         pattern_expr, pattern_graph, empty=list, vertex=lambda _: [], union=on_union, inc=on_inc
     )
+    return _assemble(children, edges, tri_total)
 
+
+def _assemble(children, pattern_edges, tri_total) -> TriFold:
+    """Totals of a substitution: the children's own counts, n_i * n_j edges
+    and m_i * n_j + n_i * m_j triangles per pattern edge {i, j}, plus the
+    weighted pattern-triangle sum ``tri_total``."""
+    by_name = dict(children)
     n = sum(f.n for f in by_name.values())
     m = sum(f.m for f in by_name.values())
     t = sum(f.t for f in by_name.values()) + tri_total
-    for (u, v) in edges:
+    for (u, v) in pattern_edges:
         fu, fv = by_name[u], by_name[v]
         m += fu.n * fv.n
         t += fu.m * fv.n + fu.n * fv.m

@@ -17,6 +17,7 @@ from graphexpr import (
     INF,
     UNDIRECTED,
     Expression,
+    Graph,
     VerificationError,
     assert_stats,
     count_triangles,
@@ -31,7 +32,6 @@ from graphexpr import (
     params,
 )
 from graphexpr.cli import main as cli_main
-from graphexpr.expr import Pattern, pattern_vertex_order
 from graphexpr.graphs import TOL
 from graphexpr.oracle import GenSpec
 from graphexpr.paths import (
@@ -237,21 +237,20 @@ def test_criterion_6_handler_cross_equality():
         budget = max(depth, 2) + seed % 9  # pattern order up to 12
         for mode in (UNDIRECTED, DIRECTED):
             pe = gen_random(GenSpec(mode, k=depth, budget=budget, seed=seed)).root
-            order = pattern_vertex_order(pe)
-            assert len(order) <= 12
             pg = evaluate(Expression(mode, pe))
-            pat = Pattern(mode, pg.vertices, pg.edges)
+            order = pg.vertices
+            assert len(order) <= 12
             tri, ncd, apsp = _tiny_children(order, mode, seed)
             if mode == UNDIRECTED:
-                assert combine_subst(pat, tri) == combine_subst_td(pe, pg, tri)
+                assert combine_subst(pg, tri) == combine_subst_td(pe, pg, tri)
                 continue
-            a, b = ncd_subst(pat, ncd, TOL), ncd_subst_td(pe, pg, ncd, TOL)
+            a, b = ncd_subst(pg, ncd, TOL), ncd_subst_td(pe, pg, ncd, TOL)
             assert is_negative_cycle(a) == is_negative_cycle(b)
             if not is_negative_cycle(a):
                 assert _close(a.msp, b.msp, tol)
                 for k in a.potential:
                     assert _close(a.potential[k], b.potential[k], tol)
-            fa, fb = apsp_subst(pat, apsp, TOL), apsp_subst_td(pe, pg, apsp, TOL)
+            fa, fb = apsp_subst(pg, apsp, TOL), apsp_subst_td(pe, pg, apsp, TOL)
             assert is_negative_cycle(fa) == is_negative_cycle(fb)
             if not is_negative_cycle(fa):
                 assert _close(fa.msp, fb.msp, tol)
@@ -292,9 +291,7 @@ def test_criterion_7_fixture_parameters():
 
 
 def test_criterion_8_worked_triangle_identity():
-    pattern = Pattern(
-        UNDIRECTED, ("p", "q", "r"), frozenset({("p", "q"), ("p", "r"), ("q", "r")})
-    )
+    pattern = Graph(UNDIRECTED, ("p", "q", "r"), {("p", "q"), ("p", "r"), ("q", "r")})
     children = [
         ("p", TriFold(2, 0, 0)),  # two non-adjacent vertices
         ("q", TriFold(1, 0, 0)),
@@ -322,7 +319,7 @@ def test_criterion_9_bench_smoke(tmp_path, capsys):
     start = time.perf_counter()
     code = cli_main(
         [
-            "bench", "tc", "--mode", "U", "-k", "2", "-h", "4", "-l", "0",
+            "bench", "tc", "-k", "2", "-h", "4", "-l", "0",
             "--sizes", "1000,2000,4000", "--seed", "0", "-o", str(out_file),
         ]
     )

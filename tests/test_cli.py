@@ -309,7 +309,7 @@ def test_gen_fixture_to_stdout(capsys):
 def test_bench_tc_monotone_rows(capsys, tmp_path):
     out_file = tmp_path / "bench.tsv"
     code, _, _ = run(
-        capsys, "bench", "tc", "--mode", "U", "-k", "1", "-h", "3",
+        capsys, "bench", "tc", "-k", "1", "-h", "3",
         "--sizes", "20,40,10", "--seed", "1", "-o", str(out_file),
     )
     assert code == 0
@@ -325,7 +325,7 @@ def test_bench_tc_monotone_rows(capsys, tmp_path):
 def test_bench_deterministic_nontime_columns(capsys, tmp_path):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     args = [
-        "bench", "ncd", "--mode", "D", "-k", "1", "--sizes", "8,12",
+        "bench", "ncd", "-k", "1", "--sizes", "8,12",
         "--seed", "2", "--reps", "2",
     ]
     run(capsys, *args, "-o", str(a))
@@ -336,9 +336,3 @@ def test_bench_deterministic_nontime_columns(capsys, tmp_path):
         return [[c for i, c in enumerate(r) if i != 5] for r in rows]
 
     assert strip_time(a) == strip_time(b)
-
-
-def test_bench_mode_gate(capsys):
-    code, _, err = run(capsys, "bench", "tc", "--mode", "D", "--sizes", "5")
-    assert code == 2
-    assert "mode" in err

@@ -31,7 +31,7 @@ def counting_handlers():
         base_empty=lambda: 0,
         base_vertex=lambda name: 1,
         on_inc=lambda f, name, inn, out, view: f + 1,
-        on_subst=lambda pattern, children: sum(f for _, f in children),
+        on_subst=lambda pg, children: sum(f for _, f in children),
         on_subst_td=lambda pe, pg, children: sum(f for _, f in children),
     )
 
@@ -39,9 +39,8 @@ def counting_handlers():
 def nm_handlers():
     """f = (n, m) via pure arithmetic."""
 
-    def subst(pattern, children):
+    def subst(h, children):
         by = dict(children)
-        h = pattern.to_graph()
         n = sum(v[0] for v in by.values())
         m = sum(v[1] for v in by.values())
         for (a, b) in h.edges:
@@ -99,11 +98,11 @@ def graph_rebuild_handlers(mode):
             edges |= {canonical_edge(mode, name, u) for u in inn | out}
         return (verts | {name}, edges)
 
-    def subst(pattern, children):
+    def subst(pg, children):
         by = dict(children)
         verts = set().union(*(v for v, _ in by.values()))
         edges = set().union(*(e for _, e in by.values()))
-        for (a, b) in pattern.edges:
+        for (a, b) in pg.edges:
             for u in by[a][0]:
                 for v in by[b][0]:
                     if mode == "directed":
@@ -112,17 +111,12 @@ def graph_rebuild_handlers(mode):
                         edges.add(canonical_edge(mode, u, v))
         return (verts, edges)
 
-    def subst_td(pe, pg, children):
-        from graphexpr.expr import Pattern
-
-        return subst(Pattern(mode, pg.vertices, pg.edges), children)
-
     return HandlerSet(
         base_empty=lambda: (set(), set()),
         base_vertex=lambda name: ({name}, set()),
         on_inc=inc,
         on_subst=subst,
-        on_subst_td=subst_td,
+        on_subst_td=lambda pe, pg, children: subst(pg, children),
     )
 
 
@@ -305,3 +299,29 @@ def test_fold_evaluates_the_whole_graph_only_for_inc_views(monkeypatch):
             seen_inc += has_inc
             seen_plain += not has_inc
     assert seen_inc and seen_plain
+
+
+def test_fold_builds_each_pattern_graph_once(monkeypatch):
+    # a normalized 2000-way union is a chain of 1999 substitutions into one
+    # shared two-vertex pattern; the fold builds its graph once, not per node
+    from graphexpr import DIRECTED
+    from graphexpr.expr import Pattern
+    from graphexpr.paths import ncd_handlers
+
+    calls = []
+    real = Pattern.to_graph
+    monkeypatch.setattr(Pattern, "to_graph", lambda p: calls.append(p) or real(p))
+    r = 2000
+    leaves = " ".join(f"(vertex a{i})" for i in range(r))
+    for mode in (UNDIRECTED, DIRECTED):
+        e = normalize(parse(f"({mode} (union {leaves}))"))
+        calls.clear()
+        if mode == UNDIRECTED:
+            value, stats = fold(e, tri_handlers())
+            assert (value.n, value.m, value.t) == (r, 0, 0)
+        else:
+            w = {f"a{i}": 1.0 for i in range(r)}
+            value, stats = fold(e, ncd_handlers(w))
+            assert value.msp == 1.0
+        assert stats.counts["subst"] == r - 1
+        assert len(calls) <= 2, mode

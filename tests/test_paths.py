@@ -25,7 +25,6 @@ from graphexpr import (
     oracle_ncd,
     parse,
 )
-from graphexpr.expr import Pattern
 from graphexpr.graphs import TOL
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
@@ -127,11 +126,11 @@ def test_ncd_inc_feasibility_needs_entry_shift():
 
 
 def edge_pattern():
-    return Pattern(DIRECTED, ("p", "q"), frozenset({("p", "q")}))
+    return dgraph(("p", "q"), {("p", "q")})
 
 
 def two_cycle_pattern():
-    return Pattern(DIRECTED, ("p", "q"), frozenset({("p", "q"), ("q", "p")}))
+    return dgraph(("p", "q"), {("p", "q"), ("q", "p")})
 
 
 def test_ncd_subst_two_cycle_with_negative_sum():
@@ -149,7 +148,7 @@ def test_ncd_subst_edge_pattern_msp():
 
 
 def test_ncd_subst_edgeless_pattern_is_min():
-    pat = Pattern(DIRECTED, ("p", "q"), frozenset())
+    pat = dgraph(("p", "q"), ())
     children = [("p", _ncd_single("a", 4.0)), ("q", _ncd_single("b", 7.0))]
     assert close(ncd_subst(pat, children, TOL).msp, 4.0)
 
@@ -176,7 +175,7 @@ def test_apsp_subst_directed_edge():
 
 
 def test_apsp_subst_edgeless_keeps_child_minima():
-    pat = Pattern(DIRECTED, ("p", "q"), frozenset())
+    pat = dgraph(("p", "q"), ())
     children = [("p", _full_singleton("a", 2.0)), ("q", _full_singleton("b", 9.0))]
     out = apsp_subst(pat, children, TOL)
     assert close(out.min_out["a"], 2.0)
@@ -274,18 +273,18 @@ def _summaries_for(names, weights, kind):
 
 
 def test_subst_td_directed_path_pattern():
-    from graphexpr.expr import Empty, Inc, pattern_vertex_order
+    from graphexpr.expr import Empty, Inc
 
     leaf = Inc("p1", frozenset(), frozenset(), Empty())
     mid = Inc("p2", frozenset({"p1"}), frozenset(), leaf)  # p1 -> p2
     top = Inc("p3", frozenset({"p2"}), frozenset(), mid)  # p2 -> p3
-    names = pattern_vertex_order(top)
+    pg = evaluate(Expression(DIRECTED, top))
+    names = pg.vertices
     assert names == ("p1", "p2", "p3")
     children = _summaries_for(names, (1.0, 2.0, 3.0), "apsp")
-    pg = evaluate(Expression(DIRECTED, top))
     out = apsp_subst_td(top, pg, children, TOL)
     assert close(out.pattern_dist[("p1", "p3")], 6.0)
-    ref = apsp_subst(Pattern(DIRECTED, pg.vertices, pg.edges), children, TOL)
+    ref = apsp_subst(pg, children, TOL)
     _assert_module_summaries_equal(out, ref)
 
 
@@ -307,7 +306,7 @@ def _assert_module_summaries_equal(a, b, tol=1e-9):
     for k in a.min_out:
         assert close(a.min_out[k], b.min_out[k], tol)
         assert close(a.min_in[k], b.min_in[k], tol)
-    assert set(a.pattern_names) == set(b.pattern_names)
+    assert set(a.omega) == set(b.omega)
     for pair in b.pattern_dist:
         assert close(a.pattern_dist[pair], b.pattern_dist[pair], tol)
 
@@ -318,15 +317,12 @@ def test_handler_cross_equality_on_generated_patterns():
         pe = gen_random(
             GenSpec(DIRECTED, k=depth, budget=max(depth, 2) + seed % 6, seed=seed)
         ).root
-        from graphexpr.expr import pattern_vertex_order
-
-        names = pattern_vertex_order(pe)
-        weights = [((seed + i * 7) % 11) - 5.0 for i in range(len(names))]
         pg = evaluate(Expression(DIRECTED, pe))
-        pat = Pattern(DIRECTED, pg.vertices, pg.edges)
+        names = pg.vertices
+        weights = [((seed + i * 7) % 11) - 5.0 for i in range(len(names))]
 
         ncd_children = _summaries_for(names, weights, "ncd")
-        a = ncd_subst(pat, ncd_children, TOL)
+        a = ncd_subst(pg, ncd_children, TOL)
         b = ncd_subst_td(pe, pg, ncd_children, TOL)
         assert is_negative_cycle(a) == is_negative_cycle(b)
         if not is_negative_cycle(a):
@@ -335,7 +331,7 @@ def test_handler_cross_equality_on_generated_patterns():
                 assert close(a.potential[k], b.potential[k])
 
         apsp_children = _summaries_for(names, weights, "apsp")
-        fa = apsp_subst(pat, apsp_children, TOL)
+        fa = apsp_subst(pg, apsp_children, TOL)
         fb = apsp_subst_td(pe, pg, apsp_children, TOL)
         assert is_negative_cycle(fa) == is_negative_cycle(fb)
         if not is_negative_cycle(fa):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphexpr import (
     UNDIRECTED,
     Expression,
+    Graph,
     InputError,
     TriFold,
     count_triangles,
@@ -17,7 +18,7 @@ from graphexpr import (
     oracle_triangles,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Pattern, Union
+from graphexpr.expr import Empty, Inc, Union
 from graphexpr.framework import SubgraphView
 from graphexpr.oracle import GenSpec
 from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td
@@ -61,9 +62,7 @@ def test_inc_path_endpoints_close_nothing():
 
 
 def triangle_pattern():
-    return Pattern(
-        UNDIRECTED, ("p", "q", "r"), frozenset({("p", "q"), ("p", "r"), ("q", "r")})
-    )
+    return Graph(UNDIRECTED, ("p", "q", "r"), {("p", "q"), ("p", "r"), ("q", "r")})
 
 
 def test_subst_triangle_pattern_with_one_doubled_corner():
@@ -76,7 +75,7 @@ def test_subst_triangle_pattern_with_one_doubled_corner():
 
 
 def test_subst_path_pattern_with_edge_module():
-    pat = Pattern(UNDIRECTED, ("p", "q", "r"), frozenset({("p", "q"), ("q", "r")}))
+    pat = Graph(UNDIRECTED, ("p", "q", "r"), {("p", "q"), ("q", "r")})
     children = [
         ("p", TriFold(2, 1, 0)),
         ("q", TriFold(1, 0, 0)),
@@ -86,7 +85,7 @@ def test_subst_path_pattern_with_edge_module():
 
 
 def test_subst_edgeless_pattern_only_sums():
-    pat = Pattern(UNDIRECTED, ("p", "q"), frozenset())
+    pat = Graph(UNDIRECTED, ("p", "q"), ())
     children = [("p", TriFold(3, 2, 1)), ("q", TriFold(4, 3, 2))]
     assert combine_subst(pat, children) == TriFold(7, 5, 3)
 
@@ -127,15 +126,9 @@ def test_subst_td_edgeless_pattern():
 
 def test_subst_td_tree_pattern_with_singletons_is_triangle_free():
     pe = gen_fixture("substar", 4).root
-    children = [(nm, TriFold(1, 0, 0)) for nm in sorted_pattern_names(pe)]
     pg = evaluate(Expression(UNDIRECTED, pe))
+    children = [(nm, TriFold(1, 0, 0)) for nm in pg.vertices]
     assert combine_subst_td(pe, pg, children).t == 0
-
-
-def sorted_pattern_names(pe):
-    from graphexpr.expr import pattern_vertex_order
-
-    return pattern_vertex_order(pe)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +171,14 @@ def test_subst_td_equals_subst_on_generated_patterns():
     for seed in range(80):
         depth = 1 + seed % 3
         pe = gen_random(GenSpec(UNDIRECTED, k=depth, budget=2 + seed % 9, seed=seed)).root
-        names = sorted_pattern_names(pe)
+        pg = evaluate(Expression(UNDIRECTED, pe))
+        names = pg.vertices
         rng_vals = [(i % 3 + 1, i % 2, 0) for i in range(len(names))]
         children = [
             (nm, TriFold(n, min(m, n * (n - 1) // 2), 0))
             for nm, (n, m, _) in zip(names, rng_vals)
         ]
-        pg = evaluate(Expression(UNDIRECTED, pe))
-        pat = Pattern(UNDIRECTED, pg.vertices, pg.edges)
-        assert combine_subst(pat, children) == combine_subst_td(pe, pg, children), seed
+        assert combine_subst(pg, children) == combine_subst_td(pe, pg, children), seed
 
 
 def test_inc_monotonicity():
