@@ -105,13 +105,6 @@ def _load_expression(path) -> Expression:
     return e
 
 
-def _load_weights(args, e: Expression) -> dict:
-    if getattr(args, "weights", None):
-        return parse_weights(_read(args.weights))
-    seed = getattr(args, "seed", 0) or 0
-    return gen_weights(collect_vertex_names(e.root), -5.0, 5.0, seed)
-
-
 def _params_lines(p):
     return [f"k={p.k}", f"h={p.h}", f"l={p.l}"]
 
@@ -161,30 +154,28 @@ def cmd_solve(args):
     report += _params_lines(p)
 
     start = time.perf_counter()
+    matrix = None
     if args.problem == "tc":
         tri, stats = triangles.triangle_summary(e, verify=args.verify)
         result_lines = [f"triangles={tri.t} n={tri.n} m={tri.m}"]
-        matrix = None
     else:
         if not args.weights:
             raise InputError(f"solve {args.problem} requires a weights file")
         w = parse_weights(_read(args.weights))
-        if args.problem == "ncd":
-            value, stats = paths.ncd_outcome(e, w, verify=args.verify)
-            if is_negative_cycle(value):
-                result_lines = ["negative-cycle=true"]
-            else:
-                result_lines = ["negative-cycle=false", f"msp={fmt(value.msp)}"]
-            matrix = None
+        outcome = paths.ncd_outcome if args.problem == "ncd" else paths.apsp_outcome
+        value, stats = outcome(e, w, verify=args.verify)
+        if is_negative_cycle(value):
+            result_lines = ["negative-cycle=true"]
         else:
-            value, stats = paths.apsp_outcome(e, w, verify=args.verify)
-            if is_negative_cycle(value):
-                result_lines = ["negative-cycle=true"]
-                matrix = None
-            else:
-                result_lines = ["negative-cycle=false", f"msp={fmt(value.msp)}"]
+            result_lines = ["negative-cycle=false", f"msp={fmt(value.msp)}"]
+            if args.problem == "apsp":
+                # row by row in name order, straight from the dense rows
+                names = list(value.min_out)
+                order = sorted(range(len(names)), key=names.__getitem__)
                 matrix = "\n".join(
-                    f"{u}\t{v}\t{fmt(d)}" for (u, v), d in sorted(value.dist.items())
+                    f"{names[i]}\t{names[j]}\t{fmt(value.rows[i][j])}"
+                    for i in order
+                    for j in order
                 )
     wall = time.perf_counter() - start
 
@@ -207,16 +198,17 @@ def cmd_check(args):
     if g.n > 500:
         raise InputError(f"check is limited to 500 vertices (got {g.n})")
     report = [f"command=check {args.problem}", f"file={args.file}"]
-    dev = 0.0
     if args.problem == "tc":
         got = triangles.count_triangles(e)
         want = oracle.oracle_triangles(g)
         dev = abs(got - want)
         ok = got == want
     else:
-        w = _load_weights(args, e)
-        if not getattr(args, "weights", None):
-            report.append(f"seed={getattr(args, 'seed', 0) or 0}")
+        if args.weights:
+            w = parse_weights(_read(args.weights))
+        else:
+            w = gen_weights(collect_vertex_names(e.root), -5.0, 5.0, args.seed)
+            report.append(f"seed={args.seed}")
         if args.problem == "ncd":
             got = paths.detect_negative_cycle(e, w)
             want = oracle.oracle_ncd(g, w)
@@ -229,18 +221,10 @@ def cmd_check(args):
                 ok = is_negative_cycle(got) and is_negative_cycle(want)
                 dev = 0.0 if ok else INF
             else:
-                dev = 0.0
-                ok = True
-                for pair in want:
-                    a, b = got[pair], want[pair]
-                    if a == INF or b == INF:
-                        if a != b:
-                            ok = False
-                            dev = INF
-                            break
-                        continue
-                    dev = max(dev, abs(a - b))
-                ok = ok and dev <= 1e-6
+                # equal infinities deviate by 0, an infinity and a number by inf
+                devs = (0.0 if got[pq] == d else abs(got[pq] - d) for pq, d in want.items())
+                dev = max(devs, default=0.0)
+                ok = dev <= 1e-6
     report.append(f"check={'pass' if ok else 'fail'} dev={fmt(dev)}")
     _emit(report)
     return 0 if ok else 1
@@ -317,7 +301,9 @@ def cmd_bench(args):
         g = evaluate(e)
         w = None
         if args.problem != "tc":
-            w = gen_weights(g.vertices, spec.weight_lo, spec.weight_hi, args.seed + idx)
+            # apsp draws no negative weight, so that its solves reach the expansion
+            lo = 0.0 if args.problem == "apsp" else -5.0
+            w = gen_weights(g.vertices, lo, 5.0, args.seed + idx)
         for rep in range(args.reps):
             start = time.perf_counter()
             if args.problem == "tc":

@@ -191,8 +191,6 @@ class GenSpec:
     h: int = 0
     l: int = 0
     budget: int = 8
-    weight_lo: float = -5.0
-    weight_hi: float = 5.0
     seed: int = 0
 
 
@@ -216,14 +214,7 @@ def _split(rng, total, parts):
 
 
 def _min_budget(spec):
-    need = 0
-    if spec.k > 0:
-        need += spec.k
-    if spec.h > 0:
-        need += spec.h
-    if spec.l > 0:
-        need += max(2, spec.l)
-    return max(need, 1)
+    return max(spec.k + spec.h + (max(2, spec.l) if spec.l else 0), 1)
 
 
 def gen_random(spec: GenSpec) -> Expression:

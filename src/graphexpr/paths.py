@@ -19,14 +19,20 @@ the distance composition.  For the all-pairs problem, substitution nodes
 keep distances at pattern granularity (ModuleSummary) and are expanded to
 full pairwise distances (FullSummary) only when a vertex-addition node or
 the root needs them; the expansion walks the substitution spine top-down
-with the classic "cheapest detour that leaves this module" values.
+with the classic "cheapest detour that leaves this module" values.  Full
+distances are dense rows in the vertex order of ``min_out`` (children in
+pattern order, an added vertex last), so each spine node's vertices form one
+contiguous block, filled one row segment at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 from . import framework
 from .errors import ContractViolation, InputError, VerificationError
@@ -61,15 +67,40 @@ class NcdSummary:
     msp: float
 
 
+class _DistView(Mapping):
+    """Read-only ``(u, v) -> distance`` view of a FullSummary's rows."""
+
+    def __init__(self, names, rows):
+        self._index = {v: i for i, v in enumerate(names)}
+        self._rows = rows
+
+    def __getitem__(self, pair):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise KeyError(pair)
+        return self._rows[self._index[pair[0]]][self._index[pair[1]]]
+
+    def __iter__(self):
+        return product(self._index, repeat=2)
+
+    def __len__(self):
+        return len(self._index) ** 2
+
+
 @dataclass
 class FullSummary:
-    """All pairwise distances are known (vertex-addition nodes, leaves)."""
+    """All pairwise distances are known (vertex-addition nodes, leaves):
+    ``rows[i][j]`` is the distance from the i-th to the j-th vertex in the key
+    order of ``min_out`` and ``min_in``, and ``dist`` maps ``(u, v)`` to it."""
 
     potential: dict
     msp: float
     min_out: dict
     min_in: dict
-    dist: dict  # (u, v) -> distance, total on V x V
+    rows: list
+
+    @cached_property
+    def dist(self):
+        return _DistView(self.min_out, self.rows)
 
 
 @dataclass
@@ -77,9 +108,10 @@ class ModuleSummary:
     """Distances known at pattern granularity (substitution nodes).
 
     ``pattern_dist`` is the distance matrix of the pattern reweighted with
-    ``omega`` (the child msps, keyed in pattern vertex order); ``children``
-    keeps the child summaries so the node can later be expanded to a
-    FullSummary.
+    ``omega`` (the child msps, keyed in pattern vertex order), with the
+    shifts of ``_module_shifts``; ``children`` keeps the child summaries so
+    the node can later be expanded to a FullSummary.  ``min_out`` and
+    ``min_in`` list the vertices child by child.
     """
 
     potential: dict
@@ -88,6 +120,8 @@ class ModuleSummary:
     min_in: dict
     pattern_dist: dict
     omega: dict
+    out_shift: dict
+    in_shift: dict
     children: tuple
 
 
@@ -247,15 +281,10 @@ def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
 
 
 def _merge_ncd(vals):
-    for v in vals:
-        if is_negative_cycle(v):
-            return v
-    potential = {}
-    msp = INF
-    for v in vals:
-        potential.update(v.potential)
-        msp = min(msp, v.msp)
-    return NcdSummary(potential, msp)
+    if any(map(is_negative_cycle, vals)):
+        return NEGATIVE_CYCLE
+    potential = {u: pi for v in vals for u, pi in v.potential.items()}
+    return NcdSummary(potential, min((v.msp for v in vals), default=INF))
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +292,23 @@ def _merge_ncd(vals):
 
 
 def _full_singleton(name, weight):
-    return FullSummary(
-        {name: 0.0}, weight, {name: weight}, {name: weight}, {(name, name): weight}
-    )
+    return FullSummary({name: 0.0}, weight, {name: weight}, {name: weight}, [[weight]])
 
 
 def _merge_full(vals):
-    for v in vals:
-        if is_negative_cycle(v):
-            return v
-    potential, min_out, min_in, dist = {}, {}, {}, {}
-    msp = INF
+    if any(map(is_negative_cycle, vals)):
+        return NEGATIVE_CYCLE
+    potential, min_out, min_in, rows = {}, {}, {}, []
+    n = sum(len(v.rows) for v in vals)
     for v in vals:
         potential.update(v.potential)
         min_out.update(v.min_out)
         min_in.update(v.min_in)
-        dist.update(v.dist)
-        msp = min(msp, v.msp)
-    for i, a in enumerate(vals):
-        for j, b in enumerate(vals):
-            if i != j:
-                for u in a.min_out:
-                    for v in b.min_out:
-                        dist[(u, v)] = INF
-    return FullSummary(potential, msp, min_out, min_in, dist)
-
-
-def ensure_full(summary):
-    """Expand a ModuleSummary to full pairwise distances; FullSummary and
-    NEGATIVE_CYCLE pass through."""
-    if isinstance(summary, ModuleSummary):
-        return to_full_summary(summary)
-    return summary
+        # no path joins two parts: their blocks are infinite
+        before, after = [INF] * len(rows), [INF] * (n - len(rows) - len(v.rows))
+        rows += [before + row + after for row in v.rows]
+    msp = min((v.msp for v in vals), default=INF)
+    return FullSummary(potential, msp, min_out, min_in, rows)
 
 
 def to_full_summary(s: ModuleSummary) -> FullSummary:
@@ -305,73 +319,79 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     the endpoints' modules), infinite at the root.  A pair in different
     modules of a spine node either stays inside that node (child exit +
     pattern distance + child entry) or uses the detour ``c``; a pair inside a
-    non-substitution spine leaf is finished from its full matrix.
+    non-substitution spine leaf is finished from its full matrix.  A node
+    fills the row segments of its block that no child's block covers.
     """
-    dist = {}
-    stack = [(s, INF)]
+    n = len(s.min_out)
+    rows = [[INF] * n for _ in range(n)]
+    stack = [(s, INF, 0)]
     while stack:
-        node, c = stack.pop()
+        node, c, start = stack.pop()
         if not isinstance(node, ModuleSummary):
-            for (u, v), val in node.dist.items():
-                alt = node.min_out[u] + c + node.min_in[v]
-                dist[(u, v)] = alt if alt < val else val
+            stop = start + len(node.rows)
+            ins = list(node.min_in.values())
+            for r, row, out in zip(range(start, stop), node.rows, node.min_out.values()):
+                t = out + c
+                rows[r][start:stop] = [a if a < t + b else t + b for a, b in zip(row, ins)]
             continue
-        D = node.pattern_dist
-        om = node.omega
-        out_shift, in_shift = _module_shifts(D, om)
-        for p_i, s_i in node.children:
-            for p_j, s_j in node.children:
-                if p_i == p_j:
-                    continue
-                base = D[(p_i, p_j)] - om[p_i] - om[p_j]
-                for u, du in s_i.min_out.items():
-                    out_u = node.min_out[u] + c
-                    for v, dv in s_j.min_in.items():
-                        inside = du + base + dv
-                        outside = out_u + node.min_in[v]
-                        dist[(u, v)] = inside if inside < outside else outside
+        D, om = node.pattern_dist, node.omega
+        blocks = []  # (pattern vertex, child, first row, child's entries)
+        stop = start
         for p, child in node.children:
+            blocks.append((p, child, stop, list(child.min_in.values())))
+            stop += len(child.min_in)
+        for p, child, first, _ in blocks:
+            # u in module p reaches v in module q inside this node (child
+            # exit, pattern path, child entry) or by the detour c; both
+            # routes add the child exit of u and the child entry of v
+            before, after, cyc = [], [], INF
+            for q, _, other, ins in blocks:
+                if q != p:
+                    k = D[(p, q)] - om[p] - om[q]
+                    cyc = min(cyc, k + D[(q, p)])
+                    detour = node.out_shift[p] + c + node.in_shift[q]
+                    k = k if k < detour else detour
+                    (before if other < first else after).extend([k + b for b in ins])
+            last = first + len(child.min_out)
+            for r, du in enumerate(child.min_out.values(), first):
+                rows[r][start:first] = [du + b for b in before]
+                rows[r][last:stop] = [du + b for b in after]
             # cheapest way out of module p and back: a pattern cycle through
             # p, or leaving the whole node (detour c), module p not counted
-            cyc = (
-                min(
-                    (D[(p, q)] + D[(q, p)] - om[p] - om[q] for q in om if q != p),
-                    default=INF,
-                )
-                - om[p]
-            )
-            escape = out_shift[p] + c + in_shift[p]
-            stack.append((child, min(cyc, escape)))
-    return FullSummary(s.potential, s.msp, s.min_out, s.min_in, dist)
+            escape = node.out_shift[p] + c + node.in_shift[p]
+            stack.append((child, min(cyc - om[p], escape), first))
+    return FullSummary(s.potential, s.msp, s.min_out, s.min_in, rows)
 
 
 def apsp_inc(f, x, in_names, out_names, w, view, tol):
-    f = ensure_full(f)
     if is_negative_cycle(f):
         return f
+    if not f.min_out:  # x is the whole graph: a tree-depth leaf
+        return _full_singleton(x, w[x])
     core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view, tol)
     if is_negative_cycle(core):
         return core
+    # expand the child only once x is known to close no negative cycle
+    if isinstance(f, ModuleSummary):
+        f = to_full_summary(f)
     new_pi, msp, dfx, dtx = core
     wx = w[x]
+    names = list(f.min_out)
+    from_x = [dfx[v] for v in names]
     # a path either avoids x or passes through it; the -w(x) undoes the
     # double count of x shared by the two halves
-    dist = {}
-    for (u, v), val in f.dist.items():
-        alt = dtx[u] + dfx[v] - wx
-        dist[(u, v)] = alt if alt < val else val
-    for v in f.min_out:
-        dist[(x, v)] = dfx[v]
-        dist[(v, x)] = dtx[v]
-    dist[(x, x)] = wx
-    min_out = {}
-    min_in = {}
-    for (u, v), val in dist.items():
-        if val < min_out.get(u, INF):
-            min_out[u] = val
-        if val < min_in.get(v, INF):
-            min_in[v] = val
-    return FullSummary(new_pi, msp, min_out, min_in, dist)
+    rows = []
+    for u, row in zip(names, f.rows):
+        t = dtx[u] - wx
+        new = [a if a < t + b else t + b for a, b in zip(row, from_x)]
+        new.append(dtx[u])
+        rows.append(new)
+    from_x.append(wx)
+    rows.append(from_x)
+    names.append(x)
+    min_out = dict(zip(names, map(min, rows)))
+    min_in = dict(zip(names, map(min, zip(*rows))))
+    return FullSummary(new_pi, msp, min_out, min_in, rows)
 
 
 def _assemble_module(children, omega, D):
@@ -386,6 +406,8 @@ def _assemble_module(children, omega, D):
         _shifted(children, in_shift, "min_in"),
         D,
         omega,
+        out_shift,
+        in_shift,
         tuple(children),
     )
 
@@ -411,14 +433,16 @@ def apsp_subst_td(pattern_expr, pattern_graph, children, tol):
     inner = fold_td_expression(
         pattern_expr,
         pattern_graph,
-        empty=lambda: FullSummary({}, INF, {}, {}, {}),
+        empty=lambda: FullSummary({}, INF, {}, {}, []),
         vertex=lambda name: _full_singleton(name, omega[name]),
         union=_merge_full,
         inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, omega, view, tol),
     )
     if is_negative_cycle(inner):
         return inner
-    return _assemble_module(children, omega, inner.dist)
+    names = list(inner.min_out)
+    D = {(p, q): d for p, row in zip(names, inner.rows) for q, d in zip(names, row)}
+    return _assemble_module(children, omega, D)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +483,7 @@ def ncd_handlers(w: dict) -> HandlerSet:
 def apsp_handlers(w: dict) -> HandlerSet:
     tol = solve_tolerance(w)
     return HandlerSet(
-        base_empty=lambda: FullSummary({}, INF, {}, {}, {}),
+        base_empty=lambda: FullSummary({}, INF, {}, {}, []),
         base_vertex=lambda name: _full_singleton(name, w[name]),
         on_inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, w, view, tol),
         on_subst=lambda pg, children: apsp_subst(pg, children, tol),
@@ -488,16 +512,16 @@ def apsp_outcome(e: Expression, w: dict, *, verify=False):
     ne = _gate(e, w, "all-pairs shortest paths")
     checker = make_paths_verifier(w) if verify else None
     value, stats = framework.fold(ne, apsp_handlers(w), verify=checker)
-    return ensure_full(value), stats
+    if isinstance(value, ModuleSummary):
+        value = to_full_summary(value)
+    return value, stats
 
 
 def all_pairs(e: Expression, w: dict, *, verify=False):
-    """Full vertex-weighted distance matrix of the evaluated graph, or
-    NEGATIVE_CYCLE."""
+    """Full vertex-weighted distance matrix of the evaluated graph, as a
+    read-only ``(u, v) -> distance`` mapping, or NEGATIVE_CYCLE."""
     value, _ = apsp_outcome(e, w, verify=verify)
-    if is_negative_cycle(value):
-        return value
-    return value.dist
+    return value if is_negative_cycle(value) else value.dist
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +560,8 @@ def make_paths_verifier(w: dict):
             )
         if sub.n > _VERIFY_FLOYD_LIMIT:
             return
-        value = ensure_full(value)
+        if isinstance(value, ModuleSummary):
+            value = to_full_summary(value)
         ref = floyd_vertex_weighted(sub, wr, solve_tol)
         if is_negative_cycle(ref):
             raise VerificationError(
@@ -551,9 +576,7 @@ def make_paths_verifier(w: dict):
             for u in value.min_out:
                 ref_out = min(ref[(u, v)] for v in sub.vertices)
                 ref_in = min(ref[(v, u)] for v in sub.vertices)
-                if not close(value.min_out[u], ref_out) or not close(
-                    value.min_in[u], ref_in
-                ):
+                if not (close(value.min_out[u], ref_out) and close(value.min_in[u], ref_in)):
                     raise VerificationError(
                         f"{path}: per-vertex min distances disagree with reference at {u!r}"
                     )

@@ -185,6 +185,22 @@ def test_solve_apsp_matrix_with_inf(capsys, tmp_path):
     assert "a\ta\t1" in rows
 
 
+def test_solve_apsp_matrix_file_in_name_order(capsys, tmp_path):
+    # vertices are declared c, a, b; the file lists pairs sorted by name
+    f = tmp_path / "cab.expr"
+    f.write_text("(directed (inc b ((a b)) (union (vertex c) (vertex a))))\n")
+    w = tmp_path / "w.tsv"
+    w.write_text("a\t1.5\nb\t2\nc\t3\n")
+    out_file = tmp_path / "m.tsv"
+    code, _, _ = run(capsys, "solve", "apsp", str(f), str(w), "-o", str(out_file))
+    assert code == 0
+    assert out_file.read_text() == (
+        "a\ta\t1.5\na\tb\t3.5\na\tc\tinf\n"
+        "b\ta\tinf\nb\tb\t2\nb\tc\tinf\n"
+        "c\ta\tinf\nc\tb\tinf\nc\tc\t3\n"
+    )
+
+
 def test_solve_apsp_stdout_matrix(capsys, tmp_path):
     f = tmp_path / "e.expr"
     f.write_text(EDGE)
@@ -336,3 +352,35 @@ def test_bench_deterministic_nontime_columns(capsys, tmp_path):
         return [[c for i, c in enumerate(r) if i != 5] for r in rows]
 
     assert strip_time(a) == strip_time(b)
+
+
+def test_bench_apsp_reaches_the_expansion_on_every_row(capsys, tmp_path, monkeypatch):
+    # bench apsp draws non-negative weights, so no row stops at a negative
+    # cycle: every solve ends with its module summaries expanded
+    from graphexpr import is_negative_cycle, paths
+
+    expansions, verdicts = [], []
+    outcome, expand = paths.apsp_outcome, paths.to_full_summary
+
+    def counted_outcome(*args, **kwargs):
+        expansions.append(0)
+        value, stats = outcome(*args, **kwargs)
+        verdicts.append(is_negative_cycle(value))
+        return value, stats
+
+    def counted_expand(s):
+        expansions[-1] += 1
+        return expand(s)
+
+    monkeypatch.setattr(paths, "apsp_outcome", counted_outcome)
+    monkeypatch.setattr(paths, "to_full_summary", counted_expand)
+    out_file = tmp_path / "bench.tsv"
+    code, _, _ = run(
+        capsys, "bench", "apsp", "-k", "2", "-h", "4", "-l", "2",
+        "--sizes", "20,40,80", "--seed", "1", "--reps", "2", "-o", str(out_file),
+    )
+    assert code == 0
+    rows = out_file.read_text().splitlines()[1:]
+    assert len(expansions) == len(rows) == 6
+    assert not any(verdicts)
+    assert all(expansions), expansions

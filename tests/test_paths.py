@@ -2,8 +2,11 @@
 distances, handler cross-equality, oracle equivalence."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphexpr import (
     DIRECTED,
@@ -25,6 +28,7 @@ from graphexpr import (
     oracle_ncd,
     parse,
 )
+from graphexpr.expr import collect_vertex_names
 from graphexpr.graphs import TOL
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
@@ -37,7 +41,7 @@ from graphexpr.paths import (
     to_full_summary,
 )
 
-from conftest import corpus_instance
+from conftest import SHAPES, _need, corpus_instance
 
 
 def close(a, b, tol=1e-9):
@@ -501,3 +505,42 @@ def test_verdicts_match_oracle_next_to_a_large_isolated_vertex(paths_corpus):
         want = oracle_ncd(evaluate(big_e), big_w)
         assert detect_negative_cycle(big_e, big_w) == want, seed
         assert is_negative_cycle(all_pairs(big_e, big_w)) == want, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_all_pairs_exact_on_integer_weights_hypothesis(data):
+    # sums of small integers are exact in floating point, so the distances
+    # must equal the oracle's bit for bit, and scale exactly by a power of 2
+    k, h, l = data.draw(st.sampled_from(SHAPES))
+    budget = data.draw(st.integers(_need(k, h, l), 30))
+    seed = data.draw(st.integers(0, 10**6))
+    e = gen_random(GenSpec(DIRECTED, k=k, h=h, l=l, budget=budget, seed=seed))
+    g = evaluate(e)
+    drawn = data.draw(st.lists(st.integers(-3, 5), min_size=g.n, max_size=g.n))
+    w = {v: float(x) for v, x in zip(g.vertices, drawn)}
+    got, want = all_pairs(e, w), oracle_apsp(g, w)
+    assert is_negative_cycle(got) == is_negative_cycle(want)
+    if is_negative_cycle(want):
+        return
+    assert dict(got) == want
+    scaled = all_pairs(e, {v: 1024 * x for v, x in w.items()})
+    for pair, d in got.items():
+        assert scaled[pair] == 1024 * d
+
+
+def test_apsp_peak_memory_per_vertex_pair():
+    # dense rows hold a float object and a list slot per pair (32 bytes);
+    # the bound leaves as much again for the rest of the solve
+    e = gen_random(GenSpec(DIRECTED, k=2, h=4, l=2, budget=400, seed=1))
+    names = collect_vertex_names(e.root)
+    w = gen_weights(names, 0.0, 5.0, 1)
+    tracemalloc.start()
+    try:
+        value, _ = apsp_outcome(e, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(names)
+    assert len(value.dist) == n * n
+    assert peak <= 64 * n * n, f"{peak / (n * n):.1f} bytes per pair"
