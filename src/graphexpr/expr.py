@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .errors import InputError
@@ -508,6 +508,9 @@ def evaluate(e: Expression) -> Graph:
 
 
 def _evaluate_node(root, mode):
+    """Vertex list and edge set of ``root``.  Undirected edges come out in
+    either orientation; ``Graph`` canonicalizes each edge once."""
+
     def combine(node, vals, _where):
         if isinstance(node, Empty):
             return ([], set())
@@ -520,30 +523,27 @@ def _evaluate_node(root, mode):
             pattern_edges = ()
             if isinstance(node, Join):
                 pattern_edges = (permutations if mode == DIRECTED else combinations)(order, 2)
-            return _substitute(order, pattern_edges, vals, mode)
+            return _substitute(order, pattern_edges, vals)
         if isinstance(node, Inc):
             verts, edges = vals[0]
             x = node.name
-            if mode == DIRECTED:
-                edges.update((x, u) for u in node.out_names)
-                edges.update((u, x) for u in node.in_names)
-            else:
-                edges.update(canonical_edge(mode, x, u) for u in node.neighbor_names)
+            edges.update((x, u) for u in node.out_names)
+            edges.update((u, x) for u in node.in_names)
             verts.append(x)
             return (verts, edges)
         if isinstance(node, Subst):
             by_name = {bn: v for (bn, _), v in zip(node.bindings, vals)}
-            return _substitute(node.pattern.names, node.pattern.edges, by_name, mode)
+            return _substitute(node.pattern.names, node.pattern.edges, by_name)
         if isinstance(node, SubstTd):
             pverts, pedges = _evaluate_node(node.pattern_expr, mode)
             by_name = {bn: v for (bn, _), v in zip(node.bindings, vals)}
-            return _substitute(pverts, pedges, by_name, mode)
+            return _substitute(pverts, pedges, by_name)
         raise InputError(f"cannot evaluate node of type {type(node).__name__}")
 
     return fold_expression(root, combine)
 
 
-def _substitute(pattern_order, pattern_edges, parts, mode):
+def _substitute(pattern_order, pattern_edges, parts):
     """Replace each pattern vertex by its part ``parts[name]`` (a pair of
     vertex list and edge set); a pattern edge becomes the full set of edges
     between the two parts, direction preserved.  The parts are consumed:
@@ -558,12 +558,7 @@ def _substitute(pattern_order, pattern_edges, parts, mode):
     # the cross edges read the parts' vertex lists, so they come before the
     # first list grows
     for (pu, pv) in pattern_edges:
-        left = parts[pu][0]
-        right = parts[pv][0]
-        if mode == DIRECTED:
-            edges.update((a, b) for a in left for b in right)
-        else:
-            edges.update(canonical_edge(mode, a, b) for a in left for b in right)
+        edges.update(product(parts[pu][0], parts[pv][0]))
     verts = ordered[0][0]
     for vs, _ in ordered[1:]:
         verts.extend(vs)

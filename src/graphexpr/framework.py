@@ -5,14 +5,17 @@ the fold threads per-subtree summary values upward exactly as the expression
 is structured.  Handlers see only summaries and the node payload, with two
 exceptions.  Inc handlers receive a read-only view of the child subgraph,
 because adding a vertex inherently needs to look at the edges it closes.
-The view is induced from the whole evaluated graph, which equals the child
+The view carries the child subexpression (``view.child``), which is all a
+handler needs when it can count from the expression, as triangle counting
+does; such a solve never builds a graph.  The view's vertex set and
+adjacency are resolved once, on the first query of either: the adjacency
+is induced from the whole evaluated graph, which equals the child
 subexpression's value since vertex names are globally unique and later
 operations never add edges inside an existing subtree.  The fold evaluates
-the whole graph on first use, by an inc view or by ``verify``, so a solve
-whose main tree has no inc node never builds it.  Substitution handlers
-receive the pattern as a graph: the fold builds each explicit pattern's
-graph once per fold, however many nodes share it, and evaluates each
-subst-td pattern once per node.
+the whole graph once, on the first such query or for ``verify``.
+Substitution handlers receive the pattern as a graph: the fold builds each
+explicit pattern's graph once per fold, however many nodes share it, and
+evaluates each subst-td pattern once per node.
 
 The fold also collects accounting statistics (pattern-order sums, inc
 nesting) that the theory bounds; ``assert_stats`` re-checks those bounds on
@@ -46,28 +49,36 @@ from .graphs import Graph
 
 
 class SubgraphView:
-    """Read-only induced-subgraph view over the evaluated graph."""
+    """Read-only view of an inc node's child subgraph.
 
-    __slots__ = ("graph", "vertices")
+    ``child`` is the child subexpression.  ``graph`` is a zero-argument
+    callable returning a graph that contains the child's subgraph as an
+    induced subgraph; it is called, and the child's vertex set collected,
+    once per view, on the first query of ``vertices`` or a neighbor list.
+    """
 
-    def __init__(self, graph: Graph, vertices: frozenset):
-        self.graph = graph
-        self.vertices = vertices
+    __slots__ = ("child", "_graph", "_resolved")
+
+    def __init__(self, child, graph: Callable[[], Graph]):
+        self.child = child
+        self._graph = graph
+        self._resolved = None
+
+    def _resolve(self):
+        self._resolved = (self._graph(), frozenset(collect_vertex_names(self.child)))
+        return self._resolved
+
+    @property
+    def vertices(self) -> frozenset:
+        return (self._resolved or self._resolve())[1]
 
     def out_neighbors(self, v):
-        return [u for u in self.graph.out_neighbors(v) if u in self.vertices]
+        graph, vertices = self._resolved or self._resolve()
+        return [u for u in graph.out_neighbors(v) if u in vertices]
 
     def in_neighbors(self, v):
-        return [u for u in self.graph.in_neighbors(v) if u in self.vertices]
-
-    def edge_count_within(self, names) -> int:
-        """Number of (undirected) edges with both endpoints in ``names``."""
-        total = 0
-        for u in names:
-            for v in self.graph.neighbors(u):
-                if v in names:
-                    total += 1
-        return total // 2
+        graph, vertices = self._resolved or self._resolve()
+        return [u for u in graph.in_neighbors(v) if u in vertices]
 
 
 @dataclass
@@ -130,7 +141,7 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 stats.bump("inc")
                 depth += 1
                 stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
-                view = SubgraphView(graph(), frozenset(collect_vertex_names(node.child)))
+                view = SubgraphView(node.child, graph)
                 value = handlers.on_inc(
                     vals[0][0], node.name, node.in_names, node.out_names, view
                 )
@@ -219,27 +230,20 @@ def fold_td_expression(pattern_expr, pattern_graph: Graph, *, empty, vertex, uni
 
     ``inc`` is called as ``inc(child_value, name, in_names, out_names, view)``
     with a view of the child sub-pattern induced from ``pattern_graph``.
-    Values carry their sub-pattern vertex sets internally.
     """
 
     def combine(node, vals, _where):
         if isinstance(node, Empty):
-            return (empty(), set())
+            return empty()
         if isinstance(node, Vertex):
-            return (vertex(node.name), {node.name})
+            return vertex(node.name)
         if isinstance(node, Union):
-            names = set()
-            for _, s in vals:
-                names |= s
-            return (union([v for v, _ in vals]), names)
+            return union(vals)
         if isinstance(node, Inc):
-            child_value, names = vals[0]
-            view = SubgraphView(pattern_graph, frozenset(names))
-            value = inc(child_value, node.name, node.in_names, node.out_names, view)
-            names.add(node.name)
-            return (value, names)
+            view = SubgraphView(node.child, lambda: pattern_graph)
+            return inc(vals[0], node.name, node.in_names, node.out_names, view)
         raise InputError(
             f"{type(node).__name__} node inside a tree-depth pattern expression"
         )
 
-    return fold_expression(pattern_expr, combine)[0]
+    return fold_expression(pattern_expr, combine)

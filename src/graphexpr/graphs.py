@@ -70,16 +70,18 @@ class Graph:
             raise InputError("duplicate vertex id in graph")
         out = {v: set() for v in vertices}
         inn = {v: set() for v in vertices} if kind == DIRECTED else out
+        undirected = kind == UNDIRECTED
         canon = set()
         for u, v in edges:
             if u == v:
                 raise InputError(f"loop at vertex {u!r} not allowed")
             if u not in vset or v not in vset:
                 raise InputError(f"edge ({u!r}, {v!r}) references undeclared vertex")
-            e = canonical_edge(kind, u, v)
-            canon.add(e)
-            out[e[0]].add(e[1])
-            inn[e[1]].add(e[0])
+            if undirected and v < u:  # canonical_edge, inlined
+                u, v = v, u
+            canon.add((u, v))
+            out[u].add(v)
+            inn[v].add(u)
         self.kind = kind
         self.vertices = vertices
         self.edges = frozenset(canon)

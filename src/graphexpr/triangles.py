@@ -2,12 +2,16 @@
 
 The fold summary is the triple (n, m, t): vertex count, edge count, triangle
 count.  Adding a vertex x creates one new triangle per child edge whose
-endpoints are both neighbors of x.  Substitution combines summaries
-arithmetically: every pattern edge {i, j} contributes n_i * n_j edges and
-m_i * n_j + n_i * m_j triangles, and every pattern triangle {i, j, k}
-contributes n_i * n_j * n_k triangles.  For tree-depth patterns the triangle
-sum is accumulated while walking the pattern expression instead of
-enumerating the pattern's triangles up front.
+endpoints are both neighbors of x.  That number is counted from the child
+subexpression, not from edges, so a solve never builds the evaluated graph:
+a second post-order pass over the child carries, per node, how many of its
+vertices lie in S = N(x) and how many of its edges lie inside S.  This
+costs O(size of the child) per inc node, O(k * size of the expression) per
+solve.  Substitution combines summaries arithmetically: every pattern edge
+{i, j} contributes n_i * n_j edges and m_i * n_j + n_i * m_j triangles, and
+every pattern triangle {i, j, k} contributes n_i * n_j * n_k triangles.  For
+tree-depth patterns the triangle sum is accumulated while walking the
+pattern expression instead of enumerating the pattern's triangles up front.
 """
 
 from __future__ import annotations
@@ -17,7 +21,18 @@ from dataclasses import dataclass
 from . import framework
 from .errors import InputError
 from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
-from .expr import Expression, normalize, validate_or_raise
+from .expr import (
+    Empty,
+    Expression,
+    Inc,
+    Subst,
+    SubstTd,
+    Vertex,
+    fold_expression,
+    normalize,
+    subexpressions,
+    validate_or_raise,
+)
 from .framework import FoldStats, HandlerSet, fold_td_expression
 from .graphs import UNDIRECTED
 
@@ -29,14 +44,60 @@ class TriFold:
     t: int
 
 
-def combine_inc(f: TriFold, name, neighbors, view) -> TriFold:
-    """Summary after adding one vertex adjacent to ``neighbors``.
+def combine_inc(f: TriFold, neighbors, child) -> TriFold:
+    """Summary after adding one vertex adjacent to ``neighbors`` to the graph
+    of the normalized subexpression ``child``.
 
     Every new triangle uses the new vertex plus exactly one child edge with
     both endpoints adjacent to it.
     """
-    closed = view.edge_count_within(neighbors)
+    closed = edges_within(child, neighbors)
     return TriFold(f.n + 1, f.m + len(neighbors), f.t + closed)
+
+
+def edges_within(child, s) -> int:
+    """Number of edges of the graph of the normalized subexpression
+    ``child`` with both endpoints in the vertex-name set ``s``.
+
+    Each node's value is (vertices in s, edges inside s).  An inc vertex in
+    s adds its edges into s; a substitution adds c_i * c_j for each pattern
+    edge {i, j}, where c_i counts the vertices in s of the part bound to i.
+    """
+
+    def combine(node, vals, _where):
+        if isinstance(node, Vertex):
+            return (1, 0) if node.name in s else (0, 0)
+        if isinstance(node, Inc):
+            c, e = vals[0]
+            if node.name in s:
+                return (c + 1, e + len(node.neighbor_names & s))
+            return (c, e)
+        if isinstance(node, Empty):
+            return (0, 0)
+        if isinstance(node, Subst):
+            pattern_edges = node.pattern.edges
+        elif isinstance(node, SubstTd):
+            pattern_edges = _td_edges(node.pattern_expr)
+        else:
+            raise InputError(f"{type(node).__name__} node in a normalized expression")
+        inside = {bn: c for (bn, _), (c, _) in zip(node.bindings, vals)}
+        c = sum(c for c, _ in vals)
+        e = sum(e for _, e in vals)
+        for (u, v) in pattern_edges:
+            e += inside[u] * inside[v]
+        return (c, e)
+
+    return fold_expression(child, combine)[1]
+
+
+def _td_edges(pattern_expr):
+    """Edges of a tree-depth pattern, read from its inc nodes."""
+    stack = [pattern_expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Inc):
+            yield from ((node.name, u) for u in node.neighbor_names)
+        stack.extend(subexpressions(node))
 
 
 def combine_subst(h, children) -> TriFold:
@@ -102,7 +163,7 @@ def handlers() -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: TriFold(0, 0, 0),
         base_vertex=lambda name: TriFold(1, 0, 0),
-        on_inc=lambda f, name, inn, out, view: combine_inc(f, name, inn | out, view),
+        on_inc=lambda f, name, inn, out, view: combine_inc(f, inn | out, view.child),
         on_subst=combine_subst,
         on_subst_td=combine_subst_td,
     )

@@ -268,9 +268,35 @@ def test_inc_view_sees_child_subgraph_only():
     assert seen["edges"] == set()
 
 
+def test_inc_view_resolves_its_vertices_and_graph_once(monkeypatch):
+    # the view exposes the child expression; its vertex set and graph are
+    # built on the first query and reused by every later one
+    from graphexpr import framework
+
+    collected = []
+    real_collect = framework.collect_vertex_names
+    monkeypatch.setattr(
+        framework,
+        "collect_vertex_names",
+        lambda node: collected.append(node) or real_collect(node),
+    )
+    child = normalize(parse("(undirected (join (vertex a) (union (vertex b) (vertex c))))")).root
+    g = evaluate(Expression(UNDIRECTED, child))
+    built = []
+    view = framework.SubgraphView(child, lambda: built.append(1) or g)
+    assert view.child is child
+    assert built == [] and collected == []
+    assert sorted(view.out_neighbors("a")) == ["b", "c"]
+    assert view.in_neighbors("b") == ["a"]
+    assert view.vertices == {"a", "b", "c"}
+    assert built == [1] and collected == [child]
+
+
 def test_fold_evaluates_the_whole_graph_only_for_inc_views(monkeypatch):
-    # a solve whose main tree has no inc node (and no verify) never builds
-    # the whole graph; each subst-td pattern is evaluated once per node
+    # without verify, a TC solve never builds the whole graph (its inc
+    # handler counts from the child expression), and an APSP solve builds
+    # it once if its main tree has an inc node; each subst-td pattern is
+    # evaluated once per node
     from collections import Counter
 
     from graphexpr import DIRECTED, all_pairs, count_triangles, framework, gen_weights
@@ -279,7 +305,7 @@ def test_fold_evaluates_the_whole_graph_only_for_inc_views(monkeypatch):
     evaluated = []
     real = framework.evaluate
     monkeypatch.setattr(framework, "evaluate", lambda e: evaluated.append(e.root) or real(e))
-    seen_inc = seen_plain = 0
+    seen = set()
     for seed in range(70):
         for mode in (UNDIRECTED, DIRECTED):
             e = corpus_instance(seed, mode, 25)
@@ -295,10 +321,9 @@ def test_fold_evaluates_the_whole_graph_only_for_inc_views(monkeypatch):
             pattern_evals = Counter(id(r) for r in evaluated if id(r) in patterns)
             assert pattern_evals == patterns, seed
             whole = len(evaluated) - sum(pattern_evals.values())
-            assert whole == (1 if has_inc else 0), seed
-            seen_inc += has_inc
-            seen_plain += not has_inc
-    assert seen_inc and seen_plain
+            assert whole == (1 if has_inc and mode == DIRECTED else 0), seed
+            seen.add((mode, has_inc))
+    assert len(seen) == 4
 
 
 def test_fold_builds_each_pattern_graph_once(monkeypatch):

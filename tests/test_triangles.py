@@ -1,6 +1,8 @@
 """Triangle counting: handler examples, oracle equivalence, handler
 cross-equality."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,21 +17,20 @@ from graphexpr import (
     evaluate,
     gen_fixture,
     gen_random,
+    normalize,
     oracle_triangles,
+    params,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Union
-from graphexpr.framework import SubgraphView
+from graphexpr.expr import Empty, Inc, Union, fold_expression
 from graphexpr.oracle import GenSpec
-from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td
+from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td, edges_within
 
 from conftest import corpus_instance
 
 
-def _view(text):
-    e = parse(text)
-    g = evaluate(e)
-    return g, SubgraphView(g, frozenset(g.vertices))
+def _child(text):
+    return normalize(parse(text)).root
 
 
 # ---------------------------------------------------------------------------
@@ -37,24 +38,67 @@ def _view(text):
 
 
 def test_inc_closes_triangle_over_child_edge():
-    _, view = _view("(undirected (join (vertex a) (vertex b)))")
-    f = combine_inc(TriFold(2, 1, 0), "x", {"a", "b"}, view)
+    child = _child("(undirected (join (vertex a) (vertex b)))")
+    f = combine_inc(TriFold(2, 1, 0), {"a", "b"}, child)
     assert f == TriFold(3, 3, 1)
 
 
 def test_inc_isolated_vertex():
-    _, view = _view("(undirected (join (vertex a) (vertex b)))")
-    assert combine_inc(TriFold(2, 1, 0), "x", set(), view) == TriFold(3, 1, 0)
+    child = _child("(undirected (join (vertex a) (vertex b)))")
+    assert combine_inc(TriFold(2, 1, 0), set(), child) == TriFold(3, 1, 0)
 
 
 def test_inc_path_endpoints_close_nothing():
     # child path a-b-c, new vertex adjacent to a and c only
-    _, view = _view(
+    child = _child(
         "(undirected (inc b ((b a) (b c)) (union (vertex a) (vertex c))))"
     )
-    f = combine_inc(TriFold(3, 2, 0), "x", {"a", "c"}, view)
+    f = combine_inc(TriFold(3, 2, 0), {"a", "c"}, child)
     assert f.t == 0
     assert f.m == 4
+
+
+def test_inc_over_dense_join_never_builds_the_graph(monkeypatch):
+    # the child join has 10^6 edges; the closed count is read from the
+    # expression, so no graph is evaluated and the solve stays fast
+    from graphexpr import framework
+
+    calls = []
+    real = framework.evaluate
+    monkeypatch.setattr(framework, "evaluate", lambda e: calls.append(e) or real(e))
+    r = 1000
+    a_side = " ".join(f"(vertex a{i})" for i in range(r))
+    b_side = " ".join(f"(vertex b{i})" for i in range(r))
+    nbrs = [f"a{i}" for i in range(0, r, 2)] + [f"b{i}" for i in range(0, r, 3)]
+    edges = " ".join(f"(x {u})" for u in nbrs)
+    e = parse(
+        f"(undirected (inc x ({edges}) (join (union {a_side}) (union {b_side}))))"
+    )
+    start = time.perf_counter()
+    t = count_triangles(e)
+    elapsed = time.perf_counter() - start
+    assert t == -(-r // 2) * -(-r // 3) == 167000
+    assert calls == []
+    assert elapsed < 1.0
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6), mask=st.integers(min_value=0))
+@settings(max_examples=60, deadline=None)
+def test_edges_within_matches_induced_subgraph(seed, mask):
+    # every inc child of a generated expression with nested incs and
+    # subst-td nodes, and the whole expression, against the evaluated graph
+    e = gen_random(GenSpec(UNDIRECTED, k=2, h=3, l=2, budget=8 + seed % 20, seed=seed))
+    assert params(e) == (2, 3, 2)
+    ne = normalize(e)
+    children = [ne.root]
+    fold_expression(
+        ne.root,
+        lambda node, _vals, _where: isinstance(node, Inc) and children.append(node.child),
+    )
+    for child in children:
+        g = evaluate(Expression(UNDIRECTED, child))
+        s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
+        assert edges_within(child, s) == g.induced(s - {"zz9"}).m
 
 
 # ---------------------------------------------------------------------------
