@@ -298,16 +298,19 @@ def cmd_bench(args):
             seed=args.seed + idx,
         )
         e = gen_random(spec)
-        g = evaluate(e)
         w = None
         if args.problem != "tc":
+            # the path solvers do not count edges: only the graph gives m
+            g = evaluate(e)
+            n, m = g.n, g.m
             # apsp draws no negative weight, so that its solves reach the expansion
             lo = 0.0 if args.problem == "apsp" else -5.0
-            w = gen_weights(g.vertices, lo, 5.0, args.seed + idx)
+            w = gen_weights(collect_vertex_names(e.root), lo, 5.0, args.seed + idx)
         for rep in range(args.reps):
             start = time.perf_counter()
             if args.problem == "tc":
-                _, stats = triangles.triangle_summary(e)
+                value, stats = triangles.triangle_summary(e)
+                n, m = value.n, value.m
             elif args.problem == "ncd":
                 _, stats = paths.ncd_outcome(e, w)
             else:
@@ -318,7 +321,7 @@ def cmd_bench(args):
                 "\t".join(
                     str(x)
                     for x in (
-                        g.n, g.m, args.k, args.h, args.l, f"{wall:.6f}",
+                        n, m, args.k, args.h, args.l, f"{wall:.6f}",
                         stats.sum_pattern_order, stats.max_inc_nesting,
                         stats.leaf_count, counts.get("inc", 0),
                         counts.get("subst", 0), counts.get("subst_td", 0), rep,

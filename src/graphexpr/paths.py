@@ -23,6 +23,17 @@ with the classic "cheapest detour that leaves this module" values.  Full
 distances are dense rows in the vertex order of ``min_out`` (children in
 pattern order, an added vertex last), so each spine node's vertices form one
 contiguous block, filled one row segment at a time.
+
+Substitution summaries keep their potential as a *shifted union*
+(ShiftedPotential): one ``(child potential, shift)`` pair per pattern
+vertex, so a substitution costs O(pattern order) however large its children
+are, and a left-deep chain of r substitutions costs O(r) instead of O(r^2).
+The potential is turned into a dict, by one iterative walk that adds up the
+shifts on the way down, only where its values are read: by an inc node
+(``_inc_core``), by the ``--verify`` checker, and at the root, where
+``ncd_outcome`` and ``apsp_outcome`` return a plain dict.  The APSP exit and
+entry values ``min_out``/``min_in`` stay eager dicts, since the expansion
+reads each child's unshifted values.
 """
 
 from __future__ import annotations
@@ -59,11 +70,73 @@ _ROUNDING_SLACK = 4
 # Summary types
 
 
+class ShiftedPotential(Mapping):
+    """Read-only union of child potentials, each shifted by a constant.
+
+    ``parts`` alternates potentials and shifts, ``(potential, shift,
+    potential, shift, ...)``, one pair per pattern vertex; a potential is a
+    dict or another ShiftedPotential.  Building one costs O(pattern order);
+    reading it as a mapping materializes it once.
+    """
+
+    __slots__ = ("parts", "_values")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self._values = None
+
+    def _dict(self):
+        if self._values is None:
+            self._values = potential_dict(self)
+        return self._values
+
+    def __getitem__(self, v):
+        return self._dict()[v]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        return len(self._dict())
+
+
+def potential_dict(pi) -> dict:
+    """``pi`` as a plain dict: ``pi`` itself when it is one, else a fresh
+    dict filled by an iterative walk over the shifted union (chains are far
+    deeper than the recursion limit), in pattern order."""
+    if isinstance(pi, dict):
+        return pi
+    out = {}
+    stack = [(pi, 0.0)]
+    while stack:
+        p, acc = stack.pop()
+        if isinstance(p, ShiftedPotential):
+            parts = p.parts
+            # pushed last to first, so that they are visited in order
+            for i in range(len(parts) - 2, -1, -2):
+                stack.append((parts[i], acc + parts[i + 1]))
+        else:
+            for v, val in p.items():
+                out[v] = val + acc
+    return out
+
+
+def _shifted_potential(children, shift):
+    """The children's potentials, each shifted by ``shift`` of its pattern
+    vertex, as a ShiftedPotential; the children are not copied."""
+    parts = []
+    for name, s in children:
+        parts += (s.potential, shift[name])
+    return ShiftedPotential(tuple(parts))
+
+
 @dataclass
 class NcdSummary:
-    """Negative-cycle-detection summary: feasible potential + msp."""
+    """Negative-cycle-detection summary: feasible potential + msp.
 
-    potential: dict
+    ``potential`` is a dict, or a ShiftedPotential on substitution nodes."""
+
+    potential: Mapping
     msp: float
 
 
@@ -90,9 +163,11 @@ class _DistView(Mapping):
 class FullSummary:
     """All pairwise distances are known (vertex-addition nodes, leaves):
     ``rows[i][j]`` is the distance from the i-th to the j-th vertex in the key
-    order of ``min_out`` and ``min_in``, and ``dist`` maps ``(u, v)`` to it."""
+    order of ``min_out`` and ``min_in``, and ``dist`` maps ``(u, v)`` to it.
+    ``potential`` is a dict, or the ShiftedPotential of an expanded
+    ModuleSummary."""
 
-    potential: dict
+    potential: Mapping
     msp: float
     min_out: dict
     min_in: dict
@@ -111,10 +186,12 @@ class ModuleSummary:
     ``omega`` (the child msps, keyed in pattern vertex order), with the
     shifts of ``_module_shifts``; ``children`` keeps the child summaries so
     the node can later be expanded to a FullSummary.  ``min_out`` and
-    ``min_in`` list the vertices child by child.
+    ``min_in`` list the vertices child by child.  ``potential`` is a
+    ShiftedPotential over the children's potentials; ``min_out`` and
+    ``min_in`` are shifted copies.
     """
 
-    potential: dict
+    potential: Mapping
     msp: float
     min_out: dict
     min_in: dict
@@ -164,6 +241,7 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, view, tol):
     where the distance maps are in vertex-weight space and include the
     ``x -> x`` single-vertex entry.
     """
+    pi = potential_dict(pi)
     verts = view.vertices
     wx = w[x]
     adj_out = {v: view.out_neighbors(v) for v in verts}
@@ -247,7 +325,7 @@ def _shifted(children, shift, field):
 
 def ncd_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps; the pattern
-    potential shifts each child's potential."""
+    potential shifts each child's potential, in O(pattern order)."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
@@ -256,7 +334,7 @@ def ncd_subst(pattern_graph, children, tol):
     if is_negative_cycle(D):
         return D
     _, pi_h = _module_shifts(D, omega)
-    return NcdSummary(_shifted(children, pi_h, "potential"), min(D.values()))
+    return NcdSummary(_shifted_potential(children, pi_h), min(D.values()))
 
 
 def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
@@ -277,7 +355,7 @@ def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
     )
     if is_negative_cycle(inner):
         return inner
-    return NcdSummary(_shifted(children, inner.potential, "potential"), inner.msp)
+    return NcdSummary(_shifted_potential(children, inner.potential), inner.msp)
 
 
 def _merge_ncd(vals):
@@ -397,10 +475,11 @@ def apsp_inc(f, x, in_names, out_names, w, view, tol):
 def _assemble_module(children, omega, D):
     """Module summary of a substitution from the pattern distance table
     ``D`` under the child msps ``omega``: a child's exits shift by its
-    module's out-shift, its entries and potential by the in-shift."""
+    module's out-shift, its entries and potential by the in-shift.  Only
+    the exits and entries are copied."""
     out_shift, in_shift = _module_shifts(D, omega)
     return ModuleSummary(
-        _shifted(children, in_shift, "potential"),
+        _shifted_potential(children, in_shift),
         min(D.values()),
         _shifted(children, out_shift, "min_out"),
         _shifted(children, in_shift, "min_in"),
@@ -493,10 +572,14 @@ def apsp_handlers(w: dict) -> HandlerSet:
 
 def ncd_outcome(e: Expression, w: dict, *, verify=False):
     """Fold the expression with the NCD handlers.  Returns
-    ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``."""
+    ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``; the summary's potential is
+    a dict."""
     ne = _gate(e, w, "negative cycle detection")
     checker = make_paths_verifier(w) if verify else None
-    return framework.fold(ne, ncd_handlers(w), verify=checker)
+    value, stats = framework.fold(ne, ncd_handlers(w), verify=checker)
+    if not is_negative_cycle(value):
+        value = NcdSummary(potential_dict(value.potential), value.msp)
+    return value, stats
 
 
 def detect_negative_cycle(e: Expression, w: dict, *, verify=False) -> bool:
@@ -508,12 +591,15 @@ def detect_negative_cycle(e: Expression, w: dict, *, verify=False) -> bool:
 
 def apsp_outcome(e: Expression, w: dict, *, verify=False):
     """Fold with the all-pairs handlers and expand the root to a
-    FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``."""
+    FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``; the
+    summary's potential is a dict."""
     ne = _gate(e, w, "all-pairs shortest paths")
     checker = make_paths_verifier(w) if verify else None
     value, stats = framework.fold(ne, apsp_handlers(w), verify=checker)
     if isinstance(value, ModuleSummary):
         value = to_full_summary(value)
+    if not is_negative_cycle(value):
+        value.potential = potential_dict(value.potential)
     return value, stats
 
 
@@ -554,7 +640,7 @@ def make_paths_verifier(w: dict):
                     )
             return
         costs = edge_shift(sub, wr)
-        if not check_potential(sub, costs, value.potential, solve_tol):
+        if not check_potential(sub, costs, potential_dict(value.potential), solve_tol):
             raise VerificationError(
                 f"{path}: emitted potential is not feasible on the node subgraph"
             )

@@ -384,3 +384,24 @@ def test_bench_apsp_reaches_the_expansion_on_every_row(capsys, tmp_path, monkeyp
     assert len(expansions) == len(rows) == 6
     assert not any(verdicts)
     assert all(expansions), expansions
+
+
+def test_bench_tc_never_evaluates_the_graph(capsys, tmp_path, monkeypatch):
+    # the n and m columns come from the triangle fold, which counts them
+    from graphexpr import UNDIRECTED, GenSpec, gen_random
+
+    evaluate, calls = cli.evaluate, []
+    monkeypatch.setattr(cli, "evaluate", lambda e: calls.append(e) or evaluate(e))
+    out_file = tmp_path / "bench.tsv"
+    code, _, _ = run(
+        capsys, "bench", "tc", "-k", "2", "-h", "4", "-l", "0",
+        "--sizes", "100,200", "--seed", "3", "--reps", "2", "-o", str(out_file),
+    )
+    assert code == 0
+    assert calls == []
+    rows = [r.split("\t") for r in out_file.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for idx, budget in enumerate((100, 200)):
+        g = evaluate(gen_random(GenSpec(UNDIRECTED, k=2, h=4, l=0, budget=budget, seed=3 + idx)))
+        for r in rows[2 * idx: 2 * idx + 2]:
+            assert (int(r[0]), int(r[1])) == (g.n, g.m)

@@ -1,7 +1,10 @@
 """Shortest-path machinery: potentials, negative cycle detection, all-pairs
 distances, handler cross-equality, oracle equivalence."""
 
+import copy
 import math
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -28,7 +31,7 @@ from graphexpr import (
     oracle_ncd,
     parse,
 )
-from graphexpr.expr import collect_vertex_names
+from graphexpr.expr import Empty, Inc, Join, Union, Vertex, collect_vertex_names
 from graphexpr.graphs import TOL
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
@@ -38,6 +41,7 @@ from graphexpr.paths import (
     apsp_subst_td,
     ncd_subst,
     ncd_subst_td,
+    potential_dict,
     to_full_summary,
 )
 
@@ -342,6 +346,55 @@ def test_handler_cross_equality_on_generated_patterns():
             _assert_module_summaries_equal(fa, fb)
 
 
+def _child_state(children):
+    """What a handler could change in its children: each potential, walked
+    afresh, and a deep copy of every other field."""
+    state = []
+    for name, s in children:
+        fields = {k: v for k, v in vars(s).items() if k != "potential"}
+        state.append((name, potential_dict(s.potential), copy.deepcopy(fields)))
+    return state
+
+
+def test_substitution_handlers_leave_their_children_alone():
+    # the first child is itself a substitution, so its potential is a
+    # shifted union; the pattern is the path p1 -> p2 -> p3
+    leaf = Inc("p1", frozenset(), frozenset(), Empty())
+    mid = Inc("p2", frozenset({"p1"}), frozenset(), leaf)
+    top = Inc("p3", frozenset({"p2"}), frozenset(), mid)
+    pg = evaluate(Expression(DIRECTED, top))
+    pair = [("p", ("a", -2.0)), ("q", ("b", 3.0))]
+
+    ncd = [
+        ("p1", ncd_subst(edge_pattern(), [(p, _ncd_single(*v)) for p, v in pair], TOL)),
+        ("p2", _ncd_single("c", -1.0)),
+        ("p3", _ncd_single("d", 0.5)),
+    ]
+    before = _child_state(ncd)
+    for handler in (
+        lambda: ncd_subst(pg, ncd, TOL),
+        lambda: ncd_subst_td(top, pg, ncd, TOL),
+    ):
+        a, b = handler(), handler()
+        assert a.msp == b.msp
+        assert potential_dict(a.potential) == potential_dict(b.potential)
+        assert _child_state(ncd) == before
+
+    apsp = [
+        ("p1", apsp_subst(edge_pattern(), [(p, _full_singleton(*v)) for p, v in pair], TOL)),
+        ("p2", _full_singleton("c", -1.0)),
+        ("p3", _full_singleton("d", 0.5)),
+    ]
+    before = _child_state(apsp)
+    for handler in (
+        lambda: apsp_subst(pg, apsp, TOL),
+        lambda: apsp_subst_td(top, pg, apsp, TOL),
+    ):
+        a, b = handler(), handler()
+        _assert_module_summaries_equal(a, b, tol=0.0)
+        assert _child_state(apsp) == before
+
+
 # ---------------------------------------------------------------------------
 # solvers against the oracle
 
@@ -544,3 +597,69 @@ def test_apsp_peak_memory_per_vertex_pair():
     n = len(names)
     assert len(value.dist) == n * n
     assert peak <= 64 * n * n, f"{peak / (n * n):.1f} bytes per pair"
+
+
+# ---------------------------------------------------------------------------
+# substitution chains
+
+
+def _alternating_chain(r, seed, inc_every=0):
+    """A union/join chain over r vertices, nested as written (normalization
+    keeps it one substitution per level), with an inc vertex every
+    ``inc_every`` levels.  Union vertices weigh in [-1, 0), the others in
+    [1, 2).  No two union vertices are adjacent, so every cycle has at least
+    as many other vertices as union vertices and none is negative, while the
+    negative weights give the join levels nonzero shifts."""
+    rng = random.Random(seed)
+    acc, w = Vertex("v0"), {"v0": -rng.random()}
+    for i in range(1, r):
+        v = f"v{i}"
+        if i % 2:
+            acc, w[v] = Join((acc, Vertex(v))), 1 + rng.random()
+        else:
+            acc, w[v] = Union((acc, Vertex(v))), -rng.random()
+        if inc_every and i % inc_every == 0:
+            x = f"x{i}"
+            ins, outs = frozenset({v}), frozenset({f"v{i - 1}"})
+            acc, w[x] = Inc(x, ins, outs, acc), 1 + rng.random()
+    return Expression(DIRECTED, acc), w
+
+
+def test_ncd_on_a_long_alternating_chain_is_near_linear():
+    # copying the accumulated potential at every level makes this O(r^2):
+    # 5.5 s on a 2-core x86-64 VM, against 0.4 s with shifted potentials
+    e, w = _alternating_chain(10_000, seed=1)
+    start = time.perf_counter()
+    value, _ = ncd_outcome(e, w)
+    elapsed = time.perf_counter() - start
+    assert not is_negative_cycle(value)
+    assert type(value.potential) is dict and len(value.potential) == 10_000
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_ncd_on_an_alternating_chain_matches_the_oracle():
+    e, w = _alternating_chain(200, seed=2, inc_every=40)
+    g = evaluate(e)
+    assert not oracle_ncd(g, w)
+    # verify checks the potential of every node and the msp of the small ones
+    value, _ = ncd_outcome(e, w, verify=True)
+    assert not is_negative_cycle(value)
+    assert type(value.potential) is dict
+    assert check_potential(g, edge_shift(g, w), value.potential)
+    # any path longer than one vertex pairs each negative vertex with a
+    # positive one of larger magnitude
+    assert close(value.msp, min(w.values()))
+
+
+def test_apsp_on_an_alternating_chain_matches_the_oracle():
+    e, w = _alternating_chain(120, seed=4, inc_every=25)
+    g = evaluate(e)
+    ref = oracle_apsp(g, w)
+    value, _ = apsp_outcome(e, w, verify=True)
+    assert not is_negative_cycle(value)
+    assert type(value.potential) is dict
+    assert check_potential(g, edge_shift(g, w), value.potential)
+    assert close(value.msp, min(ref.values()))
+    assert value.dist.keys() == ref.keys()
+    for pair, d in ref.items():
+        assert close(value.dist[pair], d), pair
