@@ -21,7 +21,6 @@ from .expr import (
     Union,
     Vertex,
     evaluate,
-    member,
     normalize,
     params,
     parse,
@@ -76,7 +75,6 @@ __all__ = [
     "Union",
     "Vertex",
     "evaluate",
-    "member",
     "normalize",
     "params",
     "parse",

@@ -503,13 +503,14 @@ def _check_bindings(node, pattern_names, vals, bad):
 
 def evaluate(e: Expression) -> Graph:
     """Build the concrete graph denoted by a validated expression."""
-    verts, edges = _evaluate_node(e.root, e.mode)
+    verts, edges = evaluate_node(e.root, e.mode)
     return Graph(e.mode, verts, edges)
 
 
-def _evaluate_node(root, mode):
-    """Vertex list and edge set of ``root``.  Undirected edges come out in
-    either orientation; ``Graph`` canonicalizes each edge once."""
+def evaluate_node(root, mode):
+    """Vertex list and edge set of the subexpression ``root``, both fresh.
+    Undirected edges come out in either orientation; ``Graph``
+    canonicalizes each edge once."""
 
     def combine(node, vals, _where):
         if isinstance(node, Empty):
@@ -535,7 +536,7 @@ def _evaluate_node(root, mode):
             by_name = {bn: v for (bn, _), v in zip(node.bindings, vals)}
             return _substitute(node.pattern.names, node.pattern.edges, by_name)
         if isinstance(node, SubstTd):
-            pverts, pedges = _evaluate_node(node.pattern_expr, mode)
+            pverts, pedges = evaluate_node(node.pattern_expr, mode)
             by_name = {bn: v for (bn, _), v in zip(node.bindings, vals)}
             return _substitute(pverts, pedges, by_name)
         raise InputError(f"cannot evaluate node of type {type(node).__name__}")
@@ -595,13 +596,6 @@ def params(e: Expression) -> Params:
         return (k, h, l)
 
     return Params(*fold_expression(e.root, combine))
-
-
-def member(e: Expression, k: int, h: int, l: int) -> bool:
-    """True iff the expression witnesses membership in the class with inc
-    nesting <= k, pattern order <= h and pattern tree-depth <= l."""
-    p = params(e)
-    return p.k <= k and p.h <= h and p.l <= l
 
 
 # ---------------------------------------------------------------------------

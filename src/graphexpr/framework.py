@@ -2,20 +2,13 @@
 
 A problem is solved on an expression by supplying one handler per operation;
 the fold threads per-subtree summary values upward exactly as the expression
-is structured.  Handlers see only summaries and the node payload, with two
-exceptions.  Inc handlers receive a read-only view of the child subgraph,
-because adding a vertex inherently needs to look at the edges it closes.
-The view carries the child subexpression (``view.child``), which is all a
-handler needs when it can count from the expression, as triangle counting
-does; such a solve never builds a graph.  The view's vertex set and
-adjacency are resolved once, on the first query of either: the adjacency
-is induced from the whole evaluated graph, which equals the child
-subexpression's value since vertex names are globally unique and later
-operations never add edges inside an existing subtree.  The fold evaluates
-the whole graph once, on the first such query or for ``verify``.
-Substitution handlers receive the pattern as a graph: the fold builds each
-explicit pattern's graph once per fold, however many nodes share it, and
-evaluates each subst-td pattern once per node.
+is structured.  Handlers see only summaries and the node payload.  An inc
+handler gets the child subexpression and reads from it what it needs of the
+child graph: triangle counting counts the closed edges from the expression,
+the shortest-path handlers evaluate the child.  A substitution handler gets
+its pattern: an explicit pattern as a graph, built once per fold however
+many nodes share it, a tree-depth pattern as its expression.  The fold
+itself evaluates nothing unless ``verify`` is given.
 
 The fold also collects accounting statistics (pattern-order sums, inc
 nesting) that the theory bounds; ``assert_stats`` re-checks those bounds on
@@ -40,61 +33,28 @@ from .expr import (
     SubstTd,
     Union,
     Vertex,
-    collect_vertex_names,
     evaluate,
     fold_expression,
     inc_nesting,
 )
-from .graphs import Graph
-
-
-class SubgraphView:
-    """Read-only view of an inc node's child subgraph.
-
-    ``child`` is the child subexpression.  ``graph`` is a zero-argument
-    callable returning a graph that contains the child's subgraph as an
-    induced subgraph; it is called, and the child's vertex set collected,
-    once per view, on the first query of ``vertices`` or a neighbor list.
-    """
-
-    __slots__ = ("child", "_graph", "_resolved")
-
-    def __init__(self, child, graph: Callable[[], Graph]):
-        self.child = child
-        self._graph = graph
-        self._resolved = None
-
-    def _resolve(self):
-        self._resolved = (self._graph(), frozenset(collect_vertex_names(self.child)))
-        return self._resolved
-
-    @property
-    def vertices(self) -> frozenset:
-        return (self._resolved or self._resolve())[1]
-
-    def out_neighbors(self, v):
-        graph, vertices = self._resolved or self._resolve()
-        return [u for u in graph.out_neighbors(v) if u in vertices]
-
-    def in_neighbors(self, v):
-        graph, vertices = self._resolved or self._resolve()
-        return [u for u in graph.in_neighbors(v) if u in vertices]
 
 
 @dataclass
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
-    on_subst / on_subst_td receive the pattern graph and the children as
-    ``(pattern vertex name, summary)`` pairs in pattern vertex order;
-    on_subst_td also receives the pattern's tree-depth expression.
+    on_inc receives the child's summary and the child subexpression.
+    on_subst receives the pattern graph and the children as ``(pattern
+    vertex name, summary)`` pairs in pattern vertex order; on_subst_td
+    receives the pattern's tree-depth expression and the children in
+    binding order.
     """
 
     base_empty: Callable
     base_vertex: Callable
-    on_inc: Callable      # (child F, name, in_names, out_names, view) -> F
+    on_inc: Callable      # (child F, name, in_names, out_names, child_expr) -> F
     on_subst: Callable    # (pattern Graph, [(name, F), ...]) -> F
-    on_subst_td: Callable  # (pattern_expr, pattern Graph, [(name, F), ...]) -> F
+    on_subst_td: Callable  # (pattern_expr, [(name, F), ...]) -> F
 
 
 @dataclass
@@ -117,9 +77,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
 
     Returns ``(summary, FoldStats)``.  ``verify``, when given, is called as
     ``verify(path, node, summary, subgraph)`` after every handler with the
-    materialized subgraph of that node (debug mode; quadratic).
+    evaluated subgraph of that node (debug mode).  That costs the sum of
+    the node subgraph sizes, which is cubic in the length of a join chain.
+    Without ``verify`` the fold evaluates nothing.
     """
-    graph = cache(lambda: evaluate(e))
     # normalization shares two pattern objects across whole chains; the
     # cache is local so that no pattern outlives the fold
     pattern_graph = cache(Pattern.to_graph)
@@ -141,9 +102,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 stats.bump("inc")
                 depth += 1
                 stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
-                view = SubgraphView(node.child, graph)
                 value = handlers.on_inc(
-                    vals[0][0], node.name, node.in_names, node.out_names, view
+                    vals[0][0], node.name, node.in_names, node.out_names, node.child
                 )
             elif isinstance(node, Subst):
                 stats.bump("subst")
@@ -154,13 +114,13 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 value = handlers.on_subst(pattern_graph(node.pattern), children)
             elif isinstance(node, SubstTd):
                 stats.bump("subst_td")
-                pattern = evaluate(Expression(e.mode, node.pattern_expr))
-                stats.sum_pattern_order += pattern.n
+                # validation binds each pattern vertex exactly once
+                stats.sum_pattern_order += len(node.bindings)
                 stats.max_subtd_depth = max(
                     stats.max_subtd_depth, inc_nesting(node.pattern_expr)
                 )
-                children = _aligned(node, pattern.vertices, vals)
-                value = handlers.on_subst_td(node.pattern_expr, pattern, children)
+                children = [(bn, v) for (bn, _), (v, _) in zip(node.bindings, vals)]
+                value = handlers.on_subst_td(node.pattern_expr, children)
             elif isinstance(node, (Union, Join)):
                 raise InputError(
                     "fold requires a normalized expression (no union/join); "
@@ -176,8 +136,7 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
             raise
 
         if verify is not None:
-            sub = graph().induced(collect_vertex_names(node))
-            verify(where(), node, value, sub)
+            verify(where(), node, value, evaluate(Expression(e.mode, node)))
         return value, depth
 
     value, _ = fold_expression(e.root, combine)
@@ -225,11 +184,11 @@ def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
 # with none of the supported problems.
 
 
-def fold_td_expression(pattern_expr, pattern_graph: Graph, *, empty, vertex, union, inc):
+def fold_td_expression(pattern_expr, *, empty, vertex, union, inc):
     """Post-order fold over a pure tree-depth expression.
 
-    ``inc`` is called as ``inc(child_value, name, in_names, out_names, view)``
-    with a view of the child sub-pattern induced from ``pattern_graph``.
+    ``inc`` is called as ``inc(child_value, name, in_names, out_names,
+    child_expr)`` with the child sub-pattern expression.
     """
 
     def combine(node, vals, _where):
@@ -240,8 +199,7 @@ def fold_td_expression(pattern_expr, pattern_graph: Graph, *, empty, vertex, uni
         if isinstance(node, Union):
             return union(vals)
         if isinstance(node, Inc):
-            view = SubgraphView(node.child, lambda: pattern_graph)
-            return inc(vals[0], node.name, node.in_names, node.out_names, view)
+            return inc(vals[0], node.name, node.in_names, node.out_names, node.child)
         raise InputError(
             f"{type(node).__name__} node inside a tree-depth pattern expression"
         )

@@ -103,9 +103,6 @@ class Graph:
     def out_neighbors(self, v):
         return self._out[v]
 
-    def in_neighbors(self, v):
-        return self._in[v]
-
     def neighbors(self, v):
         if self.kind == DIRECTED:
             return self._out[v] | self._in[v]

@@ -47,7 +47,7 @@ from itertools import product
 
 from . import framework
 from .errors import ContractViolation, InputError, VerificationError
-from .expr import Expression, collect_vertex_names, normalize, validate_or_raise
+from .expr import Expression, collect_vertex_names, evaluate_node, normalize, validate_or_raise
 from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
 from .framework import HandlerSet, fold_td_expression
 from .graphs import (
@@ -233,18 +233,24 @@ def _dijkstra_labels(vertices, adjacency, reduced_cost, sources, tol):
     return dist
 
 
-def _inc_core(pi, msp_child, x, in_names, out_names, w, view, tol):
-    """Shared machinery for adding vertex ``x`` to a child graph whose
-    shortest-path feasible potential ``pi`` is known.
+def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
+    """Shared machinery for adding vertex ``x`` to the graph of the child
+    subexpression ``child``, whose shortest-path feasible potential ``pi``
+    is known.  The child is evaluated here into out- and in-adjacency
+    lists, for main-tree and tree-depth pattern incs alike.
 
     Returns NEGATIVE_CYCLE or ``(new_potential, msp, dist_from_x, dist_to_x)``
     where the distance maps are in vertex-weight space and include the
     ``x -> x`` single-vertex entry.
     """
     pi = potential_dict(pi)
-    verts = view.vertices
+    verts, edges = evaluate_node(child, DIRECTED)
     wx = w[x]
-    adj_out = {v: view.out_neighbors(v) for v in verts}
+    adj_out = {v: [] for v in verts}
+    adj_in = {v: [] for v in verts}
+    for a, b in edges:
+        adj_out[a].append(b)
+        adj_in[b].append(a)
 
     # labels from x under reduced edge-shifted costs; the only potentially
     # negative costs are the first hops, folded into the initial labels
@@ -261,7 +267,6 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, view, tol):
         if fwd[u] < INF and fwd[u] + pi[u] + w[u] < -tol:
             return NEGATIVE_CYCLE
 
-    adj_in = {v: view.in_neighbors(v) for v in verts}
     bwd = _dijkstra_labels(
         verts,
         adj_in,
@@ -292,10 +297,10 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, view, tol):
 # Negative cycle detection handlers
 
 
-def ncd_inc(f, x, in_names, out_names, w, view, tol):
+def ncd_inc(f, x, in_names, out_names, w, child, tol):
     if is_negative_cycle(f):
         return f
-    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view, tol)
+    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
     if is_negative_cycle(core):
         return core
     new_pi, msp, _, _ = core
@@ -337,21 +342,20 @@ def ncd_subst(pattern_graph, children, tol):
     return NcdSummary(_shifted_potential(children, pi_h), min(D.values()))
 
 
-def ncd_subst_td(pattern_expr, pattern_graph, children, tol):
+def ncd_subst_td(pattern_expr, children, tol):
     """Same contract as ncd_subst, but the pattern summary is computed by
     replaying the pattern's tree-depth expression with the inc handler over
-    the reweighted pattern."""
+    the pattern reweighted with the child msps."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
     inner = fold_td_expression(
         pattern_expr,
-        pattern_graph,
         empty=lambda: NcdSummary({}, INF),
         vertex=lambda name: NcdSummary({name: 0.0}, omega[name]),
         union=_merge_ncd,
-        inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, omega, view, tol),
+        inc=lambda f, x, inn, out, child: ncd_inc(f, x, inn, out, omega, child, tol),
     )
     if is_negative_cycle(inner):
         return inner
@@ -441,12 +445,12 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     return FullSummary(s.potential, s.msp, s.min_out, s.min_in, rows)
 
 
-def apsp_inc(f, x, in_names, out_names, w, view, tol):
+def apsp_inc(f, x, in_names, out_names, w, child, tol):
     if is_negative_cycle(f):
         return f
     if not f.min_out:  # x is the whole graph: a tree-depth leaf
         return _full_singleton(x, w[x])
-    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, view, tol)
+    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
     if is_negative_cycle(core):
         return core
     # expand the child only once x is known to close no negative cycle
@@ -502,7 +506,7 @@ def apsp_subst(pattern_graph, children, tol):
     return _assemble_module(children, omega, D)
 
 
-def apsp_subst_td(pattern_expr, pattern_graph, children, tol):
+def apsp_subst_td(pattern_expr, children, tol):
     """Same contract as apsp_subst; the pattern's all-pairs distances come
     from replaying its tree-depth expression with the inc handler."""
     for _, s in children:
@@ -511,11 +515,10 @@ def apsp_subst_td(pattern_expr, pattern_graph, children, tol):
     omega = {name: s.msp for name, s in children}
     inner = fold_td_expression(
         pattern_expr,
-        pattern_graph,
         empty=lambda: FullSummary({}, INF, {}, {}, []),
         vertex=lambda name: _full_singleton(name, omega[name]),
         union=_merge_full,
-        inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, omega, view, tol),
+        inc=lambda f, x, inn, out, child: apsp_inc(f, x, inn, out, omega, child, tol),
     )
     if is_negative_cycle(inner):
         return inner
@@ -553,9 +556,9 @@ def ncd_handlers(w: dict) -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: NcdSummary({}, INF),
         base_vertex=lambda name: NcdSummary({name: 0.0}, w[name]),
-        on_inc=lambda f, x, inn, out, view: ncd_inc(f, x, inn, out, w, view, tol),
+        on_inc=lambda f, x, inn, out, child: ncd_inc(f, x, inn, out, w, child, tol),
         on_subst=lambda pg, children: ncd_subst(pg, children, tol),
-        on_subst_td=lambda pe, pg, children: ncd_subst_td(pe, pg, children, tol),
+        on_subst_td=lambda pe, children: ncd_subst_td(pe, children, tol),
     )
 
 
@@ -564,9 +567,9 @@ def apsp_handlers(w: dict) -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: FullSummary({}, INF, {}, {}, []),
         base_vertex=lambda name: _full_singleton(name, w[name]),
-        on_inc=lambda f, x, inn, out, view: apsp_inc(f, x, inn, out, w, view, tol),
+        on_inc=lambda f, x, inn, out, child: apsp_inc(f, x, inn, out, w, child, tol),
         on_subst=lambda pg, children: apsp_subst(pg, children, tol),
-        on_subst_td=lambda pe, pg, children: apsp_subst_td(pe, pg, children, tol),
+        on_subst_td=lambda pe, children: apsp_subst_td(pe, children, tol),
     )
 
 

@@ -115,7 +115,7 @@ def combine_subst(h, children) -> TriFold:
     return _assemble(children, h.edges, tri_total)
 
 
-def combine_subst_td(pattern_expr, pattern_graph, children) -> TriFold:
+def combine_subst_td(pattern_expr, children) -> TriFold:
     """Same result as combine_subst on the pattern graph, but the pattern's
     triangles are found while replaying its tree-depth expression: each
     added pattern vertex x contributes n_u * n_v * n_x for every
@@ -123,7 +123,7 @@ def combine_subst_td(pattern_expr, pattern_graph, children) -> TriFold:
     sizes = {name: f.n for name, f in children}
     tri_total = 0
 
-    def on_inc(child_edges, x, in_names, out_names, view):
+    def on_inc(child_edges, x, in_names, out_names, _child):
         nonlocal tri_total
         nbrs = in_names | out_names
         for (u, v) in child_edges:
@@ -139,7 +139,7 @@ def combine_subst_td(pattern_expr, pattern_graph, children) -> TriFold:
         return out
 
     edges = fold_td_expression(
-        pattern_expr, pattern_graph, empty=list, vertex=lambda _: [], union=on_union, inc=on_inc
+        pattern_expr, empty=list, vertex=lambda _: [], union=on_union, inc=on_inc
     )
     return _assemble(children, edges, tri_total)
 
@@ -163,7 +163,7 @@ def handlers() -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: TriFold(0, 0, 0),
         base_vertex=lambda name: TriFold(1, 0, 0),
-        on_inc=lambda f, name, inn, out, view: combine_inc(f, inn | out, view.child),
+        on_inc=lambda f, name, inn, out, child: combine_inc(f, inn | out, child),
         on_subst=combine_subst,
         on_subst_td=combine_subst_td,
     )

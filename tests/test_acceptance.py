@@ -242,15 +242,15 @@ def test_criterion_6_handler_cross_equality():
             assert len(order) <= 12
             tri, ncd, apsp = _tiny_children(order, mode, seed)
             if mode == UNDIRECTED:
-                assert combine_subst(pg, tri) == combine_subst_td(pe, pg, tri)
+                assert combine_subst(pg, tri) == combine_subst_td(pe, tri)
                 continue
-            a, b = ncd_subst(pg, ncd, TOL), ncd_subst_td(pe, pg, ncd, TOL)
+            a, b = ncd_subst(pg, ncd, TOL), ncd_subst_td(pe, ncd, TOL)
             assert is_negative_cycle(a) == is_negative_cycle(b)
             if not is_negative_cycle(a):
                 assert _close(a.msp, b.msp, tol)
                 for k in a.potential:
                     assert _close(a.potential[k], b.potential[k], tol)
-            fa, fb = apsp_subst(pg, apsp, TOL), apsp_subst_td(pe, pg, apsp, TOL)
+            fa, fb = apsp_subst(pg, apsp, TOL), apsp_subst_td(pe, apsp, TOL)
             assert is_negative_cycle(fa) == is_negative_cycle(fb)
             if not is_negative_cycle(fa):
                 assert _close(fa.msp, fb.msp, tol)

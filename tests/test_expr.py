@@ -17,7 +17,6 @@ from graphexpr import (
     evaluate,
     gen_fixture,
     gen_random,
-    member,
     normalize,
     oracle_treedepth,
     params,
@@ -196,7 +195,7 @@ def test_long_normalized_union_chain_is_linear():
 
 
 # ---------------------------------------------------------------------------
-# params / member
+# params
 
 
 def k5_expression():
@@ -218,10 +217,12 @@ def test_params_clique_substituted_star():
 
 
 def test_member():
+    # an expression lies in the class (k, h, l) iff params is at most
+    # (k, h, l) in every component
     e = gen_fixture("substar", 4)
-    assert member(e, 99, 99, 99)
-    assert member(k5_expression(), 0, 0, 0)
-    assert not member(e, 2, 0, 0)
+    assert all(p <= 99 for p in params(e))
+    assert all(p <= 0 for p in params(k5_expression()))
+    assert params(e).k > 2
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ def counting_handlers():
     return HandlerSet(
         base_empty=lambda: 0,
         base_vertex=lambda name: 1,
-        on_inc=lambda f, name, inn, out, view: f + 1,
+        on_inc=lambda f, name, inn, out, child: f + 1,
         on_subst=lambda pg, children: sum(f for _, f in children),
-        on_subst_td=lambda pe, pg, children: sum(f for _, f in children),
+        on_subst_td=lambda pe, children: sum(f for _, f in children),
     )
 
 
@@ -50,9 +50,9 @@ def nm_handlers():
     return HandlerSet(
         base_empty=lambda: (0, 0),
         base_vertex=lambda name: (1, 0),
-        on_inc=lambda f, name, inn, out, view: (f[0] + 1, f[1] + len(inn | out)),
+        on_inc=lambda f, name, inn, out, child: (f[0] + 1, f[1] + len(inn | out)),
         on_subst=subst,
-        on_subst_td=lambda pe, pg, children: (_ for _ in ()).throw(AssertionError),
+        on_subst_td=lambda pe, children: (_ for _ in ()).throw(AssertionError),
     )
 
 
@@ -90,7 +90,7 @@ def graph_rebuild_handlers(mode):
     """Handlers that rebuild (vertices, edges); folding them must reproduce
     evaluate() exactly."""
 
-    def inc(f, name, inn, out, view):
+    def inc(f, name, inn, out, child):
         verts, edges = f
         if mode == "directed":
             edges |= {(name, u) for u in out} | {(u, name) for u in inn}
@@ -116,7 +116,7 @@ def graph_rebuild_handlers(mode):
         base_vertex=lambda name: ({name}, set()),
         on_inc=inc,
         on_subst=subst,
-        on_subst_td=lambda pe, pg, children: subst(pg, children),
+        on_subst_td=lambda pe, children: subst(evaluate(Expression(mode, pe)), children),
     )
 
 
@@ -186,7 +186,7 @@ def test_assert_stats_reports_violation():
 def test_handler_error_carries_node_path():
     e = parse("(directed (inc x () (vertex a)))")
 
-    def boom(f, name, inn, out, view):
+    def boom(f, name, inn, out, child):
         raise RuntimeError("boom")
 
     hs = counting_handlers()
@@ -202,7 +202,7 @@ NESTED = (
 
 
 def test_handler_error_message_is_unquoted():
-    def boom(f, name, inn, out, view):
+    def boom(f, name, inn, out, child):
         raise RuntimeError("boom")
 
     hs = counting_handlers()
@@ -231,7 +231,7 @@ def test_handler_error_path_on_deep_normalized_chain():
     leaves = " ".join(f"(inc x{i} () (vertex a{i}))" for i in range(r))
     e = normalize(parse(f"(directed (union {leaves}))"))
 
-    def boom(f, name, inn, out, view):
+    def boom(f, name, inn, out, child):
         if name == "x0":
             raise RuntimeError("boom")
         return f + 1
@@ -245,85 +245,107 @@ def test_handler_error_path_on_deep_normalized_chain():
     assert str(info.value).endswith(f" [at {path}]")
 
 
-def test_inc_view_sees_child_subgraph_only():
+def test_inc_handler_gets_its_child_expression_only():
     e = parse(
         "(undirected (join (vertex z) (inc x ((x a)) "
         "(union (vertex a) (vertex b)))))"
     )
     seen = {}
 
-    def spy(f, name, inn, out, view):
-        seen["vertices"] = set(view.vertices)
-        seen["edges"] = {
-            (u, v) for u in view.vertices for v in view.out_neighbors(u) if u <= v
-        }
+    def spy(f, name, inn, out, child):
+        seen["graph"] = evaluate(Expression(UNDIRECTED, child))
         return f + 1
 
     hs = counting_handlers()
     hs.on_inc = spy
     fold(normalize(e), hs)
-    # the join to z happens above the inc; the view must not contain z or
+    # the join to z happens above the inc; the child must not contain z or
     # any join edges
-    assert seen["vertices"] == {"a", "b"}
-    assert seen["edges"] == set()
+    assert set(seen["graph"].vertices) == {"a", "b"}
+    assert seen["graph"].edges == frozenset()
 
 
-def test_inc_view_resolves_its_vertices_and_graph_once(monkeypatch):
-    # the view exposes the child expression; its vertex set and graph are
-    # built on the first query and reused by every later one
-    from graphexpr import framework
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Roots of the evaluations started outside the evaluator: every
+    module's ``evaluate`` and ``evaluate_node`` is wrapped, and the calls the
+    evaluator makes to itself are not recorded."""
+    from graphexpr import expr, framework, paths, triangles
 
-    collected = []
-    real_collect = framework.collect_vertex_names
-    monkeypatch.setattr(
-        framework,
-        "collect_vertex_names",
-        lambda node: collected.append(node) or real_collect(node),
-    )
-    child = normalize(parse("(undirected (join (vertex a) (union (vertex b) (vertex c))))")).root
-    g = evaluate(Expression(UNDIRECTED, child))
-    built = []
-    view = framework.SubgraphView(child, lambda: built.append(1) or g)
-    assert view.child is child
-    assert built == [] and collected == []
-    assert sorted(view.out_neighbors("a")) == ["b", "c"]
-    assert view.in_neighbors("b") == ["a"]
-    assert view.vertices == {"a", "b", "c"}
-    assert built == [1] and collected == [child]
+    roots, depth = [], [0]
+
+    def wrap(real, root_of):
+        def spy(*args):
+            if not depth[0]:
+                roots.append(root_of(*args))
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        return spy
+
+    for module in (expr, framework, paths, triangles):
+        if hasattr(module, "evaluate"):
+            monkeypatch.setattr(module, "evaluate", wrap(module.evaluate, lambda e: e.root))
+        if hasattr(module, "evaluate_node"):
+            monkeypatch.setattr(
+                module, "evaluate_node", wrap(module.evaluate_node, lambda root, mode: root)
+            )
+    return roots
 
 
-def test_fold_evaluates_the_whole_graph_only_for_inc_views(monkeypatch):
-    # without verify, a TC solve never builds the whole graph (its inc
-    # handler counts from the child expression), and an APSP solve builds
-    # it once if its main tree has an inc node; each subst-td pattern is
-    # evaluated once per node
+def test_solves_evaluate_only_their_inc_children(evaluations):
+    # without verify, the fold and a TC solve evaluate nothing; an NCD or
+    # APSP solve evaluates each inc node's child once, in the main tree and
+    # in subst-td patterns alike (APSP answers an inc over a vertexless
+    # child without evaluating it)
     from collections import Counter
 
-    from graphexpr import DIRECTED, all_pairs, count_triangles, framework, gen_weights
+    from graphexpr import (
+        DIRECTED,
+        apsp_outcome,
+        count_triangles,
+        gen_weights,
+        is_negative_cycle,
+        ncd_outcome,
+    )
     from graphexpr.expr import Inc, SubstTd, collect_vertex_names, fold_expression
 
-    evaluated = []
-    real = framework.evaluate
-    monkeypatch.setattr(framework, "evaluate", lambda e: evaluated.append(e.root) or real(e))
-    seen = set()
+    def inc_children(root):
+        nodes = []
+        fold_expression(root, lambda node, _vals, _where: nodes.append(node))
+        incs = [n.child for n in nodes if isinstance(n, Inc)]
+        return incs, [n.pattern_expr for n in nodes if isinstance(n, SubstTd)]
+
+    seen = Counter()
     for seed in range(70):
         for mode in (UNDIRECTED, DIRECTED):
             e = corpus_instance(seed, mode, 25)
-            nodes = []
-            fold_expression(e.root, lambda node, _vals, _where: nodes.append(node))
-            patterns = Counter(id(n.pattern_expr) for n in nodes if isinstance(n, SubstTd))
-            has_inc = any(isinstance(n, Inc) for n in nodes)
-            evaluated.clear()
+            evaluations.clear()  # the generator evaluates its patterns
+            fold(normalize(e), counting_handlers())
+            assert evaluations == [], seed
             if mode == UNDIRECTED:
                 count_triangles(e)
-            else:
-                all_pairs(e, gen_weights(collect_vertex_names(e.root), 0.0, 5.0, seed))
-            pattern_evals = Counter(id(r) for r in evaluated if id(r) in patterns)
-            assert pattern_evals == patterns, seed
-            whole = len(evaluated) - sum(pattern_evals.values())
-            assert whole == (1 if has_inc and mode == DIRECTED else 0), seed
-            seen.add((mode, has_inc))
-    assert len(seen) == 4
+                assert evaluations == [], seed
+                continue
+            main, patterns = inc_children(normalize(e).root)
+            pattern_incs = [c for pe in patterns for c in inc_children(pe)[0]]
+            seen["main"] += len(main)
+            seen["pattern"] += len(pattern_incs)
+            w = gen_weights(collect_vertex_names(e.root), 0.0, 5.0, seed)
+            for solve in (ncd_outcome, apsp_outcome):
+                evaluations.clear()
+                value, _ = solve(e, w)
+                assert not is_negative_cycle(value)
+                want = Counter(
+                    c
+                    for c in main + pattern_incs
+                    if solve is ncd_outcome or collect_vertex_names(c)
+                )
+                assert Counter(evaluations) == want, (seed, solve.__name__)
+    assert seen["main"] and seen["pattern"]
 
 
 def test_fold_builds_each_pattern_graph_once(monkeypatch):

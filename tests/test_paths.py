@@ -290,7 +290,7 @@ def test_subst_td_directed_path_pattern():
     names = pg.vertices
     assert names == ("p1", "p2", "p3")
     children = _summaries_for(names, (1.0, 2.0, 3.0), "apsp")
-    out = apsp_subst_td(top, pg, children, TOL)
+    out = apsp_subst_td(top, children, TOL)
     assert close(out.pattern_dist[("p1", "p3")], 6.0)
     ref = apsp_subst(pg, children, TOL)
     _assert_module_summaries_equal(out, ref)
@@ -302,8 +302,7 @@ def test_subst_td_negative_cycle_in_pattern():
     leaf = Inc("p1", frozenset(), frozenset(), Empty())
     top = Inc("p2", frozenset({"p1"}), frozenset({"p1"}), leaf)  # 2-cycle
     children = _summaries_for(("p1", "p2"), (-3.0, 2.0), "ncd")
-    pg = evaluate(Expression(DIRECTED, top))
-    assert is_negative_cycle(ncd_subst_td(top, pg, children, TOL))
+    assert is_negative_cycle(ncd_subst_td(top, children, TOL))
 
 
 def _assert_module_summaries_equal(a, b, tol=1e-9):
@@ -331,7 +330,7 @@ def test_handler_cross_equality_on_generated_patterns():
 
         ncd_children = _summaries_for(names, weights, "ncd")
         a = ncd_subst(pg, ncd_children, TOL)
-        b = ncd_subst_td(pe, pg, ncd_children, TOL)
+        b = ncd_subst_td(pe, ncd_children, TOL)
         assert is_negative_cycle(a) == is_negative_cycle(b)
         if not is_negative_cycle(a):
             assert close(a.msp, b.msp)
@@ -340,7 +339,7 @@ def test_handler_cross_equality_on_generated_patterns():
 
         apsp_children = _summaries_for(names, weights, "apsp")
         fa = apsp_subst(pg, apsp_children, TOL)
-        fb = apsp_subst_td(pe, pg, apsp_children, TOL)
+        fb = apsp_subst_td(pe, apsp_children, TOL)
         assert is_negative_cycle(fa) == is_negative_cycle(fb)
         if not is_negative_cycle(fa):
             _assert_module_summaries_equal(fa, fb)
@@ -373,7 +372,7 @@ def test_substitution_handlers_leave_their_children_alone():
     before = _child_state(ncd)
     for handler in (
         lambda: ncd_subst(pg, ncd, TOL),
-        lambda: ncd_subst_td(top, pg, ncd, TOL),
+        lambda: ncd_subst_td(top, ncd, TOL),
     ):
         a, b = handler(), handler()
         assert a.msp == b.msp
@@ -388,7 +387,7 @@ def test_substitution_handlers_leave_their_children_alone():
     before = _child_state(apsp)
     for handler in (
         lambda: apsp_subst(pg, apsp, TOL),
-        lambda: apsp_subst_td(top, pg, apsp, TOL),
+        lambda: apsp_subst_td(top, apsp, TOL),
     ):
         a, b = handler(), handler()
         _assert_module_summaries_equal(a, b, tol=0.0)
@@ -489,7 +488,7 @@ def test_ncd_subst_td_edgeless_pattern():
         )
     )
     children = [("p1", _ncd_single("a", 4.0)), ("p2", _ncd_single("b", -1.5))]
-    out = ncd_subst_td(pe, evaluate(Expression(DIRECTED, pe)), children, TOL)
+    out = ncd_subst_td(pe, children, TOL)
     assert close(out.msp, -1.5)
 
 
@@ -597,6 +596,24 @@ def test_apsp_peak_memory_per_vertex_pair():
     n = len(names)
     assert len(value.dist) == n * n
     assert peak <= 64 * n * n, f"{peak / (n * n):.1f} bytes per pair"
+
+
+def test_apsp_peak_memory_on_a_join_heavy_input():
+    # m = 19891 edges on 400 vertices: a solve that evaluated the whole
+    # graph peaked at 63 bytes per pair before the root expansion; inc nodes
+    # that evaluate only their own child leave the rows' 38
+    e = gen_random(GenSpec(DIRECTED, k=2, h=4, l=2, budget=400, seed=3))
+    names = collect_vertex_names(e.root)
+    w = gen_weights(names, 0.0, 5.0, 3)
+    tracemalloc.start()
+    try:
+        value, _ = apsp_outcome(e, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(names)
+    assert len(value.dist) == n * n
+    assert peak <= 48 * n * n, f"{peak / (n * n):.1f} bytes per pair"
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,7 @@ def test_subst_td_matches_subst_on_triangle():
         ("r", TriFold(1, 0, 0)),
     ]
     pe = k3_td_pattern()
-    pg = evaluate(Expression(UNDIRECTED, pe))
-    assert combine_subst_td(pe, pg, children) == TriFold(4, 5, 2)
+    assert combine_subst_td(pe, children) == TriFold(4, 5, 2)
 
 
 def test_subst_td_edgeless_pattern():
@@ -164,15 +163,14 @@ def test_subst_td_edgeless_pattern():
         )
     )
     children = [("p", TriFold(2, 1, 1)), ("q", TriFold(3, 0, 0))]
-    pg = evaluate(Expression(UNDIRECTED, pe))
-    assert combine_subst_td(pe, pg, children).t == 1
+    assert combine_subst_td(pe, children).t == 1
 
 
 def test_subst_td_tree_pattern_with_singletons_is_triangle_free():
     pe = gen_fixture("substar", 4).root
     pg = evaluate(Expression(UNDIRECTED, pe))
     children = [(nm, TriFold(1, 0, 0)) for nm in pg.vertices]
-    assert combine_subst_td(pe, pg, children).t == 0
+    assert combine_subst_td(pe, children).t == 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def test_subst_td_equals_subst_on_generated_patterns():
             (nm, TriFold(n, min(m, n * (n - 1) // 2), 0))
             for nm, (n, m, _) in zip(names, rng_vals)
         ]
-        assert combine_subst(pg, children) == combine_subst_td(pe, pg, children), seed
+        assert combine_subst(pg, children) == combine_subst_td(pe, children), seed
 
 
 def test_inc_monotonicity():
