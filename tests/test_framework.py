@@ -348,6 +348,72 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
     assert seen["main"] and seen["pattern"]
 
 
+def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
+    # an inc handler gets the Inc node's own child; the shortest-path inc
+    # core resolves that child's vertices and edges with one evaluation and
+    # never evaluates the whole graph
+    from graphexpr import DIRECTED, apsp_outcome, is_negative_cycle, ncd_outcome
+    from graphexpr.expr import Inc, fold_expression
+    from graphexpr.paths import ncd_handlers
+
+    e = parse(
+        "(directed (join (vertex z) (inc y ((y x)) (inc x ((x a) (b x)) "
+        "(union (vertex a) (vertex b))))))"
+    )
+    ne = normalize(e)
+    nodes = []
+    fold_expression(ne.root, lambda node, _vals, _where: nodes.append(node))
+    incs = [n for n in nodes if isinstance(n, Inc)]
+    assert [n.name for n in incs] == ["x", "y"]
+    w = {v: 1.0 for v in "abxyz"}
+
+    received = []
+    hs = ncd_handlers(w)
+    real_inc = hs.on_inc
+    hs.on_inc = lambda f, name, inn, out, child: received.append(child) or real_inc(
+        f, name, inn, out, child
+    )
+    evaluations.clear()
+    fold(ne, hs)
+    assert [id(c) for c in received] == [id(n.child) for n in incs]
+    assert [id(r) for r in evaluations] == [id(n.child) for n in incs]
+
+    for solve in (ncd_outcome, apsp_outcome):
+        evaluations.clear()
+        value, _ = solve(e, w)
+        assert not is_negative_cycle(value)
+        assert evaluations == [n.child for n in incs], solve.__name__
+        assert ne.root not in evaluations
+    assert evaluate(Expression(DIRECTED, incs[0].child)).edges == frozenset()
+
+
+def test_fold_evaluates_the_whole_graph_only_for_inc_views(evaluations):
+    # without verify the fold evaluates nothing, not even the whole graph;
+    # with verify it evaluates each node's own subexpression once, in post
+    # order, so the whole graph is evaluated once, for the root alone
+    from graphexpr.expr import fold_expression
+
+    for seed in range(10):
+        ne = normalize(corpus_instance(seed, UNDIRECTED, 25))
+        nodes = []
+        fold_expression(ne.root, lambda node, _vals, _where: nodes.append(node))
+        evaluations.clear()
+        plain, _ = fold(ne, counting_handlers())
+        assert evaluations == [], seed
+        checked = []
+        verified, _ = fold(
+            ne,
+            counting_handlers(),
+            verify=lambda path, node, value, sub: checked.append(
+                value == len(sub.vertices)
+            ),
+        )
+        assert verified == plain
+        assert all(checked) and len(checked) == len(nodes), seed
+        assert [id(r) for r in evaluations] == [id(n) for n in nodes], seed
+        assert sum(r is ne.root for r in evaluations) == 1, seed
+
+
 def test_fold_builds_each_pattern_graph_once(monkeypatch):
     # a normalized 2000-way union is a chain of 1999 substitutions into one
     # shared two-vertex pattern; the fold builds its graph once, not per node
