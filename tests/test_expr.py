@@ -1,6 +1,7 @@
 """Expression AST: parsing, validation, evaluation, parameters,
 normalization, printing round trips."""
 
+import re
 import time
 
 import pytest
@@ -83,6 +84,152 @@ def test_parse_rejects_empty_input():
 def test_parse_inc_edge_must_touch_new_vertex():
     with pytest.raises(ParseError, match="endpoint"):
         parse("(directed (inc x ((a b)) (union (vertex a) (vertex b))))")
+
+
+_BIND_XY = "((a (vertex x)) (b (vertex y)))"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(directed (vertex a!))", "line 1 col 20: unexpected character '!'"),
+        (
+            "(directed\n  (union (vertex a)\n    (vertex b$)))",
+            "line 3 col 14: unexpected character '$'",
+        ),
+        # a bad character is reported even after an earlier syntax error
+        ("(directed (vertex a b))\n@", "line 2 col 1: unexpected character '@'"),
+        ("(directed (vertex a)) # ok: $ is in a comment", None),
+        ("(directed (union (vertex a) (vertex b)", "unexpected end of input"),
+        ("(directed (vertex a)", "unexpected end of input"),
+        ("(directed", "unexpected end of input"),
+        ("(directed (inc x ((x a", "unexpected end of input"),
+        ("(directed (subst (graph (a b) ()) ((a (vertex x))", "unexpected end of input"),
+        ("", "empty input: expected (MODE expr); the empty graph is written (empty)"),
+        (
+            "  # only a comment\n\n",
+            "empty input: expected (MODE expr); the empty graph is written (empty)",
+        ),
+        ("directed (vertex a)", "line 1 col 1: expected '(', found 'directed'"),
+        ("(directed (vertex a b))", "line 1 col 21: expected ')', found 'b'"),
+        ("(directed (union a (vertex b)))", "line 1 col 18: expected '(', found 'a'"),
+        ("(directed (inc x ((x a) b) (vertex a)))", "line 1 col 25: expected '(', found 'b'"),
+        ("(directed (inc x ((x a b)) (vertex a)))", "line 1 col 24: expected ')', found 'b'"),
+        ("(directed (inc x (x a) (vertex a)))", "line 1 col 19: expected '(', found 'x'"),
+        (
+            "(directed (subst (graph (a b) ()) ((a (vertex x) (b (vertex y)))))",
+            "line 1 col 50: expected ')', found '('",
+        ),
+        (
+            "(undirected # a comment (with parens\n (vertex a) # more\n x)",
+            "line 3 col 2: expected ')', found 'x'",
+        ),
+        (
+            "(undirected (vertex a) # tail\n # (vertex b)\n (vertex c))",
+            "line 3 col 2: expected ')', found '('",
+        ),
+        ("(directed (vertex ()))", "line 1 col 19: expected name, found '('"),
+        ("(directed (inc x ((x ()) (vertex a)))", "line 1 col 22: expected name, found '('"),
+        ("(directed (inc ( ((x a)) (vertex a)))", "line 1 col 16: expected vertex name, found '('"),
+        (
+            "(directed (subst (graph (a ( ) ()) ((a (vertex x)))))",
+            "line 1 col 28: expected pattern vertex, found '('",
+        ),
+        (
+            "(directed (subst (graph (a b) ()) ((( (vertex x)))))",
+            "line 1 col 37: expected pattern vertex, found '('",
+        ),
+        ("(mixed (vertex a))", "line 1 col 2: expected 'directed' or 'undirected', found 'mixed'"),
+        ("( ( (vertex a))", "line 1 col 3: expected 'directed' or 'undirected', found '('"),
+        ("(directed (vertex a)) (vertex b)", "line 1 col 23: trailing input after expression"),
+        ("(directed (vertex a))\n\n  )", "line 3 col 3: trailing input after expression"),
+        ("(directed (union (vertex a)))", "line 1 col 12: union needs at least two arguments"),
+        ("(undirected\n (join\n   (vertex a)\n ))", "line 2 col 3: join needs at least two arguments"),
+        ("(directed (inc x ((x x)) (vertex a)))", "line 1 col 19: loop edge on 'x'"),
+        (
+            "(directed\n  (inc x ((x a)\n          (a b)) (union (vertex a) (vertex b))))",
+            "line 3 col 11: inc edge must have 'x' as one endpoint",
+        ),
+        ("(directed (frobnicate a))", "line 1 col 12: unknown operator 'frobnicate'"),
+        ("(directed (( a))", "line 1 col 12: unknown operator '('"),
+        ("(directed ())", "line 1 col 12: unknown operator ')'"),
+        (
+            f"(directed (subst (grph (a b) ()) {_BIND_XY}))",
+            "line 1 col 19: expected pattern '(graph ...)'",
+        ),
+        (
+            "(directed (subst (graph (a) ()) ((a (vertex x)))))",
+            "line 1 col 19: pattern needs at least two vertices",
+        ),
+        (
+            "(directed (subst (graph (a a) ()) ((a (vertex x)))))",
+            "line 1 col 19: duplicate pattern vertex name",
+        ),
+        (
+            f"(directed (subst (graph (a b) ((a a))) {_BIND_XY}))",
+            "line 1 col 32: loop edge in pattern",
+        ),
+        (
+            f"(directed (subst\n  (graph (a b)\n    ((a b) (a c))) {_BIND_XY}))",
+            "line 3 col 12: pattern edge uses undeclared vertex",
+        ),
+        ("(directed (subst (graph (a b) ()) ()))", "substitution needs at least one binding"),
+        (
+            "(directed (subst-td (union (vertex p) (vertex q)) ()))",
+            "substitution needs at least one binding",
+        ),
+    ],
+)
+def test_parse_error_messages(text, message):
+    # the exact text, position included, of every error the parser raises
+    if message is None:
+        parse(text)
+        return
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+_TEXT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    mode=st.sampled_from(["directed", "undirected"]),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["drop", "duplicate", "swap", "truncate"]),
+            st.integers(min_value=0, max_value=10**6),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_token_mutations(seed, mode, edits):
+    # a corpus text with tokens dropped, duplicated, swapped or cut off
+    # either fails with ParseError or parses to an expression whose printed
+    # text is a fixed point of print . parse; any other exception fails
+    toks = _TEXT_TOKEN_RE.findall(format_expression(corpus_instance(seed, mode, 12)))
+    for op, i, j in edits:
+        i, j = i % len(toks), j % len(toks)
+        if op == "drop":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "swap":
+            toks[i], toks[j] = toks[j], toks[i]
+        else:
+            del toks[i:]
+        if not toks:
+            break
+    try:
+        e = parse(" ".join(toks))
+    except ParseError:
+        return
+    text = format_expression(e)
+    assert format_expression(parse(text)) == text
 
 
 # ---------------------------------------------------------------------------
