@@ -44,28 +44,66 @@ def format_expression(e: Expression) -> str:
 
 
 def format_node(node) -> str:
-    if isinstance(node, Empty):
-        return "(empty)"
-    if isinstance(node, Vertex):
-        return f"(vertex {node.name})"
-    if isinstance(node, (Union, Join)):
-        op = "union" if isinstance(node, Union) else "join"
-        inner = " ".join(format_node(c) for c in node.children)
-        return f"({op} {inner})"
-    if isinstance(node, Inc):
-        edges = [f"({node.name} {u})" for u in sorted(node.out_names)]
-        edges += [f"({u} {node.name})" for u in sorted(node.in_names)]
-        return f"(inc {node.name} ({' '.join(edges)}) {format_node(node.child)})"
-    if isinstance(node, Subst):
-        pat = node.pattern
-        names = " ".join(pat.names)
-        edges = " ".join(f"({a} {b})" for a, b in sorted(pat.edges))
-        binds = " ".join(f"({bn} {format_node(sub)})" for bn, sub in node.bindings)
-        return f"(subst (graph ({names}) ({edges})) ({binds}))"
-    if isinstance(node, SubstTd):
-        binds = " ".join(f"({bn} {format_node(sub)})" for bn, sub in node.bindings)
-        return f"(subst-td {format_node(node.pattern_expr)} ({binds}))"
-    raise InputError(f"cannot print node of type {type(node).__name__}")
+    """Canonical text of an expression node.  Iterative: an explicit stack
+    holds the nodes still to print and the literal text between them, and
+    every piece is appended to one list that is joined once."""
+    out = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is str:
+            out.append(item)
+        elif t is Vertex:
+            out.append(f"(vertex {item.name})")
+        elif t is Inc:
+            x = item.name
+            # "(x u) (x w)" and "(u x) (w x)": one join per direction
+            edges = []
+            if item.out_names:
+                edges.append(f"({x} " + f") ({x} ".join(sorted(item.out_names)) + ")")
+            if item.in_names:
+                edges.append("(" + f" {x}) (".join(sorted(item.in_names)) + f" {x})")
+            out.append(f"(inc {x} ({' '.join(edges)}) ")
+            stack += (")", item.child)
+        elif t is Union or t is Join:
+            out.append("(union " if t is Union else "(join ")
+            stack.append(")")
+            children = item.children
+            for child in reversed(children[1:]):
+                if type(child) is Vertex:
+                    stack.append(f" (vertex {child.name})")
+                else:
+                    stack += (child, " ")
+            stack.append(children[0])
+        elif t is Empty:
+            out.append("(empty)")
+        elif t is Subst:
+            pat = item.pattern
+            names = " ".join(pat.names)
+            edges = " ".join(f"({a} {b})" for a, b in sorted(pat.edges))
+            out.append(f"(subst (graph ({names}) ({edges}))")
+            _push_bindings(stack, item.bindings)
+        elif t is SubstTd:
+            out.append("(subst-td ")
+            _push_bindings(stack, item.bindings)
+            stack.append(item.pattern_expr)
+        else:
+            raise InputError(f"cannot print node of type {t.__name__}")
+    return "".join(out)
+
+
+def _push_bindings(stack, bindings):
+    """Push ``" ((name expr) ...))"``, the bindings and the closing
+    parenthesis of a substitution, so that it pops in order."""
+    if not bindings:
+        stack.append(" ())")
+        return
+    stack.append(")))")
+    for name, sub in reversed(bindings[1:]):
+        stack += (sub, f") ({name} ")
+    name, sub = bindings[0]
+    stack += (sub, f" (({name} ")
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ The evaluator builds every graph from vertex addition and one substitution
 routine: union and join are substitutions into an edgeless resp. complete
 pattern over their children.
 
-All tree walks are iterative; expression trees may be deep (e.g. the binary
-substitution chains produced by ``normalize``).
+The parser and all tree walks are iterative, so expressions may be nested
+to any depth: deep input text as well as the binary substitution chains
+produced by ``normalize``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product, repeat
 from typing import NamedTuple
 
 from .errors import InputError
@@ -199,181 +200,253 @@ def collect_vertex_names(node) -> set:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"[()]|[A-Za-z0-9_.\-]+")
-_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+# a character that starts no token; one search per line finds the first
+_BAD_CHAR_RE = re.compile(r"[^\s()A-Za-z0-9_.\-]")
+# one token with the whitespace before it: on a line without bad characters
+# the matches tile the line, so running sums of their lengths are the
+# tokens' end columns
+_TOKEN_RE = re.compile(r"\s*(?:[()]|[A-Za-z0-9_.\-]+)")
+_PARENS = frozenset("()")
 
 
-def _tokenize(text):
-    tokens = []
+class _Tokens(NamedTuple):
+    """Parallel lists: the token strings, their line numbers and the
+    0-based exclusive column where each ends.  A token that is not a
+    parenthesis is a name."""
+
+    toks: list
+    lines: list
+    ends: list
+
+    def error(self, i, message):
+        col = self.ends[i] - len(self.toks[i]) + 1
+        return ParseError(f"line {self.lines[i]} col {col}: {message}")
+
+    def expected(self, i, what):
+        return self.error(i, f"expected {what}, found {self.toks[i]!r}")
+
+
+def _tokenize(text) -> _Tokens:
+    tokens = _Tokens([], [], [])
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            m = _TOKEN_RE.match(line, col)
-            if not m:
-                raise ParseError(f"line {lineno} col {col + 1}: unexpected character {ch!r}")
-            tokens.append((m.group(), lineno, col + 1))
-            col = m.end()
+        bad = _BAD_CHAR_RE.search(line)
+        if bad:
+            raise ParseError(
+                f"line {lineno} col {bad.start() + 1}: unexpected character {bad.group()!r}"
+            )
+        raw = _TOKEN_RE.findall(line)
+        tokens.toks.extend(map(str.lstrip, raw))
+        tokens.ends.extend(accumulate(map(len, raw)))
+        tokens.lines.extend(repeat(lineno, len(raw)))
     return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input")
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        tok, line, col = self.next()
-        if tok != value:
-            raise ParseError(f"line {line} col {col}: expected {value!r}, found {tok!r}")
-        return (line, col)
-
-    def name(self, what="name"):
-        tok, line, col = self.next()
-        if not _NAME_RE.match(tok):
-            raise ParseError(f"line {line} col {col}: expected {what}, found {tok!r}")
-        return tok
-
-    def done(self):
-        return self.i >= len(self.tokens)
 
 
 def parse(text: str) -> Expression:
     """Parse an expression file into an Expression, or raise ParseError with
-    line/column information."""
-    cur = _Cursor(_tokenize(text))
-    if cur.done():
+    line/column information.
+
+    One loop over the tokens keeps the open union, join, inc, subst and
+    subst-td nodes on an explicit stack, so any nesting depth parses.  A
+    node's ``pos`` is the position of its opening parenthesis, whose 1-based
+    column is that token's end column."""
+    tokens = _tokenize(text)
+    toks, lines, ends = tokens
+    if not toks:
         raise ParseError("empty input: expected (MODE expr); the empty graph is written (empty)")
-    cur.expect("(")
-    tok, line, col = cur.next()
-    if tok == "directed":
-        mode = DIRECTED
-    elif tok == "undirected":
-        mode = UNDIRECTED
-    else:
-        raise ParseError(f"line {line} col {col}: expected 'directed' or 'undirected', found {tok!r}")
-    root = _parse_expr(cur, mode)
-    cur.expect(")")
-    if not cur.done():
-        tok, line, col = cur.peek()
-        raise ParseError(f"line {line} col {col}: trailing input after expression")
-    return Expression(mode, root)
-
-
-def _parse_expr(cur, mode):
-    pos = cur.expect("(")
-    op, line, col = cur.next()
-    if op == "empty":
-        cur.expect(")")
-        return Empty(pos=pos)
-    if op == "vertex":
-        name = cur.name()
-        cur.expect(")")
-        return Vertex(name, pos=pos)
-    if op in ("union", "join"):
-        children = []
-        while cur.peek()[0] != ")":
-            children.append(_parse_expr(cur, mode))
-        cur.expect(")")
-        if len(children) < 2:
-            raise ParseError(f"line {line} col {col}: {op} needs at least two arguments")
-        cls = Union if op == "union" else Join
-        return cls(tuple(children), pos=pos)
-    if op == "inc":
-        name = cur.name("vertex name")
-        cur.expect("(")
-        in_names, out_names = set(), set()
-        while cur.peek()[0] != ")":
-            eline, ecol = cur.expect("(")
-            a = cur.name()
-            b = cur.name()
-            cur.expect(")")
-            if a == name and b == name:
-                raise ParseError(f"line {eline} col {ecol}: loop edge on {name!r}")
-            if a == name:
-                out_names.add(b)
-            elif b == name:
-                in_names.add(a)
+    try:
+        if toks[0] != "(":
+            raise tokens.expected(0, "'('")
+        if toks[1] == DIRECTED:
+            mode = DIRECTED
+        elif toks[1] == UNDIRECTED:
+            mode = UNDIRECTED
+        else:
+            raise tokens.expected(1, "'directed' or 'undirected'")
+        i = 2
+        # open nodes: [Union or Join, start, children],
+        # [Inc, start, name, in_names, out_names] and
+        # [Subst or SubstTd, start, pattern, bindings, name of the open binding],
+        # where start indexes the node's "(" and a subst-td pattern is None
+        # until its expression is read
+        stack = []
+        while True:
+            # an expression starts at token i
+            if toks[i] != "(":
+                raise tokens.expected(i, "'('")
+            start = i
+            op = toks[i + 1]
+            i += 2
+            if op == "vertex":
+                name = toks[i]
+                if name in _PARENS:
+                    raise tokens.expected(i, "name")
+                if toks[i + 1] != ")":
+                    raise tokens.expected(i + 1, "')'")
+                i += 2
+                node = Vertex(name, pos=(lines[start], ends[start]))
+            elif op == "inc":
+                name = toks[i]
+                if name in _PARENS:
+                    raise tokens.expected(i, "vertex name")
+                if toks[i + 1] != "(":
+                    raise tokens.expected(i + 1, "'('")
+                i += 2
+                in_names, out_names = set(), set()
+                while toks[i] != ")":
+                    a, b = _edge_at(tokens, i)
+                    if a == name:
+                        if b == name:
+                            raise tokens.error(i, f"loop edge on {name!r}")
+                        out_names.add(b)
+                    elif b == name:
+                        in_names.add(a)
+                    else:
+                        raise tokens.error(i, f"inc edge must have {name!r} as one endpoint")
+                    i += 4
+                stack.append([Inc, start, name, frozenset(in_names), frozenset(out_names)])
+                i += 1
+                continue
+            elif op == "union" or op == "join":
+                stack.append([Union if op == "union" else Join, start, []])
+                node = None
+            elif op == "subst":
+                pattern, i = _pattern_at(tokens, i, mode)
+                if toks[i] != "(":
+                    raise tokens.expected(i, "'('")
+                stack.append([Subst, start, pattern, [], None])
+                i += 1
+                node = None
+            elif op == "subst-td":
+                stack.append([SubstTd, start, None, [], None])
+                continue
+            elif op == "empty":
+                if toks[i] != ")":
+                    raise tokens.expected(i, "')'")
+                i += 1
+                node = Empty(pos=(lines[start], ends[start]))
             else:
-                raise ParseError(
-                    f"line {eline} col {ecol}: inc edge must have {name!r} as one endpoint"
-                )
-        cur.expect(")")
-        child = _parse_expr(cur, mode)
-        cur.expect(")")
-        return Inc(name, frozenset(in_names), frozenset(out_names), child, pos=pos)
-    if op == "subst":
-        pattern = _parse_pattern(cur, mode)
-        bindings = _parse_bindings(cur, mode)
-        cur.expect(")")
-        return Subst(pattern, bindings, pos=pos)
-    if op == "subst-td":
-        pattern_expr = _parse_expr(cur, mode)
-        bindings = _parse_bindings(cur, mode)
-        cur.expect(")")
-        return SubstTd(pattern_expr, bindings, pos=pos)
-    raise ParseError(f"line {line} col {col}: unknown operator {op!r}")
+                raise tokens.error(start + 1, f"unknown operator {op!r}")
+
+            # hand ``node`` (None when a node was just opened) to the open
+            # nodes, closing each one it completes, until one needs an
+            # expression at token i
+            while stack:
+                frame = stack[-1]
+                kind = frame[0]
+                if kind is Inc:
+                    if toks[i] != ")":
+                        raise tokens.expected(i, "')'")
+                    i += 1
+                    _, start, name, in_names, out_names = frame
+                    node = Inc(name, in_names, out_names, node, pos=(lines[start], ends[start]))
+                elif kind is Union or kind is Join:
+                    _, start, children = frame
+                    if node is not None:
+                        children.append(node)
+                    if toks[i] != ")":
+                        break
+                    i += 1
+                    if len(children) < 2:
+                        op = "union" if kind is Union else "join"
+                        raise tokens.error(start + 1, f"{op} needs at least two arguments")
+                    node = kind(tuple(children), pos=(lines[start], ends[start]))
+                else:
+                    bindings = frame[3]
+                    if frame[2] is None:
+                        frame[2] = node
+                        if toks[i] != "(":
+                            raise tokens.expected(i, "'('")
+                        i += 1
+                    elif node is not None:
+                        bindings.append((frame[4], node))
+                        if toks[i] != ")":
+                            raise tokens.expected(i, "')'")
+                        i += 1
+                    if toks[i] != ")":
+                        # the next binding: "(" pattern vertex, expression, ")"
+                        if toks[i] != "(":
+                            raise tokens.expected(i, "'('")
+                        frame[4] = toks[i + 1]
+                        if frame[4] in _PARENS:
+                            raise tokens.expected(i + 1, "pattern vertex")
+                        i += 2
+                        break
+                    if not bindings:
+                        raise ParseError("substitution needs at least one binding")
+                    if toks[i + 1] != ")":
+                        raise tokens.expected(i + 1, "')'")
+                    i += 2
+                    start = frame[1]
+                    node = kind(frame[2], tuple(bindings), pos=(lines[start], ends[start]))
+                stack.pop()
+            else:
+                break
+
+        if toks[i] != ")":
+            raise tokens.expected(i, "')'")
+    except IndexError:
+        raise ParseError("unexpected end of input") from None
+    if i + 1 < len(toks):
+        raise tokens.error(i + 1, "trailing input after expression")
+    return Expression(mode, node)
 
 
-def _parse_pattern(cur, mode):
-    pos = cur.expect("(")
-    tok, line, col = cur.next()
-    if tok != "graph":
-        raise ParseError(f"line {line} col {col}: expected pattern '(graph ...)'")
-    cur.expect("(")
+def _edge_at(tokens, i):
+    """The endpoints of the edge ``(a b)`` at token ``i``."""
+    toks = tokens.toks
+    if toks[i] != "(":
+        raise tokens.expected(i, "'('")
+    a = toks[i + 1]
+    if a in _PARENS:
+        raise tokens.expected(i + 1, "name")
+    b = toks[i + 2]
+    if b in _PARENS:
+        raise tokens.expected(i + 2, "name")
+    if toks[i + 3] != ")":
+        raise tokens.expected(i + 3, "')'")
+    return a, b
+
+
+def _pattern_at(tokens, i, mode):
+    """The pattern ``(graph (names) (edges))`` at token ``i``, and the index
+    of the token after it."""
+    toks = tokens.toks
+    if toks[i] != "(":
+        raise tokens.expected(i, "'('")
+    pos = (tokens.lines[i], tokens.ends[i])
+    graph_at = i + 1
+    if toks[graph_at] != "graph":
+        raise tokens.error(graph_at, "expected pattern '(graph ...)'")
+    if toks[i + 2] != "(":
+        raise tokens.expected(i + 2, "'('")
+    i += 3
     names = []
-    while cur.peek()[0] != ")":
-        names.append(cur.name("pattern vertex"))
-    cur.expect(")")
+    while (tok := toks[i]) != ")":
+        if tok in _PARENS:
+            raise tokens.expected(i, "pattern vertex")
+        names.append(tok)
+        i += 1
     if len(names) < 2:
-        raise ParseError(f"line {line} col {col}: pattern needs at least two vertices")
-    if len(set(names)) != len(names):
-        raise ParseError(f"line {line} col {col}: duplicate pattern vertex name")
+        raise tokens.error(graph_at, "pattern needs at least two vertices")
     nameset = set(names)
+    if len(nameset) != len(names):
+        raise tokens.error(graph_at, "duplicate pattern vertex name")
+    if toks[i + 1] != "(":
+        raise tokens.expected(i + 1, "'('")
+    i += 2
     edges = set()
-    cur.expect("(")
-    while cur.peek()[0] != ")":
-        eline, ecol = cur.expect("(")
-        a = cur.name()
-        b = cur.name()
-        cur.expect(")")
+    while toks[i] != ")":
+        a, b = _edge_at(tokens, i)
         if a == b:
-            raise ParseError(f"line {eline} col {ecol}: loop edge in pattern")
+            raise tokens.error(i, "loop edge in pattern")
         if a not in nameset or b not in nameset:
-            raise ParseError(f"line {eline} col {ecol}: pattern edge uses undeclared vertex")
+            raise tokens.error(i, "pattern edge uses undeclared vertex")
         edges.add(canonical_edge(mode, a, b))
-    cur.expect(")")
-    cur.expect(")")
-    return Pattern(mode, tuple(names), frozenset(edges), pos=pos)
-
-
-def _parse_bindings(cur, mode):
-    cur.expect("(")
-    bindings = []
-    while cur.peek()[0] != ")":
-        bline, bcol = cur.expect("(")
-        name = cur.name("pattern vertex")
-        sub = _parse_expr(cur, mode)
-        cur.expect(")")
-        bindings.append((name, sub))
-    cur.expect(")")
-    if not bindings:
-        raise ParseError("substitution needs at least one binding")
-    return tuple(bindings)
+        i += 4
+    if toks[i + 1] != ")":
+        raise tokens.expected(i + 1, "')'")
+    return Pattern(mode, tuple(names), frozenset(edges), pos=pos), i + 2
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +657,22 @@ def params(e: Expression) -> Params:
     """Extract the parameter triple (k, h, l) of an expression."""
 
     def combine(node, vals, _where):
-        k = max((v[0] for v in vals), default=0)
-        h = max((v[1] for v in vals), default=0)
-        l = max((v[2] for v in vals), default=0)
-        if isinstance(node, Inc):
-            k += 1
-        elif isinstance(node, Subst):
-            h = max(h, len(node.pattern.names))
-        elif isinstance(node, SubstTd):
-            l = max(l, inc_nesting(node.pattern_expr))
-        return (k, h, l)
+        if not vals:
+            khl = (0, 0, 0)
+        elif len(vals) == 1:
+            khl = vals[0]
+        else:
+            khl = tuple(map(max, zip(*vals)))
+        t = type(node)
+        if t is Inc:
+            return (khl[0] + 1, khl[1], khl[2])
+        if t is Subst:
+            h = len(node.pattern.names)
+            return khl if khl[1] >= h else (khl[0], h, khl[2])
+        if t is SubstTd:
+            l = inc_nesting(node.pattern_expr)
+            return khl if khl[2] >= l else (khl[0], khl[1], l)
+        return khl
 
     return Params(*fold_expression(e.root, combine))
 

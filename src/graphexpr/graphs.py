@@ -108,13 +108,6 @@ class Graph:
             return self._out[v] | self._in[v]
         return self._out[v]
 
-    def induced(self, names) -> "Graph":
-        """Subgraph induced on ``names`` (must be declared vertices)."""
-        keep = frozenset(names)
-        vs = [v for v in self.vertices if v in keep]
-        es = [e for e in self.edges if e[0] in keep and e[1] in keep]
-        return Graph(self.kind, vs, es)
-
     def __repr__(self):
         return f"Graph({self.kind}, n={self.n}, m={self.m})"
 

@@ -1,5 +1,7 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import time
+
 import pytest
 
 from graphexpr import cli
@@ -234,6 +236,50 @@ def test_solve_verify_catches_corrupted_handler(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "solve", "tc", str(f), "--verify")
     assert code == 3
     assert "invariant" in err
+
+
+def _nested_chain(tmp_path, mode, op, depth):
+    """A left-nested ``op`` chain over ``depth`` vertices, nested ``depth - 1``
+    levels deep, and a weight file with weights in [0, 4] (no negative
+    cycle, so the path solvers run the whole fold)."""
+    f = tmp_path / f"{op}.expr"
+    f.write_text(
+        f"({mode} "
+        + f"({op} " * (depth - 1)
+        + "(vertex v0)"
+        + "".join(f" (vertex v{i}))" for i in range(1, depth))
+        + ")\n"
+    )
+    w = tmp_path / "w.tsv"
+    w.write_text("".join(f"v{i}\t{i % 5}\n" for i in range(depth)))
+    return str(f), str(w)
+
+
+@pytest.mark.parametrize("op", ["union", "join"])
+@pytest.mark.parametrize(
+    "problem, depth, bound_s",
+    # bounds are about 3x the times measured on a 2-core x86-64 VM
+    # (tc 0.55 s, ncd 0.8-1.1 s, apsp 3.4-5.0 s)
+    [("tc", 10**4, 2.0), ("ncd", 10**4, 3.5), ("apsp", 1500, 15.0)],
+)
+def test_solve_deeply_nested_input(capsys, tmp_path, problem, op, depth, bound_s):
+    mode = "undirected" if problem == "tc" else "directed"
+    f, w = _nested_chain(tmp_path, mode, op, depth)
+    argv = ["solve", problem, f]
+    if problem != "tc":
+        argv += [w, "-o", str(tmp_path / "matrix.tsv")]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    pairs = kv(out)
+    assert pairs["stats-ok"] == "true"
+    if problem == "tc":
+        n = depth
+        assert pairs["triangles"] == str(0 if op == "union" else n * (n - 1) * (n - 2) // 6)
+    else:
+        assert pairs["negative-cycle"] == "false"
+    assert elapsed < bound_s
 
 
 # ---------------------------------------------------------------------------

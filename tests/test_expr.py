@@ -25,7 +25,7 @@ from graphexpr import (
     validate,
 )
 from graphexpr.cli import format_expression
-from graphexpr.expr import Inc, ParseError
+from graphexpr.expr import Empty, Inc, ParseError, Pattern, SubstTd, Union
 from graphexpr.oracle import GenSpec
 
 from conftest import corpus_instance
@@ -444,6 +444,29 @@ def test_print_parse_round_trip(mode):
 def test_print_parse_round_trip_hypothesis(seed, mode):
     e = corpus_instance(seed % 100000, mode, 20)
     assert parse(format_expression(e)) == e
+
+
+def test_print_parse_round_trip_deep():
+    # 10^4 levels, every node kind on the spine; texts are compared because
+    # the dataclass __eq__ of a tree this deep exceeds the recursion limit
+    node = Vertex("v0")
+    pattern = Pattern(DIRECTED, ("a", "b"), frozenset({("a", "b")}))
+    for i in range(1, 10**4):
+        leaf = Vertex(f"v{i}")
+        kind = i % 5
+        if kind == 0:
+            node = Union((node, leaf))
+        elif kind == 1:
+            node = Join((leaf, node, Empty()))
+        elif kind == 2:
+            node = Inc(f"v{i}", frozenset({"v0"}), frozenset({"v0", "v1"}), node)
+        elif kind == 3:
+            node = Subst(pattern, (("a", leaf), ("b", node)))
+        else:
+            node = SubstTd(Union((Vertex("p"), Vertex("q"))), (("p", node), ("q", leaf)))
+    text = format_expression(Expression(DIRECTED, node))
+    assert text.count("(subst-td ") == 2000
+    assert format_expression(parse(text)) == text
 
 
 def test_round_trip_fixtures():
