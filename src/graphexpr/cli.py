@@ -67,15 +67,13 @@ def format_node(node) -> str:
             out.append(f"(inc {x} ({' '.join(edges)}) ")
             stack += (")", item.child)
         elif t is Union or t is Join:
-            out.append("(union " if t is Union else "(join ")
+            out.append("(union" if t is Union else "(join")
             stack.append(")")
-            children = item.children
-            for child in reversed(children[1:]):
+            for child in reversed(item.children):
                 if type(child) is Vertex:
                     stack.append(f" (vertex {child.name})")
                 else:
                     stack += (child, " ")
-            stack.append(children[0])
         elif t is Empty:
             out.append("(empty)")
         elif t is Subst:
