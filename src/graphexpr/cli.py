@@ -70,10 +70,7 @@ def format_node(node) -> str:
             out.append("(union" if t is Union else "(join")
             stack.append(")")
             for child in reversed(item.children):
-                if type(child) is Vertex:
-                    stack.append(f" (vertex {child.name})")
-                else:
-                    stack += (child, " ")
+                stack += (child, " ")
         elif t is Empty:
             out.append("(empty)")
         elif t is Subst:
