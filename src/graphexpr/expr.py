@@ -200,12 +200,13 @@ def collect_vertex_names(node) -> set:
 # ---------------------------------------------------------------------------
 # Parser
 
+_NAME_CHARS = r"A-Za-z0-9_.\-"
 # a character that starts no token; one search per line finds the first
-_BAD_CHAR_RE = re.compile(r"[^\s()A-Za-z0-9_.\-]")
+_BAD_CHAR_RE = re.compile(rf"[^\s(){_NAME_CHARS}]")
 # one token with the whitespace before it: on a line without bad characters
 # the matches tile the line, so running sums of their lengths are the
 # tokens' end columns
-_TOKEN_RE = re.compile(r"\s*(?:[()]|[A-Za-z0-9_.\-]+)")
+_TOKEN_RE = re.compile(rf"\s*(?:[()]|[{_NAME_CHARS}]+)")
 _PARENS = frozenset("()")
 
 
