@@ -200,15 +200,16 @@ def cmd_solve(args):
         if is_negative_cycle(value):
             result_lines = ["negative-cycle=true"]
         else:
-            result_lines = ["negative-cycle=false", f"msp={fmt(value.msp)}"]
+            # a large matrix holds far fewer distinct values than pairs
+            rows = value.rows if args.problem == "apsp" else []
+            text = {x: fmt(x) for x in {value.msp}.union(*rows)}
+            result_lines = ["negative-cycle=false", f"msp={text[value.msp]}"]
             if args.problem == "apsp":
                 # row by row in name order, straight from the dense rows
                 names = list(value.min_out)
                 order = sorted(range(len(names)), key=names.__getitem__)
                 matrix = "\n".join(
-                    f"{names[i]}\t{names[j]}\t{fmt(value.rows[i][j])}"
-                    for i in order
-                    for j in order
+                    f"{names[i]}\t{names[j]}\t{text[rows[i][j]]}" for i in order for j in order
                 )
     wall = time.perf_counter() - start
 

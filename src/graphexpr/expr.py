@@ -16,9 +16,9 @@ The extracted parameter triple (k, h, l) is: k = nesting depth of inc nodes
 on root-to-leaf paths, h = largest explicit substitution pattern, l = largest
 inc nesting depth among subst-td pattern expressions.
 
-The evaluator builds every graph from vertex addition and one substitution
-routine: union and join are substitutions into an edgeless resp. complete
-pattern over their children.
+The evaluator is one walk that builds adjacency lists from vertex addition
+and substitution: union and join are substitutions into an edgeless resp.
+complete pattern over their children.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, permutations, product, repeat
+from itertools import accumulate, combinations, permutations, repeat
 from typing import NamedTuple
 
 from .errors import InputError
@@ -485,10 +485,14 @@ def validate(e: Expression) -> list:
     return violations
 
 
-def validate_or_raise(e: Expression) -> None:
-    violations = validate(e)
+def validate_or_raise(e: Expression) -> set:
+    """Raise a ValidationError listing the violations, if any; else return
+    the vertex names of the evaluated graph, which validation collects."""
+    violations = []
+    names = _validate_node(e.root, lambda: "root", violations, td_only=False)
     if violations:
         raise ValidationError("\n".join(str(v) for v in violations))
+    return names
 
 
 def _validate_node(root, label, violations, td_only):
@@ -577,67 +581,81 @@ def _check_bindings(node, pattern_names, vals, bad):
 
 def evaluate(e: Expression) -> Graph:
     """Build the concrete graph denoted by a validated expression."""
-    verts, edges = evaluate_node(e.root, e.mode)
+    verts, out, _ = evaluate_node(e.root, e.mode)
+    if e.mode == UNDIRECTED:  # each edge is listed at both ends
+        edges = ((u, v) for u in verts for v in out[u] if u < v)
+    else:
+        edges = ((u, v) for u in verts for v in out[u])
     return Graph(e.mode, verts, edges)
 
 
 def evaluate_node(root, mode):
-    """Vertex list and edge set of the subexpression ``root``, both fresh.
-    Undirected edges come out in either orientation; ``Graph``
-    canonicalizes each edge once."""
-
-    def combine(node, vals, _where):
-        if isinstance(node, Empty):
-            return ([], set())
-        if isinstance(node, Vertex):
-            return ([node.name], set())
-        if isinstance(node, (Union, Join)):
-            # substitution into an edgeless resp. complete pattern over the
-            # children; the pairs are enumerated only for joins
-            order = range(len(vals))
-            pattern_edges = ()
-            if isinstance(node, Join):
-                pattern_edges = (permutations if mode == DIRECTED else combinations)(order, 2)
-            return _substitute(order, pattern_edges, vals)
-        if isinstance(node, Inc):
-            verts, edges = vals[0]
+    """Vertex list and adjacency lists ``(verts, out, inn)`` of the
+    subexpression ``root``, all fresh: ``out[v]`` lists the heads of v's
+    out-edges, ``inn[v]`` the tails of its in-edges; in undirected mode
+    ``inn`` is ``out``.  One explicit-stack walk appends the vertices in
+    leaf order, so each subexpression's vertices form one run of ``verts``
+    (a substitution's children in binding order), and a pattern edge
+    between two runs extends the lists of their vertices directly."""
+    directed = mode == DIRECTED
+    verts, out = [], {}
+    inn = {} if directed else out
+    # (node, parent's bounds, None) enters a node, (node, None, bounds) leaves
+    # one that adds edges; bounds collects where each child's run starts
+    stack = [(root, None, None)]
+    while stack:
+        node, parent_bounds, bounds = stack.pop()
+        t = type(node)
+        if bounds is None:
+            if parent_bounds is not None:
+                parent_bounds.append(len(verts))
+            if t is Vertex:
+                verts.append(node.name)
+                out[node.name] = []
+                if directed:
+                    inn[node.name] = []
+            elif t is Inc:
+                stack += ((node, None, ()), (node.child, None, None))
+            elif t in (Union, Join, Subst, SubstTd):
+                if t is Union or (t is Subst and not node.pattern.edges):
+                    bounds = None  # no edges, so the runs are not needed
+                else:
+                    bounds = []
+                    stack.append((node, None, bounds))
+                stack += [(child, bounds, None) for child in reversed(subexpressions(node))]
+            elif t is not Empty:
+                raise InputError(f"cannot evaluate node of type {t.__name__}")
+            continue
+        if t is Inc:
             x = node.name
-            edges.update((x, u) for u in node.out_names)
-            edges.update((u, x) for u in node.in_names)
             verts.append(x)
-            return (verts, edges)
-        if isinstance(node, Subst):
-            by_name = {bn: v for (bn, _), v in zip(node.bindings, vals)}
-            return _substitute(node.pattern.names, node.pattern.edges, by_name)
-        if isinstance(node, SubstTd):
-            pverts, pedges = evaluate_node(node.pattern_expr, mode)
-            by_name = {bn: v for (bn, _), v in zip(node.bindings, vals)}
-            return _substitute(pverts, pedges, by_name)
-        raise InputError(f"cannot evaluate node of type {type(node).__name__}")
-
-    return fold_expression(root, combine)
-
-
-def _substitute(pattern_order, pattern_edges, parts):
-    """Replace each pattern vertex by its part ``parts[name]`` (a pair of
-    vertex list and edge set); a pattern edge becomes the full set of edges
-    between the two parts, direction preserved.  The parts are consumed:
-    the result extends the first part's vertex list and the largest edge
-    set in place, so a left-deep chain costs O(1) per level plus its new
-    edges."""
-    ordered = [parts[pname] for pname in pattern_order]
-    edges = max((es for _, es in ordered), key=len)
-    for _, es in ordered:
-        if es is not edges:
-            edges.update(es)
-    # the cross edges read the parts' vertex lists, so they come before the
-    # first list grows
-    for (pu, pv) in pattern_edges:
-        edges.update(product(parts[pu][0], parts[pv][0]))
-    verts = ordered[0][0]
-    for vs, _ in ordered[1:]:
-        verts.extend(vs)
-    return (verts, edges)
+            if directed:
+                inn[x] = list(node.in_names)
+                for u in node.in_names:
+                    out[u].append(x)
+            out[x] = list(node.out_names if directed else node.neighbor_names)
+            for u in out[x]:
+                inn[u].append(x)
+            continue
+        bounds.append(len(verts))
+        if t is Join:
+            pairs = (permutations if directed else combinations)(range(len(bounds) - 1), 2)
+        else:
+            if t is Subst:
+                pattern_edges = node.pattern.edges
+            else:
+                pattern_edges = evaluate(Expression(mode, node.pattern_expr)).edges
+            part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
+            pairs = [(part[p], part[q]) for p, q in pattern_edges]
+        for p, q in pairs:
+            # a run is copied only for an edge, so edgeless chains stay linear
+            part_p = verts[bounds[p] : bounds[p + 1]]
+            part_q = verts[bounds[q] : bounds[q + 1]]
+            for a in part_p:
+                out[a].extend(part_q)
+            for b in part_q:
+                inn[b].extend(part_p)
+    return verts, out, inn
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ sum.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from itertools import product
 
 from .errors import InputError
 
@@ -149,9 +151,36 @@ def check_potential(g: Graph, costs: dict, pi: dict, tol: float = TOL) -> bool:
     return True
 
 
+class DistView(Mapping):
+    """Read-only ``(u, v) -> distance`` view of dense distance rows:
+    ``rows[i][j]`` is the distance from the i-th to the j-th of ``names``.
+    The name index is built on the first lookup."""
+
+    __slots__ = ("names", "rows", "_index")
+
+    def __init__(self, names, rows):
+        self.names = names
+        self.rows = rows
+        self._index = None
+
+    def __getitem__(self, pair):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise KeyError(pair)
+        if self._index is None:
+            self._index = dict(zip(self.names, range(len(self.rows))))
+        return self.rows[self._index[pair[0]]][self._index[pair[1]]]
+
+    def __iter__(self):
+        return product(self.names, repeat=2)
+
+    def __len__(self):
+        return len(self.rows) ** 2
+
+
 def floyd_vertex_weighted(g: Graph, w: dict, tol: float = TOL):
-    """All-pairs distances under the vertex-weight convention, or the
-    NEGATIVE_CYCLE verdict (a closed walk below ``-tol``).
+    """All-pairs distances under the vertex-weight convention, as a DistView
+    over dense rows in ``g.vertices`` order, or the NEGATIVE_CYCLE verdict
+    (a closed walk below ``-tol``).
 
     dist(u, u) = w(u); dist(u, v) sums the weights of all path vertices
     including both endpoints.  Relaxation through a middle vertex k therefore
@@ -159,38 +188,37 @@ def floyd_vertex_weighted(g: Graph, w: dict, tol: float = TOL):
     """
     if g.kind != DIRECTED:
         raise InputError("floyd_vertex_weighted requires a directed graph")
-    check_total_weights(g.vertices, w)
-    vs = list(g.vertices)
-    d = {u: {v: INF for v in vs} for u in vs}
-    for u in vs:
-        d[u][u] = w[u]
+    vs = g.vertices
+    wt = [w.get(v, math.nan) for v in vs]
+    if not math.isfinite(sum(wt)):  # a weight is missing or not finite, or the sum overflows
+        check_total_weights(vs, w)
+    n = len(vs)
+    d = [[INF] * n for _ in vs]
+    for i, row in enumerate(d):
+        row[i] = wt[i]
+    index = dict(zip(vs, range(n)))
     for (u, v) in g.edges:
-        c = w[u] + w[v]
-        if c < d[u][v]:
-            d[u][v] = c
-    for k in vs:
-        row_k = d[k]
-        wk = w[k]
-        for i in vs:
-            dik = d[i][k]
+        d[index[u]][index[v]] = w[u] + w[v]
+    for k, row_k in enumerate(d):
+        wk = wt[k]
+        for i, row_i in enumerate(d):
+            dik = row_i[k]
             if dik == INF or i == k:
                 continue
-            row_i = d[i]
             base = dik - wk
-            for j in vs:
-                alt = base + row_k[j]
+            for j, b in enumerate(row_k):
+                alt = base + b
                 if alt < row_i[j]:
                     row_i[j] = alt
     # A closed walk i -> j -> i of negative total weight (each endpoint
     # counted once) witnesses a negative cycle; conversely any negative
     # cycle produces such a pair.
-    for i in vs:
-        row_i = d[i]
-        for j in vs:
-            if i != j and row_i[j] < INF and d[j][i] < INF:
-                if row_i[j] + d[j][i] - w[i] - w[j] < -tol:
+    for i, row_i in enumerate(d):
+        for j, dij in enumerate(row_i):
+            if i != j and dij < INF and d[j][i] < INF:
+                if dij + d[j][i] - wt[i] - wt[j] < -tol:
                     return NEGATIVE_CYCLE
-    return {(i, j): d[i][j] for i in vs for j in vs}
+    return DistView(vs, d)
 
 
 def parse_weights(text: str) -> dict:

@@ -7,7 +7,7 @@ Every handler keeps two things alive while folding the expression:
   source wired to every vertex with zero-cost edges, taken under the
   edge-shifted costs ``cost((x, y)) = w(x)``.  Feasibility (all reduced edge
   costs non-negative) is what lets the incremental steps run Dijkstra
-  instead of Bellman-Ford;
+  instead of Bellman-Ford (an inc over a child without vertices runs none);
 * ``msp``, the minimum total weight over all paths including single
   vertices, which is exactly the vertex weight that a substituted module
   contributes to paths passing through it.
@@ -19,10 +19,12 @@ the distance composition.  For the all-pairs problem, substitution nodes
 keep distances at pattern granularity (ModuleSummary) and are expanded to
 full pairwise distances (FullSummary) only when a vertex-addition node or
 the root needs them; the expansion walks the substitution spine top-down
-with the classic "cheapest detour that leaves this module" values.  Full
-distances are dense rows in the vertex order of ``min_out`` (children in
-pattern order, an added vertex last), so each spine node's vertices form one
-contiguous block, filled one row segment at a time.
+with the classic "cheapest detour that leaves this module" values.  All
+distances are dense rows (a DistView reads them by ``(u, v)``): pattern
+distances in pattern order, full distances in the vertex order of
+``min_out`` (children in pattern order, an added vertex last), so each
+spine node's vertices form one contiguous block, filled one row segment at
+a time.
 
 Substitution summaries keep their potential as a *shifted union*
 (ShiftedPotential): one ``(child potential, shift)`` pair per pattern
@@ -43,11 +45,10 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from . import framework
 from .errors import ContractViolation, InputError, VerificationError
-from .expr import Expression, collect_vertex_names, evaluate_node, normalize, validate_or_raise
+from .expr import Expression, evaluate_node, normalize, validate_or_raise
 from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
 from .framework import HandlerSet, fold_td_expression
 from .graphs import (
@@ -55,6 +56,7 @@ from .graphs import (
     INF,
     NEGATIVE_CYCLE,
     TOL,
+    DistView,
     Graph,
     check_potential,
     check_total_weights,
@@ -122,11 +124,11 @@ def potential_dict(pi) -> dict:
 
 
 def _shifted_potential(children, shift):
-    """The children's potentials, each shifted by ``shift`` of its pattern
-    vertex, as a ShiftedPotential; the children are not copied."""
+    """The children's potentials, each shifted by the ``shift`` entry of its
+    pattern vertex, as a ShiftedPotential; the children are not copied."""
     parts = []
-    for name, s in children:
-        parts += (s.potential, shift[name])
+    for (_, s), d in zip(children, shift):
+        parts += (s.potential, d)
     return ShiftedPotential(tuple(parts))
 
 
@@ -138,25 +140,6 @@ class NcdSummary:
 
     potential: Mapping
     msp: float
-
-
-class _DistView(Mapping):
-    """Read-only ``(u, v) -> distance`` view of a FullSummary's rows."""
-
-    def __init__(self, names, rows):
-        self._index = {v: i for i, v in enumerate(names)}
-        self._rows = rows
-
-    def __getitem__(self, pair):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise KeyError(pair)
-        return self._rows[self._index[pair[0]]][self._index[pair[1]]]
-
-    def __iter__(self):
-        return product(self._index, repeat=2)
-
-    def __len__(self):
-        return len(self._index) ** 2
 
 
 @dataclass
@@ -175,31 +158,35 @@ class FullSummary:
 
     @cached_property
     def dist(self):
-        return _DistView(self.min_out, self.rows)
+        return DistView(self.min_out, self.rows)
 
 
 @dataclass
 class ModuleSummary:
     """Distances known at pattern granularity (substitution nodes).
 
-    ``pattern_dist`` is the distance matrix of the pattern reweighted with
-    ``omega`` (the child msps, keyed in pattern vertex order), with the
-    shifts of ``_module_shifts``; ``children`` keeps the child summaries so
-    the node can later be expanded to a FullSummary.  ``min_out`` and
-    ``min_in`` list the vertices child by child.  ``potential`` is a
-    ShiftedPotential over the children's potentials; ``min_out`` and
-    ``min_in`` are shifted copies.
+    ``children`` holds ``(pattern vertex, child summary)`` pairs, kept for
+    the expansion to a FullSummary, and every per-pattern field follows
+    their order: ``rows`` are the distances in the pattern reweighted with
+    ``omega`` (the child msps), also read by ``(p, q)`` through
+    ``pattern_dist``, and ``out_shift``/``in_shift`` come from
+    ``_module_shifts``.  ``min_out`` and ``min_in`` are shifted copies of
+    the children's; ``potential`` is a ShiftedPotential over theirs.
     """
 
     potential: Mapping
     msp: float
     min_out: dict
     min_in: dict
-    pattern_dist: dict
-    omega: dict
-    out_shift: dict
-    in_shift: dict
+    rows: list
+    omega: list
+    out_shift: list
+    in_shift: list
     children: tuple
+
+    @cached_property
+    def pattern_dist(self):
+        return DistView([p for p, _ in self.children], self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +224,18 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
     subexpression ``child``, whose shortest-path feasible potential ``pi``
     is known.  The child is evaluated here into out- and in-adjacency
-    lists, for main-tree and tree-depth pattern incs alike.
+    lists, for main-tree and tree-depth pattern incs alike; a child without
+    vertices (infinite msp) is neither evaluated nor searched.
 
     Returns NEGATIVE_CYCLE or ``(new_potential, msp, dist_from_x, dist_to_x)``
     where the distance maps are in vertex-weight space and include the
     ``x -> x`` single-vertex entry.
     """
-    pi = potential_dict(pi)
-    verts, edges = evaluate_node(child, DIRECTED)
     wx = w[x]
-    adj_out = {v: [] for v in verts}
-    adj_in = {v: [] for v in verts}
-    for a, b in edges:
-        adj_out[a].append(b)
-        adj_in[b].append(a)
+    if msp_child == INF:  # x is the whole graph
+        return {x: 0.0}, wx, {x: wx}, {x: wx}
+    pi = potential_dict(pi)
+    verts, adj_out, adj_in = evaluate_node(child, DIRECTED)
 
     # labels from x under reduced edge-shifted costs; the only potentially
     # negative costs are the first hops, folded into the initial labels
@@ -307,22 +292,21 @@ def ncd_inc(f, x, in_names, out_names, w, child, tol):
     return NcdSummary(new_pi, msp)
 
 
-def _module_shifts(D, omega):
+def _module_shifts(rows, omega):
     """Per pattern vertex p, the row resp. column minimum of the pattern
-    distance table ``D`` minus ``omega[p]``: what the cheapest pattern path
+    distance rows minus ``omega[p]``: what the cheapest pattern path
     starting resp. ending at p adds to p's own msp (0 for p alone).  The
-    second map is the pattern's shortest-path potential."""
-    out_shift = {p: min(D[(p, q)] for q in omega) - omega[p] for p in omega}
-    in_shift = {p: min(D[(q, p)] for q in omega) - omega[p] for p in omega}
+    second list is the pattern's shortest-path potential."""
+    out_shift = [m - om for m, om in zip(map(min, rows), omega)]
+    in_shift = [m - om for m, om in zip(map(min, zip(*rows)), omega)]
     return out_shift, in_shift
 
 
 def _shifted(children, shift, field):
     """The union of the children's ``field`` maps, each child's values
-    shifted by ``shift`` of its pattern vertex."""
+    shifted by the ``shift`` entry of its pattern vertex."""
     out = {}
-    for name, s in children:
-        d = shift[name]
+    for (_, s), d in zip(children, shift):
         for v, val in getattr(s, field).items():
             out[v] = val + d
     return out
@@ -334,12 +318,12 @@ def ncd_subst(pattern_graph, children, tol):
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    omega = {name: s.msp for name, s in children}
-    D = floyd_vertex_weighted(pattern_graph, omega, tol)
+    D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
     if is_negative_cycle(D):
         return D
-    _, pi_h = _module_shifts(D, omega)
-    return NcdSummary(_shifted_potential(children, pi_h), min(D.values()))
+    rows = D.rows
+    _, pi_h = _module_shifts(rows, [s.msp for _, s in children])
+    return NcdSummary(_shifted_potential(children, pi_h), min(map(min, rows)))
 
 
 def ncd_subst_td(pattern_expr, children, tol):
@@ -359,7 +343,8 @@ def ncd_subst_td(pattern_expr, children, tol):
     )
     if is_negative_cycle(inner):
         return inner
-    return NcdSummary(_shifted_potential(children, inner.potential), inner.msp)
+    pi_h = inner.potential
+    return NcdSummary(_shifted_potential(children, [pi_h[p] for p, _ in children]), inner.msp)
 
 
 def _merge_ncd(vals):
@@ -416,22 +401,23 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
                 t = out + c
                 rows[r][start:stop] = [a if a < t + b else t + b for a, b in zip(row, ins)]
             continue
-        D, om = node.pattern_dist, node.omega
-        blocks = []  # (pattern vertex, child, first row, child's entries)
+        D, om = node.rows, node.omega
+        out_shift, in_shift = node.out_shift, node.in_shift
+        blocks = []  # (child, first row, child's entries), in pattern order
         stop = start
-        for p, child in node.children:
-            blocks.append((p, child, stop, list(child.min_in.values())))
+        for _, child in node.children:
+            blocks.append((child, stop, list(child.min_in.values())))
             stop += len(child.min_in)
-        for p, child, first, _ in blocks:
+        for p, (child, first, _) in enumerate(blocks):
             # u in module p reaches v in module q inside this node (child
             # exit, pattern path, child entry) or by the detour c; both
             # routes add the child exit of u and the child entry of v
             before, after, cyc = [], [], INF
-            for q, _, other, ins in blocks:
+            for q, (_, other, ins) in enumerate(blocks):
                 if q != p:
-                    k = D[(p, q)] - om[p] - om[q]
-                    cyc = min(cyc, k + D[(q, p)])
-                    detour = node.out_shift[p] + c + node.in_shift[q]
+                    k = D[p][q] - om[p] - om[q]
+                    cyc = min(cyc, k + D[q][p])
+                    detour = out_shift[p] + c + in_shift[q]
                     k = k if k < detour else detour
                     (before if other < first else after).extend([k + b for b in ins])
             last = first + len(child.min_out)
@@ -440,7 +426,7 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
                 rows[r][last:stop] = [du + b for b in after]
             # cheapest way out of module p and back: a pattern cycle through
             # p, or leaving the whole node (detour c), module p not counted
-            escape = node.out_shift[p] + c + node.in_shift[p]
+            escape = out_shift[p] + c + in_shift[p]
             stack.append((child, min(cyc - om[p], escape), first))
     return FullSummary(s.potential, s.msp, s.min_out, s.min_in, rows)
 
@@ -448,8 +434,6 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
 def apsp_inc(f, x, in_names, out_names, w, child, tol):
     if is_negative_cycle(f):
         return f
-    if not f.min_out:  # x is the whole graph: a tree-depth leaf
-        return _full_singleton(x, w[x])
     core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
     if is_negative_cycle(core):
         return core
@@ -476,18 +460,19 @@ def apsp_inc(f, x, in_names, out_names, w, child, tol):
     return FullSummary(new_pi, msp, min_out, min_in, rows)
 
 
-def _assemble_module(children, omega, D):
-    """Module summary of a substitution from the pattern distance table
-    ``D`` under the child msps ``omega``: a child's exits shift by its
-    module's out-shift, its entries and potential by the in-shift.  Only
-    the exits and entries are copied."""
-    out_shift, in_shift = _module_shifts(D, omega)
+def _assemble_module(children, rows):
+    """Module summary of a substitution from the pattern distance ``rows``
+    under the child msps, both in the order of ``children``: a child's
+    exits shift by its module's out-shift, its entries and potential by the
+    in-shift.  Only the exits and entries are copied."""
+    omega = [s.msp for _, s in children]
+    out_shift, in_shift = _module_shifts(rows, omega)
     return ModuleSummary(
         _shifted_potential(children, in_shift),
-        min(D.values()),
+        min(map(min, rows)),
         _shifted(children, out_shift, "min_out"),
         _shifted(children, in_shift, "min_in"),
-        D,
+        rows,
         omega,
         out_shift,
         in_shift,
@@ -499,11 +484,10 @@ def apsp_subst(pattern_graph, children, tol):
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    omega = {name: s.msp for name, s in children}
-    D = floyd_vertex_weighted(pattern_graph, omega, tol)
+    D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
     if is_negative_cycle(D):
         return D
-    return _assemble_module(children, omega, D)
+    return _assemble_module(children, D.rows)
 
 
 def apsp_subst_td(pattern_expr, children, tol):
@@ -522,9 +506,8 @@ def apsp_subst_td(pattern_expr, children, tol):
     )
     if is_negative_cycle(inner):
         return inner
-    names = list(inner.min_out)
-    D = {(p, q): d for p, row in zip(names, inner.rows) for q, d in zip(names, row)}
-    return _assemble_module(children, omega, D)
+    by_name = dict(children)
+    return _assemble_module([(p, by_name[p]) for p in inner.min_out], inner.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +518,9 @@ def _gate(e: Expression, w: dict, problem: str) -> Expression:
     """Validate and normalize ``e`` and check ``w`` against its vertex names."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
-    validate_or_raise(e)
+    names = validate_or_raise(e)
     ne = normalize(e)
-    check_total_weights(collect_vertex_names(ne.root), w)
+    check_total_weights(names, w)
     return ne
 
 

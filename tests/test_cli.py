@@ -203,6 +203,26 @@ def test_solve_apsp_matrix_file_in_name_order(capsys, tmp_path):
     )
 
 
+def test_solve_apsp_formats_each_distinct_distance_once(capsys, tmp_path, monkeypatch):
+    # 400 pairs over weights in [0, 4]: the matrix repeats a few distances, and
+    # each one (the msp too) goes through fmt once
+    from collections import Counter
+
+    f, w = _nested_chain(tmp_path, "directed", "join", 20)
+    calls = Counter()
+    real = cli.fmt
+    monkeypatch.setattr(cli, "fmt", lambda x: calls.update([x]) or real(x))
+    out_file = tmp_path / "m.tsv"
+    code, out, _ = run(capsys, "solve", "apsp", f, w, "-o", str(out_file))
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 400
+    assert max(calls.values()) == 1
+    assert set(calls) == {float(line.split("\t")[2]) for line in lines} | {
+        float(kv(out)["msp"])
+    }
+
+
 def test_solve_apsp_stdout_matrix(capsys, tmp_path):
     f = tmp_path / "e.expr"
     f.write_text(EDGE)

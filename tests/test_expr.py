@@ -341,6 +341,94 @@ def test_long_normalized_union_chain_is_linear():
     assert time.perf_counter() - start < 5.0
 
 
+def _naive_graph(node, mode):
+    """Vertex set and edge set of ``node`` by definition, recursively: a
+    reference for the evaluator that shares none of its code."""
+
+    def edge(a, b):
+        return (a, b) if mode == DIRECTED or a < b else (b, a)
+
+    def substitute(pattern_edges, bindings):
+        parts = {bn: _naive_graph(sub, mode) for bn, sub in bindings}
+        verts = set().union(*(vs for vs, _ in parts.values()))
+        edges = set().union(*(es for _, es in parts.values()))
+        for p, q in pattern_edges:
+            edges |= {edge(a, b) for a in parts[p][0] for b in parts[q][0]}
+        return verts, edges
+
+    if isinstance(node, Empty):
+        return set(), set()
+    if isinstance(node, Vertex):
+        return {node.name}, set()
+    if isinstance(node, Inc):
+        verts, edges = _naive_graph(node.child, mode)
+        edges |= {edge(node.name, u) for u in node.out_names}
+        edges |= {edge(u, node.name) for u in node.in_names}
+        return verts | {node.name}, edges
+    if isinstance(node, (Union, Join)):
+        bindings = list(enumerate(node.children))
+        pairs = []
+        if isinstance(node, Join):
+            pairs = [(i, j) for i, _ in bindings for j, _ in bindings if i != j]
+        return substitute(pairs, bindings)
+    if isinstance(node, Subst):
+        return substitute(node.pattern.edges, node.bindings)
+    _, pattern_edges = _naive_graph(node.pattern_expr, mode)
+    return substitute(pattern_edges, node.bindings)
+
+
+def _assert_evaluates_like_naive(e):
+    from graphexpr.expr import evaluate_node
+
+    verts, edges = _naive_graph(e.root, e.mode)
+    g = evaluate(e)
+    assert len(g.vertices) == len(verts) and set(g.vertices) == verts
+    assert g.edges == edges
+    # the adjacency lists themselves list every edge once, at both ends
+    order, out, inn = evaluate_node(e.root, e.mode)
+    assert order == list(g.vertices)
+    listed = sorted((u, v) for u in order for v in out[u])
+    if e.mode == DIRECTED:
+        assert listed == sorted(edges)
+        assert sorted((u, v) for v in order for u in inn[v]) == listed
+    else:
+        assert inn is out
+        assert listed == sorted(edges | {(b, a) for a, b in edges})
+
+
+def _shuffle_bindings(node, rng):
+    """``node`` with the bindings of every substitution in a random order,
+    which leaves the evaluated graph unchanged."""
+    if isinstance(node, Inc):
+        return Inc(node.name, node.in_names, node.out_names, _shuffle_bindings(node.child, rng))
+    if isinstance(node, (Union, Join)):
+        return type(node)(tuple(_shuffle_bindings(c, rng) for c in node.children))
+    if isinstance(node, (Subst, SubstTd)):
+        bindings = [(bn, _shuffle_bindings(sub, rng)) for bn, sub in node.bindings]
+        rng.shuffle(bindings)
+        payload = node.pattern if isinstance(node, Subst) else node.pattern_expr
+        return type(node)(payload, tuple(bindings))
+    return node
+
+
+def test_evaluate_matches_naive_evaluator_on_corpus(tc_corpus, paths_corpus):
+    for e, *_ in tc_corpus + paths_corpus:
+        _assert_evaluates_like_naive(e)
+        _assert_evaluates_like_naive(normalize(e))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    mode=st.sampled_from([DIRECTED, UNDIRECTED]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_matches_naive_evaluator_hypothesis(seed, mode, rng):
+    e = corpus_instance(seed % 100000, mode, 30)
+    _assert_evaluates_like_naive(e)
+    _assert_evaluates_like_naive(Expression(mode, _shuffle_bindings(e.root, rng)))
+
+
 # ---------------------------------------------------------------------------
 # params
 

@@ -299,8 +299,8 @@ def evaluations(monkeypatch):
 def test_solves_evaluate_only_their_inc_children(evaluations):
     # without verify, the fold and a TC solve evaluate nothing; an NCD or
     # APSP solve evaluates each inc node's child once, in the main tree and
-    # in subst-td patterns alike (APSP answers an inc over a vertexless
-    # child without evaluating it)
+    # in subst-td patterns alike (an inc over a vertexless child is answered
+    # without evaluating it)
     from collections import Counter
 
     from graphexpr import (
@@ -342,10 +342,37 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
                 want = Counter(
                     c
                     for c in main + pattern_incs
-                    if solve is ncd_outcome or collect_vertex_names(c)
+                    if collect_vertex_names(c)
                 )
                 assert Counter(evaluations) == want, (seed, solve.__name__)
     assert seen["main"] and seen["pattern"]
+
+
+def test_inc_over_the_empty_graph_evaluates_nothing(evaluations):
+    # a wide union of incs over (empty) is a union of single vertices: NCD
+    # and APSP answer each inc without evaluating its child, and give the
+    # summaries of the union of vertex leaves.  APSP runs on 10^3 leaves:
+    # its substitution summaries copy min_out and min_in at every level of
+    # the normalized chain, O(r^2) in time and memory.
+    from graphexpr import apsp_outcome, gen_weights, ncd_outcome
+
+    def unions(r):
+        names = [f"v{i}" for i in range(r)]
+        incs = " ".join(f"(inc {v} () (empty))" for v in names)
+        vertices = " ".join(f"(vertex {v})" for v in names)
+        w = gen_weights(names, -5.0, 5.0, r)
+        return parse(f"(directed (union {incs}))"), parse(f"(directed (union {vertices}))"), w
+
+    for solve, r in ((ncd_outcome, 10**4), (apsp_outcome, 10**3)):
+        incs, vertices, w = unions(r)
+        evaluations.clear()
+        got, _ = solve(incs, w)
+        assert evaluations == [], solve.__name__
+        want, _ = solve(vertices, w)
+        assert got.potential == want.potential, solve.__name__
+        assert got.msp == want.msp == min(w.values()), solve.__name__
+        if solve is apsp_outcome:
+            assert got.rows == want.rows
 
 
 def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
