@@ -25,7 +25,6 @@ from .expr import (
     SubstTd,
     Union,
     Vertex,
-    collect_vertex_names,
     evaluate,
     params,
     parse,
@@ -132,10 +131,10 @@ def _write_out(text, path):
         sys.stdout.write(text)
 
 
-def _load_expression(path) -> Expression:
+def _load_expression(path):
+    """The validated expression in ``path`` and its vertex names."""
     e = parse(_read(path))
-    validate_or_raise(e)
-    return e
+    return e, validate_or_raise(e)
 
 
 def _params_lines(p):
@@ -164,7 +163,7 @@ def _emit(lines):
 
 
 def cmd_eval(args):
-    e = _load_expression(args.file)
+    e, _ = _load_expression(args.file)
     g = evaluate(e)
     lines = [f"n={g.n}", f"m={g.m}"]
     lines += sorted(g.vertices)
@@ -174,15 +173,15 @@ def cmd_eval(args):
 
 
 def cmd_params(args):
-    e = _load_expression(args.file)
+    e, _ = _load_expression(args.file)
     _emit(_params_lines(params(e)))
     return 0
 
 
 def cmd_solve(args):
-    e = _load_expression(args.file)
+    e, names = _load_expression(args.file)
     p = params(e)
-    n = len(collect_vertex_names(e.root))
+    n = len(names)
     report = [f"command=solve {args.problem}", f"file={args.file}", f"mode={e.mode}"]
     report += _params_lines(p)
 
@@ -227,7 +226,7 @@ def cmd_solve(args):
 
 
 def cmd_check(args):
-    e = _load_expression(args.file)
+    e, names = _load_expression(args.file)
     g = evaluate(e)
     if g.n > 500:
         raise InputError(f"check is limited to 500 vertices (got {g.n})")
@@ -241,7 +240,7 @@ def cmd_check(args):
         if args.weights:
             w = parse_weights(_read(args.weights))
         else:
-            w = gen_weights(collect_vertex_names(e.root), -5.0, 5.0, args.seed)
+            w = gen_weights(names, -5.0, 5.0, args.seed)
             report.append(f"seed={args.seed}")
         if args.problem == "ncd":
             got = paths.detect_negative_cycle(e, w)
@@ -339,7 +338,7 @@ def cmd_bench(args):
             n, m = g.n, g.m
             # apsp draws no negative weight, so that its solves reach the expansion
             lo = 0.0 if args.problem == "apsp" else -5.0
-            w = gen_weights(collect_vertex_names(e.root), lo, 5.0, args.seed + idx)
+            w = gen_weights(g.vertices, lo, 5.0, args.seed + idx)
         for rep in range(args.reps):
             start = time.perf_counter()
             if args.problem == "tc":

@@ -596,7 +596,9 @@ def evaluate_node(root, mode):
     ``inn`` is ``out``.  One explicit-stack walk appends the vertices in
     leaf order, so each subexpression's vertices form one run of ``verts``
     (a substitution's children in binding order), and a pattern edge
-    between two runs extends the lists of their vertices directly."""
+    between two runs extends the lists of their vertices directly.  A
+    tree-depth pattern's edges are read from its inc nodes
+    (``td_pattern_edges``); no pattern graph is built."""
     directed = mode == DIRECTED
     verts, out = [], {}
     inn = {} if directed else out
@@ -644,7 +646,7 @@ def evaluate_node(root, mode):
             if t is Subst:
                 pattern_edges = node.pattern.edges
             else:
-                pattern_edges = evaluate(Expression(mode, node.pattern_expr)).edges
+                pattern_edges = td_pattern_edges(node.pattern_expr, mode)
             part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
             pairs = [(part[p], part[q]) for p, q in pattern_edges]
         for p, q in pairs:
@@ -656,6 +658,24 @@ def evaluate_node(root, mode):
             for b in part_q:
                 inn[b].extend(part_p)
     return verts, out, inn
+
+
+def td_pattern_edges(pattern_expr, mode):
+    """Edges of the tree-depth pattern ``pattern_expr``, read from its inc
+    nodes: for an inc vertex x, ``(u, x)`` per in-name u and ``(x, v)`` per
+    out-name v; in undirected mode ``(x, u)`` once per neighbor u."""
+    directed = mode == DIRECTED
+    stack = [pattern_expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is Inc:
+            x = node.name
+            if directed:
+                yield from ((u, x) for u in node.in_names)
+                yield from ((x, v) for v in node.out_names)
+            else:
+                yield from ((x, u) for u in node.neighbor_names)
+        stack.extend(subexpressions(node))
 
 
 # ---------------------------------------------------------------------------

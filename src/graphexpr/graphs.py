@@ -61,7 +61,7 @@ class Graph:
     freely between threads.
     """
 
-    __slots__ = ("kind", "vertices", "edges", "_out", "_in", "_vset")
+    __slots__ = ("kind", "vertices", "edges", "_out", "_in")
 
     def __init__(self, kind, vertices, edges):
         if kind not in (DIRECTED, UNDIRECTED):
@@ -89,7 +89,6 @@ class Graph:
         self.edges = frozenset(canon)
         self._out = out
         self._in = inn
-        self._vset = vset
 
     @property
     def n(self) -> int:
@@ -98,12 +97,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def __contains__(self, v) -> bool:
-        return v in self._vset
-
-    def out_neighbors(self, v):
-        return self._out[v]
 
     def neighbors(self, v):
         if self.kind == DIRECTED:

@@ -26,23 +26,22 @@ distances in pattern order, full distances in the vertex order of
 spine node's vertices form one contiguous block, filled one row segment at
 a time.
 
-Substitution summaries keep their potential as a *shifted union*
-(ShiftedPotential): one ``(child potential, shift)`` pair per pattern
-vertex, so a substitution costs O(pattern order) however large its children
-are, and a left-deep chain of r substitutions costs O(r) instead of O(r^2).
-The potential is turned into a dict, by one iterative walk that adds up the
-shifts on the way down, only where its values are read: by an inc node
-(``_inc_core``), by the ``--verify`` checker, and at the root, where
-``ncd_outcome`` and ``apsp_outcome`` return a plain dict.  The APSP exit and
-entry values ``min_out``/``min_in`` stay eager dicts, since the expansion
-reads each child's unshifted values.
+Substitution summaries keep their potential as a *shifted union*: a plain
+tuple ``(child potential, shift, child potential, shift, ...)``, one pair
+per pattern vertex, so a substitution costs O(pattern order) however large
+its children are, and a left-deep chain of r substitutions costs O(r)
+instead of O(r^2).  Its one reader is ``potential_dict``, an iterative walk
+that adds up the shifts on the way down; it runs only where the values are
+read: at an inc node (``_inc_core``), in the ``--verify`` checker, and at
+the root, where ``ncd_outcome`` and ``apsp_outcome`` return a plain dict.
+The APSP exit and entry values ``min_out``/``min_in`` stay eager dicts,
+since the expansion reads each child's unshifted values.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,51 +71,22 @@ _ROUNDING_SLACK = 4
 # Summary types
 
 
-class ShiftedPotential(Mapping):
-    """Read-only union of child potentials, each shifted by a constant.
-
-    ``parts`` alternates potentials and shifts, ``(potential, shift,
-    potential, shift, ...)``, one pair per pattern vertex; a potential is a
-    dict or another ShiftedPotential.  Building one costs O(pattern order);
-    reading it as a mapping materializes it once.
-    """
-
-    __slots__ = ("parts", "_values")
-
-    def __init__(self, parts: tuple):
-        self.parts = parts
-        self._values = None
-
-    def _dict(self):
-        if self._values is None:
-            self._values = potential_dict(self)
-        return self._values
-
-    def __getitem__(self, v):
-        return self._dict()[v]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __len__(self):
-        return len(self._dict())
-
-
 def potential_dict(pi) -> dict:
-    """``pi`` as a plain dict: ``pi`` itself when it is one, else a fresh
-    dict filled by an iterative walk over the shifted union (chains are far
-    deeper than the recursion limit), in pattern order."""
+    """A potential as a plain dict: ``pi`` itself when it is a dict, else a
+    fresh dict filled from the shifted union ``pi``, a tuple ``(potential,
+    shift, potential, shift, ...)`` whose potentials are dicts or shifted
+    unions.  The walk is iterative (chains are far deeper than the recursion
+    limit) and visits the parts in pattern order."""
     if isinstance(pi, dict):
         return pi
     out = {}
     stack = [(pi, 0.0)]
     while stack:
         p, acc = stack.pop()
-        if isinstance(p, ShiftedPotential):
-            parts = p.parts
+        if isinstance(p, tuple):
             # pushed last to first, so that they are visited in order
-            for i in range(len(parts) - 2, -1, -2):
-                stack.append((parts[i], acc + parts[i + 1]))
+            for i in range(len(p) - 2, -1, -2):
+                stack.append((p[i], acc + p[i + 1]))
         else:
             for v, val in p.items():
                 out[v] = val + acc
@@ -125,20 +95,21 @@ def potential_dict(pi) -> dict:
 
 def _shifted_potential(children, shift):
     """The children's potentials, each shifted by the ``shift`` entry of its
-    pattern vertex, as a ShiftedPotential; the children are not copied."""
+    pattern vertex, as a shifted union; the children are not copied."""
     parts = []
     for (_, s), d in zip(children, shift):
         parts += (s.potential, d)
-    return ShiftedPotential(tuple(parts))
+    return tuple(parts)
 
 
 @dataclass
 class NcdSummary:
     """Negative-cycle-detection summary: feasible potential + msp.
 
-    ``potential`` is a dict, or a ShiftedPotential on substitution nodes."""
+    ``potential`` is a dict, or a shifted union (read by ``potential_dict``)
+    on substitution nodes."""
 
-    potential: Mapping
+    potential: dict | tuple
     msp: float
 
 
@@ -147,10 +118,10 @@ class FullSummary:
     """All pairwise distances are known (vertex-addition nodes, leaves):
     ``rows[i][j]`` is the distance from the i-th to the j-th vertex in the key
     order of ``min_out`` and ``min_in``, and ``dist`` maps ``(u, v)`` to it.
-    ``potential`` is a dict, or the ShiftedPotential of an expanded
+    ``potential`` is a dict, or the shifted union of an expanded
     ModuleSummary."""
 
-    potential: Mapping
+    potential: dict | tuple
     msp: float
     min_out: dict
     min_in: dict
@@ -168,13 +139,12 @@ class ModuleSummary:
     ``children`` holds ``(pattern vertex, child summary)`` pairs, kept for
     the expansion to a FullSummary, and every per-pattern field follows
     their order: ``rows`` are the distances in the pattern reweighted with
-    ``omega`` (the child msps), also read by ``(p, q)`` through
-    ``pattern_dist``, and ``out_shift``/``in_shift`` come from
+    ``omega`` (the child msps), and ``out_shift``/``in_shift`` come from
     ``_module_shifts``.  ``min_out`` and ``min_in`` are shifted copies of
-    the children's; ``potential`` is a ShiftedPotential over theirs.
+    the children's; ``potential`` is a shifted union over theirs.
     """
 
-    potential: Mapping
+    potential: tuple
     msp: float
     min_out: dict
     min_in: dict
@@ -183,10 +153,6 @@ class ModuleSummary:
     out_shift: list
     in_shift: list
     children: tuple
-
-    @cached_property
-    def pattern_dist(self):
-        return DistView([p for p, _ in self.children], self.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .expr import (
     Vertex,
     fold_expression,
     normalize,
-    subexpressions,
+    td_pattern_edges,
     validate_or_raise,
 )
 from .framework import FoldStats, HandlerSet, fold_td_expression
@@ -61,7 +61,8 @@ def edges_within(child, s) -> int:
 
     Each node's value is (vertices in s, edges inside s).  An inc vertex in
     s adds its edges into s; a substitution adds c_i * c_j for each pattern
-    edge {i, j}, where c_i counts the vertices in s of the part bound to i.
+    edge {i, j}, where c_i counts the vertices in s of the part bound to i;
+    a tree-depth pattern's edges come from ``expr.td_pattern_edges``.
     """
 
     def combine(node, vals, _where):
@@ -77,7 +78,7 @@ def edges_within(child, s) -> int:
         if isinstance(node, Subst):
             pattern_edges = node.pattern.edges
         elif isinstance(node, SubstTd):
-            pattern_edges = _td_edges(node.pattern_expr)
+            pattern_edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
         else:
             raise InputError(f"{type(node).__name__} node in a normalized expression")
         inside = {bn: c for (bn, _), (c, _) in zip(node.bindings, vals)}
@@ -88,16 +89,6 @@ def edges_within(child, s) -> int:
         return (c, e)
 
     return fold_expression(child, combine)[1]
-
-
-def _td_edges(pattern_expr):
-    """Edges of a tree-depth pattern, read from its inc nodes."""
-    stack = [pattern_expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Inc):
-            yield from ((node.name, u) for u in node.neighbor_names)
-        stack.extend(subexpressions(node))
 
 
 def combine_subst(h, children) -> TriFold:

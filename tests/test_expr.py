@@ -25,7 +25,17 @@ from graphexpr import (
     validate,
 )
 from graphexpr.cli import format_expression
-from graphexpr.expr import Empty, Inc, ParseError, Pattern, SubstTd, Union
+from graphexpr.expr import (
+    Empty,
+    Inc,
+    ParseError,
+    Pattern,
+    SubstTd,
+    Union,
+    subexpressions,
+    td_pattern_edges,
+)
+from graphexpr.graphs import canonical_edge
 from graphexpr.oracle import GenSpec
 
 from conftest import corpus_instance
@@ -427,6 +437,32 @@ def test_evaluate_matches_naive_evaluator_hypothesis(seed, mode, rng):
     e = corpus_instance(seed % 100000, mode, 30)
     _assert_evaluates_like_naive(e)
     _assert_evaluates_like_naive(Expression(mode, _shuffle_bindings(e.root, rng)))
+
+
+def test_td_pattern_edges_are_the_evaluated_pattern_edges(tc_corpus, paths_corpus):
+    seen = {DIRECTED: 0, UNDIRECTED: 0}
+    for e, *_ in tc_corpus + paths_corpus:
+        stack = [e.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(subexpressions(node))
+            if not isinstance(node, SubstTd):
+                continue
+            listed = list(td_pattern_edges(node.pattern_expr, e.mode))
+            want = evaluate(Expression(e.mode, node.pattern_expr)).edges
+            assert len(listed) == len(want)
+            assert {canonical_edge(e.mode, a, b) for a, b in listed} == want
+            seen[e.mode] += 1
+    assert min(seen.values()) >= 1000
+
+
+@pytest.mark.parametrize(
+    "mode, want", [(DIRECTED, [("a", "x"), ("x", "a")]), (UNDIRECTED, [("x", "a")])]
+)
+def test_td_pattern_edges_of_a_neighbor_both_in_and_out(mode, want):
+    # one edge each way when directed, one edge when undirected
+    pattern = parse(f"({mode} (inc x ((x a) (a x)) (vertex a)))").root
+    assert sorted(td_pattern_edges(pattern, mode)) == want
 
 
 # ---------------------------------------------------------------------------

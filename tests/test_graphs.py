@@ -36,7 +36,9 @@ def dgraph(vertices, edges):
 def dijkstra_labels(g, costs, pi, sources):
     """The solvers' Dijkstra under reduced costs ``c(e) + pi(tail) - pi(head)``,
     from ``(vertex, initial_label)`` sources."""
-    adjacency = {v: g.out_neighbors(v) for v in g.vertices}
+    adjacency = {v: [] for v in g.vertices}
+    for a, b in g.edges:
+        adjacency[a].append(b)
     return _dijkstra_labels(
         g.vertices,
         adjacency,
@@ -164,10 +166,13 @@ def _random_digraph(rng, n, p=0.35):
 
 def _all_simple_paths(g, max_len=8):
     paths = []
+    out = {v: [] for v in g.vertices}
+    for a, b in g.edges:
+        out[a].append(b)
 
     def extend(path):
         paths.append(path)
-        for u in g.out_neighbors(path[-1]):
+        for u in out[path[-1]]:
             if u not in path and len(path) < max_len:
                 extend(path + [u])
 

@@ -32,7 +32,7 @@ from graphexpr import (
     parse,
 )
 from graphexpr.expr import Empty, Inc, Join, Union, Vertex, collect_vertex_names
-from graphexpr.graphs import TOL
+from graphexpr.graphs import TOL, DistView
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
     ModuleSummary,
@@ -175,7 +175,7 @@ def test_apsp_subst_directed_edge():
     children = [("p", _full_singleton("a", 1.0)), ("q", _full_singleton("b", 5.0))]
     out = apsp_subst(edge_pattern(), children, TOL)
     assert isinstance(out, ModuleSummary)
-    assert close(out.pattern_dist[("p", "q")], 6.0)
+    assert close(_pattern_dist(out)[("p", "q")], 6.0)
     assert close(out.min_out["a"], 1.0)
     assert close(out.min_out["b"], 5.0)
     assert close(out.min_in["b"], 5.0)
@@ -193,8 +193,8 @@ def test_apsp_subst_edgeless_keeps_child_minima():
 def test_apsp_subst_bidirected_pair():
     children = [("p", _full_singleton("a", -1.0)), ("q", _full_singleton("b", 3.0))]
     out = apsp_subst(two_cycle_pattern(), children, TOL)
-    assert close(out.pattern_dist[("p", "q")], 2.0)
-    assert close(out.pattern_dist[("q", "p")], 2.0)
+    assert close(_pattern_dist(out)[("p", "q")], 2.0)
+    assert close(_pattern_dist(out)[("q", "p")], 2.0)
     assert close(out.min_out["a"], -1.0)
 
 
@@ -291,7 +291,7 @@ def test_subst_td_directed_path_pattern():
     assert names == ("p1", "p2", "p3")
     children = _summaries_for(names, (1.0, 2.0, 3.0), "apsp")
     out = apsp_subst_td(top, children, TOL)
-    assert close(out.pattern_dist[("p1", "p3")], 6.0)
+    assert close(_pattern_dist(out)[("p1", "p3")], 6.0)
     ref = apsp_subst(pg, children, TOL)
     _assert_module_summaries_equal(out, ref)
 
@@ -305,17 +305,24 @@ def test_subst_td_negative_cycle_in_pattern():
     assert is_negative_cycle(ncd_subst_td(top, children, TOL))
 
 
+def _pattern_dist(s):
+    """The pattern distances of a ModuleSummary, read by ``(p, q)``."""
+    return DistView([p for p, _ in s.children], s.rows)
+
+
 def _assert_module_summaries_equal(a, b, tol=1e-9):
     assert close(a.msp, b.msp, tol)
-    assert a.potential.keys() == b.potential.keys()
-    for k in a.potential:
-        assert close(a.potential[k], b.potential[k], tol)
+    pa, pb = potential_dict(a.potential), potential_dict(b.potential)
+    assert pa.keys() == pb.keys()
+    for k in pa:
+        assert close(pa[k], pb[k], tol)
     for k in a.min_out:
         assert close(a.min_out[k], b.min_out[k], tol)
         assert close(a.min_in[k], b.min_in[k], tol)
     assert set(a.omega) == set(b.omega)
-    for pair in b.pattern_dist:
-        assert close(a.pattern_dist[pair], b.pattern_dist[pair], tol)
+    da, db = _pattern_dist(a), _pattern_dist(b)
+    for pair in db:
+        assert close(da[pair], db[pair], tol)
 
 
 def test_handler_cross_equality_on_generated_patterns():
@@ -334,8 +341,9 @@ def test_handler_cross_equality_on_generated_patterns():
         assert is_negative_cycle(a) == is_negative_cycle(b)
         if not is_negative_cycle(a):
             assert close(a.msp, b.msp)
-            for k in a.potential:
-                assert close(a.potential[k], b.potential[k])
+            pa, pb = potential_dict(a.potential), potential_dict(b.potential)
+            for k in pa:
+                assert close(pa[k], pb[k])
 
         apsp_children = _summaries_for(names, weights, "apsp")
         fa = apsp_subst(pg, apsp_children, TOL)
