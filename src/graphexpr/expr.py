@@ -130,15 +130,16 @@ class Params(NamedTuple):
 TD_NODE_TYPES = (Empty, Vertex, Union, Inc)
 
 
-def subexpressions(node) -> tuple:
-    """Child expression nodes; subst-td pattern expressions are payload,
-    not children."""
-    if isinstance(node, (Union, Join)):
-        return node.children
-    if isinstance(node, Inc):
+def subexpressions(node):
+    """Child expression nodes, in order; subst-td pattern expressions are
+    payload, not children."""
+    t = type(node)
+    if t is Subst or t is SubstTd:
+        return [sub for _, sub in node.bindings]
+    if t is Inc:
         return (node.child,)
-    if isinstance(node, (Subst, SubstTd)):
-        return tuple(sub for _, sub in node.bindings)
+    if t is Union or t is Join:
+        return node.children
     return ()
 
 
@@ -146,38 +147,49 @@ def fold_expression(root, combine, label=lambda: "root"):
     """Iterative post-order fold: ``combine(node, child_values, where)``
     returns the value of ``node``.
 
+    One flat walk keeps the values of finished nodes whose parent is still
+    open in ``done``, and each open node as ``(node, children, start)``; the
+    node is combined from ``done[start:]``, which is then cut off.
     ``where()`` renders the location of the node being combined, such as
-    ``root/1/bind[p]/child``, from the frame stack; ``label()`` renders the
-    location of ``root``.  Rendering costs O(depth), so combine functions
-    call it only to report a violation, an error or a verify failure.
+    ``root/1/bind[p]/child``: the child taken at each open node is the next
+    open node's start (``len(done)`` at the innermost) minus its own.
+    ``label()`` renders the location of ``root``.  Rendering costs O(depth),
+    so combine functions call it only to report a violation, an error or a
+    verify failure.
     """
-    frames = [[root, subexpressions(root), 0, []]]
+    done, opened = [], []
 
     def where():
-        return "/".join([label()] + [_step(n, i - 1) for n, _, i, _ in frames[:-1]])
+        ends = [start for _, _, start in opened[1:]] + [len(done)]
+        return "/".join([label()] + [_step(n, e - s) for (n, _, s), e in zip(opened, ends)])
 
+    node = root
     while True:
-        frame = frames[-1]
-        node, kids, i, vals = frame
-        if i < len(kids):
-            frame[2] += 1
-            child = kids[i]
-            frames.append([child, subexpressions(child), 0, []])
-        else:
+        while kids := subexpressions(node):
+            opened.append((node, kids, len(done)))
+            node = kids[0]
+        value = combine(node, (), where)
+        while opened:
+            node, kids, start = opened[-1]
+            done.append(value)
+            i = len(done) - start
+            if i < len(kids):
+                node = kids[i]
+                break
+            opened.pop()
+            vals = done[start:]
+            del done[start:]
             value = combine(node, vals, where)
-            frames.pop()
-            if not frames:
-                return value
-            frames[-1][3].append(value)
+        else:
+            return value
 
 
 def _step(node, index):
     """Location step from ``node`` to its ``index``-th child."""
-    if isinstance(node, Inc):
-        return "child"
-    if isinstance(node, (Subst, SubstTd)):
+    t = type(node)
+    if t is Subst or t is SubstTd:
         return f"bind[{node.bindings[index][0]}]"
-    return str(index)
+    return "child" if t is Inc else str(index)
 
 
 def collect_vertex_names(node) -> set:
@@ -187,13 +199,9 @@ def collect_vertex_names(node) -> set:
     stack = [node]
     while stack:
         n = stack.pop()
-        if isinstance(n, Vertex):
+        if type(n) is Vertex or type(n) is Inc:
             names.add(n.name)
-        elif isinstance(n, Inc):
-            names.add(n.name)
-            stack.append(n.child)
-        else:
-            stack.extend(subexpressions(n))
+        stack.extend(subexpressions(n))
     return names
 
 
@@ -506,18 +514,15 @@ def _validate_node(root, label, violations, td_only):
         def duplicate(nm):
             bad(node, f"duplicate vertex name {nm!r}")
 
-        if td_only and not isinstance(node, TD_NODE_TYPES):
+        t = type(node)
+        if td_only and t not in TD_NODE_TYPES:
             bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
 
-        if isinstance(node, Empty):
-            return set()
-        if isinstance(node, Vertex):
-            return {node.name}
-        if isinstance(node, (Union, Join)):
-            if len(node.children) < 2:
-                bad(node, "union/join needs at least two children")
+        if t is Subst:
+            _check_pattern(node.pattern, bad)
+            _check_bindings(node, node.pattern.names, vals, bad)
             return _merge_name_sets(vals, duplicate)
-        if isinstance(node, Inc):
+        if t is Inc:
             names = vals[0]
             for target in sorted(node.neighbor_names):
                 if target not in names:
@@ -526,11 +531,15 @@ def _validate_node(root, label, violations, td_only):
                 duplicate(node.name)
             names.add(node.name)
             return names
-        if isinstance(node, Subst):
-            _check_pattern(node.pattern, bad)
-            _check_bindings(node, node.pattern.names, vals, bad)
+        if t is Union or t is Join:
+            if len(node.children) < 2:
+                bad(node, "union/join needs at least two children")
             return _merge_name_sets(vals, duplicate)
-        if isinstance(node, SubstTd):
+        if t is Vertex:
+            return {node.name}
+        if t is Empty:
+            return set()
+        if t is SubstTd:
             pattern_names = sorted(
                 _validate_node(
                     node.pattern_expr, lambda: where() + "/pattern", violations, td_only=True
@@ -540,7 +549,7 @@ def _validate_node(root, label, violations, td_only):
                 bad(node, "subst-td pattern has fewer than two vertices")
             _check_bindings(node, pattern_names, vals, bad)
             return _merge_name_sets(vals, duplicate)
-        bad(node, f"unknown node type {type(node).__name__}")
+        bad(node, f"unknown node type {t.__name__}")
         return set()
 
     return fold_expression(root, combine, label)
@@ -687,7 +696,7 @@ def inc_nesting(node) -> int:
 
     def combine(n, vals, _where):
         depth = max(vals, default=0)
-        return depth + 1 if isinstance(n, Inc) else depth
+        return depth + 1 if type(n) is Inc else depth
 
     return fold_expression(node, combine)
 
@@ -733,26 +742,29 @@ def normalize(e: Expression) -> Expression:
     """Rewrite union/join nodes into chains of binary substitutions
     (pattern: two isolated resp. two adjacent vertices), dropping empty
     children on the way.  The evaluated graph is unchanged: same vertex
-    names, same edges.  Subst-td pattern expressions are left alone."""
+    names, same edges.  Subst-td pattern expressions are left alone.  An
+    inc, subst or subst-td node none of whose children changed is returned
+    itself, so subtrees without union or join are shared with ``e``."""
 
     def combine(node, vals, _where):
-        if isinstance(node, (Empty, Vertex)):
-            return node
-        if isinstance(node, Inc):
+        t = type(node)
+        if t is Subst or t is SubstTd:
+            if all(v is sub for v, (_, sub) in zip(vals, node.bindings)):
+                return node
+            bindings = tuple((bn, v) for (bn, _), v in zip(node.bindings, vals))
+            return t(node.pattern if t is Subst else node.pattern_expr, bindings)
+        if t is Inc:
+            if vals[0] is node.child:
+                return node
             return Inc(node.name, node.in_names, node.out_names, vals[0])
-        if isinstance(node, Subst):
-            bindings = tuple((bn, v) for (bn, _), v in zip(node.bindings, vals))
-            return Subst(node.pattern, bindings)
-        if isinstance(node, SubstTd):
-            bindings = tuple((bn, v) for (bn, _), v in zip(node.bindings, vals))
-            return SubstTd(node.pattern_expr, bindings)
-        # union / join
-        survivors = [v for v in vals if not isinstance(v, Empty)]
+        if t is not Union and t is not Join:
+            return node
+        survivors = [v for v in vals if type(v) is not Empty]
         if not survivors:
             return Empty()
         if len(survivors) == 1:
             return survivors[0]
-        pat = (_PAT_K2 if isinstance(node, Join) else _PAT_I2)[e.mode]
+        pat = (_PAT_K2 if t is Join else _PAT_I2)[e.mode]
         acc = survivors[0]
         for child in survivors[1:]:
             acc = Subst(pat, (("a", acc), ("b", child)))

@@ -88,31 +88,36 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
 
     def combine(node, vals, where):
         # vals holds (summary, inc_depth) pairs for the children
-        depth = max((d for _, d in vals), default=0)
+        depth = 0
+        for _, d in vals:
+            if d > depth:
+                depth = d
+        t = type(node)
         try:
-            if isinstance(node, Empty):
-                stats.bump("empty")
-                stats.leaf_count += 1
-                value = handlers.base_empty()
-            elif isinstance(node, Vertex):
-                stats.bump("vertex")
-                stats.leaf_count += 1
-                value = handlers.base_vertex(node.name)
-            elif isinstance(node, Inc):
+            if t is Subst:
+                stats.bump("subst")
+                order = len(node.pattern.names)
+                stats.sum_pattern_order += order
+                stats.max_subst_order = max(stats.max_subst_order, order)
+                by_name = {bn: v for (bn, _), (v, _) in zip(node.bindings, vals)}
+                children = [(p, by_name[p]) for p in node.pattern.names]
+                value = handlers.on_subst(pattern_graph(node.pattern), children)
+            elif t is Inc:
                 stats.bump("inc")
                 depth += 1
                 stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
                 value = handlers.on_inc(
                     vals[0][0], node.name, node.in_names, node.out_names, node.child
                 )
-            elif isinstance(node, Subst):
-                stats.bump("subst")
-                order = len(node.pattern.names)
-                stats.sum_pattern_order += order
-                stats.max_subst_order = max(stats.max_subst_order, order)
-                children = _aligned(node, node.pattern.names, vals)
-                value = handlers.on_subst(pattern_graph(node.pattern), children)
-            elif isinstance(node, SubstTd):
+            elif t is Empty:
+                stats.bump("empty")
+                stats.leaf_count += 1
+                value = handlers.base_empty()
+            elif t is Vertex:
+                stats.bump("vertex")
+                stats.leaf_count += 1
+                value = handlers.base_vertex(node.name)
+            elif t is SubstTd:
                 stats.bump("subst_td")
                 # validation binds each pattern vertex exactly once
                 stats.sum_pattern_order += len(node.bindings)
@@ -121,13 +126,13 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 )
                 children = [(bn, v) for (bn, _), (v, _) in zip(node.bindings, vals)]
                 value = handlers.on_subst_td(node.pattern_expr, children)
-            elif isinstance(node, (Union, Join)):
+            elif t is Union or t is Join:
                 raise InputError(
                     "fold requires a normalized expression (no union/join); "
                     "call normalize() first"
                 )
             else:
-                raise InputError(f"unknown node type {type(node).__name__}")
+                raise InputError(f"unknown node type {t.__name__}")
         except Exception as exc:
             if not getattr(exc, "_fold_path", None):
                 path = exc._fold_path = where()
@@ -141,11 +146,6 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
 
     value, _ = fold_expression(e.root, combine)
     return value, stats
-
-
-def _aligned(node, order, vals):
-    by_name = {bn: v for (bn, _), (v, _) in zip(node.bindings, vals)}
-    return [(pname, by_name[pname]) for pname in order]
 
 
 def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
@@ -192,16 +192,15 @@ def fold_td_expression(pattern_expr, *, empty, vertex, union, inc):
     """
 
     def combine(node, vals, _where):
-        if isinstance(node, Empty):
-            return empty()
-        if isinstance(node, Vertex):
-            return vertex(node.name)
-        if isinstance(node, Union):
-            return union(vals)
-        if isinstance(node, Inc):
+        t = type(node)
+        if t is Inc:
             return inc(vals[0], node.name, node.in_names, node.out_names, node.child)
-        raise InputError(
-            f"{type(node).__name__} node inside a tree-depth pattern expression"
-        )
+        if t is Vertex:
+            return vertex(node.name)
+        if t is Union:
+            return union(vals)
+        if t is Empty:
+            return empty()
+        raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
 
     return fold_expression(pattern_expr, combine)

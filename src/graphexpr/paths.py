@@ -140,7 +140,7 @@ class ModuleSummary:
     the expansion to a FullSummary, and every per-pattern field follows
     their order: ``rows`` are the distances in the pattern reweighted with
     ``omega`` (the child msps), and ``out_shift``/``in_shift`` come from
-    ``_module_shifts``.  ``min_out`` and ``min_in`` are shifted copies of
+    ``_shift``.  ``min_out`` and ``min_in`` are shifted copies of
     the children's; ``potential`` is a shifted union over theirs.
     """
 
@@ -258,14 +258,13 @@ def ncd_inc(f, x, in_names, out_names, w, child, tol):
     return NcdSummary(new_pi, msp)
 
 
-def _module_shifts(rows, omega):
-    """Per pattern vertex p, the row resp. column minimum of the pattern
-    distance rows minus ``omega[p]``: what the cheapest pattern path
-    starting resp. ending at p adds to p's own msp (0 for p alone).  The
-    second list is the pattern's shortest-path potential."""
-    out_shift = [m - om for m, om in zip(map(min, rows), omega)]
-    in_shift = [m - om for m, om in zip(map(min, zip(*rows)), omega)]
-    return out_shift, in_shift
+def _shift(lines, omega):
+    """Per pattern vertex p, the minimum of p's line of pattern distances
+    minus ``omega[p]``: what the cheapest pattern path starting (over the
+    rows: the out-shift) resp. ending at p (over the columns ``zip(*rows)``:
+    the in-shift) adds to p's own msp, 0 for p alone.  The in-shift is the
+    pattern's shortest-path potential."""
+    return [m - om for m, om in zip(map(min, lines), omega)]
 
 
 def _shifted(children, shift, field):
@@ -288,7 +287,7 @@ def ncd_subst(pattern_graph, children, tol):
     if is_negative_cycle(D):
         return D
     rows = D.rows
-    _, pi_h = _module_shifts(rows, [s.msp for _, s in children])
+    pi_h = _shift(zip(*rows), [s.msp for _, s in children])
     return NcdSummary(_shifted_potential(children, pi_h), min(map(min, rows)))
 
 
@@ -432,7 +431,7 @@ def _assemble_module(children, rows):
     exits shift by its module's out-shift, its entries and potential by the
     in-shift.  Only the exits and entries are copied."""
     omega = [s.msp for _, s in children]
-    out_shift, in_shift = _module_shifts(rows, omega)
+    out_shift, in_shift = _shift(rows, omega), _shift(zip(*rows), omega)
     return ModuleSummary(
         _shifted_potential(children, in_shift),
         min(map(min, rows)),

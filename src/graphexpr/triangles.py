@@ -66,26 +66,28 @@ def edges_within(child, s) -> int:
     """
 
     def combine(node, vals, _where):
-        if isinstance(node, Vertex):
-            return (1, 0) if node.name in s else (0, 0)
-        if isinstance(node, Inc):
+        t = type(node)
+        if t is Subst:
+            pattern_edges = node.pattern.edges
+        elif t is Inc:
             c, e = vals[0]
             if node.name in s:
                 return (c + 1, e + len(node.neighbor_names & s))
             return (c, e)
-        if isinstance(node, Empty):
+        elif t is Vertex:
+            return (1, 0) if node.name in s else (0, 0)
+        elif t is Empty:
             return (0, 0)
-        if isinstance(node, Subst):
-            pattern_edges = node.pattern.edges
-        elif isinstance(node, SubstTd):
+        elif t is SubstTd:
             pattern_edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
         else:
-            raise InputError(f"{type(node).__name__} node in a normalized expression")
-        inside = {bn: c for (bn, _), (c, _) in zip(node.bindings, vals)}
-        c = sum(c for c, _ in vals)
-        e = sum(e for _, e in vals)
-        for (u, v) in pattern_edges:
-            e += inside[u] * inside[v]
+            raise InputError(f"{t.__name__} node in a normalized expression")
+        c = sum([c for c, _ in vals])
+        e = sum([e for _, e in vals])
+        if pattern_edges:
+            inside = {bn: c for (bn, _), (c, _) in zip(node.bindings, vals)}
+            for (u, v) in pattern_edges:
+                e += inside[u] * inside[v]
         return (c, e)
 
     return fold_expression(child, combine)[1]

@@ -15,9 +15,13 @@ from graphexpr import (
     Join,
     Subst,
     Vertex,
+    all_pairs,
+    count_triangles,
     evaluate,
     gen_fixture,
     gen_random,
+    is_negative_cycle,
+    ncd_outcome,
     normalize,
     oracle_treedepth,
     params,
@@ -439,6 +443,56 @@ def test_evaluate_matches_naive_evaluator_hypothesis(seed, mode, rng):
     _assert_evaluates_like_naive(Expression(mode, _shuffle_bindings(e.root, rng)))
 
 
+def _reshape(node, rng):
+    """``node`` with the children of every union and join permuted and
+    randomly re-associated into nested nodes of the same kind, and the
+    bindings of every substitution permuted, which leaves the evaluated
+    graph unchanged."""
+    if isinstance(node, Inc):
+        return Inc(node.name, node.in_names, node.out_names, _reshape(node.child, rng))
+    if isinstance(node, (Union, Join)):
+        parts = [_reshape(c, rng) for c in node.children]
+        rng.shuffle(parts)
+        while len(parts) > 2 and rng.random() < 0.7:
+            i = rng.randrange(len(parts) - 1)
+            j = rng.randint(i + 2, len(parts))
+            if j - i < len(parts):
+                parts[i:j] = [type(node)(tuple(parts[i:j]))]
+        return type(node)(tuple(parts))
+    if isinstance(node, (Subst, SubstTd)):
+        bindings = [(bn, _reshape(sub, rng)) for bn, sub in node.bindings]
+        rng.shuffle(bindings)
+        payload = node.pattern if isinstance(node, Subst) else node.pattern_expr
+        return type(node)(payload, tuple(bindings))
+    return node
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    mode=st.sampled_from([DIRECTED, UNDIRECTED]),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_answers_are_invariant_under_reshaped_unions_and_joins(seed, mode, rng):
+    # permuted and re-associated union/join children and permuted bindings
+    # denote the same graph; on integer weights every float sum is exact,
+    # so msp and all distances must agree bit for bit
+    e = corpus_instance(seed % 100000, mode, 30)
+    r = Expression(mode, _reshape(e.root, rng))
+    if mode == UNDIRECTED:
+        assert count_triangles(r) == count_triangles(e)
+        return
+    names = sorted(evaluate(e).vertices)
+    w = {v: float(rng.randint(-3, 5)) for v in names}
+    base, _ = ncd_outcome(e, w)
+    got, _ = ncd_outcome(r, w)
+    assert is_negative_cycle(got) == is_negative_cycle(base)
+    if is_negative_cycle(base):
+        return
+    assert got.msp == base.msp
+    assert dict(all_pairs(r, w)) == dict(all_pairs(e, w))
+
+
 def test_td_pattern_edges_are_the_evaluated_pattern_edges(tc_corpus, paths_corpus):
     seen = {DIRECTED: 0, UNDIRECTED: 0}
     for e, *_ in tc_corpus + paths_corpus:
@@ -549,8 +603,57 @@ def test_normalize_preserves_value_and_parameters(tc_corpus):
         assert np_.h <= max(p.h, 2)
 
 
-# ---------------------------------------------------------------------------
-# printing round trip
+def _rebuilt_normal_form(node, mode):
+    """Reference normalization that builds every node anew, by recursion."""
+    if isinstance(node, Inc):
+        child = _rebuilt_normal_form(node.child, mode)
+        return Inc(node.name, node.in_names, node.out_names, child)
+    if isinstance(node, (Subst, SubstTd)):
+        bindings = tuple((bn, _rebuilt_normal_form(sub, mode)) for bn, sub in node.bindings)
+        payload = node.pattern if isinstance(node, Subst) else node.pattern_expr
+        return type(node)(payload, bindings)
+    if isinstance(node, (Union, Join)):
+        parts = [_rebuilt_normal_form(c, mode) for c in node.children]
+        parts = [p for p in parts if not isinstance(p, Empty)]
+        if not parts:
+            return Empty()
+        edges = {("a", "b")} if isinstance(node, Join) else set()
+        if isinstance(node, Join) and mode == DIRECTED:
+            edges.add(("b", "a"))
+        pattern = Pattern(mode, ("a", "b"), frozenset(edges))
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = Subst(pattern, (("a", acc), ("b", part)))
+        return acc
+    return node
+
+
+def _has_union_or_join(node):
+    return isinstance(node, (Union, Join)) or any(map(_has_union_or_join, subexpressions(node)))
+
+
+def _all_nodes(node):
+    yield node
+    for child in subexpressions(node):
+        yield from _all_nodes(child)
+
+
+def test_normalize_shares_unchanged_subtrees(tc_corpus, paths_corpus):
+    shared_incs = 0
+    for e, *_ in tc_corpus + paths_corpus:
+        ne = normalize(e)
+        assert ne == Expression(e.mode, _rebuilt_normal_form(e.root, e.mode))
+        # a normalized expression comes back as the same tree
+        assert normalize(ne).root is ne.root
+        # inc subtrees without union or join below are not rebuilt
+        kept = {id(n) for n in _all_nodes(ne.root)}
+        for node in _all_nodes(e.root):
+            if isinstance(node, Inc) and not _has_union_or_join(node):
+                assert id(node) in kept
+                shared_incs += 1
+    assert shared_incs > 1000
+    e = parse("(directed (union (inc x ((x a)) (vertex a)) (vertex b)))")
+    assert normalize(e).root.bindings[0][1] is e.root.children[0]
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])

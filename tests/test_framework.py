@@ -1,6 +1,8 @@
 """The generic fold: handler dispatch, graph reconstruction sanity check,
 accounting bounds."""
 
+import re
+
 import pytest
 
 from graphexpr import (
@@ -10,6 +12,7 @@ from graphexpr import (
     InputError,
     Join,
     Params,
+    Subst,
     Vertex,
     assert_stats,
     evaluate,
@@ -17,9 +20,10 @@ from graphexpr import (
     normalize,
     params,
     parse,
+    validate,
     validate_or_raise,
 )
-from graphexpr.expr import canonical_edge
+from graphexpr.expr import Inc, SubstTd, Union, canonical_edge
 from graphexpr.triangles import handlers as tri_handlers
 
 from conftest import corpus_instance
@@ -213,7 +217,58 @@ def test_handler_error_message_is_unquoted():
     assert info.value._fold_path == "root/bind[b]/bind[p]"
 
 
-def test_verify_receives_node_paths_in_post_order():
+def _reference_paths(node, path="root"):
+    """``(path, node)`` for ``node`` and every node below it in post-order,
+    by plain recursion over the node fields."""
+    if isinstance(node, Inc):
+        steps = [("child", node.child)]
+    elif isinstance(node, (Union, Join)):
+        steps = [(str(i), child) for i, child in enumerate(node.children)]
+    elif isinstance(node, (Subst, SubstTd)):
+        steps = [(f"bind[{bn}]", sub) for bn, sub in node.bindings]
+    else:
+        steps = []
+    out = []
+    for step, child in steps:
+        out += _reference_paths(child, f"{path}/{step}")
+    return out + [(path, node)]
+
+
+def _tag_every_node(node, path, expected, in_pattern=False):
+    """A copy of ``node`` in which every inc, subst and subst-td node, and
+    every union and join outside subst-td patterns, causes exactly one
+    validation violation that names a fresh tag ``zz<i>``; ``expected[tag]``
+    is that node's path.  An inc names the tag as an unknown target, a union
+    or join gets the tag as two duplicate vertex children, a substitution a
+    binding for the tag as an unknown pattern vertex."""
+    tag = f"zz{len(expected)}"
+    if isinstance(node, Inc):
+        expected[tag] = path
+        child = _tag_every_node(node.child, path + "/child", expected, in_pattern)
+        return Inc(node.name, node.in_names, node.out_names | {tag}, child)
+    if isinstance(node, (Union, Join)):
+        if not in_pattern:
+            expected[tag] = path
+        children = tuple(
+            _tag_every_node(child, f"{path}/{i}", expected, in_pattern)
+            for i, child in enumerate(node.children)
+        )
+        return type(node)(children if in_pattern else children + (Vertex(tag), Vertex(tag)))
+    if isinstance(node, (Subst, SubstTd)):
+        expected[tag] = path
+        bindings = tuple(
+            (bn, _tag_every_node(sub, f"{path}/bind[{bn}]", expected))
+            for bn, sub in node.bindings
+        )
+        bindings += ((tag, Vertex(tag + "v")),)
+        if isinstance(node, Subst):
+            return Subst(node.pattern, bindings)
+        pattern = _tag_every_node(node.pattern_expr, path + "/pattern", expected, True)
+        return SubstTd(pattern, bindings)
+    return node
+
+
+def test_verify_receives_node_paths_in_post_order(tc_corpus, paths_corpus):
     seen = []
     fold(parse(NESTED), counting_handlers(), verify=lambda path, *_: seen.append(path))
     assert seen == [
@@ -224,6 +279,27 @@ def test_verify_receives_node_paths_in_post_order():
         "root/bind[b]",
         "root",
     ]
+    # the acceptance corpora: every node the fold verifies, and every
+    # validation violation, is located where an independent walk puts it
+    pattern_paths = 0
+    for e, *_ in tc_corpus + paths_corpus:
+        ne = normalize(e)
+        seen = []
+        fold(ne, counting_handlers(), verify=lambda path, node, *_: seen.append((path, node)))
+        want = _reference_paths(ne.root)
+        assert [path for path, _ in seen] == [path for path, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(seen, want))
+
+        expected = {}
+        tagged = _tag_every_node(e.root, "root", expected)
+        got = {}
+        for v in validate(Expression(e.mode, tagged)):
+            (tag,) = re.findall(r"'(zz\d+)'", v.message)
+            assert tag not in got, v
+            got[tag] = v.path
+        assert got == expected
+        pattern_paths += sum("/pattern" in path for path in got.values())
+    assert pattern_paths > 100
 
 
 def test_handler_error_path_on_deep_normalized_chain():
