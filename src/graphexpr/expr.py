@@ -604,68 +604,73 @@ def evaluate_node(root, mode):
     out-edges, ``inn[v]`` the tails of its in-edges; in undirected mode
     ``inn`` is ``out``.  One explicit-stack walk appends the vertices in
     leaf order, so each subexpression's vertices form one run of ``verts``
-    (a substitution's children in binding order), and a pattern edge
-    between two runs extends the lists of their vertices directly.  A
-    tree-depth pattern's edges are read from its inc nodes
-    (``td_pattern_edges``); no pattern graph is built."""
+    (a substitution's children in binding order).  Only the nodes that add
+    edges pay for more than a visit: an inc pushes a leave entry, and a
+    join, a substitution into a pattern with edges or a subst-td pushes a
+    leave entry plus a marker before each child that records where the
+    child's run starts, so that each pattern edge between two runs extends
+    the lists of their vertices directly.  A union or an edgeless
+    substitution pushes its children as bare nodes.  A tree-depth pattern's
+    edges are read from its inc nodes (``td_pattern_edges``); no pattern
+    graph is built."""
     directed = mode == DIRECTED
     verts, out = [], {}
     inn = {} if directed else out
-    # (node, parent's bounds, None) enters a node, (node, None, bounds) leaves
-    # one that adds edges; bounds collects where each child's run starts
-    stack = [(root, None, None)]
+    # the stack holds nodes to enter, run-start markers (the bounds list of
+    # the parent) and leave entries (node, bounds or None for an inc)
+    stack = [root]
     while stack:
-        node, parent_bounds, bounds = stack.pop()
+        node = stack.pop()
         t = type(node)
-        if bounds is None:
-            if parent_bounds is not None:
-                parent_bounds.append(len(verts))
-            if t is Vertex:
-                verts.append(node.name)
-                out[node.name] = []
-                if directed:
-                    inn[node.name] = []
-            elif t is Inc:
-                stack += ((node, None, ()), (node.child, None, None))
-            elif t in (Union, Join, Subst, SubstTd):
-                if t is Union or (t is Subst and not node.pattern.edges):
-                    bounds = None  # no edges, so the runs are not needed
-                else:
-                    bounds = []
-                    stack.append((node, None, bounds))
-                stack += [(child, bounds, None) for child in reversed(subexpressions(node))]
-            elif t is not Empty:
-                raise InputError(f"cannot evaluate node of type {t.__name__}")
-            continue
-        if t is Inc:
-            x = node.name
-            verts.append(x)
+        if t is Subst and not node.pattern.edges or t is Union:
+            stack += reversed(subexpressions(node))
+        elif t is Vertex:
+            verts.append(node.name)
+            out[node.name] = []
             if directed:
-                inn[x] = list(node.in_names)
-                for u in node.in_names:
-                    out[u].append(x)
-            out[x] = list(node.out_names if directed else node.neighbor_names)
-            for u in out[x]:
-                inn[u].append(x)
-            continue
-        bounds.append(len(verts))
-        if t is Join:
-            pairs = (permutations if directed else combinations)(range(len(bounds) - 1), 2)
-        else:
-            if t is Subst:
-                pattern_edges = node.pattern.edges
+                inn[node.name] = []
+        elif t is Inc:
+            stack += ((node, None), node.child)
+        elif t is list:
+            node.append(len(verts))
+        elif t is tuple:
+            node, bounds = node
+            if bounds is None:
+                x = node.name
+                verts.append(x)
+                if directed:
+                    inn[x] = list(node.in_names)
+                    for u in node.in_names:
+                        out[u].append(x)
+                out[x] = list(node.out_names if directed else node.neighbor_names)
+                for u in out[x]:
+                    inn[u].append(x)
+                continue
+            bounds.append(len(verts))
+            if type(node) is Join:
+                pairs = (permutations if directed else combinations)(range(len(bounds) - 1), 2)
             else:
-                pattern_edges = td_pattern_edges(node.pattern_expr, mode)
-            part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
-            pairs = [(part[p], part[q]) for p, q in pattern_edges]
-        for p, q in pairs:
-            # a run is copied only for an edge, so edgeless chains stay linear
-            part_p = verts[bounds[p] : bounds[p + 1]]
-            part_q = verts[bounds[q] : bounds[q + 1]]
-            for a in part_p:
-                out[a].extend(part_q)
-            for b in part_q:
-                inn[b].extend(part_p)
+                if type(node) is Subst:
+                    pattern_edges = node.pattern.edges
+                else:
+                    pattern_edges = td_pattern_edges(node.pattern_expr, mode)
+                part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
+                pairs = [(part[p], part[q]) for p, q in pattern_edges]
+            for p, q in pairs:
+                # a run is copied only for an edge, so edgeless chains stay linear
+                part_p = verts[bounds[p] : bounds[p + 1]]
+                part_q = verts[bounds[q] : bounds[q + 1]]
+                for a in part_p:
+                    out[a].extend(part_q)
+                for b in part_q:
+                    inn[b].extend(part_p)
+        elif t is Join or t is Subst or t is SubstTd:
+            bounds = []
+            stack.append((node, bounds))
+            for child in reversed(subexpressions(node)):
+                stack += (child, bounds)
+        elif t is not Empty:
+            raise InputError(f"cannot evaluate node of type {t.__name__}")
     return verts, out, inn
 
 

@@ -18,7 +18,6 @@ every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 from .errors import InputError
@@ -28,7 +27,6 @@ from .expr import (
     Inc,
     Join,
     Params,
-    Pattern,
     Subst,
     SubstTd,
     Union,
@@ -82,8 +80,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     Without ``verify`` the fold evaluates nothing.
     """
     # normalization shares two pattern objects across whole chains; the
-    # cache is local so that no pattern outlives the fold
-    pattern_graph = cache(Pattern.to_graph)
+    # cache is local so that no pattern outlives the fold, and keyed by
+    # identity, which is stable while the expression is alive and cheaper
+    # than hashing the frozen pattern
+    pattern_graphs = {}
     stats = FoldStats()
 
     def combine(node, vals, where):
@@ -101,7 +101,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 stats.max_subst_order = max(stats.max_subst_order, order)
                 by_name = {bn: v for (bn, _), (v, _) in zip(node.bindings, vals)}
                 children = [(p, by_name[p]) for p in node.pattern.names]
-                value = handlers.on_subst(pattern_graph(node.pattern), children)
+                pg = pattern_graphs.get(id(node.pattern))
+                if pg is None:
+                    pg = pattern_graphs[id(node.pattern)] = node.pattern.to_graph()
+                value = handlers.on_subst(pg, children)
             elif t is Inc:
                 stats.bump("inc")
                 depth += 1

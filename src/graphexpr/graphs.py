@@ -177,8 +177,7 @@ def floyd_vertex_weighted(g: Graph, w: dict, tol: float = TOL):
 
     dist(u, u) = w(u); dist(u, v) sums the weights of all path vertices
     including both endpoints.  Relaxation through a middle vertex k therefore
-    subtracts w(k) once to undo the double count.  A graph without edges
-    returns its diagonal at once, after the weight check.
+    subtracts w(k) once to undo the double count.
     """
     if g.kind != DIRECTED:
         raise InputError("floyd_vertex_weighted requires a directed graph")
@@ -190,8 +189,6 @@ def floyd_vertex_weighted(g: Graph, w: dict, tol: float = TOL):
     d = [[INF] * n for _ in vs]
     for i, row in enumerate(d):
         row[i] = wt[i]
-    if not g.edges:  # no relaxation and no cycle test can change the diagonal
-        return DistView(vs, d)
     index = dict(zip(vs, range(n)))
     for (u, v) in g.edges:
         d[index[u]][index[v]] = w[u] + w[v]

@@ -15,11 +15,14 @@ Every handler keeps two things alive while folding the expression:
 Substitution reduces to the pattern graph reweighted with the children's
 msp values: that small graph has a negative cycle iff the substituted graph
 does, and its distance matrix provides both the new msp and the pieces of
-the distance composition.  For the all-pairs problem, substitution nodes
-keep distances at pattern granularity (ModuleSummary) and are expanded to
-full pairwise distances (FullSummary) only when a vertex-addition node or
-the root needs them; the expansion walks the substitution spine top-down
-with the classic "cheapest detour that leaves this module" values.  All
+the distance composition.  A pattern without edges (every normalized union)
+is a disjoint union: its distances are the diagonal of child msps, every
+shift is zero and no Floyd runs.  For the all-pairs problem, substitution
+nodes keep distances at pattern granularity (ModuleSummary) and are
+expanded to full pairwise distances (FullSummary) only when a
+vertex-addition node or the root needs them; the expansion walks the
+substitution spine top-down with the classic "cheapest detour that leaves
+this module" values.  All
 distances are dense rows (a DistView reads them by ``(u, v)``): pattern
 distances in pattern order, full distances in the vertex order of
 ``min_out`` (children in pattern order, an added vertex last), so each
@@ -36,11 +39,15 @@ read: at an inc node (``_inc_core``), in the ``--verify`` checker, and at
 the root, where ``ncd_outcome`` and ``apsp_outcome`` return a plain dict.
 The APSP exit and entry values ``min_out``/``min_in`` stay eager dicts,
 since the expansion reads each child's unshifted values.
+
+The solvers reject weights for which ``_OVERFLOW_SLACK * n * max |w|`` is
+not a finite float, so no path sum or potential difference overflows.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,6 +73,12 @@ from .graphs import (
 
 # Rounding-error allowance per weight summed, in units of eps * max |w|.
 _ROUNDING_SLACK = 4
+# Headroom for the sums a solve computes, in units of n * max |w| (the
+# most a path weight or a potential can be in magnitude): a Dijkstra label
+# is a path weight minus a potential difference, a pattern cycle test adds
+# two distances and takes off two msps, and the expansion adds shifts and
+# detours of the same size.
+_OVERFLOW_SLACK = 8
 
 # ---------------------------------------------------------------------------
 # Summary types
@@ -159,14 +172,15 @@ class ModuleSummary:
 # Primitives
 
 
-def _dijkstra_labels(vertices, adjacency, reduced_cost, sources, tol):
+def _dijkstra_labels(adjacency, reduced_cost, sources, tol):
     """Dijkstra with (possibly negative) initial labels and reduced edge
-    costs that are non-negative up to ``tol``.  Returns a label per vertex,
-    inf when unreachable."""
-    dist = {v: INF for v in vertices}
+    costs that are non-negative up to ``tol``.  Returns a label for each
+    vertex it reaches; unreached vertices have none (read them with
+    ``dist.get(v, INF)``)."""
+    dist = {}
     heap = []
     for v, lab in sources.items():
-        if lab < dist[v]:
+        if lab < dist.get(v, INF):
             dist[v] = lab
             heapq.heappush(heap, (lab, v))
     while heap:
@@ -180,7 +194,7 @@ def _dijkstra_labels(vertices, adjacency, reduced_cost, sources, tol):
                     f"negative reduced cost on edge ({v!r}, {u!r}): potential not feasible"
                 )
             nd = d + max(rc, 0.0)
-            if nd < dist[u]:
+            if nd < dist.get(u, INF):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return dist
@@ -193,20 +207,21 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     lists, for main-tree and tree-depth pattern incs alike; a child without
     vertices (infinite msp) is neither evaluated nor searched.
 
-    Returns NEGATIVE_CYCLE or ``(new_potential, msp, dist_from_x, dist_to_x)``
-    where the distance maps are in vertex-weight space and include the
-    ``x -> x`` single-vertex entry.
+    Returns NEGATIVE_CYCLE or ``(new_potential, msp, pi, fwd, bwd)``: the
+    child's potential as a dict, and the Dijkstra labels of the vertices
+    reached from x resp. reaching x, under reduced costs.  The new
+    potential is a copy of ``pi`` in which only the vertices reached from x
+    are lowered.
     """
     wx = w[x]
     if msp_child == INF:  # x is the whole graph
-        return {x: 0.0}, wx, {x: wx}, {x: wx}
+        return {x: 0.0}, wx, {}, {}, {}
     pi = potential_dict(pi)
-    verts, adj_out, adj_in = evaluate_node(child, DIRECTED)
+    _, adj_out, adj_in = evaluate_node(child, DIRECTED)
 
     # labels from x under reduced edge-shifted costs; the only potentially
     # negative costs are the first hops, folded into the initial labels
     fwd = _dijkstra_labels(
-        verts,
         adj_out,
         lambda a, b: w[a] + pi[a] - pi[b],
         {u: wx - pi[u] for u in out_names},
@@ -215,11 +230,10 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
 
     # a new negative cycle must run x -> ... -> u -> x for an in-neighbor u
     for u in in_names:
-        if fwd[u] < INF and fwd[u] + pi[u] + w[u] < -tol:
+        if u in fwd and fwd[u] + pi[u] + w[u] < -tol:
             return NEGATIVE_CYCLE
 
     bwd = _dijkstra_labels(
-        verts,
         adj_in,
         lambda a, b: w[b] + pi[b] - pi[a],
         {u: w[u] + pi[u] for u in in_names},
@@ -231,17 +245,17 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     entry = min((pi[u] + w[u] for u in in_names), default=0.0)
     entry = min(0.0, entry)
 
-    new_pi = {v: pi[v] + min(0.0, entry + fwd[v]) for v in verts}
+    new_pi = dict(pi)
+    for v, d in fwd.items():
+        if entry + d < 0.0:
+            new_pi[v] = pi[v] + (entry + d)
     new_pi[x] = entry
 
-    dist_from_x = {v: fwd[v] + pi[v] + w[v] for v in verts}
-    dist_from_x[x] = wx
-    dist_to_x = {v: bwd[v] - pi[v] + wx for v in verts}
-    dist_to_x[x] = wx
-
     # minimum path through x = best arrival + best departure, x counted once
-    msp_x = min(dist_to_x.values()) + min(dist_from_x.values()) - wx
-    return new_pi, min(msp_child, msp_x), dist_from_x, dist_to_x
+    best_from = min(min((d + pi[v] + w[v] for v, d in fwd.items()), default=INF), wx)
+    best_to = min(min((d - pi[v] + wx for v, d in bwd.items()), default=INF), wx)
+    msp_x = best_to + best_from - wx
+    return new_pi, min(msp_child, msp_x), pi, fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +268,7 @@ def ncd_inc(f, x, in_names, out_names, w, child, tol):
     core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
     if is_negative_cycle(core):
         return core
-    new_pi, msp, _, _ = core
-    return NcdSummary(new_pi, msp)
+    return NcdSummary(core[0], core[1])
 
 
 def _shift(lines, omega):
@@ -279,10 +292,16 @@ def _shifted(children, shift, field):
 
 def ncd_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps; the pattern
-    potential shifts each child's potential, in O(pattern order)."""
+    potential shifts each child's potential, in O(pattern order).  A
+    pattern without edges is a disjoint union: its potential is the
+    children's with zero shifts, its msp the least child msp, and no Floyd
+    runs."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
+    if not pattern_graph.edges:
+        zeros = [0.0] * len(children)
+        return NcdSummary(_shifted_potential(children, zeros), min([s.msp for _, s in children]))
     D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
     if is_negative_cycle(D):
         return D
@@ -405,17 +424,19 @@ def apsp_inc(f, x, in_names, out_names, w, child, tol):
     # expand the child only once x is known to close no negative cycle
     if isinstance(f, ModuleSummary):
         f = to_full_summary(f)
-    new_pi, msp, dfx, dtx = core
+    new_pi, msp, pi, fwd, bwd = core
     wx = w[x]
     names = list(f.min_out)
-    from_x = [dfx[v] for v in names]
+    # distances from and to x; inf where the search did not reach
+    from_x = [fwd[v] + pi[v] + w[v] if v in fwd else INF for v in names]
+    to_x = [bwd[v] - pi[v] + wx if v in bwd else INF for v in names]
     # a path either avoids x or passes through it; the -w(x) undoes the
     # double count of x shared by the two halves
     rows = []
-    for u, row in zip(names, f.rows):
-        t = dtx[u] - wx
+    for row, dtx in zip(f.rows, to_x):
+        t = dtx - wx
         new = [a if a < t + b else t + b for a, b in zip(row, from_x)]
-        new.append(dtx[u])
+        new.append(dtx)
         rows.append(new)
     from_x.append(wx)
     rows.append(from_x)
@@ -425,13 +446,16 @@ def apsp_inc(f, x, in_names, out_names, w, child, tol):
     return FullSummary(new_pi, msp, min_out, min_in, rows)
 
 
-def _assemble_module(children, rows):
+def _assemble_module(children, rows, shifts=None):
     """Module summary of a substitution from the pattern distance ``rows``
     under the child msps, both in the order of ``children``: a child's
     exits shift by its module's out-shift, its entries and potential by the
-    in-shift.  Only the exits and entries are copied."""
+    in-shift.  Only the exits and entries are copied.  ``shifts`` gives the
+    out- and in-shifts when they are known without reading ``rows``."""
     omega = [s.msp for _, s in children]
-    out_shift, in_shift = _shift(rows, omega), _shift(zip(*rows), omega)
+    if shifts is None:
+        shifts = _shift(rows, omega), _shift(zip(*rows), omega)
+    out_shift, in_shift = shifts
     return ModuleSummary(
         _shifted_potential(children, in_shift),
         min(map(min, rows)),
@@ -446,9 +470,19 @@ def _assemble_module(children, rows):
 
 
 def apsp_subst(pattern_graph, children, tol):
+    """Floyd on the pattern weighted by the child msps, then the module
+    summary.  A pattern without edges is a disjoint union: its distances
+    are the diagonal of child msps, all shifts are zero, and no Floyd
+    runs."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
+    if not pattern_graph.edges:
+        rows = [[INF] * len(children) for _ in children]
+        for i, (_, s) in enumerate(children):
+            rows[i][i] = s.msp
+        zeros = [0.0] * len(children)
+        return _assemble_module(children, rows, (zeros, zeros))
     D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
     if is_negative_cycle(D):
         return D
@@ -480,12 +514,20 @@ def apsp_subst_td(pattern_expr, children, tol):
 
 
 def _gate(e: Expression, w: dict, problem: str) -> Expression:
-    """Validate and normalize ``e`` and check ``w`` against its vertex names."""
+    """Validate and normalize ``e`` and check ``w`` against its vertex names:
+    every weight must be finite, and so must _OVERFLOW_SLACK * n * max |w|,
+    so that no path sum or potential difference overflows."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
     names = validate_or_raise(e)
     ne = normalize(e)
     check_total_weights(names, w)
+    scale = max([abs(w[v]) for v in names], default=0.0)
+    if not math.isfinite(_OVERFLOW_SLACK * len(names) * scale):
+        raise InputError(
+            f"weights too large: path sums over {len(names)} vertices of weight "
+            f"up to {scale:g} in magnitude overflow a float"
+        )
     return ne
 
 

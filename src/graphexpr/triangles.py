@@ -95,7 +95,15 @@ def edges_within(child, s) -> int:
 
 def combine_subst(h, children) -> TriFold:
     """Summary of substituting ``children`` into the explicit pattern graph
-    ``h``."""
+    ``h``.  A pattern without edges is a disjoint union: the children's
+    counts add up."""
+    if not h.edges:
+        n = m = t = 0
+        for _, f in children:
+            n += f.n
+            m += f.m
+            t += f.t
+        return TriFold(n, m, t)
     sizes = {name: f.n for name, f in children}
     index = {name: i for i, name in enumerate(h.vertices)}
     tri_total = 0

@@ -162,6 +162,43 @@ def test_solve_rejects_non_finite_weights(capsys, tmp_path, problem, weights):
     assert out == ""
 
 
+OVERFLOW = "(inc b ((a b)) (vertex a))"
+
+
+@pytest.mark.parametrize(
+    "problem, expr, weights",
+    [
+        # without the bound, a path sum of -inf surfaces as a bad weight of
+        # the union's pattern vertex 'a', or without the union as msp=-inf,
+        # and a sum of +inf makes dist(a, b) inf, as if a -> b were no edge
+        ("ncd", f"(union {OVERFLOW} (vertex c))", "a\t-1e308\nb\t-1e308\nc\t0\n"),
+        ("ncd", OVERFLOW, "a\t-1e308\nb\t-1e308\n"),
+        ("apsp", f"(union {OVERFLOW} (vertex c))", "a\t1e308\nb\t1e308\nc\t0\n"),
+    ],
+    ids=["ncd-union-negative", "ncd-inc-negative", "apsp-union-positive"],
+)
+def test_solve_rejects_weights_whose_path_sums_overflow(capsys, tmp_path, problem, expr, weights):
+    f = tmp_path / "o.expr"
+    f.write_text(f"(directed {expr})\n")
+    w = tmp_path / "w.tsv"
+    w.write_text(weights)
+    code, out, err = run(capsys, "solve", problem, str(f), str(w))
+    assert code == 2
+    assert "weights too large" in err
+    assert "[at " not in err  # rejected at the input boundary, not in the fold
+    assert out == ""
+
+
+def test_solve_accepts_large_weights_whose_sums_fit(capsys, tmp_path):
+    f = tmp_path / "o.expr"
+    f.write_text(f"(directed (union {OVERFLOW} (vertex c)))\n")
+    w = tmp_path / "w.tsv"
+    w.write_text("a\t1e300\nb\t1e300\nc\t0\n")
+    code, out, _ = run(capsys, "solve", "apsp", str(f), str(w))
+    assert code == 0
+    assert "a\tb\t2e+300" in out
+
+
 @pytest.mark.parametrize("problem", ["ncd", "apsp"])
 def test_solve_rejects_duplicate_weight_names(capsys, tmp_path, problem):
     f = tmp_path / "c.expr"

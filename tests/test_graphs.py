@@ -35,17 +35,18 @@ def dgraph(vertices, edges):
 
 def dijkstra_labels(g, costs, pi, sources):
     """The solvers' Dijkstra under reduced costs ``c(e) + pi(tail) - pi(head)``,
-    from ``(vertex, initial_label)`` sources."""
+    from ``(vertex, initial_label)`` sources, with INF for the vertices it
+    does not reach (the search labels only those it reaches)."""
     adjacency = {v: [] for v in g.vertices}
     for a, b in g.edges:
         adjacency[a].append(b)
-    return _dijkstra_labels(
-        g.vertices,
+    labels = _dijkstra_labels(
         adjacency,
         lambda a, b: costs[(a, b)] + pi[a] - pi[b],
         dict(sources),
         TOL,
     )
+    return {v: labels.get(v, INF) for v in g.vertices}
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,32 @@ def test_apsp_subst_edgeless_keeps_child_minima():
     assert close(out.min_out["b"], 9.0)
 
 
+def test_unions_call_no_floyd(monkeypatch):
+    # a normalized union is a chain of substitutions into an edgeless
+    # pattern: a disjoint union with zero shifts, which needs no Floyd
+    from graphexpr import gen_weights, paths
+
+    calls = []
+    real = paths.floyd_vertex_weighted
+    monkeypatch.setattr(
+        paths, "floyd_vertex_weighted", lambda *a: calls.append(a) or real(*a)
+    )
+    names = [f"v{i}" for i in range(10**3)]
+    w = gen_weights(names, -5.0, 5.0, 7)
+    for leaf in ("(vertex {})", "(inc {} () (empty))"):
+        e = parse("(directed (union " + " ".join(leaf.format(v) for v in names) + "))")
+        for solve in (ncd_outcome, apsp_outcome):
+            value, _ = solve(e, w)
+            assert value.msp == min(w.values()), (leaf, solve.__name__)
+            assert calls == [], (leaf, solve.__name__)
+    # a join's pattern has edges, so its substitutions still run Floyd
+    e = parse("(directed (join (vertex v0) (union (vertex v1) (vertex v2))))")
+    for solve in (ncd_outcome, apsp_outcome):
+        solve(e, w)
+        assert len(calls) == 1, solve.__name__
+        calls.clear()
+
+
 def test_apsp_subst_bidirected_pair():
     children = [("p", _full_singleton("a", -1.0)), ("q", _full_singleton("b", 3.0))]
     out = apsp_subst(two_cycle_pattern(), children, TOL)

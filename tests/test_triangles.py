@@ -135,6 +135,29 @@ def test_subst_edgeless_pattern_only_sums():
     assert combine_subst(pat, children) == TriFold(7, 5, 3)
 
 
+def test_subst_edgeless_pattern_matches_the_general_formula():
+    # the edgeless shortcut must give what the general assembly gives for a
+    # pattern without edges or triangles, and what the tree-depth handler
+    # gives for the same pattern written as a union of its vertices
+    import random
+
+    from graphexpr.expr import Vertex
+    from graphexpr.triangles import _assemble
+
+    rng = random.Random(13)
+    for trial in range(200):
+        names = tuple(f"p{i}" for i in range(rng.randint(1, 6)))
+        children = []
+        for nm in names:
+            n = rng.randint(1, 50)
+            m = rng.randint(0, n * (n - 1) // 2)
+            children.append((nm, TriFold(n, m, rng.randint(0, 10**6))))
+        got = combine_subst(Graph(UNDIRECTED, names, ()), children)
+        assert got == _assemble(children, (), 0), trial
+        pattern_expr = Union(tuple(Vertex(nm) for nm in names))
+        assert got == combine_subst_td(pattern_expr, children), trial
+
+
 # ---------------------------------------------------------------------------
 # combine_subst_td
 
