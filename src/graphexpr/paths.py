@@ -26,8 +26,11 @@ this module" values.  All
 distances are dense rows (a DistView reads them by ``(u, v)``): pattern
 distances in pattern order, full distances in the vertex order of
 ``min_out`` (children in pattern order, an added vertex last), so each
-spine node's vertices form one contiguous block, filled one row segment at
-a time.
+spine node's vertices form one contiguous block.  The rows start as inf,
+and the expansion writes only the row segments between two modules whose
+connector (the cheaper of the pattern route and the detour) is finite; an
+inc recomputes only the rows of vertices that reach the added one.  So
+beyond the n^2 prefill, the work follows the pairs that can be finite.
 
 Substitution summaries keep their potential as a *shifted union*: a plain
 tuple ``(child potential, shift, child potential, shift, ...)``, one pair
@@ -368,10 +371,14 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     Walks the substitution spine top-down.  ``c`` is the cheapest weight of a
     walk that leaves the current node's vertex set and comes back (excluding
     the endpoints' modules), infinite at the root.  A pair in different
-    modules of a spine node either stays inside that node (child exit +
-    pattern distance + child entry) or uses the detour ``c``; a pair inside a
-    non-substitution spine leaf is finished from its full matrix.  A node
-    fills the row segments of its block that no child's block covers.
+    modules p and q of a spine node either stays inside that node (child
+    exit + pattern distance + child entry) or uses the detour ``c``; the
+    cheaper of the two, without the child exit and entry, is the connector
+    ``k_pq``.  A node writes only the row segments of its block whose
+    connector is finite; the rest stay at the prefilled inf, so a module
+    that reaches no other (every module of a union whose detour is inf)
+    costs O(1).  A pair inside a non-substitution spine leaf is finished
+    from its full matrix, which is copied as it is when ``c`` is inf.
     """
     n = len(s.min_out)
     rows = [[INF] * n for _ in range(n)]
@@ -379,6 +386,10 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     while stack:
         node, c, start = stack.pop()
         if not isinstance(node, ModuleSummary):
+            if c == INF:
+                for r, row in enumerate(node.rows, start):
+                    rows[r][start : start + len(row)] = row
+                continue
             stop = start + len(node.rows)
             ins = list(node.min_in.values())
             for r, row, out in zip(range(start, stop), node.rows, node.min_out.values()):
@@ -387,27 +398,35 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
             continue
         D, om = node.rows, node.omega
         out_shift, in_shift = node.out_shift, node.in_shift
-        blocks = []  # (child, first row, child's entries), in pattern order
+        children = [child for _, child in node.children]
+        firsts = []  # first row of each child's block, in pattern order
         stop = start
-        for _, child in node.children:
-            blocks.append((child, stop, list(child.min_in.values())))
+        for child in children:
+            firsts.append(stop)
             stop += len(child.min_in)
-        for p, (child, first, _) in enumerate(blocks):
+        entries = {}  # q -> child q's entry values, built on first use
+        for p, child in enumerate(children):
             # u in module p reaches v in module q inside this node (child
             # exit, pattern path, child entry) or by the detour c; both
             # routes add the child exit of u and the child entry of v
-            before, after, cyc = [], [], INF
-            for q, (_, other, ins) in enumerate(blocks):
+            segments, cyc = [], INF  # (first column, connector + entries)
+            for q, other in enumerate(children):
                 if q != p:
                     k = D[p][q] - om[p] - om[q]
                     cyc = min(cyc, k + D[q][p])
                     detour = out_shift[p] + c + in_shift[q]
                     k = k if k < detour else detour
-                    (before if other < first else after).extend([k + b for b in ins])
-            last = first + len(child.min_out)
-            for r, du in enumerate(child.min_out.values(), first):
-                rows[r][start:first] = [du + b for b in before]
-                rows[r][last:stop] = [du + b for b in after]
+                    if k < INF:
+                        ins = entries.get(q)
+                        if ins is None:
+                            ins = entries[q] = list(other.min_in.values())
+                        segments.append((firsts[q], [k + b for b in ins]))
+            first = firsts[p]
+            if segments:
+                for r, du in enumerate(child.min_out.values(), first):
+                    row = rows[r]
+                    for col, ks in segments:
+                        row[col : col + len(ks)] = [du + b for b in ks]
             # cheapest way out of module p and back: a pattern cycle through
             # p, or leaving the whole node (detour c), module p not counted
             escape = out_shift[p] + c + in_shift[p]
@@ -434,6 +453,9 @@ def apsp_inc(f, x, in_names, out_names, w, child, tol):
     # double count of x shared by the two halves
     rows = []
     for row, dtx in zip(f.rows, to_x):
+        if dtx == INF:  # v does not reach x: no path through x
+            rows.append(row + [INF])
+            continue
         t = dtx - wx
         new = [a if a < t + b else t + b for a, b in zip(row, from_x)]
         new.append(dtx)
@@ -513,22 +535,25 @@ def apsp_subst_td(pattern_expr, children, tol):
 # Solvers
 
 
-def _gate(e: Expression, w: dict, problem: str) -> Expression:
+def _gate(e: Expression, w: dict, problem: str):
     """Validate and normalize ``e`` and check ``w`` against its vertex names:
     every weight must be finite, and so must _OVERFLOW_SLACK * n * max |w|,
-    so that no path sum or potential difference overflows."""
+    so that no path sum or potential difference overflows.  Returns the
+    normalized expression and the weights of its names only, from which
+    the solve sizes its tolerance."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
     names = validate_or_raise(e)
     ne = normalize(e)
     check_total_weights(names, w)
-    scale = max([abs(w[v]) for v in names], default=0.0)
+    used = {v: w[v] for v in names}
+    scale = max(map(abs, used.values()), default=0.0)
     if not math.isfinite(_OVERFLOW_SLACK * len(names) * scale):
         raise InputError(
             f"weights too large: path sums over {len(names)} vertices of weight "
             f"up to {scale:g} in magnitude overflow a float"
         )
-    return ne
+    return ne, used
 
 
 def solve_tolerance(w: dict) -> float:
@@ -536,7 +561,9 @@ def solve_tolerance(w: dict) -> float:
     TOL, or the rounding error that sums of up to len(w) weights can carry,
     whichever is larger.  An absolute TOL falls under float resolution at
     large weights; a tolerance sized to rounding still finds a cycle that is
-    negative by more than that, however large the other weights are."""
+    negative by more than that, however large the other weights are.  The
+    solvers pass only the weights of the expression's names, so a weight
+    that no vertex uses cannot widen it."""
     scale = max(map(abs, w.values()), default=0.0)
     return max(TOL, _ROUNDING_SLACK * len(w) * sys.float_info.epsilon * scale)
 
@@ -567,7 +594,7 @@ def ncd_outcome(e: Expression, w: dict, *, verify=False):
     """Fold the expression with the NCD handlers.  Returns
     ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``; the summary's potential is
     a dict."""
-    ne = _gate(e, w, "negative cycle detection")
+    ne, w = _gate(e, w, "negative cycle detection")
     checker = make_paths_verifier(w) if verify else None
     value, stats = framework.fold(ne, ncd_handlers(w), verify=checker)
     if not is_negative_cycle(value):
@@ -586,7 +613,7 @@ def apsp_outcome(e: Expression, w: dict, *, verify=False):
     """Fold with the all-pairs handlers and expand the root to a
     FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``; the
     summary's potential is a dict."""
-    ne = _gate(e, w, "all-pairs shortest paths")
+    ne, w = _gate(e, w, "all-pairs shortest paths")
     checker = make_paths_verifier(w) if verify else None
     value, stats = framework.fold(ne, apsp_handlers(w), verify=checker)
     if isinstance(value, ModuleSummary):

@@ -149,6 +149,21 @@ def test_solve_ncd_missing_weight_entry(capsys, tmp_path):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("unused", ["", "zz\t1e300\n"])
+def test_unused_weight_does_not_hide_a_negative_cycle(capsys, tmp_path, unused):
+    # the cycle x -> a -> x weighs -0.5; a tolerance sized from every line of
+    # the weight file, zz included, was about 1e285 and reported no cycle
+    f = tmp_path / "c.expr"
+    f.write_text("(directed (inc x ((x a) (a x)) (vertex a)))\n")
+    w = tmp_path / "w.tsv"
+    w.write_text("x\t-1\na\t0.5\n" + unused)
+    for problem in ("ncd", "apsp"):
+        for verify in ((), ("--verify",)):
+            code, out, _ = run(capsys, "solve", problem, str(f), str(w), *verify)
+            assert code == 0
+            assert "negative-cycle=true" in out
+
+
 @pytest.mark.parametrize("problem", ["ncd", "apsp"])
 @pytest.mark.parametrize("weights", ["x\tnan\na\t-1\n", "x\tinf\na\t-inf\n"])
 def test_solve_rejects_non_finite_weights(capsys, tmp_path, problem, weights):
