@@ -74,8 +74,10 @@ class Join:
 @dataclass(frozen=True)
 class Inc:
     """Add vertex ``name``; ``in_names``/``out_names`` are the child vertices
-    with an edge into resp. out of the new vertex (same thing in undirected
-    mode)."""
+    with an edge into resp. out of the new vertex.  In undirected mode an
+    edge lands in one of the two sets by the order it is written in (``(u
+    x)`` in ``in_names``, ``(x v)`` in ``out_names``), so undirected readers
+    use ``neighbor_names``, their union."""
 
     name: str
     in_names: frozenset

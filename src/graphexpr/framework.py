@@ -45,7 +45,8 @@ class HandlerSet:
     on_subst receives the pattern graph and the children as ``(pattern
     vertex name, summary)`` pairs in pattern vertex order; on_subst_td
     receives the pattern's tree-depth expression and the children in
-    binding order.
+    binding order.  The leaf and inc handlers also fold the tree-depth
+    patterns themselves (``fold_td_expression``).
     """
 
     base_empty: Callable
@@ -181,29 +182,25 @@ def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
 # ---------------------------------------------------------------------------
 # Folds over tree-depth pattern expressions.
 #
-# Subst-td handlers re-run the framework on the pattern itself (the pattern
-# is a tree-depth expression over the pattern vertices).  Union survives
-# here and is handled by a merge function, since disjoint parts interact
-# with none of the supported problems.
+# Subst-td handlers replay their pattern with the problem's own handlers.
+# Union survives here; no supported problem connects its disjoint parts.
 
 
-def fold_td_expression(pattern_expr, *, empty, vertex, union, inc):
-    """Post-order fold over a pure tree-depth expression.
-
-    ``inc`` is called as ``inc(child_value, name, in_names, out_names,
-    child_expr)`` with the child sub-pattern expression.
-    """
+def fold_td_expression(pattern_expr, handlers: HandlerSet, union):
+    """Post-order fold over a pure tree-depth expression with the leaf and
+    inc handlers of ``handlers``; ``union`` merges the values of a union's
+    parts.  The inc handler gets the child sub-pattern expression."""
 
     def combine(node, vals, _where):
         t = type(node)
         if t is Inc:
-            return inc(vals[0], node.name, node.in_names, node.out_names, node.child)
+            return handlers.on_inc(vals[0], node.name, node.in_names, node.out_names, node.child)
         if t is Vertex:
-            return vertex(node.name)
+            return handlers.base_vertex(node.name)
         if t is Union:
             return union(vals)
         if t is Empty:
-            return empty()
+            return handlers.base_empty()
         raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
 
     return fold_expression(pattern_expr, combine)

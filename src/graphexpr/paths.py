@@ -293,18 +293,27 @@ def _shifted(children, shift, field):
     return out
 
 
+def _ncd_union(vals):
+    """Disjoint union of NCD summaries: zero shifts, the least msp."""
+    for s in vals:
+        if is_negative_cycle(s):
+            return s
+    potential = []
+    for s in vals:
+        potential += (s.potential, 0.0)
+    return NcdSummary(tuple(potential), min([s.msp for s in vals], default=INF))
+
+
 def ncd_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps; the pattern
     potential shifts each child's potential, in O(pattern order).  A
-    pattern without edges is a disjoint union: its potential is the
-    children's with zero shifts, its msp the least child msp, and no Floyd
-    runs."""
+    pattern without edges is a disjoint union (``_ncd_union``), and no
+    Floyd runs."""
+    if not pattern_graph.edges:
+        return _ncd_union([s for _, s in children])
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    if not pattern_graph.edges:
-        zeros = [0.0] * len(children)
-        return NcdSummary(_shifted_potential(children, zeros), min([s.msp for _, s in children]))
     D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
     if is_negative_cycle(D):
         return D
@@ -315,30 +324,17 @@ def ncd_subst(pattern_graph, children, tol):
 
 def ncd_subst_td(pattern_expr, children, tol):
     """Same contract as ncd_subst, but the pattern summary is computed by
-    replaying the pattern's tree-depth expression with the inc handler over
-    the pattern reweighted with the child msps."""
+    replaying the pattern's tree-depth expression with the NCD handlers
+    over the pattern reweighted with the child msps."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(
-        pattern_expr,
-        empty=lambda: NcdSummary({}, INF),
-        vertex=lambda name: NcdSummary({name: 0.0}, omega[name]),
-        union=_merge_ncd,
-        inc=lambda f, x, inn, out, child: ncd_inc(f, x, inn, out, omega, child, tol),
-    )
+    inner = fold_td_expression(pattern_expr, ncd_handlers(omega, tol), _ncd_union)
     if is_negative_cycle(inner):
         return inner
-    pi_h = inner.potential
+    pi_h = potential_dict(inner.potential)
     return NcdSummary(_shifted_potential(children, [pi_h[p] for p, _ in children]), inner.msp)
-
-
-def _merge_ncd(vals):
-    if any(map(is_negative_cycle, vals)):
-        return NEGATIVE_CYCLE
-    potential = {u: pi for v in vals for u, pi in v.potential.items()}
-    return NcdSummary(potential, min((v.msp for v in vals), default=INF))
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +509,13 @@ def apsp_subst(pattern_graph, children, tol):
 
 def apsp_subst_td(pattern_expr, children, tol):
     """Same contract as apsp_subst; the pattern's all-pairs distances come
-    from replaying its tree-depth expression with the inc handler."""
+    from replaying its tree-depth expression with the all-pairs handlers
+    over the pattern reweighted with the child msps."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(
-        pattern_expr,
-        empty=lambda: FullSummary({}, INF, {}, {}, []),
-        vertex=lambda name: _full_singleton(name, omega[name]),
-        union=_merge_full,
-        inc=lambda f, x, inn, out, child: apsp_inc(f, x, inn, out, omega, child, tol),
-    )
+    inner = fold_td_expression(pattern_expr, apsp_handlers(omega, tol), _merge_full)
     if is_negative_cycle(inner):
         return inner
     by_name = dict(children)
@@ -568,8 +559,7 @@ def solve_tolerance(w: dict) -> float:
     return max(TOL, _ROUNDING_SLACK * len(w) * sys.float_info.epsilon * scale)
 
 
-def ncd_handlers(w: dict) -> HandlerSet:
-    tol = solve_tolerance(w)
+def ncd_handlers(w: dict, tol: float) -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: NcdSummary({}, INF),
         base_vertex=lambda name: NcdSummary({name: 0.0}, w[name]),
@@ -579,8 +569,7 @@ def ncd_handlers(w: dict) -> HandlerSet:
     )
 
 
-def apsp_handlers(w: dict) -> HandlerSet:
-    tol = solve_tolerance(w)
+def apsp_handlers(w: dict, tol: float) -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: FullSummary({}, INF, {}, {}, []),
         base_vertex=lambda name: _full_singleton(name, w[name]),
@@ -595,8 +584,9 @@ def ncd_outcome(e: Expression, w: dict, *, verify=False):
     ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``; the summary's potential is
     a dict."""
     ne, w = _gate(e, w, "negative cycle detection")
-    checker = make_paths_verifier(w) if verify else None
-    value, stats = framework.fold(ne, ncd_handlers(w), verify=checker)
+    tol = solve_tolerance(w)
+    checker = make_paths_verifier(w, tol) if verify else None
+    value, stats = framework.fold(ne, ncd_handlers(w, tol), verify=checker)
     if not is_negative_cycle(value):
         value = NcdSummary(potential_dict(value.potential), value.msp)
     return value, stats
@@ -614,8 +604,9 @@ def apsp_outcome(e: Expression, w: dict, *, verify=False):
     FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``; the
     summary's potential is a dict."""
     ne, w = _gate(e, w, "all-pairs shortest paths")
-    checker = make_paths_verifier(w) if verify else None
-    value, stats = framework.fold(ne, apsp_handlers(w), verify=checker)
+    tol = solve_tolerance(w)
+    checker = make_paths_verifier(w, tol) if verify else None
+    value, stats = framework.fold(ne, apsp_handlers(w, tol), verify=checker)
     if isinstance(value, ModuleSummary):
         value = to_full_summary(value)
     if not is_negative_cycle(value):
@@ -638,11 +629,10 @@ _VERIFY_FLOYD_LIMIT = 64
 _VERIFY_TOL = 1e-6
 
 
-def make_paths_verifier(w: dict):
+def make_paths_verifier(w: dict, solve_tol: float):
     """Checker for ``--verify`` runs: every emitted potential must be
     feasible on the node's materialized subgraph, and on small subgraphs the
     summary values are compared against an independent Floyd run."""
-    solve_tol = solve_tolerance(w)
     tol = max(_VERIFY_TOL, solve_tol)
 
     def close(a, b):

@@ -9,9 +9,9 @@ vertices lie in S = N(x) and how many of its edges lie inside S.  This
 costs O(size of the child) per inc node, O(k * size of the expression) per
 solve.  Substitution combines summaries arithmetically: every pattern edge
 {i, j} contributes n_i * n_j edges and m_i * n_j + n_i * m_j triangles, and
-every pattern triangle {i, j, k} contributes n_i * n_j * n_k triangles.  For
-tree-depth patterns the triangle sum is accumulated while walking the
-pattern expression instead of enumerating the pattern's triangles up front.
+every pattern triangle {i, j, k} contributes n_i * n_j * n_k triangles.  A
+tree-depth pattern is turned into its graph (``expr.td_pattern_edges``) and
+combined the same way.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .expr import (
     td_pattern_edges,
     validate_or_raise,
 )
-from .framework import FoldStats, HandlerSet, fold_td_expression
-from .graphs import UNDIRECTED
+from .framework import FoldStats, HandlerSet
+from .framework import fold_td_expression  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
+from .graphs import UNDIRECTED, Graph
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ def edges_within(child, s) -> int:
 
 
 def combine_subst(h, children) -> TriFold:
-    """Summary of substituting ``children`` into the explicit pattern graph
-    ``h``.  A pattern without edges is a disjoint union: the children's
-    counts add up."""
+    """Summary of substituting ``children`` into the pattern graph ``h``.
+    A pattern without edges is a disjoint union: the children's counts add
+    up."""
     if not h.edges:
         n = m = t = 0
         for _, f in children:
@@ -117,32 +118,11 @@ def combine_subst(h, children) -> TriFold:
 
 
 def combine_subst_td(pattern_expr, children) -> TriFold:
-    """Same result as combine_subst on the pattern graph, but the pattern's
-    triangles are found while replaying its tree-depth expression: each
-    added pattern vertex x contributes n_u * n_v * n_x for every
-    sub-pattern edge {u, v} inside its neighborhood."""
-    sizes = {name: f.n for name, f in children}
-    tri_total = 0
-
-    def on_inc(child_edges, x, in_names, out_names, _child):
-        nonlocal tri_total
-        nbrs = in_names | out_names
-        for (u, v) in child_edges:
-            if u in nbrs and v in nbrs:
-                tri_total += sizes[u] * sizes[v] * sizes[x]
-        child_edges.extend((x, u) for u in nbrs)
-        return child_edges
-
-    def on_union(vals):
-        out = []
-        for es in vals:
-            out.extend(es)
-        return out
-
-    edges = fold_td_expression(
-        pattern_expr, empty=list, vertex=lambda _: [], union=on_union, inc=on_inc
-    )
-    return _assemble(children, edges, tri_total)
+    """combine_subst on the graph of the tree-depth pattern ``pattern_expr``,
+    whose vertices are the binding names of ``children``."""
+    names = [name for name, _ in children]
+    h = Graph(UNDIRECTED, names, td_pattern_edges(pattern_expr, UNDIRECTED))
+    return combine_subst(h, children)
 
 
 def _assemble(children, pattern_edges, tri_total) -> TriFold:

@@ -149,6 +149,59 @@ def test_solve_ncd_missing_weight_entry(capsys, tmp_path):
     assert "missing" in err
 
 
+@pytest.mark.parametrize(
+    "problem, text, code_want",
+    [
+        ("tc", "(undirected (union (inc x ((a x)) (vertex a)) (join (vertex b) (vertex c))))", 0),
+        ("ncd", "(directed (union (inc x ((a x) (x a)) (vertex a)) (vertex b)))", 0),
+        ("tc", "(undirected (inc x ((x nope)) (vertex a)))", 2),
+        ("ncd", "(directed (inc x ((x nope)) (vertex a)))", 2),
+    ],
+)
+def test_solve_validates_once(capsys, tmp_path, monkeypatch, problem, text, code_want):
+    # the solver validates and n comes from its fold counts, so solve walks
+    # the names once; an invalid expression still exits 2
+    from graphexpr import expr
+
+    calls = []
+    real = expr._validate_node
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "_validate_node", counting)
+    f = tmp_path / "e.expr"
+    f.write_text(text + "\n")
+    w = tmp_path / "w.tsv"
+    w.write_text("a\t3\nb\t1\nx\t2\n")
+    code, out, err = run(capsys, "solve", problem, str(f), *([str(w)] if problem == "ncd" else []))
+    assert code == code_want, err
+    assert len(calls) == 1
+    if code_want == 2:
+        assert "unknown inc target 'nope'" in err
+    else:
+        assert kv(out)["stats-ok"] == "true"
+
+
+def test_vertex_and_inc_counts_are_the_vertex_names():
+    # every vertex name is one vertex leaf or inc node of the normalized
+    # tree, subst-td children included, which is what solve takes n from
+    from graphexpr import DIRECTED, UNDIRECTED, ncd_outcome, triangle_summary, validate_or_raise
+
+    from conftest import corpus_instance
+
+    for seed in range(70):
+        for mode in (UNDIRECTED, DIRECTED):
+            e = corpus_instance(seed, mode, 40)
+            names = validate_or_raise(e)
+            if mode == UNDIRECTED:
+                _, stats = triangle_summary(e)
+            else:
+                _, stats = ncd_outcome(e, {v: 1.0 for v in names})
+            assert stats.counts.get("vertex", 0) + stats.counts.get("inc", 0) == len(names)
+
+
 @pytest.mark.parametrize("unused", ["", "zz\t1e300\n"])
 def test_unused_weight_does_not_hide_a_negative_cycle(capsys, tmp_path, unused):
     # the cycle x -> a -> x weighs -0.5; a tolerance sized from every line of

@@ -457,7 +457,7 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     # never evaluates the whole graph
     from graphexpr import DIRECTED, apsp_outcome, is_negative_cycle, ncd_outcome
     from graphexpr.expr import Inc, fold_expression
-    from graphexpr.paths import ncd_handlers
+    from graphexpr.paths import ncd_handlers, solve_tolerance
 
     e = parse(
         "(directed (join (vertex z) (inc y ((y x)) (inc x ((x a) (b x)) "
@@ -471,7 +471,7 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     w = {v: 1.0 for v in "abxyz"}
 
     received = []
-    hs = ncd_handlers(w)
+    hs = ncd_handlers(w, solve_tolerance(w))
     real_inc = hs.on_inc
     hs.on_inc = lambda f, name, inn, out, child: received.append(child) or real_inc(
         f, name, inn, out, child
@@ -522,7 +522,7 @@ def test_fold_builds_each_pattern_graph_once(monkeypatch):
     # shared two-vertex pattern; the fold builds its graph once, not per node
     from graphexpr import DIRECTED
     from graphexpr.expr import Pattern
-    from graphexpr.paths import ncd_handlers
+    from graphexpr.paths import ncd_handlers, solve_tolerance
 
     calls = []
     real = Pattern.to_graph
@@ -537,7 +537,7 @@ def test_fold_builds_each_pattern_graph_once(monkeypatch):
             assert (value.n, value.m, value.t) == (r, 0, 0)
         else:
             w = {f"a{i}": 1.0 for i in range(r)}
-            value, stats = fold(e, ncd_handlers(w))
+            value, stats = fold(e, ncd_handlers(w, solve_tolerance(w)))
             assert value.msp == 1.0
         assert stats.counts["subst"] == r - 1
         assert len(calls) <= 2, mode

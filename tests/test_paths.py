@@ -692,7 +692,7 @@ def test_expanding_a_wide_union_skips_its_unreachable_blocks():
     r = 2000
     e = Expression(DIRECTED, Union(tuple(Vertex(f"v{i}") for i in range(r))))
     w = {f"v{i}": float(i % 5) for i in range(r)}
-    summary, _ = fold(normalize(e), apsp_handlers(w))
+    summary, _ = fold(normalize(e), apsp_handlers(w, solve_tolerance(w)))
     assert isinstance(summary, ModuleSummary)
     start = time.perf_counter()
     full = to_full_summary(summary)

@@ -247,6 +247,19 @@ def test_subst_td_equals_subst_on_generated_patterns():
         assert combine_subst(pg, children) == combine_subst_td(pe, children), seed
 
 
+def test_count_large_tree_depth_pattern():
+    # a triangle (n = 3, m = 3, t = 1) in each of the 2p + 1 vertices of the
+    # subdivided star, whose 2p edges close no triangle: each pattern edge
+    # adds m_i * n_j + n_i * m_j = 18; 0.22-0.26 s on a 2-core x86-64 VM
+    p = 2000
+    e = gen_fixture("lemma7.2", p, clique=2)
+    start = time.perf_counter()
+    t = count_triangles(e)
+    elapsed = time.perf_counter() - start
+    assert t == (2 * p + 1) * 1 + 2 * p * (3 * 3 + 3 * 3)
+    assert elapsed < 5.0, elapsed
+
+
 def test_inc_monotonicity():
     # adding a vertex never loses triangles; the increase is the number of
     # child edges inside the new neighborhood
