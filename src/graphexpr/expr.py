@@ -14,7 +14,8 @@ only).
 
 The extracted parameter triple (k, h, l) is: k = nesting depth of inc nodes
 on root-to-leaf paths, h = largest explicit substitution pattern, l = largest
-inc nesting depth among subst-td pattern expressions.
+inc nesting depth among subst-td pattern expressions.  It comes from the walk
+that validates, which each ``Expression`` runs once and caches.
 
 The evaluator is one walk that builds adjacency lists from vertex addition
 and substitution: union and join are substitutions into an edgeless resp.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import accumulate, combinations, permutations, repeat
 from typing import NamedTuple
 
@@ -121,6 +123,11 @@ class SubstTd:
 class Expression:
     mode: str
     root: object
+
+    @cached_property
+    def _front_end(self):
+        """``_scan`` of the tree, run once; no field, so ==, hash and repr ignore it."""
+        return _scan(self.root)
 
 
 class Params(NamedTuple):
@@ -475,115 +482,123 @@ class Violation:
         return f"{self.path}: {self.message}{where}"
 
 
-def _merge_name_sets(parts, on_duplicate):
-    parts = sorted(parts, key=len, reverse=True)
-    base = parts[0] if parts else set()
-    for s in parts[1:]:
-        for nm in s:
-            if nm in base:
-                on_duplicate(nm)
-            else:
-                base.add(nm)
-    return base
-
-
 def validate(e: Expression) -> list:
     """Structural checks on a parsed expression.  Returns a list of
     Violations (empty when the expression is well formed)."""
-    violations = []
-    _validate_node(e.root, lambda: "root", violations, td_only=False)
-    return violations
+    return list(e._front_end[1])
 
 
 def validate_or_raise(e: Expression) -> set:
     """Raise a ValidationError listing the violations, if any; else return
     the vertex names of the evaluated graph, which validation collects."""
-    violations = []
-    names = _validate_node(e.root, lambda: "root", violations, td_only=False)
+    names, violations, _ = e._front_end
     if violations:
         raise ValidationError("\n".join(str(v) for v in violations))
-    return names
+    return set(names)
 
 
-def _validate_node(root, label, violations, td_only):
-    """Post-order pass computing evaluated vertex-name sets; appends
-    violations.  Returns the name set of ``root``."""
+def _scan(root):
+    """The front-end walk: ``(vertex names, violations, Params)`` of ``root``,
+    from name sets and inc nesting bottom-up and h, l as running maxima; a
+    tree-depth pattern is walked by the same combine with ``td_only``."""
+    violations = []
+    checked = {}  # id(pattern) -> its messages: a shared pattern is checked once
+    h = l = 0
 
-    def combine(node, vals, where):
-        def bad(at, message):
-            violations.append(Violation(where(), message, getattr(at, "pos", None)))
+    def bad(where, at, message):
+        violations.append(Violation(where(), message, getattr(at, "pos", None)))
 
-        def duplicate(nm):
-            bad(node, f"duplicate vertex name {nm!r}")
-
+    def combine(node, vals, where, td_only=False):
+        # vals holds (names, inc nesting) pairs for the children
+        nonlocal h, l
         t = type(node)
         if td_only and t not in TD_NODE_TYPES:
-            bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
-
-        if t is Subst:
-            _check_pattern(node.pattern, bad)
-            _check_bindings(node, node.pattern.names, vals, bad)
-            return _merge_name_sets(vals, duplicate)
+            bad(where, node, "pattern is not a tree-depth expression (join/subst not allowed)")
+        if t is Vertex:
+            return {node.name}, 0
         if t is Inc:
-            names = vals[0]
-            for target in sorted(node.neighbor_names):
-                if target not in names:
-                    bad(node, f"unknown inc target {target!r}")
+            names, k = vals[0]
+            if not (node.in_names <= names and node.out_names <= names):
+                for target in sorted(node.neighbor_names):
+                    if target not in names:
+                        bad(where, node, f"unknown inc target {target!r}")
             if node.name in names:
-                duplicate(node.name)
+                bad(where, node, f"duplicate vertex name {node.name!r}")
             names.add(node.name)
-            return names
+            return names, k + 1
+        if t is Empty:
+            return set(), 0
         if t is Union or t is Join:
             if len(node.children) < 2:
-                bad(node, "union/join needs at least two children")
-            return _merge_name_sets(vals, duplicate)
-        if t is Vertex:
-            return {node.name}
-        if t is Empty:
-            return set()
-        if t is SubstTd:
-            pattern_names = sorted(
-                _validate_node(
-                    node.pattern_expr, lambda: where() + "/pattern", violations, td_only=True
-                )
+                bad(where, node, "union/join needs at least two children")
+        elif t is Subst:
+            pattern = node.pattern
+            messages = checked.get(id(pattern))
+            if messages is None:
+                messages = checked[id(pattern)] = []
+                _check_pattern(pattern, messages.append)
+            for message in messages:
+                bad(where, pattern, message)
+            _check_bindings(node, pattern.names, vals, where, bad)
+            if not td_only and len(pattern.names) > h:
+                h = len(pattern.names)
+        elif t is SubstTd:
+            pattern_names, depth = fold_expression(
+                node.pattern_expr, combine_td, lambda: where() + "/pattern"
             )
+            pattern_names = sorted(pattern_names)
             if len(pattern_names) < 2:
-                bad(node, "subst-td pattern has fewer than two vertices")
-            _check_bindings(node, pattern_names, vals, bad)
-            return _merge_name_sets(vals, duplicate)
-        bad(node, f"unknown node type {t.__name__}")
-        return set()
+                bad(where, node, "subst-td pattern has fewer than two vertices")
+            _check_bindings(node, pattern_names, vals, where, bad)
+            if not td_only and depth > l:
+                l = depth
+        else:
+            bad(where, node, f"unknown node type {t.__name__}")
+            return set(), 0
+        # merge into the largest set; a name in two children is a duplicate
+        parts = sorted([names for names, _ in vals], key=len, reverse=True)
+        names = parts[0] if parts else set()
+        for part in parts[1:]:
+            if not names.isdisjoint(part):
+                for nm in part:
+                    if nm in names:
+                        bad(where, node, f"duplicate vertex name {nm!r}")
+            names |= part
+        return names, max([k for _, k in vals], default=0)
 
-    return fold_expression(root, combine, label)
+    combine_td = partial(combine, td_only=True)
+
+    names, k = fold_expression(root, combine)
+    return names, violations, Params(k, h, l)
 
 
 def _check_pattern(pattern, bad):
     names = set(pattern.names)
     if len(pattern.names) < 2:
-        bad(pattern, "pattern needs at least two vertices")
+        bad("pattern needs at least two vertices")
     if len(names) != len(pattern.names):
-        bad(pattern, "duplicate pattern vertex name")
+        bad("duplicate pattern vertex name")
     for (a, b) in pattern.edges:
         if a == b:
-            bad(pattern, f"loop edge on pattern vertex {a!r}")
+            bad(f"loop edge on pattern vertex {a!r}")
         if a not in names or b not in names:
-            bad(pattern, f"pattern edge ({a!r}, {b!r}) uses undeclared vertex")
+            bad(f"pattern edge ({a!r}, {b!r}) uses undeclared vertex")
 
 
-def _check_bindings(node, pattern_names, vals, bad):
+def _check_bindings(node, pattern_names, vals, where, bad):
     seen = set()
     pattern_set = set(pattern_names)
-    for (bname, _), child_names in zip(node.bindings, vals):
+    for (bname, _), (child_names, _) in zip(node.bindings, vals):
         if bname in seen:
-            bad(node, f"pattern vertex {bname!r} bound twice")
+            bad(where, node, f"pattern vertex {bname!r} bound twice")
         seen.add(bname)
         if bname not in pattern_set:
-            bad(node, f"binding for unknown pattern vertex {bname!r}")
+            bad(where, node, f"binding for unknown pattern vertex {bname!r}")
         if not child_names:
-            bad(node, f"binding {bname!r} is the empty graph")
+            bad(where, node, f"binding {bname!r} is the empty graph")
     for pname in pattern_names:
         if pname not in seen:
-            bad(node, f"pattern vertex {pname!r} has no binding")
+            bad(where, node, f"pattern vertex {pname!r} has no binding")
 
 
 # ---------------------------------------------------------------------------
@@ -710,26 +725,7 @@ def inc_nesting(node) -> int:
 
 def params(e: Expression) -> Params:
     """Extract the parameter triple (k, h, l) of an expression."""
-
-    def combine(node, vals, _where):
-        if not vals:
-            khl = (0, 0, 0)
-        elif len(vals) == 1:
-            khl = vals[0]
-        else:
-            khl = tuple(map(max, zip(*vals)))
-        t = type(node)
-        if t is Inc:
-            return (khl[0] + 1, khl[1], khl[2])
-        if t is Subst:
-            h = len(node.pattern.names)
-            return khl if khl[1] >= h else (khl[0], h, khl[2])
-        if t is SubstTd:
-            l = inc_nesting(node.pattern_expr)
-            return khl if khl[2] >= l else (khl[0], khl[1], l)
-        return khl
-
-    return Params(*fold_expression(e.root, combine))
+    return e._front_end[2]
 
 
 # ---------------------------------------------------------------------------

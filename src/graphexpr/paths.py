@@ -15,7 +15,7 @@ Every handler keeps two things alive while folding the expression:
 Substitution reduces to the pattern graph reweighted with the children's
 msp values: that small graph has a negative cycle iff the substituted graph
 does, and its distance matrix provides both the new msp and the pieces of
-the distance composition.  A pattern without edges (every normalized union)
+the distance composition.  A pattern without edges (each step of a union)
 is a disjoint union: its distances are the diagonal of child msps, every
 shift is zero and no Floyd runs.  For the all-pairs problem, substitution
 nodes keep distances at pattern granularity (ModuleSummary) and are
@@ -57,8 +57,8 @@ from functools import cached_property
 
 from . import framework
 from .errors import ContractViolation, InputError, VerificationError
-from .expr import Expression, evaluate_node, normalize, validate_or_raise
-from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
+from .expr import Expression, evaluate_node, validate_or_raise
+from .expr import evaluate, normalize  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
 from .framework import HandlerSet, fold_td_expression
 from .graphs import (
     DIRECTED,
@@ -527,15 +527,13 @@ def apsp_subst_td(pattern_expr, children, tol):
 
 
 def _gate(e: Expression, w: dict, problem: str):
-    """Validate and normalize ``e`` and check ``w`` against its vertex names:
-    every weight must be finite, and so must _OVERFLOW_SLACK * n * max |w|,
-    so that no path sum or potential difference overflows.  Returns the
-    normalized expression and the weights of its names only, from which
-    the solve sizes its tolerance."""
+    """Validate ``e`` and check ``w`` against its vertex names: every weight
+    must be finite, and so must _OVERFLOW_SLACK * n * max |w|, so that no
+    path sum or potential difference overflows.  Returns the weights of the
+    names only, from which the solve sizes its tolerance."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
     names = validate_or_raise(e)
-    ne = normalize(e)
     check_total_weights(names, w)
     used = {v: w[v] for v in names}
     scale = max(map(abs, used.values()), default=0.0)
@@ -544,7 +542,7 @@ def _gate(e: Expression, w: dict, problem: str):
             f"weights too large: path sums over {len(names)} vertices of weight "
             f"up to {scale:g} in magnitude overflow a float"
         )
-    return ne, used
+    return used
 
 
 def solve_tolerance(w: dict) -> float:
@@ -583,10 +581,10 @@ def ncd_outcome(e: Expression, w: dict, *, verify=False):
     """Fold the expression with the NCD handlers.  Returns
     ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``; the summary's potential is
     a dict."""
-    ne, w = _gate(e, w, "negative cycle detection")
+    w = _gate(e, w, "negative cycle detection")
     tol = solve_tolerance(w)
     checker = make_paths_verifier(w, tol) if verify else None
-    value, stats = framework.fold(ne, ncd_handlers(w, tol), verify=checker)
+    value, stats = framework.fold(e, ncd_handlers(w, tol), verify=checker)
     if not is_negative_cycle(value):
         value = NcdSummary(potential_dict(value.potential), value.msp)
     return value, stats
@@ -603,10 +601,10 @@ def apsp_outcome(e: Expression, w: dict, *, verify=False):
     """Fold with the all-pairs handlers and expand the root to a
     FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``; the
     summary's potential is a dict."""
-    ne, w = _gate(e, w, "all-pairs shortest paths")
+    w = _gate(e, w, "all-pairs shortest paths")
     tol = solve_tolerance(w)
     checker = make_paths_verifier(w, tol) if verify else None
-    value, stats = framework.fold(ne, apsp_handlers(w, tol), verify=checker)
+    value, stats = framework.fold(e, apsp_handlers(w, tol), verify=checker)
     if isinstance(value, ModuleSummary):
         value = to_full_summary(value)
     if not is_negative_cycle(value):

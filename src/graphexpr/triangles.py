@@ -20,16 +20,16 @@ from dataclasses import dataclass
 
 from . import framework
 from .errors import InputError
-from .expr import evaluate  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
+from .expr import evaluate, normalize  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
 from .expr import (
     Empty,
     Expression,
     Inc,
+    Join,
     Subst,
     SubstTd,
     Vertex,
     fold_expression,
-    normalize,
     td_pattern_edges,
     validate_or_raise,
 )
@@ -47,7 +47,7 @@ class TriFold:
 
 def combine_inc(f: TriFold, neighbors, child) -> TriFold:
     """Summary after adding one vertex adjacent to ``neighbors`` to the graph
-    of the normalized subexpression ``child``.
+    of the subexpression ``child``.
 
     Every new triangle uses the new vertex plus exactly one child edge with
     both endpoints adjacent to it.
@@ -57,34 +57,37 @@ def combine_inc(f: TriFold, neighbors, child) -> TriFold:
 
 
 def edges_within(child, s) -> int:
-    """Number of edges of the graph of the normalized subexpression
-    ``child`` with both endpoints in the vertex-name set ``s``.
+    """Number of edges of the graph of the subexpression ``child`` with both
+    endpoints in the vertex-name set ``s``.
 
     Each node's value is (vertices in s, edges inside s).  An inc vertex in
-    s adds its edges into s; a substitution adds c_i * c_j for each pattern
-    edge {i, j}, where c_i counts the vertices in s of the part bound to i;
-    a tree-depth pattern's edges come from ``expr.td_pattern_edges``.
+    s adds its edges into s; a union adds up its children's values, a join
+    adds c_i * c_j for each pair of children and a substitution for each
+    pattern edge {i, j}, where c_i counts the vertices in s of child i; a
+    tree-depth pattern's edges come from ``expr.td_pattern_edges``.
     """
 
     def combine(node, vals, _where):
         t = type(node)
-        if t is Subst:
-            pattern_edges = node.pattern.edges
-        elif t is Inc:
+        if t is Inc:
             c, e = vals[0]
             if node.name in s:
                 return (c + 1, e + len(node.neighbor_names & s))
             return (c, e)
-        elif t is Vertex:
+        if t is Vertex:
             return (1, 0) if node.name in s else (0, 0)
-        elif t is Empty:
+        if t is Empty:
             return (0, 0)
-        elif t is SubstTd:
-            pattern_edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
-        else:
-            raise InputError(f"{t.__name__} node in a normalized expression")
         c = sum([c for c, _ in vals])
         e = sum([e for _, e in vals])
+        if t is Join:
+            return (c, e + (c * c - sum([ci * ci for ci, _ in vals])) // 2)
+        if t is Subst:
+            pattern_edges = node.pattern.edges
+        elif t is SubstTd:
+            pattern_edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
+        else:  # a union: no edge between its children
+            return (c, e)
         if pattern_edges:
             inside = {bn: c for (bn, _), (c, _) in zip(node.bindings, vals)}
             for (u, v) in pattern_edges:
@@ -155,7 +158,6 @@ def triangle_summary(e: Expression, *, verify=None) -> tuple[TriFold, FoldStats]
     if e.mode != UNDIRECTED:
         raise InputError("triangle counting requires an undirected expression")
     validate_or_raise(e)
-    ne = normalize(e)
     checker = None
     if verify:
         from .oracle import oracle_triangles
@@ -169,7 +171,7 @@ def triangle_summary(e: Expression, *, verify=None) -> tuple[TriFold, FoldStats]
                     f"brute force on the materialized subgraph"
                 )
 
-    value, stats = framework.fold(ne, handlers(), verify=checker)
+    value, stats = framework.fold(e, handlers(), verify=checker)
     return value, stats
 
 

@@ -154,30 +154,37 @@ def test_solve_ncd_missing_weight_entry(capsys, tmp_path):
     [
         ("tc", "(undirected (union (inc x ((a x)) (vertex a)) (join (vertex b) (vertex c))))", 0),
         ("ncd", "(directed (union (inc x ((a x) (x a)) (vertex a)) (vertex b)))", 0),
+        ("apsp", "(directed (join (inc x ((a x) (x a)) (vertex a)) (union (vertex b) (empty))))", 0),
         ("tc", "(undirected (inc x ((x nope)) (vertex a)))", 2),
         ("ncd", "(directed (inc x ((x nope)) (vertex a)))", 2),
+        ("apsp", "(directed (union (vertex a) (inc x ((x nope)) (vertex b))))", 2),
     ],
 )
 def test_solve_validates_once(capsys, tmp_path, monkeypatch, problem, text, code_want):
-    # the solver validates and n comes from its fold counts, so solve walks
-    # the names once; an invalid expression still exits 2
-    from graphexpr import expr
+    # params, the solver's validation and its vertex names all read one
+    # cached walk, n comes from the fold counts, and the solver folds the
+    # parsed tree without normalizing it; an invalid expression still exits 2
+    from graphexpr import expr, paths, triangles
 
-    calls = []
-    real = expr._validate_node
+    walks, normalized = [], []
+    real = expr._scan
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(root):
+        walks.append(root)
+        return real(root)
 
-    monkeypatch.setattr(expr, "_validate_node", counting)
+    monkeypatch.setattr(expr, "_scan", counting)
+    for module in (expr, paths, triangles):
+        monkeypatch.setattr(module, "normalize", lambda e: normalized.append(e))
     f = tmp_path / "e.expr"
     f.write_text(text + "\n")
     w = tmp_path / "w.tsv"
     w.write_text("a\t3\nb\t1\nx\t2\n")
-    code, out, err = run(capsys, "solve", problem, str(f), *([str(w)] if problem == "ncd" else []))
+    weights = [str(w)] if problem != "tc" else []
+    code, out, err = run(capsys, "solve", problem, str(f), *weights)
     assert code == code_want, err
-    assert len(calls) == 1
+    assert len(walks) == 1
+    assert normalized == []
     if code_want == 2:
         assert "unknown inc target 'nope'" in err
     else:

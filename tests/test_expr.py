@@ -307,6 +307,83 @@ def test_validate_reports_node_location(text, expected):
     assert expected in found
 
 
+BAD_TEXT = (
+    "(directed (union (inc x ((x zz)) (vertex a)) (subst (graph (p q) ((p q)))"
+    " ((p (vertex a)) (q (vertex b))))))"
+)
+
+
+def test_validate_results_are_copies_of_the_cached_walk():
+    # validate, validate_or_raise and params read one cached walk; what a
+    # caller does to a returned list or set changes nothing later
+    from graphexpr import validate_or_raise
+    from graphexpr.expr import ValidationError
+
+    bad = parse(BAD_TEXT)
+    first = validate(bad)
+    assert [v.message for v in first] == [
+        "unknown inc target 'zz'",
+        "duplicate vertex name 'a'",
+    ]
+    first.clear()
+    validate(bad).append("junk")
+    assert [str(v) for v in validate(bad)] == [str(v) for v in validate(parse(BAD_TEXT))]
+    with pytest.raises(ValidationError, match="unknown inc target 'zz'"):
+        validate_or_raise(bad)
+
+    good = parse("(directed (inc x ((x a)) (union (vertex a) (vertex b))))")
+    names = validate_or_raise(good)
+    assert names == {"a", "b", "x"}
+    names.add("junk")
+    names.discard("a")
+    assert validate_or_raise(good) == {"a", "b", "x"}
+    assert validate(good) == []
+    assert params(good) == (1, 0, 0)
+
+
+def test_cached_walk_leaves_expression_equality_alone():
+    a = parse(BAD_TEXT)
+    b = parse(BAD_TEXT)
+    validate(a)
+    params(a)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert a != parse("(directed (vertex a))")
+    # the cache is no field: a copy built from the fields walks afresh
+    assert Expression(a.mode, a.root) == a
+
+
+def test_hand_built_expression_matches_the_parsed_one(tc_corpus):
+    # an Expression built from nodes gives the walk's results as parsed
+    # text does, valid or not
+    texts = [BAD_TEXT, "(directed (join (vertex a) (inc x ((a x)) (vertex b))))"]
+    for text in texts:
+        e = parse(text)
+        built = Expression(e.mode, _copy(e.root))
+        # hand-built nodes carry no text position
+        assert [(v.path, v.message) for v in validate(built)] == [
+            (v.path, v.message) for v in validate(e)
+        ]
+        assert params(built) == params(e)
+    for e, _, p in tc_corpus[:100]:
+        built = Expression(e.mode, _copy(e.root))
+        assert built.root is not e.root
+        assert params(built) == p
+        assert validate(built) == validate(e) == []
+
+
+def _copy(node):
+    """A fresh copy of the tree under ``node``, built node by node."""
+    if isinstance(node, Inc):
+        return Inc(node.name, node.in_names, node.out_names, _copy(node.child))
+    if isinstance(node, (Union, Join)):
+        return type(node)(tuple(_copy(c) for c in node.children))
+    if isinstance(node, (Subst, SubstTd)):
+        payload = node.pattern if isinstance(node, Subst) else node.pattern_expr
+        return type(node)(payload, tuple((bn, _copy(sub)) for bn, sub in node.bindings))
+    return type(node)(*([node.name] if isinstance(node, Vertex) else []))
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

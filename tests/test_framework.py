@@ -9,7 +9,6 @@ from graphexpr import (
     UNDIRECTED,
     Expression,
     HandlerSet,
-    InputError,
     Join,
     Params,
     Subst,
@@ -84,10 +83,99 @@ def test_fold_k4_minus_edge_triangles():
     assert stats.sum_pattern_order >= 3
 
 
-def test_fold_rejects_union_join():
-    e = parse("(undirected (union (vertex a) (vertex b)))")
-    with pytest.raises(InputError, match="normalize"):
-        fold(e, counting_handlers())
+EMPTY_CASES = [
+    "(union (empty) (vertex a) (join (empty) (vertex b) (vertex c)) (empty))",
+    "(union (empty) (empty))",
+    "(inc x () (union (empty) (join (empty) (empty))))",
+    "(join (vertex a) (union (empty) (vertex b)) (vertex c)"
+    " (inc d ((d a2) (d b2)) (join (vertex a2) (empty) (vertex b2))))",
+    "(subst (graph (p q) ((p q))) ((p (union (vertex a) (empty) (vertex b)))"
+    " (q (join (empty) (inc c ((c d)) (union (vertex d) (empty)))))))",
+]
+
+
+def _solver_handlers(w):
+    from graphexpr.paths import apsp_handlers, ncd_handlers, solve_tolerance
+
+    tol = solve_tolerance(w)
+    return {"ncd": ncd_handlers(w, tol), "apsp": apsp_handlers(w, tol)}
+
+
+def _comparable(value):
+    """A summary as plain data: potentials as item lists (key order
+    included) and APSP summaries expanded to their rows."""
+    from graphexpr import TriFold, is_negative_cycle
+    from graphexpr.paths import ModuleSummary, potential_dict, to_full_summary
+
+    if isinstance(value, (int, TriFold)) or is_negative_cycle(value):
+        return value
+    if isinstance(value, ModuleSummary):
+        value = to_full_summary(value)
+    out = [list(potential_dict(value.potential).items()), value.msp]
+    if hasattr(value, "rows"):
+        out += [list(value.min_out.items()), list(value.min_in.items()), value.rows]
+    return out
+
+
+def _assert_folds_like_normalize(e, handlers, **kwargs):
+    got, got_stats = fold(e, handlers, **kwargs)
+    want, want_stats = fold(normalize(e), handlers, **kwargs)
+    assert _comparable(got) == _comparable(want)
+    assert got_stats == want_stats
+
+
+def test_fold_equals_fold_of_normalize(tc_corpus, paths_corpus):
+    # a union or join folds as the substitution chain normalize makes of it:
+    # the same value and the same stats, with empty children dropped and a
+    # subtree without vertices one empty leaf where it is kept
+    for e, *_ in tc_corpus:
+        _assert_folds_like_normalize(e, counting_handlers())
+        _assert_folds_like_normalize(e, tri_handlers())
+    for e, _, w, _ in paths_corpus:
+        _assert_folds_like_normalize(e, counting_handlers())
+        for hs in _solver_handlers(w).values():
+            _assert_folds_like_normalize(e, hs)
+    for text in EMPTY_CASES:
+        _assert_folds_like_normalize(parse(f"(undirected {text})"), tri_handlers())
+        e = parse(f"(directed {text})")
+        w = {v: (-1.0) ** len(v) * len(v) for v in validate_or_raise(e)}
+        for hs in (counting_handlers(), *_solver_handlers(w).values()):
+            _assert_folds_like_normalize(e, hs)
+    _, stats = fold(parse("(directed (union (empty) (empty)))"), counting_handlers())
+    assert stats.counts == {"empty": 1} and stats.leaf_count == 1
+
+
+def test_verify_sees_every_step_of_a_union_or_join(tc_corpus):
+    # verify checks the same subgraphs as on the normalized tree: each step
+    # of a chain on the children folded so far, at the raw node's path
+    def seen(e):
+        calls = []
+        fold(
+            e,
+            counting_handlers(),
+            verify=lambda path, node, value, sub: calls.append(
+                (value, sub.vertices, sub.edges)
+            ),
+        )
+        return sorted(calls, key=repr)
+
+    cases = [parse(f"(undirected {text})") for text in EMPTY_CASES]
+    for e in cases + [e for e, *_ in tc_corpus[:200]]:
+        assert seen(e) == seen(normalize(e))
+    paths = []
+    fold(
+        parse("(undirected (inc x () (join (vertex a) (empty) (vertex b) (vertex c))))"),
+        counting_handlers(),
+        verify=lambda path, node, value, sub: paths.append((path, value)),
+    )
+    assert paths == [
+        ("root/child/0", 1),
+        ("root/child/2", 1),
+        ("root/child/3", 1),
+        ("root/child", 2),
+        ("root/child", 3),
+        ("root", 4),
+    ]
 
 
 def graph_rebuild_handlers(mode):
@@ -321,6 +409,33 @@ def test_handler_error_path_on_deep_normalized_chain():
     assert str(info.value).endswith(f" [at {path}]")
 
 
+def test_solve_handler_error_names_the_raw_input_path(monkeypatch):
+    # the solvers fold the tree as parsed: a handler error names the path of
+    # the node as written, and an error in a step of a union or join names
+    # that union or join
+    from graphexpr import ContractViolation, ncd_outcome, paths, triangle_summary, triangles
+
+    def boom(real, bad):
+        def spy(*args):
+            if bad(*args):
+                raise ContractViolation("boom")
+            return real(*args)
+
+        return spy
+
+    nested = "(union (vertex a) (vertex b) (inc y () (inc x () (union (vertex c) (empty)))))"
+    monkeypatch.setattr(paths, "ncd_inc", boom(paths.ncd_inc, lambda f, x, *_: x == "x"))
+    w = dict.fromkeys("abcxy", 1.0)
+    with pytest.raises(ContractViolation) as info:
+        ncd_outcome(parse(f"(directed {nested})"), w)
+    assert str(info.value) == "boom [at root/2/child]"
+
+    monkeypatch.setattr(triangles, "combine_subst", boom(triangles.combine_subst, lambda *_: True))
+    with pytest.raises(ContractViolation) as info:
+        triangle_summary(parse("(undirected (inc y () (join (vertex a) (empty) (vertex b))))"))
+    assert str(info.value) == "boom [at root/child]"
+
+
 def test_inc_handler_gets_its_child_expression_only():
     e = parse(
         "(undirected (join (vertex z) (inc x ((x a)) "
@@ -400,13 +515,13 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
         for mode in (UNDIRECTED, DIRECTED):
             e = corpus_instance(seed, mode, 25)
             evaluations.clear()  # the generator evaluates its patterns
-            fold(normalize(e), counting_handlers())
+            fold(e, counting_handlers())
             assert evaluations == [], seed
             if mode == UNDIRECTED:
                 count_triangles(e)
                 assert evaluations == [], seed
                 continue
-            main, patterns = inc_children(normalize(e).root)
+            main, patterns = inc_children(e.root)
             pattern_incs = [c for pe in patterns for c in inc_children(pe)[0]]
             seen["main"] += len(main)
             seen["pattern"] += len(pattern_incs)
@@ -428,8 +543,8 @@ def test_inc_over_the_empty_graph_evaluates_nothing(evaluations):
     # a wide union of incs over (empty) is a union of single vertices: NCD
     # and APSP answer each inc without evaluating its child, and give the
     # summaries of the union of vertex leaves.  APSP runs on 10^3 leaves:
-    # its substitution summaries copy min_out and min_in at every level of
-    # the normalized chain, O(r^2) in time and memory.
+    # its substitution summaries copy min_out and min_in at every step of
+    # the union's chain, O(r^2) in time and memory.
     from graphexpr import apsp_outcome, gen_weights, ncd_outcome
 
     def unions(r):
@@ -463,9 +578,8 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
         "(directed (join (vertex z) (inc y ((y x)) (inc x ((x a) (b x)) "
         "(union (vertex a) (vertex b))))))"
     )
-    ne = normalize(e)
     nodes = []
-    fold_expression(ne.root, lambda node, _vals, _where: nodes.append(node))
+    fold_expression(e.root, lambda node, _vals, _where: nodes.append(node))
     incs = [n for n in nodes if isinstance(n, Inc)]
     assert [n.name for n in incs] == ["x", "y"]
     w = {v: 1.0 for v in "abxyz"}
@@ -477,7 +591,7 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
         f, name, inn, out, child
     )
     evaluations.clear()
-    fold(ne, hs)
+    fold(e, hs)
     assert [id(c) for c in received] == [id(n.child) for n in incs]
     assert [id(r) for r in evaluations] == [id(n.child) for n in incs]
 
@@ -485,8 +599,8 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
         evaluations.clear()
         value, _ = solve(e, w)
         assert not is_negative_cycle(value)
-        assert evaluations == [n.child for n in incs], solve.__name__
-        assert ne.root not in evaluations
+        assert [id(r) for r in evaluations] == [id(n.child) for n in incs], solve.__name__
+        assert e.root not in evaluations
     assert evaluate(Expression(DIRECTED, incs[0].child)).edges == frozenset()
 
 

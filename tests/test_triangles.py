@@ -22,7 +22,7 @@ from graphexpr import (
     params,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Union, fold_expression
+from graphexpr.expr import Empty, Inc, Join, Union, Vertex, fold_expression
 from graphexpr.oracle import GenSpec
 from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td, edges_within
 
@@ -100,6 +100,60 @@ def test_edges_within_matches_induced_subgraph(seed, mask):
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
         induced_m = sum(1 for a, b in g.edges if a in s and b in s)
         assert edges_within(child, s) == induced_m
+
+
+def _random_cograph_expr(rng):
+    """A random undirected tree of unions and joins of two to four children,
+    empty and vertex leaves, and incs adjacent to random vertices of their
+    child."""
+    fresh = iter(f"v{i}" for i in range(10**6))
+
+    def build(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.25:
+            if rng.random() < 0.2:
+                return Empty(), []
+            v = next(fresh)
+            return Vertex(v), [v]
+        if roll < 0.45:
+            child, names = build(depth - 1)
+            x = next(fresh)
+            neighbors = frozenset(rng.sample(names, rng.randint(0, len(names))))
+            return Inc(x, neighbors, frozenset(), child), names + [x]
+        parts = [build(depth - 1) for _ in range(rng.randint(2, 4))]
+        kind = Union if roll < 0.7 else Join
+        return kind(tuple(p for p, _ in parts)), [v for _, names in parts for v in names]
+
+    return build(4)[0]
+
+
+@given(rng=st.randoms(use_true_random=False), mask=st.integers(min_value=0))
+@settings(max_examples=150, deadline=None)
+def test_edges_within_counts_induced_edges_on_raw_trees(rng, mask):
+    # unions and joins as written: 3- and 4-way joins, nested unions and
+    # joins, and empty children, at the root and at every inc child
+    root = _random_cograph_expr(rng)
+    children = [root]
+    fold_expression(
+        root, lambda node, _vals, _where: isinstance(node, Inc) and children.append(node.child)
+    )
+    for child in children:
+        g = evaluate(Expression(UNDIRECTED, child))
+        s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
+        induced_m = sum(1 for a, b in g.edges if a in s and b in s)
+        assert edges_within(child, s) == induced_m
+
+
+def test_edges_within_of_a_wide_join():
+    # a 4-way join of unions: the pairs of children each add c_i * c_j
+    root = parse(
+        "(undirected (join (union (vertex a) (vertex b)) (vertex c) (empty)"
+        " (join (vertex d) (union (vertex e) (empty) (vertex f)))))"
+    ).root
+    assert edges_within(root, set("abcdef")) == evaluate(Expression(UNDIRECTED, root)).m == 13
+    # a, c, e: a-c, a-e, c-e; b, d: b-d
+    assert edges_within(root, set("ace")) == 3
+    assert edges_within(root, set("bd")) == 1
 
 
 # ---------------------------------------------------------------------------
