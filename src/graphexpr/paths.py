@@ -32,16 +32,16 @@ connector (the cheaper of the pattern route and the detour) is finite; an
 inc recomputes only the rows of vertices that reach the added one.  So
 beyond the n^2 prefill, the work follows the pairs that can be finite.
 
-Substitution summaries keep their potential as a *shifted union*: a plain
-tuple ``(child potential, shift, child potential, shift, ...)``, one pair
-per pattern vertex, so a substitution costs O(pattern order) however large
-its children are, and a left-deep chain of r substitutions costs O(r)
-instead of O(r^2).  Its one reader is ``potential_dict``, an iterative walk
-that adds up the shifts on the way down; it runs only where the values are
-read: at an inc node (``_inc_core``), in the ``--verify`` checker, and at
-the root, where ``ncd_outcome`` and ``apsp_outcome`` return a plain dict.
-The APSP exit and entry values ``min_out``/``min_in`` stay eager dicts,
-since the expansion reads each child's unshifted values.
+Substitution summaries keep their per-vertex maps -- the potential, and
+for APSP the exits and entries ``min_out``/``min_in`` -- as *shifted
+unions*: plain tuples ``(child map, shift, child map, shift, ...)``, one
+pair per pattern vertex, so a substitution costs O(pattern order) however
+large its children are, and a left-deep chain of r substitutions costs O(r)
+instead of O(r^2).  Their one reader is ``potential_dict``, an iterative
+walk that adds up the shifts on the way down; it runs only where values
+are read: at an inc node (``_inc_core``), in the ``--verify`` checker, and
+at the root, where the outcomes return plain dicts and the expansion
+(``to_full_summary``) reads the exits and entries once for all its levels.
 
 The solvers reject weights for which ``_OVERFLOW_SLACK * n * max |w|`` is
 not a finite float, so no path sum or potential difference overflows.
@@ -88,11 +88,11 @@ _OVERFLOW_SLACK = 8
 
 
 def potential_dict(pi) -> dict:
-    """A potential as a plain dict: ``pi`` itself when it is a dict, else a
-    fresh dict filled from the shifted union ``pi``, a tuple ``(potential,
-    shift, potential, shift, ...)`` whose potentials are dicts or shifted
-    unions.  The walk is iterative (chains are far deeper than the recursion
-    limit) and visits the parts in pattern order."""
+    """A per-vertex map (potential, exits or entries) as a plain dict: ``pi``
+    itself when it is a dict, else a fresh dict filled from the shifted union
+    ``pi``, a tuple ``(map, shift, map, shift, ...)`` whose maps are dicts or
+    shifted unions.  The walk is iterative (chains are far deeper than the
+    recursion limit) and visits the parts in pattern order."""
     if isinstance(pi, dict):
         return pi
     out = {}
@@ -109,12 +109,12 @@ def potential_dict(pi) -> dict:
     return out
 
 
-def _shifted_potential(children, shift):
-    """The children's potentials, each shifted by the ``shift`` entry of its
-    pattern vertex, as a shifted union; the children are not copied."""
+def _shifted_union(children, shift, field):
+    """The children's ``field`` maps, each shifted by the ``shift`` entry of
+    its pattern vertex, as a shifted union; the children are not copied."""
     parts = []
     for (_, s), d in zip(children, shift):
-        parts += (s.potential, d)
+        parts += (getattr(s, field), d)
     return tuple(parts)
 
 
@@ -143,6 +143,10 @@ class FullSummary:
     min_in: dict
     rows: list
 
+    @property
+    def n(self):
+        return len(self.rows)
+
     @cached_property
     def dist(self):
         return DistView(self.min_out, self.rows)
@@ -156,19 +160,21 @@ class ModuleSummary:
     the expansion to a FullSummary, and every per-pattern field follows
     their order: ``rows`` are the distances in the pattern reweighted with
     ``omega`` (the child msps), and ``out_shift``/``in_shift`` come from
-    ``_shift``.  ``min_out`` and ``min_in`` are shifted copies of
-    the children's; ``potential`` is a shifted union over theirs.
+    ``_shift``.  ``min_out``, ``min_in`` and ``potential`` are shifted
+    unions over the children's: exits shift by the out-shift, entries and
+    potential by the in-shift.  ``n`` counts the vertices.
     """
 
     potential: tuple
     msp: float
-    min_out: dict
-    min_in: dict
+    min_out: tuple
+    min_in: tuple
     rows: list
     omega: list
     out_shift: list
     in_shift: list
     children: tuple
+    n: int
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +289,6 @@ def _shift(lines, omega):
     return [m - om for m, om in zip(map(min, lines), omega)]
 
 
-def _shifted(children, shift, field):
-    """The union of the children's ``field`` maps, each child's values
-    shifted by the ``shift`` entry of its pattern vertex."""
-    out = {}
-    for (_, s), d in zip(children, shift):
-        for v, val in getattr(s, field).items():
-            out[v] = val + d
-    return out
-
-
 def _ncd_union(vals):
     """Disjoint union of NCD summaries: zero shifts, the least msp."""
     for s in vals:
@@ -319,7 +315,7 @@ def ncd_subst(pattern_graph, children, tol):
         return D
     rows = D.rows
     pi_h = _shift(zip(*rows), [s.msp for _, s in children])
-    return NcdSummary(_shifted_potential(children, pi_h), min(map(min, rows)))
+    return NcdSummary(_shifted_union(children, pi_h, "potential"), min(map(min, rows)))
 
 
 def ncd_subst_td(pattern_expr, children, tol):
@@ -334,7 +330,8 @@ def ncd_subst_td(pattern_expr, children, tol):
     if is_negative_cycle(inner):
         return inner
     pi_h = potential_dict(inner.potential)
-    return NcdSummary(_shifted_potential(children, [pi_h[p] for p, _ in children]), inner.msp)
+    shift = [pi_h[p] for p, _ in children]
+    return NcdSummary(_shifted_union(children, shift, "potential"), inner.msp)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +371,23 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     connector is finite; the rest stay at the prefilled inf, so a module
     that reaches no other (every module of a union whose detour is inf)
     costs O(1).  A pair inside a non-substitution spine leaf is finished
-    from its full matrix, which is copied as it is when ``c`` is inf.
+    from its full matrix, which is copied as it is when ``c`` is inf.  The
+    root's exits and entries are read once; a child's own are the root's
+    less the out- resp. in-shifts above the child, carried next to ``c``.
     """
-    n = len(s.min_out)
+    min_out, min_in = potential_dict(s.min_out), potential_dict(s.min_in)
+    exits, entries = list(min_out.values()), list(min_in.values())
+    n = s.n
     rows = [[INF] * n for _ in range(n)]
-    stack = [(s, INF, 0)]
+    stack = [(s, INF, 0, 0.0, 0.0)]
     while stack:
-        node, c, start = stack.pop()
+        node, c, start, up_out, up_in = stack.pop()
         if not isinstance(node, ModuleSummary):
             if c == INF:
                 for r, row in enumerate(node.rows, start):
                     rows[r][start : start + len(row)] = row
                 continue
-            stop = start + len(node.rows)
+            stop = start + node.n
             ins = list(node.min_in.values())
             for r, row, out in zip(range(start, stop), node.rows, node.min_out.values()):
                 t = out + c
@@ -399,9 +400,9 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
         stop = start
         for child in children:
             firsts.append(stop)
-            stop += len(child.min_in)
-        entries = {}  # q -> child q's entry values, built on first use
+            stop += child.n
         for p, child in enumerate(children):
+            first, up_p = firsts[p], up_out + out_shift[p]
             # u in module p reaches v in module q inside this node (child
             # exit, pattern path, child entry) or by the detour c; both
             # routes add the child exit of u and the child entry of v
@@ -413,21 +414,19 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
                     detour = out_shift[p] + c + in_shift[q]
                     k = k if k < detour else detour
                     if k < INF:
-                        ins = entries.get(q)
-                        if ins is None:
-                            ins = entries[q] = list(other.min_in.values())
-                        segments.append((firsts[q], [k + b for b in ins]))
-            first = firsts[p]
+                        col = firsts[q]
+                        k -= up_p + up_in + in_shift[q]
+                        segments.append((col, [k + b for b in entries[col : col + other.n]]))
             if segments:
-                for r, du in enumerate(child.min_out.values(), first):
+                for r, du in enumerate(exits[first : first + child.n], first):
                     row = rows[r]
                     for col, ks in segments:
                         row[col : col + len(ks)] = [du + b for b in ks]
             # cheapest way out of module p and back: a pattern cycle through
             # p, or leaving the whole node (detour c), module p not counted
             escape = out_shift[p] + c + in_shift[p]
-            stack.append((child, min(cyc - om[p], escape), first))
-    return FullSummary(s.potential, s.msp, s.min_out, s.min_in, rows)
+            stack.append((child, min(cyc - om[p], escape), first, up_p, up_in + in_shift[p]))
+    return FullSummary(s.potential, s.msp, min_out, min_in, rows)
 
 
 def apsp_inc(f, x, in_names, out_names, w, child, tol):
@@ -468,22 +467,23 @@ def _assemble_module(children, rows, shifts=None):
     """Module summary of a substitution from the pattern distance ``rows``
     under the child msps, both in the order of ``children``: a child's
     exits shift by its module's out-shift, its entries and potential by the
-    in-shift.  Only the exits and entries are copied.  ``shifts`` gives the
-    out- and in-shifts when they are known without reading ``rows``."""
+    in-shift.  Nothing is copied.  ``shifts`` gives the out- and in-shifts
+    when they are known without reading ``rows``."""
     omega = [s.msp for _, s in children]
     if shifts is None:
         shifts = _shift(rows, omega), _shift(zip(*rows), omega)
     out_shift, in_shift = shifts
     return ModuleSummary(
-        _shifted_potential(children, in_shift),
+        _shifted_union(children, in_shift, "potential"),
         min(map(min, rows)),
-        _shifted(children, out_shift, "min_out"),
-        _shifted(children, in_shift, "min_in"),
+        _shifted_union(children, out_shift, "min_out"),
+        _shifted_union(children, in_shift, "min_in"),
         rows,
         omega,
         out_shift,
         in_shift,
         tuple(children),
+        sum(s.n for _, s in children),
     )
 
 

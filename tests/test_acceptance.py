@@ -259,9 +259,12 @@ def test_criterion_6_handler_cross_equality():
                 pa, pb = potential_dict(fa.potential), potential_dict(fb.potential)
                 for k in pa:
                     assert _close(pa[k], pb[k], tol)
-                for k in fa.min_out:
-                    assert _close(fa.min_out[k], fb.min_out[k], tol)
-                    assert _close(fa.min_in[k], fb.min_in[k], tol)
+                for field in ("min_out", "min_in"):
+                    ma = potential_dict(getattr(fa, field))
+                    mb = potential_dict(getattr(fb, field))
+                    assert ma.keys() == mb.keys()
+                    for k in ma:
+                        assert _close(ma[k], mb[k], tol)
                 da = DistView([p for p, _ in fa.children], fa.rows)
                 db = DistView([p for p, _ in fb.children], fb.rows)
                 for pair in da:

@@ -443,6 +443,25 @@ def test_check_apsp_with_inf_entries(capsys, tmp_path):
     assert "check=pass dev=0" in out
 
 
+def test_check_refuses_a_large_graph_before_evaluating_it(capsys, tmp_path):
+    # the 500-vertex limit is tested on the names: evaluating this join of
+    # two 1000-vertex unions (10^6 edges) first peaked at 206 MB
+    import tracemalloc
+
+    f = tmp_path / "j.expr"
+    sides = [" ".join(f"(vertex {s}{i})" for i in range(1000)) for s in "ab"]
+    f.write_text(f"(undirected (join (union {sides[0]}) (union {sides[1]})))\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "check", "tc", str(f))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "check is limited to 500 vertices (got 2000)" in err
+    assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
 def test_check_detects_mutated_solver(capsys, k4_file, monkeypatch):
     from graphexpr import triangles as tri
 

@@ -543,8 +543,7 @@ def test_inc_over_the_empty_graph_evaluates_nothing(evaluations):
     # a wide union of incs over (empty) is a union of single vertices: NCD
     # and APSP answer each inc without evaluating its child, and give the
     # summaries of the union of vertex leaves.  APSP runs on 10^3 leaves:
-    # its substitution summaries copy min_out and min_in at every step of
-    # the union's chain, O(r^2) in time and memory.
+    # the root's expansion to n^2 distances sets its time and memory.
     from graphexpr import apsp_outcome, gen_weights, ncd_outcome
 
     def unions(r):
