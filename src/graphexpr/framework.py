@@ -2,8 +2,8 @@
 
 A problem is solved on an expression by supplying one handler per operation;
 the fold threads per-subtree summary values upward as the expression is
-structured, a union or join as a chain of binary substitutions.  Handlers
-see only summaries and the node payload.  An inc handler gets the child
+structured, a union in one call, a join as a chain of binary substitutions.
+Handlers see only summaries and the node payload.  An inc handler gets the child
 subexpression and reads from it what it needs of the child graph: triangle
 counting counts the closed edges from it, the shortest-path handlers
 evaluate it.  A substitution handler gets its pattern: an explicit pattern
@@ -32,7 +32,6 @@ from .expr import (
     SubstTd,
     Union,
     Vertex,
-    _PAT_I2,
     _PAT_K2,
     evaluate,
     fold_expression,
@@ -49,10 +48,10 @@ class HandlerSet:
     on_inc receives the child's summary and the child subexpression.
     on_subst receives the pattern graph and the children as ``(pattern
     vertex name, summary)`` pairs in pattern vertex order, also per step of
-    a union or join; on_subst_td receives the pattern's tree-depth
-    expression and the children in binding order.  The leaf and inc
-    handlers also fold the tree-depth patterns themselves
-    (``fold_td_expression``).
+    a join; on_subst_td receives the pattern's tree-depth expression and
+    the children in binding order; on_union the summaries of a union's two
+    or more parts with vertices, in order.  The leaf, inc and union
+    handlers also fold tree-depth patterns (``fold_td_expression``).
     """
 
     base_empty: Callable
@@ -60,6 +59,7 @@ class HandlerSet:
     on_inc: Callable      # (child F, name, in_names, out_names, child_expr) -> F
     on_subst: Callable    # (pattern Graph, [(name, F), ...]) -> F
     on_subst_td: Callable  # (pattern_expr, [(name, F), ...]) -> F
+    on_union: Callable    # ([F, F, ...]) -> F
 
 
 @dataclass
@@ -73,20 +73,22 @@ class FoldStats:
     max_subst_order: int = 0
     max_subtd_depth: int = 0
 
-    def bump(self, kind):
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+    def bump(self, kind, times=1):
+        self.counts[kind] = self.counts.get(kind, 0) + times
 
 
 def fold(e: Expression, handlers: HandlerSet, *, verify=None):
-    """Fold a validated expression bottom-up, with the handler calls and
-    stats of folding ``normalize(e)``: a union or join drops its children
-    without vertices and chains the rest left-deep through ``on_subst``; a
-    subtree without vertices is one empty leaf where an inc or the root
-    keeps it.  Returns ``(summary, FoldStats)``.
+    """Fold a validated expression bottom-up, with the values and stats of
+    folding ``normalize(e)``: a union or join drops its children without
+    vertices, a union passes the rest to one ``on_union`` call counted as
+    the substitutions it stands for, and a join chains them through
+    ``on_subst``; a subtree without vertices is one empty leaf where an inc
+    (which is then ``base_vertex``) or the root keeps it.  Returns
+    ``(summary, FoldStats)``.
 
     ``verify``, when given, is called as ``verify(path, node, summary,
     subgraph)`` after every handler with the evaluated subgraph of that node
-    or of a union's children folded so far (debug mode; cubic in the width
+    or of a join's children folded so far (debug mode; cubic in the width
     of a join).  Without ``verify`` the fold evaluates nothing.
     """
     # local, so that no pattern outlives the fold, and keyed by identity,
@@ -94,11 +96,13 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     pattern_graphs = {}
     stats = FoldStats()
 
-    def substitute(pattern, children):
-        stats.bump("subst")
-        order = len(pattern.names)
-        stats.sum_pattern_order += order
+    def count_subst(order, times=1):
+        stats.bump("subst", times)
+        stats.sum_pattern_order += order * times
         stats.max_subst_order = max(stats.max_subst_order, order)
+
+    def substitute(pattern, children):
+        count_subst(len(pattern.names))
         pg = pattern_graphs.get(id(pattern))
         if pg is None:
             pg = pattern_graphs[id(pattern)] = pattern.to_graph()
@@ -107,10 +111,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     def empty_leaf(node, path):
         stats.bump("empty")
         stats.leaf_count += 1
-        value = handlers.base_empty()
         if verify is not None:
-            verify(path(), node, value, evaluate(Expression(e.mode, node)))
-        return value
+            verify(path(), node, handlers.base_empty(), evaluate(Expression(e.mode, node)))
 
     def combine(node, vals, where):
         # vals holds (summary, inc_depth) pairs for the children
@@ -124,17 +126,19 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
         try:
             if t is Union or t is Join:
                 kids = [(v, c) for (v, _), c in zip(vals, node.children) if v is not _NO_VERTICES]
-                if not kids:
-                    return _NO_VERTICES, depth
-                pattern = (_PAT_K2 if t is Join else _PAT_I2)[e.mode]
-                value, folded = kids[0]
-                for v, child in kids[1:]:
-                    value = substitute(pattern, [("a", value), ("b", v)])
-                    if verify is not None:
-                        folded = Subst(pattern, (("a", folded), ("b", child)))
-                        verify(where(), folded, value, evaluate(Expression(e.mode, folded)))
-                return value, depth
-            if t is Subst:
+                if len(kids) < 2:
+                    return (kids[0][0] if kids else _NO_VERTICES), depth
+                if t is Join:
+                    value, folded = kids[0]
+                    for v, child in kids[1:]:
+                        value = substitute(_PAT_K2[e.mode], [("a", value), ("b", v)])
+                        if verify is not None:
+                            folded = Subst(_PAT_K2[e.mode], (("a", folded), ("b", child)))
+                            verify(where(), folded, value, evaluate(Expression(e.mode, folded)))
+                    return value, depth
+                count_subst(2, len(kids) - 1)  # r - 1 steps into two isolated vertices
+                value = handlers.on_union([v for v, _ in kids])
+            elif t is Subst:
                 by_name = {bn: v for (bn, _), (v, _) in zip(node.bindings, vals)}
                 value = substitute(node.pattern, [(p, by_name[p]) for p in node.pattern.names])
             elif t is Inc:
@@ -142,9 +146,11 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 depth += 1
                 stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
                 f = vals[0][0]
-                if f is _NO_VERTICES:
-                    f = empty_leaf(node.child, lambda: where() + "/child")
-                value = handlers.on_inc(f, node.name, node.in_names, node.out_names, node.child)
+                if f is not _NO_VERTICES:
+                    value = handlers.on_inc(f, node.name, node.in_names, node.out_names, node.child)
+                else:  # x is the whole graph
+                    empty_leaf(node.child, lambda: where() + "/child")
+                    value = handlers.base_vertex(node.name)
             elif t is Vertex:
                 stats.bump("vertex")
                 stats.leaf_count += 1
@@ -172,7 +178,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
 
     value, _ = fold_expression(e.root, combine)
     if value is _NO_VERTICES:
-        value = empty_leaf(e.root, lambda: "root")
+        empty_leaf(e.root, lambda: "root")
+        value = handlers.base_empty()
     return value, stats
 
 
@@ -207,24 +214,30 @@ def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
 # Folds over tree-depth pattern expressions.
 #
 # Subst-td handlers replay their pattern with the problem's own handlers.
-# Union survives here; no supported problem connects its disjoint parts.
 
 
-def fold_td_expression(pattern_expr, handlers: HandlerSet, union):
-    """Post-order fold over a pure tree-depth expression with the leaf and
-    inc handlers of ``handlers``; ``union`` merges the values of a union's
-    parts.  The inc handler gets the child sub-pattern expression."""
+def fold_td_expression(pattern_expr, handlers: HandlerSet):
+    """Post-order fold over a pure tree-depth expression with vertices, with
+    the leaf, inc and union handlers of ``handlers`` under the rules of
+    ``fold``: a union drops its parts without vertices, and an inc over a
+    part without vertices is ``base_vertex``.  The inc handler gets the
+    child sub-pattern expression."""
 
     def combine(node, vals, _where):
         t = type(node)
         if t is Inc:
+            if vals[0] is _NO_VERTICES:
+                return handlers.base_vertex(node.name)
             return handlers.on_inc(vals[0], node.name, node.in_names, node.out_names, node.child)
         if t is Vertex:
             return handlers.base_vertex(node.name)
         if t is Union:
-            return union(vals)
+            parts = [v for v in vals if v is not _NO_VERTICES]
+            if len(parts) < 2:
+                return parts[0] if parts else _NO_VERTICES
+            return handlers.on_union(parts)
         if t is Empty:
-            return handlers.base_empty()
+            return _NO_VERTICES
         raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
 
     return fold_expression(pattern_expr, combine)

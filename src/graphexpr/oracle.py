@@ -108,28 +108,30 @@ def shortest_path_potential(g: Graph, w: dict) -> dict:
 
 def oracle_apsp(g: Graph, w: dict):
     """All-pairs distances under the endpoint-inclusive vertex-weight
-    convention, via one Bellman-Ford per source.  Returns NEGATIVE_CYCLE or a
+    convention, via one label-correcting Bellman-Ford per source (FIFO
+    order of label changes, at most n passes).  Returns NEGATIVE_CYCLE or a
     total (u, v) -> distance map."""
     if oracle_ncd(g, w):
         return NEGATIVE_CYCLE
-    edges = _shifted_edges(g, w)
+    out = {v: [] for v in g.vertices}
+    for u, v, c in _shifted_edges(g, w):
+        out[u].append((v, c))
     dist = {}
     for s in g.vertices:
-        label = {v: INF for v in g.vertices}
-        label[s] = 0.0
-        for _ in range(max(g.n - 1, 1)):
-            changed = False
-            for u, v, c in edges:
-                if label[u] == INF:
-                    continue
-                alt = label[u] + c
-                if alt < label[v] - TOL:
-                    label[v] = alt
-                    changed = True
+        label, changed = {s: 0.0}, [s]
+        for _ in range(g.n):
             if not changed:
                 break
+            again = {}  # insertion-ordered set of the vertices changed now
+            for u in changed:
+                for v, c in out[u]:
+                    alt = label[u] + c
+                    if alt < label.get(v, INF) - TOL:
+                        label[v] = alt
+                        again[v] = None
+            changed = list(again)
         for v in g.vertices:
-            dist[(s, v)] = label[v] + w[v] if label[v] < INF else INF
+            dist[(s, v)] = label[v] + w[v] if v in label else INF
     return dist
 
 

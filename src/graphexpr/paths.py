@@ -15,9 +15,10 @@ Every handler keeps two things alive while folding the expression:
 Substitution reduces to the pattern graph reweighted with the children's
 msp values: that small graph has a negative cycle iff the substituted graph
 does, and its distance matrix provides both the new msp and the pieces of
-the distance composition.  A pattern without edges (each step of a union)
-is a disjoint union: its distances are the diagonal of child msps, every
-shift is zero and no Floyd runs.  For the all-pairs problem, substitution
+the distance composition.  A pattern without edges is a disjoint union: its
+distances are the diagonal of child msps, every shift is zero and no Floyd
+runs; so is a union node, in one call on all its parts (``_ncd_union``,
+``_apsp_union``).  For the all-pairs problem, substitution
 nodes keep distances at pattern granularity (ModuleSummary) and are
 expanded to full pairwise distances (FullSummary) only when a
 vertex-addition node or the root needs them; the expansion walks the
@@ -213,8 +214,8 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
     subexpression ``child``, whose shortest-path feasible potential ``pi``
     is known.  The child is evaluated here into out- and in-adjacency
-    lists, for main-tree and tree-depth pattern incs alike; a child without
-    vertices (infinite msp) is neither evaluated nor searched.
+    lists, for main-tree and tree-depth pattern incs alike; the folds never
+    call it on a child without vertices.
 
     Returns NEGATIVE_CYCLE or ``(new_potential, msp, pi, fwd, bwd)``: the
     child's potential as a dict, and the Dijkstra labels of the vertices
@@ -223,8 +224,6 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     are lowered.
     """
     wx = w[x]
-    if msp_child == INF:  # x is the whole graph
-        return {x: 0.0}, wx, {}, {}, {}
     pi = potential_dict(pi)
     _, adj_out, adj_in = evaluate_node(child, DIRECTED)
 
@@ -291,9 +290,8 @@ def _shift(lines, omega):
 
 def _ncd_union(vals):
     """Disjoint union of NCD summaries: zero shifts, the least msp."""
-    for s in vals:
-        if is_negative_cycle(s):
-            return s
+    if any(map(is_negative_cycle, vals)):
+        return NEGATIVE_CYCLE
     potential = []
     for s in vals:
         potential += (s.potential, 0.0)
@@ -326,7 +324,7 @@ def ncd_subst_td(pattern_expr, children, tol):
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(pattern_expr, ncd_handlers(omega, tol), _ncd_union)
+    inner = fold_td_expression(pattern_expr, ncd_handlers(omega, tol))
     if is_negative_cycle(inner):
         return inner
     pi_h = potential_dict(inner.potential)
@@ -340,22 +338,6 @@ def ncd_subst_td(pattern_expr, children, tol):
 
 def _full_singleton(name, weight):
     return FullSummary({name: 0.0}, weight, {name: weight}, {name: weight}, [[weight]])
-
-
-def _merge_full(vals):
-    if any(map(is_negative_cycle, vals)):
-        return NEGATIVE_CYCLE
-    potential, min_out, min_in, rows = {}, {}, {}, []
-    n = sum(len(v.rows) for v in vals)
-    for v in vals:
-        potential.update(v.potential)
-        min_out.update(v.min_out)
-        min_in.update(v.min_in)
-        # no path joins two parts: their blocks are infinite
-        before, after = [INF] * len(rows), [INF] * (n - len(rows) - len(v.rows))
-        rows += [before + row + after for row in v.rows]
-    msp = min((v.msp for v in vals), default=INF)
-    return FullSummary(potential, msp, min_out, min_in, rows)
 
 
 def to_full_summary(s: ModuleSummary) -> FullSummary:
@@ -487,6 +469,20 @@ def _assemble_module(children, rows, shifts=None):
     )
 
 
+def _apsp_union(parts):
+    """Disjoint union of APSP summaries: the left-deep chain of modules of
+    two parts each, with the diagonal of their msps and zero shifts, so
+    that no module holds r^2 distances."""
+    if any(map(is_negative_cycle, parts)):
+        return NEGATIVE_CYCLE
+    zeros = [0.0, 0.0]
+    value = parts[0]
+    for s in parts[1:]:
+        rows = [[value.msp, INF], [INF, s.msp]]
+        value = _assemble_module([("a", value), ("b", s)], rows, (zeros, zeros))
+    return value
+
+
 def apsp_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps, then the module
     summary.  A pattern without edges is a disjoint union: its distances
@@ -515,9 +511,11 @@ def apsp_subst_td(pattern_expr, children, tol):
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(pattern_expr, apsp_handlers(omega, tol), _merge_full)
+    inner = fold_td_expression(pattern_expr, apsp_handlers(omega, tol))
     if is_negative_cycle(inner):
         return inner
+    if isinstance(inner, ModuleSummary):
+        inner = to_full_summary(inner)
     by_name = dict(children)
     return _assemble_module([(p, by_name[p]) for p in inner.min_out], inner.rows)
 
@@ -564,6 +562,7 @@ def ncd_handlers(w: dict, tol: float) -> HandlerSet:
         on_inc=lambda f, x, inn, out, child: ncd_inc(f, x, inn, out, w, child, tol),
         on_subst=lambda pg, children: ncd_subst(pg, children, tol),
         on_subst_td=lambda pe, children: ncd_subst_td(pe, children, tol),
+        on_union=_ncd_union,
     )
 
 
@@ -574,6 +573,7 @@ def apsp_handlers(w: dict, tol: float) -> HandlerSet:
         on_inc=lambda f, x, inn, out, child: apsp_inc(f, x, inn, out, w, child, tol),
         on_subst=lambda pg, children: apsp_subst(pg, children, tol),
         on_subst_td=lambda pe, children: apsp_subst_td(pe, children, tol),
+        on_union=_apsp_union,
     )
 
 

@@ -97,17 +97,16 @@ def edges_within(child, s) -> int:
     return fold_expression(child, combine)[1]
 
 
+def combine_union(parts) -> TriFold:
+    """Summary of the disjoint union of ``parts``: the counts add up."""
+    return TriFold(sum([f.n for f in parts]), sum([f.m for f in parts]), sum([f.t for f in parts]))
+
+
 def combine_subst(h, children) -> TriFold:
     """Summary of substituting ``children`` into the pattern graph ``h``.
-    A pattern without edges is a disjoint union: the children's counts add
-    up."""
+    A pattern without edges is a disjoint union (``combine_union``)."""
     if not h.edges:
-        n = m = t = 0
-        for _, f in children:
-            n += f.n
-            m += f.m
-            t += f.t
-        return TriFold(n, m, t)
+        return combine_union([f for _, f in children])
     sizes = {name: f.n for name, f in children}
     index = {name: i for i, name in enumerate(h.vertices)}
     tri_total = 0
@@ -150,6 +149,7 @@ def handlers() -> HandlerSet:
         on_inc=lambda f, name, inn, out, child: combine_inc(f, inn | out, child),
         on_subst=combine_subst,
         on_subst_td=combine_subst_td,
+        on_union=combine_union,
     )
 
 

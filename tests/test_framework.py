@@ -36,6 +36,7 @@ def counting_handlers():
         on_inc=lambda f, name, inn, out, child: f + 1,
         on_subst=lambda pg, children: sum(f for _, f in children),
         on_subst_td=lambda pe, children: sum(f for _, f in children),
+        on_union=sum,
     )
 
 
@@ -56,6 +57,7 @@ def nm_handlers():
         on_inc=lambda f, name, inn, out, child: (f[0] + 1, f[1] + len(inn | out)),
         on_subst=subst,
         on_subst_td=lambda pe, children: (_ for _ in ()).throw(AssertionError),
+        on_union=lambda parts: (sum(n for n, _ in parts), sum(m for _, m in parts)),
     )
 
 
@@ -145,34 +147,62 @@ def test_fold_equals_fold_of_normalize(tc_corpus, paths_corpus):
     assert stats.counts == {"empty": 1} and stats.leaf_count == 1
 
 
-def test_verify_sees_every_step_of_a_union_or_join(tc_corpus):
-    # verify checks the same subgraphs as on the normalized tree: each step
-    # of a chain on the children folded so far, at the raw node's path
+def test_verify_sees_a_union_whole_and_every_step_of_a_join(tc_corpus):
+    # verify checks the subgraphs that it checks on the normalized tree,
+    # except that a union of r parts with vertices is checked once, on its
+    # whole subgraph, where the normalized chain checks each of its r - 1
+    # steps; a join is checked at each step, on the children folded so far
+    from collections import Counter
+
+    from graphexpr.expr import collect_vertex_names, fold_expression
+
     def seen(e):
-        calls = []
+        calls = Counter()
         fold(
             e,
             counting_handlers(),
-            verify=lambda path, node, value, sub: calls.append(
-                (value, sub.vertices, sub.edges)
-            ),
+            verify=lambda path, node, value, sub: calls.update([(value, sub.vertices, sub.edges)]),
         )
-        return sorted(calls, key=repr)
+        return calls
 
     cases = [parse(f"(undirected {text})") for text in EMPTY_CASES]
     for e in cases + [e for e, *_ in tc_corpus[:200]]:
-        assert seen(e) == seen(normalize(e))
-    paths = []
-    fold(
-        parse("(undirected (inc x () (join (vertex a) (empty) (vertex b) (vertex c))))"),
-        counting_handlers(),
-        verify=lambda path, node, value, sub: paths.append((path, value)),
-    )
-    assert paths == [
+        got, chained = seen(e), seen(normalize(e))
+        assert not got - chained
+        nodes = []
+        fold_expression(e.root, lambda node, _vals, _where: nodes.append(node))
+        steps = 0
+        for u in nodes:
+            r = sum(bool(collect_vertex_names(c)) for c in u.children) if type(u) is Union else 0
+            if r > 1:
+                steps += r - 2
+                g = evaluate(Expression(e.mode, u))
+                assert got[(g.n, g.vertices, g.edges)] >= 1
+        assert sum((chained - got).values()) == steps
+
+    def paths(text):
+        calls = []
+        fold(
+            parse(f"(undirected {text})"),
+            counting_handlers(),
+            verify=lambda path, node, value, sub: calls.append((path, value)),
+        )
+        return calls
+
+    assert paths("(inc x () (join (vertex a) (empty) (vertex b) (vertex c)))") == [
         ("root/child/0", 1),
         ("root/child/2", 1),
         ("root/child/3", 1),
         ("root/child", 2),
+        ("root/child", 3),
+        ("root", 4),
+    ]
+    # an inc over nothing is checked as the empty leaf and then the inc
+    assert paths("(inc x () (union (vertex a) (empty) (inc b () (empty)) (vertex c)))") == [
+        ("root/child/0", 1),
+        ("root/child/2/child", 0),
+        ("root/child/2", 1),
+        ("root/child/3", 1),
         ("root/child", 3),
         ("root", 4),
     ]
@@ -209,6 +239,10 @@ def graph_rebuild_handlers(mode):
         on_inc=inc,
         on_subst=subst,
         on_subst_td=lambda pe, children: subst(evaluate(Expression(mode, pe)), children),
+        on_union=lambda parts: (
+            set().union(*(v for v, _ in parts)),
+            set().union(*(e for _, e in parts)),
+        ),
     )
 
 
@@ -563,6 +597,68 @@ def test_inc_over_the_empty_graph_evaluates_nothing(evaluations):
         assert got.msp == want.msp == min(w.values()), solve.__name__
         if solve is apsp_outcome:
             assert got.rows == want.rows
+
+
+def test_a_wide_union_of_incs_over_nothing_is_one_union_call(monkeypatch):
+    # a 10^4-way union of (inc v () (empty)) is a union of vertex leaves: no
+    # inc handler, no substitution handler and one union handler call per
+    # solve, with the stats of folding the normalized chain.  APSP is folded
+    # without the root's expansion, whose 10^8 distances would not fit.
+    from collections import Counter
+
+    from graphexpr import gen_weights, ncd_outcome, paths, triangle_summary, triangles
+
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_inc_core", "ncd_subst", "_ncd_union", "apsp_subst", "_apsp_union"):
+        spy(paths, name)
+    for name in ("edges_within", "combine_subst", "combine_union"):
+        spy(triangles, name)
+
+    r = 10**4
+    names = [f"v{i}" for i in range(r)]
+    incs = " ".join(f"(inc {v} () (empty))" for v in names)
+    w = gen_weights(names, -5.0, 5.0, r)
+    tol = paths.solve_tolerance(w)
+    solves = (
+        ("undirected", triangle_summary, "combine_union"),
+        ("directed", lambda e: ncd_outcome(e, w), "_ncd_union"),
+        ("directed", lambda e: fold(e, paths.apsp_handlers(w, tol)), "_apsp_union"),
+    )
+    for mode, solve, union in solves:
+        e = parse(f"({mode} (union {incs}))")
+        calls.clear()
+        _, stats = solve(e)
+        assert calls == {union: 1}, mode
+        assert stats == fold(normalize(e), counting_handlers())[1]
+        assert stats.counts == {"inc": r, "empty": r, "subst": r - 1}
+        assert stats.sum_pattern_order == 2 * (r - 1) and stats.max_subst_order == 2
+
+
+def test_verify_checks_a_wide_union_once():
+    # verify checks a union on its whole subgraph once; checking each step
+    # on the growing partial union instead is quadratic, about 8 s here
+    import time
+
+    from graphexpr import gen_weights, ncd_outcome
+
+    names = [f"v{i}" for i in range(2000)]
+    incs = " ".join(f"(inc {v} () (empty))" for v in names)
+    e = parse(f"(directed (union {incs}))")
+    w = gen_weights(names, -5.0, 5.0, 3)
+    start = time.perf_counter()
+    value, _ = ncd_outcome(e, w, verify=True)
+    assert time.perf_counter() - start < 1.0
+    assert value.msp == min(w.values())
 
 
 def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):

@@ -730,8 +730,8 @@ def test_apsp_on_a_deep_edge_chain_matches_the_oracle():
     # vertices give nonzero out- and in-shifts, so the expansion reads
     # exits and entries that carry the shifts of up to 199 levels from the
     # root's values.  A negative vertex at levels 0 and 5 of every 20 (one
-    # of each parity) shifts both the exits and the entries of the chain
-    # and keeps the oracle's Bellman-Ford passes few.
+    # of each parity) shifts both the exits and the entries of the chain;
+    # the other vertices weigh in [0, 5].
     r = 200
     rng = random.Random(5)
     text = "(vertex v0)"
