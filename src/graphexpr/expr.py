@@ -23,7 +23,11 @@ complete pattern over their children.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
-produced by ``normalize``.
+produced by ``normalize``.  The parser splits each line, after its ``#``
+comment is cut, at whitespace and parentheses.  A node's ``pos`` (line,
+column of its ``(``) comes from the running lengths of the text between a
+line's ``(`` characters; the column of any other token is worked out only
+when a parse error names it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate, combinations, permutations, repeat
+from itertools import accumulate, combinations, count, permutations, repeat
+from operator import add
 from typing import NamedTuple
 
 from .errors import InputError
@@ -222,30 +227,35 @@ _NAME_CHARS = r"A-Za-z0-9_.\-"
 _BAD_CHAR_RE = re.compile(rf"[^\s(){_NAME_CHARS}]")
 # one token with the whitespace before it: on a line without bad characters
 # the matches tile the line, so running sums of their lengths are the
-# tokens' end columns
+# tokens' end columns; only error messages need those
 _TOKEN_RE = re.compile(rf"\s*(?:[()]|[{_NAME_CHARS}]+)")
 _PARENS = frozenset("()")
 
 
 class _Tokens(NamedTuple):
-    """Parallel lists: the token strings, their line numbers and the
-    0-based exclusive column where each ends.  A token that is not a
-    parenthesis is a name."""
+    """The token strings, their line numbers, ``open_ends`` and the source
+    text; ``open_ends[r]`` is the 0-based exclusive column where the r-th
+    ``(`` token ends.  A token that is not a parenthesis is a name.
+    ``error`` works out a token's column by scanning its line again."""
 
     toks: list
     lines: list
-    ends: list
+    open_ends: list
+    text: str
 
     def error(self, i, message):
-        col = self.ends[i] - len(self.toks[i]) + 1
-        return ParseError(f"line {self.lines[i]} col {col}: {message}")
+        lineno = self.lines[i]
+        line = self.text.splitlines()[lineno - 1].split("#", 1)[0]
+        raw = _TOKEN_RE.findall(line)[: i - self.lines.index(lineno) + 1]
+        col = sum(map(len, raw)) - len(self.toks[i]) + 1
+        return ParseError(f"line {lineno} col {col}: {message}")
 
     def expected(self, i, what):
         return self.error(i, f"expected {what}, found {self.toks[i]!r}")
 
 
 def _tokenize(text) -> _Tokens:
-    tokens = _Tokens([], [], [])
+    tokens = _Tokens([], [], [], text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0]
         bad = _BAD_CHAR_RE.search(line)
@@ -253,10 +263,13 @@ def _tokenize(text) -> _Tokens:
             raise ParseError(
                 f"line {lineno} col {bad.start() + 1}: unexpected character {bad.group()!r}"
             )
-        raw = _TOKEN_RE.findall(line)
-        tokens.toks.extend(map(str.lstrip, raw))
-        tokens.ends.extend(accumulate(map(len, raw)))
-        tokens.lines.extend(repeat(lineno, len(raw)))
+        toks = line.replace("(", " ( ").replace(")", " ) ").split()
+        tokens.toks.extend(toks)
+        tokens.lines.extend(repeat(lineno, len(toks)))
+        # the r-th "(" ends after the text before it and r + 1 "("s
+        before = line.split("(")
+        before.pop()
+        tokens.open_ends.extend(map(add, accumulate(map(len, before)), count(1)))
     return tokens
 
 
@@ -264,12 +277,15 @@ def parse(text: str) -> Expression:
     """Parse an expression file into an Expression, or raise ParseError with
     line/column information.
 
-    One loop over the tokens keeps the open union, join, inc, subst and
-    subst-td nodes on an explicit stack, so any nesting depth parses.  A
-    node's ``pos`` is the position of its opening parenthesis, whose 1-based
-    column is that token's end column."""
+    Each line, after its ``#`` comment is cut, is split into tokens at
+    whitespace and parentheses.  One loop over the tokens keeps the open
+    union, join, inc, subst and subst-td nodes on an explicit stack, so any
+    nesting depth parses.  A node's ``pos`` is the line and the 1-based
+    column of its opening parenthesis: the loop counts the ``(`` tokens it
+    consumes, and the column of the r-th is ``open_ends[r]``.  An error
+    message finds its column by scanning the token's line again."""
     tokens = _tokenize(text)
-    toks, lines, ends = tokens
+    toks, lines, open_ends, _ = tokens
     if not toks:
         raise ParseError("empty input: expected (MODE expr); the empty graph is written (empty)")
     try:
@@ -282,9 +298,10 @@ def parse(text: str) -> Expression:
         else:
             raise tokens.expected(1, "'directed' or 'undirected'")
         i = 2
-        # open nodes: [Union or Join, start, children],
-        # [Inc, start, name, in_names, out_names] and
-        # [Subst or SubstTd, start, pattern, bindings, name of the open binding],
+        opens = 1  # the "(" tokens before token i
+        # open nodes: [Union or Join, pos, children, start],
+        # [Inc, pos, name, in_names, out_names] and
+        # [Subst or SubstTd, pos, pattern, bindings, name of the open binding],
         # where start indexes the node's "(" and a subst-td pattern is None
         # until its expression is read
         stack = []
@@ -293,6 +310,8 @@ def parse(text: str) -> Expression:
             if toks[i] != "(":
                 raise tokens.expected(i, "'('")
             start = i
+            pos = (lines[i], open_ends[opens])
+            opens += 1
             op = toks[i + 1]
             i += 2
             if op == "vertex":
@@ -302,7 +321,7 @@ def parse(text: str) -> Expression:
                 if toks[i + 1] != ")":
                     raise tokens.expected(i + 1, "')'")
                 i += 2
-                node = Vertex(name, pos=(lines[start], ends[start]))
+                node = Vertex(name, pos=pos)
             elif op == "inc":
                 name = toks[i]
                 if name in _PARENS:
@@ -310,9 +329,20 @@ def parse(text: str) -> Expression:
                 if toks[i + 1] != "(":
                     raise tokens.expected(i + 1, "'('")
                 i += 2
+                opens += 1
                 in_names, out_names = set(), set()
-                while toks[i] != ")":
-                    a, b = _edge_at(tokens, i)
+                while (tok := toks[i]) != ")":
+                    # the edge "(" a b ")"
+                    if tok != "(":
+                        raise tokens.expected(i, "'('")
+                    a = toks[i + 1]
+                    if a in _PARENS:
+                        raise tokens.expected(i + 1, "name")
+                    b = toks[i + 2]
+                    if b in _PARENS:
+                        raise tokens.expected(i + 2, "name")
+                    if toks[i + 3] != ")":
+                        raise tokens.expected(i + 3, "')'")
                     if a == name:
                         if b == name:
                             raise tokens.error(i, f"loop edge on {name!r}")
@@ -322,27 +352,29 @@ def parse(text: str) -> Expression:
                     else:
                         raise tokens.error(i, f"inc edge must have {name!r} as one endpoint")
                     i += 4
-                stack.append([Inc, start, name, frozenset(in_names), frozenset(out_names)])
+                    opens += 1
+                stack.append([Inc, pos, name, frozenset(in_names), frozenset(out_names)])
                 i += 1
                 continue
             elif op == "union" or op == "join":
-                stack.append([Union if op == "union" else Join, start, []])
+                stack.append([Union if op == "union" else Join, pos, [], start])
                 node = None
             elif op == "subst":
-                pattern, i = _pattern_at(tokens, i, mode)
+                pattern, i, opens = _pattern_at(tokens, i, opens, mode)
                 if toks[i] != "(":
                     raise tokens.expected(i, "'('")
-                stack.append([Subst, start, pattern, [], None])
+                stack.append([Subst, pos, pattern, [], None])
                 i += 1
+                opens += 1
                 node = None
             elif op == "subst-td":
-                stack.append([SubstTd, start, None, [], None])
+                stack.append([SubstTd, pos, None, [], None])
                 continue
             elif op == "empty":
                 if toks[i] != ")":
                     raise tokens.expected(i, "')'")
                 i += 1
-                node = Empty(pos=(lines[start], ends[start]))
+                node = Empty(pos=pos)
             else:
                 raise tokens.error(start + 1, f"unknown operator {op!r}")
 
@@ -356,10 +388,10 @@ def parse(text: str) -> Expression:
                     if toks[i] != ")":
                         raise tokens.expected(i, "')'")
                     i += 1
-                    _, start, name, in_names, out_names = frame
-                    node = Inc(name, in_names, out_names, node, pos=(lines[start], ends[start]))
+                    _, pos, name, in_names, out_names = frame
+                    node = Inc(name, in_names, out_names, node, pos=pos)
                 elif kind is Union or kind is Join:
-                    _, start, children = frame
+                    _, pos, children, start = frame
                     if node is not None:
                         children.append(node)
                     if toks[i] != ")":
@@ -368,7 +400,7 @@ def parse(text: str) -> Expression:
                     if len(children) < 2:
                         op = "union" if kind is Union else "join"
                         raise tokens.error(start + 1, f"{op} needs at least two arguments")
-                    node = kind(tuple(children), pos=(lines[start], ends[start]))
+                    node = kind(tuple(children), pos=pos)
                 else:
                     bindings = frame[3]
                     if frame[2] is None:
@@ -376,6 +408,7 @@ def parse(text: str) -> Expression:
                         if toks[i] != "(":
                             raise tokens.expected(i, "'('")
                         i += 1
+                        opens += 1
                     elif node is not None:
                         bindings.append((frame[4], node))
                         if toks[i] != ")":
@@ -389,14 +422,14 @@ def parse(text: str) -> Expression:
                         if frame[4] in _PARENS:
                             raise tokens.expected(i + 1, "pattern vertex")
                         i += 2
+                        opens += 1
                         break
                     if not bindings:
                         raise ParseError("substitution needs at least one binding")
                     if toks[i + 1] != ")":
                         raise tokens.expected(i + 1, "')'")
                     i += 2
-                    start = frame[1]
-                    node = kind(frame[2], tuple(bindings), pos=(lines[start], ends[start]))
+                    node = kind(frame[2], tuple(bindings), pos=frame[1])
                 stack.pop()
             else:
                 break
@@ -426,13 +459,14 @@ def _edge_at(tokens, i):
     return a, b
 
 
-def _pattern_at(tokens, i, mode):
-    """The pattern ``(graph (names) (edges))`` at token ``i``, and the index
-    of the token after it."""
+def _pattern_at(tokens, i, opens, mode):
+    """The pattern ``(graph (names) (edges))`` at token ``i``, whose ``(`` is
+    the ``opens``-th; the index of the token after it, and the number of
+    ``(`` tokens before that."""
     toks = tokens.toks
     if toks[i] != "(":
         raise tokens.expected(i, "'('")
-    pos = (tokens.lines[i], tokens.ends[i])
+    pos = (tokens.lines[i], tokens.open_ends[opens])
     graph_at = i + 1
     if toks[graph_at] != "graph":
         raise tokens.error(graph_at, "expected pattern '(graph ...)'")
@@ -453,6 +487,7 @@ def _pattern_at(tokens, i, mode):
     if toks[i + 1] != "(":
         raise tokens.expected(i + 1, "'('")
     i += 2
+    opens += 3
     edges = set()
     while toks[i] != ")":
         a, b = _edge_at(tokens, i)
@@ -462,9 +497,10 @@ def _pattern_at(tokens, i, mode):
             raise tokens.error(i, "pattern edge uses undeclared vertex")
         edges.add(canonical_edge(mode, a, b))
         i += 4
+        opens += 1
     if toks[i + 1] != ")":
         raise tokens.expected(i + 1, "')'")
-    return Pattern(mode, tuple(names), frozenset(edges), pos=pos), i + 2
+    return Pattern(mode, tuple(names), frozenset(edges), pos=pos), i + 2, opens
 
 
 # ---------------------------------------------------------------------------

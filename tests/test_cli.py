@@ -83,6 +83,33 @@ def test_eval_validation_failure_exit_2(capsys, tmp_path):
     assert "duplicate" in err
 
 
+def test_validation_message_names_the_node_position(capsys, tmp_path):
+    # the column of the node's "(" counts a tab as one character, and a
+    # comment with parentheses shifts nothing
+    f = tmp_path / "unknown.expr"
+    f.write_bytes(
+        b"(undirected\r\n  # a (comment)\r\n"
+        b"  (union (vertex a)\t(inc x ((x zz))\r\n    (vertex b))))\r\n"
+    )
+    code, _, err = run(capsys, "eval", str(f))
+    assert code == 2
+    assert err == "error: root/1: unknown inc target 'zz' (line 3 col 21)\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["params", "BAD"], ["solve", "ncd", "BAD", "W"], ["solve", "ncd", "E", "BAD"]]
+)
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv):
+    # a decode error is bad input (exit 2), not a check mismatch (exit 1)
+    files = {"BAD": tmp_path / "bad", "E": tmp_path / "c.expr", "W": tmp_path / "w.tsv"}
+    files["BAD"].write_bytes(b"(directed (vertex a))\na\t1\n\xff\n")
+    files["E"].write_text(NEG_CYCLE)
+    files["W"].write_text("a\t1\nx\t1\n")
+    code, out, err = run(capsys, *(str(files.get(arg, arg)) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {files['BAD']}: 'utf-8' codec can't decode")
+
+
 def test_params_output(capsys, tmp_path):
     from graphexpr import gen_fixture
     from graphexpr.cli import format_expression

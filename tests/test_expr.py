@@ -95,6 +95,53 @@ def test_parse_rejects_empty_input():
         parse("   # nothing here\n")
 
 
+_EVERY_KIND = (
+    "(directed\r\n"
+    "  # every kind (with its position)\r\n"
+    "  (union\t(vertex a)\t(empty)\r\n"
+    "    (inc x ((x b)\r\n"
+    "            (c x)) (join (vertex b) (vertex c)))\r\n"
+    "    (subst (graph (p q) ((p q))) ((p (vertex d))\r\n"
+    "                                  (q (vertex e))))\r\n"
+    "\t(subst-td (inc r ((r s)) (vertex s)) ((r (vertex f)) (s (vertex g))))))\r\n"
+)
+
+
+def _positions(node):
+    # (kind, pos) of the node, its pattern and everything below, in preorder
+    out = [(type(node).__name__, node.pos)]
+    if type(node) is Subst:
+        out.append(("Pattern", node.pattern.pos))
+    if type(node) is SubstTd:
+        out += _positions(node.pattern_expr)
+    for kid in subexpressions(node):
+        out += _positions(kid)
+    return out
+
+
+def test_parse_node_positions():
+    # pos is (line, column of the node's "("), 1-based: a tab is one
+    # column, CRLF ends a line, and a comment's parentheses count for nothing
+    assert _positions(parse(_EVERY_KIND).root) == [
+        ("Union", (3, 3)),
+        ("Vertex", (3, 10)),
+        ("Empty", (3, 21)),
+        ("Inc", (4, 5)),
+        ("Join", (5, 20)),
+        ("Vertex", (5, 26)),
+        ("Vertex", (5, 37)),
+        ("Subst", (6, 5)),
+        ("Pattern", (6, 12)),
+        ("Vertex", (6, 38)),
+        ("Vertex", (7, 38)),
+        ("SubstTd", (8, 2)),
+        ("Inc", (8, 12)),
+        ("Vertex", (8, 27)),
+        ("Vertex", (8, 43)),
+        ("Vertex", (8, 58)),
+    ]
+
+
 def test_parse_inc_edge_must_touch_new_vertex():
     with pytest.raises(ParseError, match="endpoint"):
         parse("(directed (inc x ((a b)) (union (vertex a) (vertex b))))")
@@ -164,6 +211,12 @@ _BIND_XY = "((a (vertex x)) (b (vertex y)))"
             "(directed\n  (inc x ((x a)\n          (a b)) (union (vertex a) (vertex b))))",
             "line 3 col 11: inc edge must have 'x' as one endpoint",
         ),
+        ("(directed\r\n  (vertex a b))", "line 2 col 13: expected ')', found 'b'"),
+        ("(directed\t(union\t(vertex a)\t(vertex b c)))", "line 1 col 39: expected ')', found 'c'"),
+        (
+            "(directed # a (comment) with (parens\n (inc x ((x a) (a)) (vertex a)))",
+            "line 2 col 18: expected name, found ')'",
+        ),
         ("(directed (frobnicate a))", "line 1 col 12: unknown operator 'frobnicate'"),
         ("(directed (( a))", "line 1 col 12: unknown operator '('"),
         ("(directed ())", "line 1 col 12: unknown operator ')'"),
@@ -205,6 +258,10 @@ def test_parse_error_messages(text, message):
 
 
 _TEXT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+# what an "insert" edit puts in: parentheses, a name, operator keywords, a
+# comment (it runs to the next line break) and a line break
+_INSERTS = ["(", ")", "x", "vertex", "inc", "union", "join", "subst", "subst-td", "graph",
+            "empty", "# c (x))", "\n"]
 
 
 @given(
@@ -212,19 +269,21 @@ _TEXT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
     mode=st.sampled_from(["directed", "undirected"]),
     edits=st.lists(
         st.tuples(
-            st.sampled_from(["drop", "duplicate", "swap", "truncate"]),
+            st.sampled_from(["drop", "duplicate", "swap", "truncate", "insert"]),
             st.integers(min_value=0, max_value=10**6),
             st.integers(min_value=0, max_value=10**6),
         ),
         min_size=1,
         max_size=4,
     ),
+    seps=st.lists(st.sampled_from([" ", "\n", "\t", "\r\n"]), min_size=1, max_size=8),
 )
 @settings(max_examples=300, deadline=None)
-def test_parse_token_mutations(seed, mode, edits):
-    # a corpus text with tokens dropped, duplicated, swapped or cut off
-    # either fails with ParseError or parses to an expression whose printed
-    # text is a fixed point of print . parse; any other exception fails
+def test_parse_token_mutations(seed, mode, edits, seps):
+    # a corpus text with tokens dropped, duplicated, swapped, inserted or
+    # cut off, joined by spaces, tabs and line breaks, either fails with
+    # ParseError or parses to an expression whose printed text is a fixed
+    # point of print . parse; any other exception fails
     toks = _TEXT_TOKEN_RE.findall(format_expression(corpus_instance(seed, mode, 12)))
     for op, i, j in edits:
         i, j = i % len(toks), j % len(toks)
@@ -234,12 +293,14 @@ def test_parse_token_mutations(seed, mode, edits):
             toks.insert(i, toks[i])
         elif op == "swap":
             toks[i], toks[j] = toks[j], toks[i]
+        elif op == "insert":
+            toks.insert(i, _INSERTS[j % len(_INSERTS)])
         else:
             del toks[i:]
         if not toks:
             break
     try:
-        e = parse(" ".join(toks))
+        e = parse("".join(tok + seps[k % len(seps)] for k, tok in enumerate(toks)))
     except ParseError:
         return
     text = format_expression(e)
