@@ -17,7 +17,10 @@ on root-to-leaf paths, h = largest explicit substitution pattern, l = largest
 inc nesting depth among subst-td pattern expressions.  It comes from the walk
 that validates, which each ``Expression`` runs once and caches.
 
-The evaluator is one walk that builds adjacency lists from vertex addition
+Each expression has one post-order of its tree (``post_order``), which
+the parser records as it closes nodes (``Expression._order``); a subtree is
+a slice of it.  The walks are flat loops over it: ``fold_order`` folds it
+bottom-up, and the evaluator builds adjacency lists from vertex addition
 and substitution: union and join are substitutions into an edgeless resp.
 complete pattern over their children.
 
@@ -130,9 +133,21 @@ class Expression:
     root: object
 
     @cached_property
+    def _order(self):
+        """``post_order`` of the tree, set by ``parse``; no field, like ``_front_end``."""
+        return post_order(self.root)
+
+    @cached_property
     def _front_end(self):
         """``_scan`` of the tree, run once; no field, so ==, hash and repr ignore it."""
-        return _scan(self.root)
+        return _scan(self._order)
+
+
+def expression_of(mode, order) -> Expression:
+    """The Expression of the tree of ``order``, which it keeps as ``_order``."""
+    e = Expression(mode, order[-1][0])
+    e.__dict__["_order"] = order
+    return e
 
 
 class Params(NamedTuple):
@@ -157,45 +172,92 @@ def subexpressions(node):
     return ()
 
 
-def fold_expression(root, combine, label=lambda: "root"):
-    """Iterative post-order fold: ``combine(node, child_values, where)``
-    returns the value of ``node``.
+def post_order(root) -> list:
+    """The order of the tree under ``root``: one ``(node, child count,
+    subtree size)`` entry per node in post-order, so the subtree of the
+    entry at i is the order ``order[i - size + 1 : i + 1]``.  Subst-td
+    patterns are payload, not nodes.  A stack walk lists the nodes parent
+    first and children last to first: the post-order read backwards."""
+    nodes, counts = [], []
+    stack = [root]
+    while stack:  # ``subexpressions``, inlined
+        node = stack.pop()
+        nodes.append(node)
+        t = type(node)
+        if t is Inc:
+            counts.append(1)
+            stack.append(node.child)
+        elif t is Union or t is Join:
+            counts.append(len(node.children))
+            stack += node.children
+        elif t is Subst or t is SubstTd:
+            counts.append(len(node.bindings))
+            stack += [sub for _, sub in node.bindings]
+        else:
+            counts.append(0)
+    order, sizes = [], []  # sizes of the finished subtrees whose parent is open
+    for node, c in zip(reversed(nodes), reversed(counts)):
+        if not c:
+            sizes.append(1)
+            order.append((node, 0, 1))
+            continue
+        if c == 1:
+            size = sizes[-1] + 1
+        else:
+            size = sum(sizes[-c:]) + 1
+            del sizes[1 - c :]
+        sizes[-1] = size
+        order.append((node, c, size))
+    return order
 
-    One flat walk keeps the values of finished nodes whose parent is still
-    open in ``done``, and each open node as ``(node, children, start)``; the
-    node is combined from ``done[start:]``, which is then cut off.
-    ``where()`` renders the location of the node being combined, such as
-    ``root/1/bind[p]/child``: the child taken at each open node is the next
-    open node's start (``len(done)`` at the innermost) minus its own.
-    ``label()`` renders the location of ``root``.  Rendering costs O(depth),
-    so combine functions call it only to report a violation, an error or a
-    verify failure.
-    """
-    done, opened = [], []
+
+def fold_order(order, combine, label=lambda: "root"):
+    """Fold an order (``post_order``) bottom-up in one flat loop:
+    ``combine(node, child_values, where)`` returns the value of ``node``,
+    and the root's is returned.  ``where()`` renders the location of the
+    entry being combined, such as ``root/1/bind[p]/child``, below
+    ``label()``; its first call indexes the parents in O(n), each call
+    then costs O(depth), so combine calls it only to report a problem."""
+    vals = []
+    index = None
 
     def where():
-        ends = [start for _, _, start in opened[1:]] + [len(done)]
-        return "/".join([label()] + [_step(n, e - s) for (n, _, s), e in zip(opened, ends)])
+        nonlocal index
+        if index is None:
+            index = _parent_index(order)
+        parent, ordinal = index
+        steps, j = [], i
+        while (p := parent[j]) >= 0:
+            steps.append(_step(order[p][0], ordinal[j]))
+            j = p
+        steps.append(label())
+        return "/".join(reversed(steps))
 
-    node = root
-    while True:
-        while kids := subexpressions(node):
-            opened.append((node, kids, len(done)))
-            node = kids[0]
-        value = combine(node, (), where)
-        while opened:
-            node, kids, start = opened[-1]
-            done.append(value)
-            i = len(done) - start
-            if i < len(kids):
-                node = kids[i]
-                break
-            opened.pop()
-            vals = done[start:]
-            del done[start:]
-            value = combine(node, vals, where)
+    for i, (node, c, _) in enumerate(order):
+        if c:
+            kids = vals[-c:]
+            del vals[-c:]
+            vals.append(combine(node, kids, where))
         else:
-            return value
+            vals.append(combine(node, (), where))
+    return vals[0]
+
+
+def fold_expression(root, combine, label=lambda: "root"):
+    """``fold_order`` over the tree under ``root``."""
+    return fold_order(post_order(root), combine, label)
+
+
+def _parent_index(order):
+    """Per entry, its parent's index (-1 at the root) and its ordinal among
+    the parent's children, which end at j - 1 for the entry at j."""
+    parent, ordinal = [-1] * len(order), [0] * len(order)
+    for j, (_, c, _) in enumerate(order):
+        q = j - 1
+        for k in range(c - 1, -1, -1):
+            parent[q], ordinal[q] = j, k
+            q -= order[q][2]
+    return parent, ordinal
 
 
 def _step(node, index):
@@ -211,11 +273,18 @@ def collect_vertex_names(node) -> set:
     pattern vertices never survive substitution)."""
     names = set()
     stack = [node]
-    while stack:
+    while stack:  # ``subexpressions``, inlined
         n = stack.pop()
-        if type(n) is Vertex or type(n) is Inc:
+        t = type(n)
+        if t is Vertex:
             names.add(n.name)
-        stack.extend(subexpressions(n))
+        elif t is Inc:
+            names.add(n.name)
+            stack.append(n.child)
+        elif t is Union or t is Join:
+            stack += n.children
+        elif t is Subst or t is SubstTd:
+            stack += [sub for _, sub in n.bindings]
     return names
 
 
@@ -283,7 +352,9 @@ def parse(text: str) -> Expression:
     nesting depth parses.  A node's ``pos`` is the line and the 1-based
     column of its opening parenthesis: the loop counts the ``(`` tokens it
     consumes, and the column of the r-th is ``open_ends[r]``.  An error
-    message finds its column by scanning the token's line again."""
+    message finds its column by scanning the token's line again.  The loop
+    closes the nodes in post-order, so it records the expression's
+    ``_order`` too, less each subst-td pattern."""
     tokens = _tokenize(text)
     toks, lines, open_ends, _ = tokens
     if not toks:
@@ -299,12 +370,12 @@ def parse(text: str) -> Expression:
             raise tokens.expected(1, "'directed' or 'undirected'")
         i = 2
         opens = 1  # the "(" tokens before token i
-        # open nodes: [Union or Join, pos, children, start],
+        # open nodes: [Union or Join, pos, children, start, at],
         # [Inc, pos, name, in_names, out_names] and
-        # [Subst or SubstTd, pos, pattern, bindings, name of the open binding],
-        # where start indexes the node's "(" and a subst-td pattern is None
-        # until its expression is read
-        stack = []
+        # [Subst or SubstTd, pos, pattern, bindings, name of the open binding, at],
+        # where start indexes the node's "(", at is len(order) at its
+        # opening and a subst-td pattern is None until its expression is read
+        stack, order = [], []
         while True:
             # an expression starts at token i
             if toks[i] != "(":
@@ -322,6 +393,7 @@ def parse(text: str) -> Expression:
                     raise tokens.expected(i + 1, "')'")
                 i += 2
                 node = Vertex(name, pos=pos)
+                order.append((node, 0, 1))
             elif op == "inc":
                 name = toks[i]
                 if name in _PARENS:
@@ -357,24 +429,25 @@ def parse(text: str) -> Expression:
                 i += 1
                 continue
             elif op == "union" or op == "join":
-                stack.append([Union if op == "union" else Join, pos, [], start])
+                stack.append([Union if op == "union" else Join, pos, [], start, len(order)])
                 node = None
             elif op == "subst":
                 pattern, i, opens = _pattern_at(tokens, i, opens, mode)
                 if toks[i] != "(":
                     raise tokens.expected(i, "'('")
-                stack.append([Subst, pos, pattern, [], None])
+                stack.append([Subst, pos, pattern, [], None, len(order)])
                 i += 1
                 opens += 1
                 node = None
             elif op == "subst-td":
-                stack.append([SubstTd, pos, None, [], None])
+                stack.append([SubstTd, pos, None, [], None, len(order)])
                 continue
             elif op == "empty":
                 if toks[i] != ")":
                     raise tokens.expected(i, "')'")
                 i += 1
                 node = Empty(pos=pos)
+                order.append((node, 0, 1))
             else:
                 raise tokens.error(start + 1, f"unknown operator {op!r}")
 
@@ -390,8 +463,9 @@ def parse(text: str) -> Expression:
                     i += 1
                     _, pos, name, in_names, out_names = frame
                     node = Inc(name, in_names, out_names, node, pos=pos)
+                    order.append((node, 1, order[-1][2] + 1))
                 elif kind is Union or kind is Join:
-                    _, pos, children, start = frame
+                    _, pos, children, start, at = frame
                     if node is not None:
                         children.append(node)
                     if toks[i] != ")":
@@ -401,10 +475,12 @@ def parse(text: str) -> Expression:
                         op = "union" if kind is Union else "join"
                         raise tokens.error(start + 1, f"{op} needs at least two arguments")
                     node = kind(tuple(children), pos=pos)
+                    order.append((node, len(children), len(order) - at + 1))
                 else:
                     bindings = frame[3]
                     if frame[2] is None:
                         frame[2] = node
+                        del order[frame[5] :]  # a pattern is payload
                         if toks[i] != "(":
                             raise tokens.expected(i, "'('")
                         i += 1
@@ -430,6 +506,7 @@ def parse(text: str) -> Expression:
                         raise tokens.expected(i + 1, "')'")
                     i += 2
                     node = kind(frame[2], tuple(bindings), pos=frame[1])
+                    order.append((node, len(bindings), len(order) - frame[5] + 1))
                 stack.pop()
             else:
                 break
@@ -440,7 +517,7 @@ def parse(text: str) -> Expression:
         raise ParseError("unexpected end of input") from None
     if i + 1 < len(toks):
         raise tokens.error(i + 1, "trailing input after expression")
-    return Expression(mode, node)
+    return expression_of(mode, order)
 
 
 def _edge_at(tokens, i):
@@ -533,10 +610,11 @@ def validate_or_raise(e: Expression) -> set:
     return set(names)
 
 
-def _scan(root):
-    """The front-end walk: ``(vertex names, violations, Params)`` of ``root``,
-    from name sets and inc nesting bottom-up and h, l as running maxima; a
-    tree-depth pattern is walked by the same combine with ``td_only``."""
+def _scan(order):
+    """The front-end walk: ``(vertex names, violations, Params)`` of the tree
+    of ``order``, from name sets and inc nesting bottom-up and h, l as
+    running maxima; a tree-depth pattern is walked by the same combine with
+    ``td_only``.  Duplicate names are reported in sorted order."""
     violations = []
     checked = {}  # id(pattern) -> its messages: a shared pattern is checked once
     h = l = 0
@@ -596,15 +674,14 @@ def _scan(root):
         names = parts[0] if parts else set()
         for part in parts[1:]:
             if not names.isdisjoint(part):
-                for nm in part:
-                    if nm in names:
-                        bad(where, node, f"duplicate vertex name {nm!r}")
+                for nm in sorted(part & names):
+                    bad(where, node, f"duplicate vertex name {nm!r}")
             names |= part
         return names, max([k for _, k in vals], default=0)
 
     combine_td = partial(combine, td_only=True)
 
-    names, k = fold_expression(root, combine)
+    names, k = fold_order(order, combine)
     return names, violations, Params(k, h, l)
 
 
@@ -643,7 +720,7 @@ def _check_bindings(node, pattern_names, vals, where, bad):
 
 def evaluate(e: Expression) -> Graph:
     """Build the concrete graph denoted by a validated expression."""
-    verts, out, _ = evaluate_node(e.root, e.mode)
+    verts, out, _ = evaluate_node(e._order, e.mode)
     if e.mode == UNDIRECTED:  # each edge is listed at both ends
         edges = ((u, v) for u in verts for v in out[u] if u < v)
     else:
@@ -651,59 +728,50 @@ def evaluate(e: Expression) -> Graph:
     return Graph(e.mode, verts, edges)
 
 
-def evaluate_node(root, mode):
-    """Vertex list and adjacency lists ``(verts, out, inn)`` of the
-    subexpression ``root``, all fresh: ``out[v]`` lists the heads of v's
+def evaluate_node(order, mode):
+    """Vertex list and adjacency lists ``(verts, out, inn)`` of the tree of
+    ``order`` (``post_order``), all fresh: ``out[v]`` lists the heads of v's
     out-edges, ``inn[v]`` the tails of its in-edges; in undirected mode
-    ``inn`` is ``out``.  One explicit-stack walk appends the vertices in
-    leaf order, so each subexpression's vertices form one run of ``verts``
-    (a substitution's children in binding order).  Only the nodes that add
-    edges pay for more than a visit: an inc pushes a leave entry, and a
-    join, a substitution into a pattern with edges or a subst-td pushes a
-    leave entry plus a marker before each child that records where the
-    child's run starts, so that each pattern edge between two runs extends
-    the lists of their vertices directly.  A union or an edgeless
-    substitution pushes its children as bare nodes.  A tree-depth pattern's
-    edges are read from its inc nodes (``td_pattern_edges``); no pattern
-    graph is built."""
+    ``inn`` is ``out``.  One loop over the order appends the vertices in
+    leaf order, so each subtree's vertices form one run of ``verts``, and
+    stacks the run starts of subtrees whose parent is still to come.  A
+    join, a substitution into a pattern with edges or a subst-td reads its
+    children's runs off that stack, so each pattern edge between two runs
+    extends the lists of their vertices directly.  A tree-depth pattern's
+    edges are read from its inc nodes (``td_pattern_edges``)."""
     directed = mode == DIRECTED
     verts, out = [], {}
     inn = {} if directed else out
-    # the stack holds nodes to enter, run-start markers (the bounds list of
-    # the parent) and leave entries (node, bounds or None for an inc)
-    stack = [root]
-    while stack:
-        node = stack.pop()
+    starts = []
+    for node, c, _ in order:
         t = type(node)
-        if t is Subst and not node.pattern.edges or t is Union:
-            stack += reversed(subexpressions(node))
-        elif t is Vertex:
+        if not c:  # a subtree's run starts at its first entry, a leaf
+            starts.append(len(verts))
+        if t is Vertex:
             verts.append(node.name)
             out[node.name] = []
             if directed:
                 inn[node.name] = []
-        elif t is Inc:
-            stack += ((node, None), node.child)
-        elif t is list:
-            node.append(len(verts))
-        elif t is tuple:
-            node, bounds = node
-            if bounds is None:
-                x = node.name
-                verts.append(x)
-                if directed:
-                    inn[x] = list(node.in_names)
-                    for u in node.in_names:
-                        out[u].append(x)
-                out[x] = list(node.out_names if directed else node.neighbor_names)
-                for u in out[x]:
-                    inn[u].append(x)
-                continue
+        elif t is Inc:  # its run starts where its child's does
+            x = node.name
+            verts.append(x)
+            if directed:
+                inn[x] = list(node.in_names)
+                for u in node.in_names:
+                    out[u].append(x)
+            out[x] = list(node.out_names if directed else node.neighbor_names)
+            for u in out[x]:
+                inn[u].append(x)
+        elif t is Union or t is Subst and not node.pattern.edges:
+            del starts[len(starts) + 1 - c :]
+        elif t is Join or t is Subst or t is SubstTd:
+            bounds = starts[len(starts) - c :]
             bounds.append(len(verts))
-            if type(node) is Join:
-                pairs = (permutations if directed else combinations)(range(len(bounds) - 1), 2)
+            del starts[len(starts) + 1 - c :]
+            if t is Join:
+                pairs = (permutations if directed else combinations)(range(c), 2)
             else:
-                if type(node) is Subst:
+                if t is Subst:
                     pattern_edges = node.pattern.edges
                 else:
                     pattern_edges = td_pattern_edges(node.pattern_expr, mode)
@@ -717,11 +785,6 @@ def evaluate_node(root, mode):
                     out[a].extend(part_q)
                 for b in part_q:
                     inn[b].extend(part_p)
-        elif t is Join or t is Subst or t is SubstTd:
-            bounds = []
-            stack.append((node, bounds))
-            for child in reversed(subexpressions(node)):
-                stack += (child, bounds)
         elif t is not Empty:
             raise InputError(f"cannot evaluate node of type {t.__name__}")
     return verts, out, inn
@@ -809,4 +872,4 @@ def normalize(e: Expression) -> Expression:
             acc = Subst(pat, (("a", acc), ("b", child)))
         return acc
 
-    return Expression(e.mode, fold_expression(e.root, combine))
+    return Expression(e.mode, fold_order(e._order, combine))

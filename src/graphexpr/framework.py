@@ -3,13 +3,16 @@
 A problem is solved on an expression by supplying one handler per operation;
 the fold threads per-subtree summary values upward as the expression is
 structured, a union in one call, a join as a chain of binary substitutions.
-Handlers see only summaries and the node payload.  An inc handler gets the child
-subexpression and reads from it what it needs of the child graph: triangle
-counting counts the closed edges from it, the shortest-path handlers
-evaluate it.  A substitution handler gets its pattern: an explicit pattern
-as a graph, built once per fold however many nodes share it, a tree-depth
-pattern as its expression.  The fold evaluates nothing unless ``verify``
-is given.
+The fold is one loop over the expression's post-order (``expr.fold_order``
+on ``Expression._order``, which the parser records), and every walk the
+handlers make is a loop over a slice of it.  Handlers see only summaries
+and the node payload.  An inc handler gets the order of its child
+subexpression, the slice of the expression's order just before the inc,
+and reads from it what it needs of the child graph: triangle counting
+counts the closed edges from it, the shortest-path handlers evaluate it.
+A substitution handler gets its pattern: an explicit pattern as a graph,
+built once per fold however many nodes share it, a tree-depth pattern as
+its expression.  The fold evaluates nothing unless ``verify`` is given.
 
 The fold also collects accounting statistics (pattern-order sums, inc
 nesting) that the theory bounds; ``assert_stats`` re-checks those bounds on
@@ -34,8 +37,10 @@ from .expr import (
     Vertex,
     _PAT_K2,
     evaluate,
-    fold_expression,
+    expression_of,
+    fold_order,
     inc_nesting,
+    post_order,
 )
 
 _NO_VERTICES = object()  # the value of a subtree without vertices
@@ -45,7 +50,9 @@ _NO_VERTICES = object()  # the value of a subtree without vertices
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
-    on_inc receives the child's summary and the child subexpression.
+    on_inc receives the child's summary and the child subexpression's
+    order, ``order[i - size : i]`` for the inc at index i of the folded
+    order, where size is the child's subtree size (``expr.post_order``).
     on_subst receives the pattern graph and the children as ``(pattern
     vertex name, summary)`` pairs in pattern vertex order, also per step of
     a join; on_subst_td receives the pattern's tree-depth expression and
@@ -56,7 +63,7 @@ class HandlerSet:
 
     base_empty: Callable
     base_vertex: Callable
-    on_inc: Callable      # (child F, name, in_names, out_names, child_expr) -> F
+    on_inc: Callable      # (child F, name, in_names, out_names, child order) -> F
     on_subst: Callable    # (pattern Graph, [(name, F), ...]) -> F
     on_subst_td: Callable  # (pattern_expr, [(name, F), ...]) -> F
     on_union: Callable    # ([F, F, ...]) -> F
@@ -95,6 +102,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     # which is stable while the expression lives and cheaper than a hash
     pattern_graphs = {}
     stats = FoldStats()
+    order = e._order
+    at = -1  # the index of the entry being combined
 
     def count_subst(order, times=1):
         stats.bump("subst", times)
@@ -108,14 +117,20 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
             pg = pattern_graphs[id(pattern)] = pattern.to_graph()
         return handlers.on_subst(pg, children)
 
-    def empty_leaf(node, path):
+    def subgraph(j):
+        # the evaluated subtree of the entry at j, for verify
+        return evaluate(expression_of(e.mode, order[j + 1 - order[j][2] : j + 1]))
+
+    def empty_leaf(j, path):
         stats.bump("empty")
         stats.leaf_count += 1
         if verify is not None:
-            verify(path(), node, handlers.base_empty(), evaluate(Expression(e.mode, node)))
+            verify(path(), order[j][0], handlers.base_empty(), subgraph(j))
 
     def combine(node, vals, where):
         # vals holds (summary, inc_depth) pairs for the children
+        nonlocal at
+        at += 1
         depth = 0
         for _, d in vals:
             if d > depth:
@@ -147,9 +162,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
                 f = vals[0][0]
                 if f is not _NO_VERTICES:
-                    value = handlers.on_inc(f, node.name, node.in_names, node.out_names, node.child)
+                    child = order[at - order[at - 1][2] : at]
+                    value = handlers.on_inc(f, node.name, node.in_names, node.out_names, child)
                 else:  # x is the whole graph
-                    empty_leaf(node.child, lambda: where() + "/child")
+                    empty_leaf(at - 1, lambda: where() + "/child")
                     value = handlers.base_vertex(node.name)
             elif t is Vertex:
                 stats.bump("vertex")
@@ -165,7 +181,7 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
             else:
                 raise InputError(f"unknown node type {t.__name__}")
             if verify is not None:
-                verify(where(), node, value, evaluate(Expression(e.mode, node)))
+                verify(where(), node, value, subgraph(at))
             return value, depth
         except VerificationError:
             raise
@@ -176,9 +192,9 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 exc.args = (f"{message} [at {path}]",) + exc.args[1:]
             raise
 
-    value, _ = fold_expression(e.root, combine)
+    value, _ = fold_order(order, combine)
     if value is _NO_VERTICES:
-        empty_leaf(e.root, lambda: "root")
+        empty_leaf(len(order) - 1, lambda: "root")
         value = handlers.base_empty()
     return value, stats
 
@@ -221,14 +237,19 @@ def fold_td_expression(pattern_expr, handlers: HandlerSet):
     the leaf, inc and union handlers of ``handlers`` under the rules of
     ``fold``: a union drops its parts without vertices, and an inc over a
     part without vertices is ``base_vertex``.  The inc handler gets the
-    child sub-pattern expression."""
+    order of the child sub-pattern expression."""
+    order = post_order(pattern_expr)
+    at = -1  # the index of the entry being combined
 
     def combine(node, vals, _where):
+        nonlocal at
+        at += 1
         t = type(node)
         if t is Inc:
             if vals[0] is _NO_VERTICES:
                 return handlers.base_vertex(node.name)
-            return handlers.on_inc(vals[0], node.name, node.in_names, node.out_names, node.child)
+            child = order[at - order[at - 1][2] : at]
+            return handlers.on_inc(vals[0], node.name, node.in_names, node.out_names, child)
         if t is Vertex:
             return handlers.base_vertex(node.name)
         if t is Union:
@@ -240,4 +261,4 @@ def fold_td_expression(pattern_expr, handlers: HandlerSet):
             return _NO_VERTICES
         raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
 
-    return fold_expression(pattern_expr, combine)
+    return fold_order(order, combine)

@@ -30,8 +30,8 @@ from .expr import (
     Union,
     Vertex,
     collect_vertex_names,
-    evaluate,
     params,
+    post_order,
     validate,
 )
 from .graphs import (
@@ -376,13 +376,18 @@ def _gen_subst_td(rng, namer, mode, spec, budget, d, kcap, depth):
     inc nesting exactly ``d``; the bound sub-expressions start at ``depth``."""
     t = rng.randint(max(2, d), min(budget, max(2, d) + 3))
     pattern_expr = _gen_td(rng, namer, mode, d, t)
-    order = evaluate(Expression(mode, pattern_expr)).vertices
+    order = _vertex_order(pattern_expr)
     sizes = _split(rng, budget, len(order))
     bindings = tuple(
         (nm, _gen_node(rng, namer, mode, spec, sz, kcap, depth))
         for nm, sz in zip(order, sizes)
     )
     return SubstTd(pattern_expr, bindings)
+
+
+def _vertex_order(pattern_expr):
+    """The vertex names of ``pattern_expr`` in the order ``evaluate`` lists them."""
+    return [n.name for n, _, _ in post_order(pattern_expr) if type(n) is Vertex or type(n) is Inc]
 
 
 def _gen_node(rng, namer, mode, spec, budget, kcap, depth):
@@ -479,7 +484,7 @@ def gen_fixture(name: str, p: int, clique: int = 1) -> Expression:
         if clique < 0:
             raise InputError("clique parameter must be non-negative")
         pattern_expr = _substar_td(p, center="pc", mid="pm", leaf="pl")
-        order = evaluate(Expression(UNDIRECTED, pattern_expr)).vertices
+        order = _vertex_order(pattern_expr)
         namer = _Namer("u")
         bindings = []
         for pname in order:

@@ -212,10 +212,11 @@ def _dijkstra_labels(adjacency, reduced_cost, sources, tol):
 
 def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
-    subexpression ``child``, whose shortest-path feasible potential ``pi``
-    is known.  The child is evaluated here into out- and in-adjacency
-    lists, for main-tree and tree-depth pattern incs alike; the folds never
-    call it on a child without vertices.
+    subexpression, given as its order ``child`` (``expr.post_order``),
+    whose shortest-path feasible potential ``pi`` is known.  The child is
+    evaluated here into out- and in-adjacency lists, for main-tree and
+    tree-depth pattern incs alike; the folds never call it on a child
+    without vertices.
 
     Returns NEGATIVE_CYCLE or ``(new_potential, msp, pi, fwd, bwd)``: the
     child's potential as a dict, and the Dijkstra labels of the vertices

@@ -4,7 +4,8 @@ The fold summary is the triple (n, m, t): vertex count, edge count, triangle
 count.  Adding a vertex x creates one new triangle per child edge whose
 endpoints are both neighbors of x.  That number is counted from the child
 subexpression, not from edges, so a solve never builds the evaluated graph:
-a second post-order pass over the child carries, per node, how many of its
+a second fold over the child's order (the slice of the expression's
+post-order that the inc handler gets) carries, per node, how many of its
 vertices lie in S = N(x) and how many of its edges lie inside S.  This
 costs O(size of the child) per inc node, O(k * size of the expression) per
 solve.  Substitution combines summaries arithmetically: every pattern edge
@@ -29,7 +30,7 @@ from .expr import (
     Subst,
     SubstTd,
     Vertex,
-    fold_expression,
+    fold_order,
     td_pattern_edges,
     validate_or_raise,
 )
@@ -47,7 +48,7 @@ class TriFold:
 
 def combine_inc(f: TriFold, neighbors, child) -> TriFold:
     """Summary after adding one vertex adjacent to ``neighbors`` to the graph
-    of the subexpression ``child``.
+    of the subexpression whose order (``expr.post_order``) is ``child``.
 
     Every new triangle uses the new vertex plus exactly one child edge with
     both endpoints adjacent to it.
@@ -57,8 +58,9 @@ def combine_inc(f: TriFold, neighbors, child) -> TriFold:
 
 
 def edges_within(child, s) -> int:
-    """Number of edges of the graph of the subexpression ``child`` with both
-    endpoints in the vertex-name set ``s``.
+    """Number of edges of the graph of the subexpression whose order
+    (``expr.post_order``) is ``child`` with both endpoints in the
+    vertex-name set ``s``.
 
     Each node's value is (vertices in s, edges inside s).  An inc vertex in
     s adds its edges into s; a union adds up its children's values, a join
@@ -94,7 +96,7 @@ def edges_within(child, s) -> int:
                 e += inside[u] * inside[v]
         return (c, e)
 
-    return fold_expression(child, combine)[1]
+    return fold_order(child, combine)[1]
 
 
 def combine_union(parts) -> TriFold:

@@ -110,6 +110,47 @@ def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot read {files['BAD']}: 'utf-8' codec can't decode")
 
 
+def test_a_byte_order_mark_is_not_read_as_text(capsys, tmp_path):
+    # an expression file and a weights file saved with a UTF-8 BOM read as
+    # the same text without it
+    bom = b"\xef\xbb\xbf"
+    f = tmp_path / "e.expr"
+    f.write_bytes(bom + b"(directed (inc x ((a x) (x b)) (union (vertex a) (vertex b))))\n")
+    code, out, err = run(capsys, "params", str(f))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["k=1", "h=0", "l=0"]
+    w = tmp_path / "w.tsv"
+    w.write_bytes(bom + b"a\t1\nb\t2\nx\t3\n")
+    code, out, err = run(capsys, "solve", "ncd", str(f), str(w))
+    assert (code, err) == (0, "")
+    assert "negative-cycle=false" in out.splitlines()
+    assert "msp=1" in out.splitlines()
+
+
+def test_duplicate_names_are_listed_in_sorted_order(tmp_path):
+    # each process hashes strings with its own seed; the violations of one
+    # node are listed in name order, whatever the seed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    f = tmp_path / "dup.expr"
+    four = "(union (vertex d) (vertex b) (vertex a) (vertex c))"
+    f.write_text(f"(undirected (union {four} {four}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    want = "error: " + "\n".join(
+        f"root: duplicate vertex name {nm!r} (line 1 col 13)" for nm in "abcd"
+    ) + "\n"
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "graphexpr.cli", "params", str(f)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", want), seed
+
+
 def test_params_output(capsys, tmp_path):
     from graphexpr import gen_fixture
     from graphexpr.cli import format_expression

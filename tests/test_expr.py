@@ -433,6 +433,42 @@ def test_hand_built_expression_matches_the_parsed_one(tc_corpus):
         assert validate(built) == validate(e) == []
 
 
+def _assert_parse_records_the_post_order(text):
+    from graphexpr.expr import post_order
+
+    e = parse(text)
+    recorded = e.__dict__["_order"]  # set by parse, not by a walk
+    walked = post_order(e.root)
+    assert len(recorded) == len(walked)
+    for (node, c, size), (want, want_c, want_size) in zip(recorded, walked):
+        assert node is want
+        assert (c, size) == (want_c, want_size)
+    assert recorded[-1][0] is e.root and recorded[-1][2] == len(recorded)
+
+
+def test_parse_records_the_post_order(tc_corpus, paths_corpus):
+    # parse's order is the walk's: the same nodes by identity, child counts
+    # and subtree sizes, with subst-td patterns left out however they nest
+    for e, *_ in tc_corpus[:300] + paths_corpus[:300]:
+        _assert_parse_records_the_post_order(format_expression(e))
+    _assert_parse_records_the_post_order(_EVERY_KIND)
+    # patterns with incs and unions, one of them holding a subst-td of its own
+    _assert_parse_records_the_post_order(
+        "(directed (join (vertex z) (subst-td"
+        " (inc p ((p q)) (union (vertex q) (inc r ((r q)) (empty))))"
+        " ((p (vertex a)) (q (union (vertex b) (empty))) (r (inc c () (vertex d)))))))"
+    )
+    _assert_parse_records_the_post_order(
+        "(undirected (union (vertex z) (subst-td"
+        " (union (vertex p) (subst-td (inc s ((s t)) (vertex t)) ((s (vertex q)) (t (vertex r)))))"
+        " ((p (vertex a)) (q (join (vertex b) (vertex c)))))))"
+    )
+    d = 10**5
+    deep = "(undirected " + "(union " * (d - 1) + "(vertex v0)"
+    deep += "".join(f" (vertex v{i}))" for i in range(1, d)) + ")"
+    _assert_parse_records_the_post_order(deep)
+
+
 def _copy(node):
     """A fresh copy of the tree under ``node``, built node by node."""
     if isinstance(node, Inc):
@@ -474,6 +510,21 @@ def test_evaluate_inc_directed_out_edges():
 def test_evaluate_directed_join_is_bidirected():
     g = evaluate(parse("(directed (join (vertex a) (vertex b)))"))
     assert g.edges == frozenset({("a", "b"), ("b", "a")})
+
+
+def test_evaluate_reads_a_node_without_children_as_no_vertices():
+    # validation rejects a hand-built union or join without children, but
+    # evaluating it still adds no vertices and leaves its siblings' runs alone
+    empty_union, empty_join = Union(()), Join(())
+    for root, vertices, edges in (
+        (Join((Vertex("a"), empty_union)), ("a",), set()),
+        (Join((empty_join, Vertex("a"), Vertex("b"))), ("a", "b"), {("a", "b"), ("b", "a")}),
+        (Union((Vertex("a"), empty_join, Vertex("b"))), ("a", "b"), set()),
+    ):
+        e = Expression(DIRECTED, root)
+        assert validate(e)
+        g = evaluate(e)
+        assert (g.vertices, set(g.edges)) == (vertices, edges)
 
 
 def test_long_normalized_union_chain_is_linear():
@@ -537,12 +588,12 @@ def _assert_evaluates_like_naive(e):
     assert len(g.vertices) == len(verts) and set(g.vertices) == verts
     assert g.edges == edges
     # the adjacency lists themselves list every edge once, at both ends
-    order, out, inn = evaluate_node(e.root, e.mode)
-    assert order == list(g.vertices)
-    listed = sorted((u, v) for u in order for v in out[u])
+    vertex_list, out, inn = evaluate_node(e._order, e.mode)
+    assert vertex_list == list(g.vertices)
+    listed = sorted((u, v) for u in vertex_list for v in out[u])
     if e.mode == DIRECTED:
         assert listed == sorted(edges)
-        assert sorted((u, v) for v in order for u in inn[v]) == listed
+        assert sorted((u, v) for v in vertex_list for u in inn[v]) == listed
     else:
         assert inn is out
         assert listed == sorted(edges | {(b, a) for a, b in edges})

@@ -478,7 +478,8 @@ def test_inc_handler_gets_its_child_expression_only():
     seen = {}
 
     def spy(f, name, inn, out, child):
-        seen["graph"] = evaluate(Expression(UNDIRECTED, child))
+        # the child comes as its order, whose last entry is its root
+        seen["graph"] = evaluate(Expression(UNDIRECTED, child[-1][0]))
         return f + 1
 
     hs = counting_handlers()
@@ -493,8 +494,9 @@ def test_inc_handler_gets_its_child_expression_only():
 @pytest.fixture
 def evaluations(monkeypatch):
     """Roots of the evaluations started outside the evaluator: every
-    module's ``evaluate`` and ``evaluate_node`` is wrapped, and the calls the
-    evaluator makes to itself are not recorded."""
+    module's ``evaluate`` and ``evaluate_node`` is wrapped (the root of an
+    order is its last entry), and the calls the evaluator makes to itself
+    are not recorded."""
     from graphexpr import expr, framework, paths, triangles
 
     roots, depth = [], [0]
@@ -516,7 +518,7 @@ def evaluations(monkeypatch):
             monkeypatch.setattr(module, "evaluate", wrap(module.evaluate, lambda e: e.root))
         if hasattr(module, "evaluate_node"):
             monkeypatch.setattr(
-                module, "evaluate_node", wrap(module.evaluate_node, lambda root, mode: root)
+                module, "evaluate_node", wrap(module.evaluate_node, lambda order, mode: order[-1][0])
             )
     return roots
 
@@ -661,12 +663,32 @@ def test_verify_checks_a_wide_union_once():
     assert value.msp == min(w.values())
 
 
+def test_verify_locates_each_node_of_a_wide_union_in_constant_time():
+    # verify renders the location of each of the 2 * 10^4 nodes below a
+    # 10^4-way union: the parent index is built once, and each call then
+    # climbs one level; finding each node's place among the union's
+    # children afresh costs O(width) per call, several seconds here
+    import time
+
+    from graphexpr import gen_weights, ncd_outcome
+
+    names = [f"v{i}" for i in range(10**4)]
+    incs = " ".join(f"(inc {v} () (empty))" for v in names)
+    e = parse(f"(directed (union {incs}))")
+    w = gen_weights(names, -5.0, 5.0, 3)
+    start = time.perf_counter()
+    value, stats = ncd_outcome(e, w, verify=True)
+    assert time.perf_counter() - start < 3.0
+    assert value.msp == min(w.values())
+    assert stats.counts == {"inc": 10**4, "empty": 10**4, "subst": 10**4 - 1}
+
+
 def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     # an inc handler gets the Inc node's own child; the shortest-path inc
     # core resolves that child's vertices and edges with one evaluation and
     # never evaluates the whole graph
     from graphexpr import DIRECTED, apsp_outcome, is_negative_cycle, ncd_outcome
-    from graphexpr.expr import Inc, fold_expression
+    from graphexpr.expr import Inc, fold_expression, post_order
     from graphexpr.paths import ncd_handlers, solve_tolerance
 
     e = parse(
@@ -687,7 +709,9 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     )
     evaluations.clear()
     fold(e, hs)
-    assert [id(c) for c in received] == [id(n.child) for n in incs]
+    # each child comes as its order, whose last entry is the child itself
+    assert [id(c[-1][0]) for c in received] == [id(n.child) for n in incs]
+    assert received == [post_order(n.child) for n in incs]
     assert [id(r) for r in evaluations] == [id(n.child) for n in incs]
 
     for solve in (ncd_outcome, apsp_outcome):

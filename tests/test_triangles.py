@@ -22,7 +22,7 @@ from graphexpr import (
     params,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Join, Union, Vertex, fold_expression
+from graphexpr.expr import Empty, Inc, Join, Union, Vertex, fold_expression, post_order
 from graphexpr.oracle import GenSpec
 from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td, edges_within
 
@@ -30,7 +30,8 @@ from conftest import corpus_instance
 
 
 def _child(text):
-    return normalize(parse(text)).root
+    # an inc handler gets its child as the child's order
+    return post_order(normalize(parse(text)).root)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_edges_within_matches_induced_subgraph(seed, mask):
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
         induced_m = sum(1 for a, b in g.edges if a in s and b in s)
-        assert edges_within(child, s) == induced_m
+        assert edges_within(post_order(child), s) == induced_m
 
 
 def _random_cograph_expr(rng):
@@ -141,7 +142,7 @@ def test_edges_within_counts_induced_edges_on_raw_trees(rng, mask):
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
         induced_m = sum(1 for a, b in g.edges if a in s and b in s)
-        assert edges_within(child, s) == induced_m
+        assert edges_within(post_order(child), s) == induced_m
 
 
 def test_edges_within_of_a_wide_join():
@@ -150,10 +151,11 @@ def test_edges_within_of_a_wide_join():
         "(undirected (join (union (vertex a) (vertex b)) (vertex c) (empty)"
         " (join (vertex d) (union (vertex e) (empty) (vertex f)))))"
     ).root
-    assert edges_within(root, set("abcdef")) == evaluate(Expression(UNDIRECTED, root)).m == 13
+    order = post_order(root)
+    assert edges_within(order, set("abcdef")) == evaluate(Expression(UNDIRECTED, root)).m == 13
     # a, c, e: a-c, a-e, c-e; b, d: b-d
-    assert edges_within(root, set("ace")) == 3
-    assert edges_within(root, set("bd")) == 1
+    assert edges_within(order, set("ace")) == 3
+    assert edges_within(order, set("bd")) == 1
 
 
 # ---------------------------------------------------------------------------
