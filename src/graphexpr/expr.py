@@ -19,10 +19,11 @@ that validates, which each ``Expression`` runs once and caches.
 
 Each expression has one post-order of its tree (``post_order``), which
 the parser records as it closes nodes (``Expression._order``); a subtree is
-a slice of it.  The walks are flat loops over it: ``fold_order`` folds it
-bottom-up, and the evaluator builds adjacency lists from vertex addition
-and substitution: union and join are substitutions into an edgeless resp.
-complete pattern over their children.
+a slice of it.  ``fold_order`` folds it in one flat loop with a call per
+node; ``framework.fold``, ``triangles.edges_within`` and the evaluator run
+loops of their own, as a Python call per node costs more than their work
+per node.  The evaluator builds adjacency lists: union and join are
+substitutions into an edgeless resp. complete pattern.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
@@ -215,24 +216,11 @@ def fold_order(order, combine, label=lambda: "root"):
     """Fold an order (``post_order``) bottom-up in one flat loop:
     ``combine(node, child_values, where)`` returns the value of ``node``,
     and the root's is returned.  ``where()`` renders the location of the
-    entry being combined, such as ``root/1/bind[p]/child``, below
-    ``label()``; its first call indexes the parents in O(n), each call
-    then costs O(depth), so combine calls it only to report a problem."""
+    entry being combined below ``label()`` (``locator``), so combine calls
+    it only to report a problem."""
     vals = []
-    index = None
-
-    def where():
-        nonlocal index
-        if index is None:
-            index = _parent_index(order)
-        parent, ordinal = index
-        steps, j = [], i
-        while (p := parent[j]) >= 0:
-            steps.append(_step(order[p][0], ordinal[j]))
-            j = p
-        steps.append(label())
-        return "/".join(reversed(steps))
-
+    locate = locator(order, label)
+    where = lambda: locate(i)  # noqa: E731  (i is the loop's)
     for i, (node, c, _) in enumerate(order):
         if c:
             kids = vals[-c:]
@@ -246,6 +234,26 @@ def fold_order(order, combine, label=lambda: "root"):
 def fold_expression(root, combine, label=lambda: "root"):
     """``fold_order`` over the tree under ``root``."""
     return fold_order(post_order(root), combine, label)
+
+
+def locator(order, label=lambda: "root"):
+    """``locate(i)`` renders where the entry at i of ``order`` is, such as
+    ``root/1/bind[p]/child`` below ``label()``: O(n) once, then O(depth)."""
+    index = None
+
+    def locate(i):
+        nonlocal index
+        if index is None:
+            index = _parent_index(order)
+        parent, ordinal = index
+        steps, j = [], i
+        while (p := parent[j]) >= 0:
+            steps.append(_step(order[p][0], ordinal[j]))
+            j = p
+        steps.append(label())
+        return "/".join(reversed(steps))
+
+    return locate
 
 
 def _parent_index(order):

@@ -3,13 +3,14 @@
 A problem is solved on an expression by supplying one handler per operation;
 the fold threads per-subtree summary values upward as the expression is
 structured, a union in one call, a join as a chain of binary substitutions.
-The fold is one loop over the expression's post-order (``expr.fold_order``
-on ``Expression._order``, which the parser records), and every walk the
-handlers make is a loop over a slice of it.  Handlers see only summaries
-and the node payload.  An inc handler gets the order of its child
-subexpression, the slice of the expression's order just before the inc,
-and reads from it what it needs of the child graph: triangle counting
-counts the closed edges from it, the shortest-path handlers evaluate it.
+The fold is its own loop over the expression's post-order
+(``Expression._order``, which the parser records) with a stack of child
+summaries, not an ``expr.fold_order`` combine: a Python call per node costs
+more than most nodes' work.  Handlers see only summaries and the node
+payload.  An inc handler gets the order of its child subexpression, the
+slice of the expression's order just before the inc, and reads from it what
+it needs of the child graph: triangle counting counts the closed edges from
+it in a loop of its own, the shortest-path handlers evaluate it.
 A substitution handler gets its pattern: an explicit pattern as a graph,
 built once per fold however many nodes share it, a tree-depth pattern as
 its expression.  The fold evaluates nothing unless ``verify`` is given.
@@ -40,6 +41,7 @@ from .expr import (
     expression_of,
     fold_order,
     inc_nesting,
+    locator,
     post_order,
 )
 
@@ -80,9 +82,6 @@ class FoldStats:
     max_subst_order: int = 0
     max_subtd_depth: int = 0
 
-    def bump(self, kind, times=1):
-        self.counts[kind] = self.counts.get(kind, 0) + times
-
 
 def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     """Fold a validated expression bottom-up, with the values and stats of
@@ -98,105 +97,117 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     or of a join's children folded so far (debug mode; cubic in the width
     of a join).  Without ``verify`` the fold evaluates nothing.
     """
+    order = e._order
+    locate = locator(order)
+    base_vertex, on_inc = handlers.base_vertex, handlers.on_inc
+    on_subst, on_union = handlers.on_subst, handlers.on_union
     # local, so that no pattern outlives the fold, and keyed by identity,
     # which is stable while the expression lives and cheaper than a hash
     pattern_graphs = {}
-    stats = FoldStats()
-    order = e._order
-    at = -1  # the index of the entry being combined
+    vals, depths = [], []  # per finished subtree: its summary, its inc nesting
+    n_vertex = n_empty = n_inc = n_subst = n_subst_td = 0
+    sum_pattern_order = max_inc_nesting = max_subst_order = max_subtd_depth = 0
 
-    def count_subst(order, times=1):
-        stats.bump("subst", times)
-        stats.sum_pattern_order += order * times
-        stats.max_subst_order = max(stats.max_subst_order, order)
-
-    def substitute(pattern, children):
-        count_subst(len(pattern.names))
-        pg = pattern_graphs.get(id(pattern))
-        if pg is None:
-            pg = pattern_graphs[id(pattern)] = pattern.to_graph()
-        return handlers.on_subst(pg, children)
+    def graph_of(p):
+        return pattern_graphs.get(id(p)) or pattern_graphs.setdefault(id(p), p.to_graph())
 
     def subgraph(j):
         # the evaluated subtree of the entry at j, for verify
         return evaluate(expression_of(e.mode, order[j + 1 - order[j][2] : j + 1]))
 
-    def empty_leaf(j, path):
-        stats.bump("empty")
-        stats.leaf_count += 1
+    def join(i, node, kids, parts):
+        # a left chain of binary steps, each checked on the children so far
+        pg, value = graph_of(_PAT_K2[e.mode]), parts[0]
         if verify is not None:
-            verify(path(), order[j][0], handlers.base_empty(), subgraph(j))
-
-    def combine(node, vals, where):
-        # vals holds (summary, inc_depth) pairs for the children
-        nonlocal at
-        at += 1
-        depth = 0
-        for _, d in vals:
-            if d > depth:
-                depth = d
-        t = type(node)
-        if t is Empty:
-            return _NO_VERTICES, 0
-        try:
-            if t is Union or t is Join:
-                kids = [(v, c) for (v, _), c in zip(vals, node.children) if v is not _NO_VERTICES]
-                if len(kids) < 2:
-                    return (kids[0][0] if kids else _NO_VERTICES), depth
-                if t is Join:
-                    value, folded = kids[0]
-                    for v, child in kids[1:]:
-                        value = substitute(_PAT_K2[e.mode], [("a", value), ("b", v)])
-                        if verify is not None:
-                            folded = Subst(_PAT_K2[e.mode], (("a", folded), ("b", child)))
-                            verify(where(), folded, value, evaluate(Expression(e.mode, folded)))
-                    return value, depth
-                count_subst(2, len(kids) - 1)  # r - 1 steps into two isolated vertices
-                value = handlers.on_union([v for v, _ in kids])
-            elif t is Subst:
-                by_name = {bn: v for (bn, _), (v, _) in zip(node.bindings, vals)}
-                value = substitute(node.pattern, [(p, by_name[p]) for p in node.pattern.names])
-            elif t is Inc:
-                stats.bump("inc")
-                depth += 1
-                stats.max_inc_nesting = max(stats.max_inc_nesting, depth)
-                f = vals[0][0]
-                if f is not _NO_VERTICES:
-                    child = order[at - order[at - 1][2] : at]
-                    value = handlers.on_inc(f, node.name, node.in_names, node.out_names, child)
-                else:  # x is the whole graph
-                    empty_leaf(at - 1, lambda: where() + "/child")
-                    value = handlers.base_vertex(node.name)
-            elif t is Vertex:
-                stats.bump("vertex")
-                stats.leaf_count += 1
-                value = handlers.base_vertex(node.name)
-            elif t is SubstTd:
-                stats.bump("subst_td")
-                # validation binds each pattern vertex exactly once
-                stats.sum_pattern_order += len(node.bindings)
-                stats.max_subtd_depth = max(stats.max_subtd_depth, inc_nesting(node.pattern_expr))
-                children = [(bn, v) for (bn, _), (v, _) in zip(node.bindings, vals)]
-                value = handlers.on_subst_td(node.pattern_expr, children)
-            else:
-                raise InputError(f"unknown node type {t.__name__}")
+            folded, *rest = [x for v, x in zip(kids, node.children) if v is not _NO_VERTICES]
+        for j in range(1, len(parts)):
+            value = on_subst(pg, [("a", value), ("b", parts[j])])
             if verify is not None:
-                verify(where(), node, value, subgraph(at))
-            return value, depth
-        except VerificationError:
-            raise
-        except Exception as exc:
-            if not getattr(exc, "_fold_path", None):
-                path = exc._fold_path = where()
-                message = exc.args[0] if exc.args else repr(exc)
-                exc.args = (f"{message} [at {path}]",) + exc.args[1:]
-            raise
+                folded = Subst(_PAT_K2[e.mode], (("a", folded), ("b", rest[j - 1])))
+                verify(locate(i), folded, value, evaluate(Expression(e.mode, folded)))
+        return value
 
-    value, _ = fold_order(order, combine)
+    try:
+        for i, (node, c, _) in enumerate(order):
+            t = type(node)
+            if t is Vertex:
+                n_vertex += 1
+                value, depth = base_vertex(node.name), 0
+            elif t is Inc:
+                n_inc += 1
+                f, depth = vals.pop(), depths.pop() + 1
+                max_inc_nesting = max(max_inc_nesting, depth)
+                if f is not _NO_VERTICES:
+                    child = order[i - order[i - 1][2] : i]
+                    value = on_inc(f, node.name, node.in_names, node.out_names, child)
+                else:  # x is the whole graph
+                    n_empty += 1
+                    if verify is not None:
+                        empty = handlers.base_empty()
+                        verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
+                    value = base_vertex(node.name)
+            elif t is Empty:
+                value, depth = _NO_VERTICES, 0
+            else:
+                top = len(vals) - c
+                kids, depth = vals[top:], max(depths[top:], default=0)
+                del vals[top:], depths[top:]
+                if t is Subst:
+                    names = node.pattern.names
+                    n_subst += 1
+                    sum_pattern_order += len(names)
+                    max_subst_order = max(max_subst_order, len(names))
+                    by_name = {bn: v for (bn, _), v in zip(node.bindings, kids)}
+                    value = on_subst(graph_of(node.pattern), [(p, by_name[p]) for p in names])
+                elif t is Union or t is Join:
+                    parts = [v for v in kids if v is not _NO_VERTICES]
+                    value = parts[0] if parts else _NO_VERTICES
+                    if len(parts) > 1:  # r - 1 steps into two-vertex patterns
+                        n_subst += len(parts) - 1
+                        sum_pattern_order += 2 * (len(parts) - 1)
+                        max_subst_order = max(max_subst_order, 2)
+                        if t is Join:
+                            value = join(i, node, kids, parts)
+                        else:
+                            value = on_union(parts)
+                            if verify is not None:
+                                verify(locate(i), node, value, subgraph(i))
+                    vals.append(value)
+                    depths.append(depth)
+                    continue
+                elif t is SubstTd:
+                    n_subst_td += 1
+                    # validation binds each pattern vertex exactly once
+                    sum_pattern_order += len(node.bindings)
+                    max_subtd_depth = max(max_subtd_depth, inc_nesting(node.pattern_expr))
+                    children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
+                    value = handlers.on_subst_td(node.pattern_expr, children)
+                else:
+                    raise InputError(f"unknown node type {t.__name__}")
+            if verify is not None and value is not _NO_VERTICES:  # not an empty leaf
+                verify(locate(i), node, value, subgraph(i))
+            vals.append(value)
+            depths.append(depth)
+    except VerificationError:
+        raise
+    except Exception as exc:
+        if not getattr(exc, "_fold_path", None):
+            path = exc._fold_path = locate(i)
+            message = exc.args[0] if exc.args else repr(exc)
+            exc.args = (f"{message} [at {path}]",) + exc.args[1:]
+        raise
+
+    value = vals[0]
     if value is _NO_VERTICES:
-        empty_leaf(len(order) - 1, lambda: "root")
+        n_empty += 1
+        if verify is not None:
+            verify("root", order[-1][0], handlers.base_empty(), subgraph(len(order) - 1))
         value = handlers.base_empty()
-    return value, stats
+    counts = dict(vertex=n_vertex, empty=n_empty, inc=n_inc, subst=n_subst, subst_td=n_subst_td)
+    return value, FoldStats(
+        {kind: n for kind, n in counts.items() if n}, sum_pattern_order, max_inc_nesting,
+        n_vertex + n_empty, max_subst_order, max_subtd_depth,
+    )
 
 
 def assert_stats(stats: FoldStats, n: int, p: Params) -> list:

@@ -4,15 +4,16 @@ The fold summary is the triple (n, m, t): vertex count, edge count, triangle
 count.  Adding a vertex x creates one new triangle per child edge whose
 endpoints are both neighbors of x.  That number is counted from the child
 subexpression, not from edges, so a solve never builds the evaluated graph:
-a second fold over the child's order (the slice of the expression's
-post-order that the inc handler gets) carries, per node, how many of its
-vertices lie in S = N(x) and how many of its edges lie inside S.  This
-costs O(size of the child) per inc node, O(k * size of the expression) per
-solve.  Substitution combines summaries arithmetically: every pattern edge
-{i, j} contributes n_i * n_j edges and m_i * n_j + n_i * m_j triangles, and
-every pattern triangle {i, j, k} contributes n_i * n_j * n_k triangles.  A
-tree-depth pattern is turned into its graph (``expr.td_pattern_edges``) and
-combined the same way.
+a loop over the child's order (the slice of the expression's post-order
+that the inc handler gets) keeps, per node, how many of its vertices lie in
+S = N(x) and how many of its edges lie inside S, on two integer stacks: an
+``expr.fold_order`` combine, a Python call per node, would cost more than
+the work.  This costs O(size of the child) per inc node, O(k * size of the
+expression) per solve.  Substitution combines summaries arithmetically:
+every pattern edge {i, j} contributes n_i * n_j edges and m_i * n_j + n_i *
+m_j triangles, and every pattern triangle {i, j, k} n_i * n_j * n_k
+triangles.  A tree-depth pattern is turned into its graph
+(``expr.td_pattern_edges``) and combined the same way.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .expr import (
     Inc,
     Join,
     Subst,
-    SubstTd,
+    Union,
     Vertex,
-    fold_order,
     td_pattern_edges,
     validate_or_raise,
 )
@@ -62,41 +62,42 @@ def edges_within(child, s) -> int:
     (``expr.post_order``) is ``child`` with both endpoints in the
     vertex-name set ``s``.
 
-    Each node's value is (vertices in s, edges inside s).  An inc vertex in
-    s adds its edges into s; a union adds up its children's values, a join
-    adds c_i * c_j for each pair of children and a substitution for each
-    pattern edge {i, j}, where c_i counts the vertices in s of child i; a
-    tree-depth pattern's edges come from ``expr.td_pattern_edges``.
+    Each node's value is (vertices in s, edges inside s), on two stacks.
+    An inc vertex in s adds its edges into s; a union adds up its children's
+    values, a join adds c_i * c_j for each pair of children and a
+    substitution for each pattern edge {i, j}, where c_i counts the vertices
+    in s of child i; a tree-depth pattern's edges come from
+    ``expr.td_pattern_edges``.
     """
-
-    def combine(node, vals, _where):
+    cs, es = [], []
+    for node, c, _ in child:
         t = type(node)
-        if t is Inc:
-            c, e = vals[0]
+        if t is Vertex or t is Empty:
+            cs.append(1 if t is Vertex and node.name in s else 0)
+            es.append(0)
+        elif t is Inc:
             if node.name in s:
-                return (c + 1, e + len(node.neighbor_names & s))
-            return (c, e)
-        if t is Vertex:
-            return (1, 0) if node.name in s else (0, 0)
-        if t is Empty:
-            return (0, 0)
-        c = sum([c for c, _ in vals])
-        e = sum([e for _, e in vals])
-        if t is Join:
-            return (c, e + (c * c - sum([ci * ci for ci, _ in vals])) // 2)
-        if t is Subst:
-            pattern_edges = node.pattern.edges
-        elif t is SubstTd:
-            pattern_edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
-        else:  # a union: no edge between its children
-            return (c, e)
-        if pattern_edges:
-            inside = {bn: c for (bn, _), (c, _) in zip(node.bindings, vals)}
-            for (u, v) in pattern_edges:
-                e += inside[u] * inside[v]
-        return (c, e)
-
-    return fold_order(child, combine)[1]
+                cs[-1] += 1
+                es[-1] += len(node.neighbor_names & s)
+        else:
+            top = len(cs) - c
+            kids = cs[top:]
+            n, e = sum(kids), sum(es[top:])
+            del cs[top:], es[top:]
+            if t is Join:
+                e += (n * n - sum([ci * ci for ci in kids])) // 2
+            elif t is not Union:  # a substitution
+                if t is Subst:
+                    edges = node.pattern.edges
+                else:
+                    edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
+                if edges:
+                    inside = {bn: ci for (bn, _), ci in zip(node.bindings, kids)}
+                    for (u, v) in edges:
+                        e += inside[u] * inside[v]
+            cs.append(n)
+            es.append(e)
+    return es[0]
 
 
 def combine_union(parts) -> TriFold:

@@ -147,6 +147,163 @@ def test_fold_equals_fold_of_normalize(tc_corpus, paths_corpus):
     assert stats.counts == {"empty": 1} and stats.leaf_count == 1
 
 
+def logging_handlers(log):
+    """``counting_handlers`` that log each call: the handler, its node name
+    or pattern, and its children (names and summaries) or the length and
+    root identity of its child order."""
+
+    def subst(pg, children):
+        log.append(("on_subst", pg.vertices, pg.edges, tuple(children)))
+        return sum(f for _, f in children)
+
+    def subst_td(pe, children):
+        log.append(("on_subst_td", id(pe), tuple(children)))
+        return sum(f for _, f in children)
+
+    return HandlerSet(
+        base_empty=lambda: log.append(("base_empty",)) or 0,
+        base_vertex=lambda name: log.append(("base_vertex", name)) or 1,
+        on_inc=lambda f, name, inn, out, child: log.append(
+            ("on_inc", name, f, len(child), id(child[-1][0]))
+        )
+        or f + 1,
+        on_subst=subst,
+        on_subst_td=subst_td,
+        on_union=lambda parts: log.append(("on_union", tuple(parts))) or sum(parts),
+    )
+
+
+def _reference_fold(e, hs):
+    """``fold`` without ``verify``, as its docstring puts it, by plain
+    recursion over the node fields: parts without vertices are dropped, a
+    union is one ``on_union`` call counted as r - 1 substitutions into two
+    isolated vertices, a join a left chain of ``on_subst`` steps over the
+    ``_PAT_K2`` graph, an inc over nothing ``base_vertex`` below an empty
+    leaf, and a root without vertices ``base_empty``."""
+    from graphexpr import FoldStats
+    from graphexpr.expr import _PAT_K2, Empty, inc_nesting, post_order, subexpressions
+
+    stats = FoldStats()
+    k2 = _PAT_K2[e.mode].to_graph()
+
+    def count(kind, times=1):
+        stats.counts[kind] = stats.counts.get(kind, 0) + times
+
+    def substituted(order, times=1):
+        count("subst", times)
+        stats.sum_pattern_order += order * times
+        stats.max_subst_order = max(stats.max_subst_order, order)
+
+    def leaf(kind):
+        count(kind)
+        stats.leaf_count += 1
+
+    def rec(node):  # (summary, or None without vertices; inc nesting)
+        if isinstance(node, Empty):
+            return None, 0
+        if isinstance(node, Vertex):
+            leaf("vertex")
+            return hs.base_vertex(node.name), 0
+        kids = [rec(child) for child in subexpressions(node)]
+        depth = max([d for _, d in kids], default=0)
+        if isinstance(node, Inc):
+            count("inc")
+            stats.max_inc_nesting = max(stats.max_inc_nesting, depth + 1)
+            f = kids[0][0]
+            if f is None:
+                leaf("empty")
+                return hs.base_vertex(node.name), depth + 1
+            child = post_order(node.child)
+            return hs.on_inc(f, node.name, node.in_names, node.out_names, child), depth + 1
+        if isinstance(node, Subst):
+            by_name = {bn: f for (bn, _), (f, _) in zip(node.bindings, kids)}
+            substituted(len(node.pattern.names))
+            children = [(p, by_name[p]) for p in node.pattern.names]
+            return hs.on_subst(node.pattern.to_graph(), children), depth
+        if isinstance(node, SubstTd):
+            count("subst_td")
+            stats.sum_pattern_order += len(node.bindings)
+            stats.max_subtd_depth = max(stats.max_subtd_depth, inc_nesting(node.pattern_expr))
+            children = [(bn, f) for (bn, _), (f, _) in zip(node.bindings, kids)]
+            return hs.on_subst_td(node.pattern_expr, children), depth
+        parts = [f for f, _ in kids if f is not None]
+        if len(parts) < 2:
+            return (parts[0] if parts else None), depth
+        if isinstance(node, Union):
+            substituted(2, len(parts) - 1)
+            return hs.on_union(parts), depth
+        value = parts[0]
+        for f in parts[1:]:
+            substituted(2)
+            value = hs.on_subst(k2, [("a", value), ("b", f)])
+        return value, depth
+
+    value, _ = rec(e.root)
+    if value is None:
+        leaf("empty")
+        value = hs.base_empty()
+    return value, stats
+
+
+def _with_deep_stack(fn, *args):
+    """``fn(*args)`` in a thread whose stack and recursion limit fit a
+    recursion some 10^4 calls deep."""
+    import sys
+    import threading
+
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn(*args)))
+        except BaseException as exc:  # re-raised in the calling thread
+            out.append((False, exc))
+
+    limit, size = sys.getrecursionlimit(), threading.stack_size(256 * 2**20)
+    sys.setrecursionlimit(10**5)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    assert not thread.is_alive()
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def test_fold_makes_the_calls_of_a_recursive_reference(tc_corpus, paths_corpus):
+    # every handler call, in order, with its node, pattern and children,
+    # and the stats, against the reference fold above
+    def deep_chain(d):
+        # unions and joins with empty parts, nesting d deep, and an inc
+        # over the chain so far every 1000 levels
+        text = "(vertex v0)"
+        for i in range(1, d):
+            if i % 1000 == 0:
+                text = f"(inc x{i} ((x{i} v{i - 1})) {text})"
+            elif i % 2:
+                text = f"(union {text} (empty) (vertex v{i}))"
+            else:
+                text = f"(join (empty) (vertex v{i}) {text})"
+        return text
+
+    texts = EMPTY_CASES + [deep_chain(10**4)]
+    cases = [e for e, *_ in tc_corpus + paths_corpus]
+    cases += [parse(f"({mode} {text})") for text in texts for mode in ("undirected", "directed")]
+    for e in cases:
+        got, want = [], []
+        got_value, got_stats = fold(e, logging_handlers(got))
+        want_value, want_stats = _with_deep_stack(_reference_fold, e, logging_handlers(want))
+        assert got == want
+        assert (got_value, got_stats) == (want_value, want_stats)
+    assert want_stats.counts["inc"] == 9 and want_stats.max_inc_nesting == 9
+    assert want_stats.counts["subst"] == 10**4 - 10
+
+
 def test_verify_sees_a_union_whole_and_every_step_of_a_join(tc_corpus):
     # verify checks the subgraphs that it checks on the normalized tree,
     # except that a union of r parts with vertices is checked once, on its

@@ -87,15 +87,17 @@ def test_inc_over_dense_join_never_builds_the_graph(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_edges_within_matches_induced_subgraph(seed, mask):
     # every inc child of a generated expression with nested incs and
-    # subst-td nodes, and the whole expression, against the evaluated graph
+    # subst-td nodes, and the whole expression, against the evaluated graph:
+    # the tree as written (multi-way unions, subst, subst-td) and normalized
     e = gen_random(GenSpec(UNDIRECTED, k=2, h=3, l=2, budget=8 + seed % 20, seed=seed))
     assert params(e) == (2, 3, 2)
-    ne = normalize(e)
-    children = [ne.root]
-    fold_expression(
-        ne.root,
-        lambda node, _vals, _where: isinstance(node, Inc) and children.append(node.child),
-    )
+    children = []
+    for root in (e.root, normalize(e).root):
+        children.append(root)
+        fold_expression(
+            root,
+            lambda node, _vals, _where: isinstance(node, Inc) and children.append(node.child),
+        )
     for child in children:
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
