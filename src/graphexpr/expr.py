@@ -19,11 +19,14 @@ that validates, which each ``Expression`` runs once and caches.
 
 Each expression has one post-order of its tree (``post_order``), which
 the parser records as it closes nodes (``Expression._order``); a subtree is
-a slice of it.  ``fold_order`` folds it in one flat loop with a call per
-node; ``framework.fold``, ``triangles.edges_within`` and the evaluator run
-loops of their own, as a Python call per node costs more than their work
-per node.  The evaluator builds adjacency lists: union and join are
-substitutions into an edgeless resp. complete pattern.
+a slice of it.  Each subst-td pattern has its own (``SubstTd.pattern_order``),
+which the parser records too.  Every walk is a flat loop over an order:
+the front end (``_scan``), ``framework.fold`` and the pattern replay,
+``triangles.edges_within`` and the evaluator, as a Python call per node
+costs more than most nodes' work; only ``normalize`` folds through
+``fold_order``, with a call per node.  The evaluator builds adjacency
+lists: union and join are substitutions into an edgeless resp. complete
+pattern.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, combinations, count, permutations, repeat
 from operator import add
 from typing import NamedTuple
@@ -127,6 +130,11 @@ class SubstTd:
     bindings: tuple
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    @cached_property
+    def pattern_order(self):
+        """``post_order`` of the pattern, set by ``parse``; no field, like ``_order``."""
+        return post_order(self.pattern_expr)
+
 
 @dataclass(frozen=True)
 class Expression:
@@ -151,6 +159,13 @@ def expression_of(mode, order) -> Expression:
     return e
 
 
+def subst_td_of(pattern_order, bindings, pos=None) -> SubstTd:
+    """The SubstTd of the pattern of ``pattern_order``, which it keeps."""
+    node = SubstTd(pattern_order[-1][0], bindings, pos=pos)
+    node.__dict__["pattern_order"] = pattern_order
+    return node
+
+
 class Params(NamedTuple):
     k: int
     h: int
@@ -162,7 +177,8 @@ TD_NODE_TYPES = (Empty, Vertex, Union, Inc)
 
 def subexpressions(node):
     """Child expression nodes, in order; subst-td pattern expressions are
-    payload, not children."""
+    payload, not children.  No walk in this package calls it (each inlines
+    it); ``perfbench/reference.py`` does."""
     t = type(node)
     if t is Subst or t is SubstTd:
         return [sub for _, sub in node.bindings]
@@ -212,28 +228,19 @@ def post_order(root) -> list:
     return order
 
 
-def fold_order(order, combine, label=lambda: "root"):
+def fold_order(order, combine):
     """Fold an order (``post_order``) bottom-up in one flat loop:
-    ``combine(node, child_values, where)`` returns the value of ``node``,
-    and the root's is returned.  ``where()`` renders the location of the
-    entry being combined below ``label()`` (``locator``), so combine calls
-    it only to report a problem."""
+    ``combine(node, child_values)`` returns the value of ``node``, and the
+    root's is returned."""
     vals = []
-    locate = locator(order, label)
-    where = lambda: locate(i)  # noqa: E731  (i is the loop's)
-    for i, (node, c, _) in enumerate(order):
+    for node, c, _ in order:
         if c:
             kids = vals[-c:]
             del vals[-c:]
-            vals.append(combine(node, kids, where))
+            vals.append(combine(node, kids))
         else:
-            vals.append(combine(node, (), where))
+            vals.append(combine(node, ()))
     return vals[0]
-
-
-def fold_expression(root, combine, label=lambda: "root"):
-    """``fold_order`` over the tree under ``root``."""
-    return fold_order(post_order(root), combine, label)
 
 
 def locator(order, label=lambda: "root"):
@@ -362,7 +369,8 @@ def parse(text: str) -> Expression:
     consumes, and the column of the r-th is ``open_ends[r]``.  An error
     message finds its column by scanning the token's line again.  The loop
     closes the nodes in post-order, so it records the expression's
-    ``_order`` too, less each subst-td pattern."""
+    ``_order`` too, less each subst-td pattern, whose entries become that
+    node's ``pattern_order``."""
     tokens = _tokenize(text)
     toks, lines, open_ends, _ = tokens
     if not toks:
@@ -382,7 +390,8 @@ def parse(text: str) -> Expression:
         # [Inc, pos, name, in_names, out_names] and
         # [Subst or SubstTd, pos, pattern, bindings, name of the open binding, at],
         # where start indexes the node's "(", at is len(order) at its
-        # opening and a subst-td pattern is None until its expression is read
+        # opening and a subst-td pattern is None until its expression is
+        # read, then that expression's order
         stack, order = [], []
         while True:
             # an expression starts at token i
@@ -487,8 +496,8 @@ def parse(text: str) -> Expression:
                 else:
                     bindings = frame[3]
                     if frame[2] is None:
-                        frame[2] = node
-                        del order[frame[5] :]  # a pattern is payload
+                        frame[2] = order[frame[5] :]  # a pattern is payload
+                        del order[frame[5] :]
                         if toks[i] != "(":
                             raise tokens.expected(i, "'('")
                         i += 1
@@ -513,7 +522,8 @@ def parse(text: str) -> Expression:
                     if toks[i + 1] != ")":
                         raise tokens.expected(i + 1, "')'")
                     i += 2
-                    node = kind(frame[2], tuple(bindings), pos=frame[1])
+                    make = Subst if kind is Subst else subst_td_of
+                    node = make(frame[2], tuple(bindings), pos=frame[1])
                     order.append((node, len(bindings), len(order) - frame[5] + 1))
                 stack.pop()
             else:
@@ -612,85 +622,98 @@ def validate(e: Expression) -> list:
 def validate_or_raise(e: Expression) -> set:
     """Raise a ValidationError listing the violations, if any; else return
     the vertex names of the evaluated graph, which validation collects."""
-    names, violations, _ = e._front_end
+    names, violations, _, _ = e._front_end
     if violations:
         raise ValidationError("\n".join(str(v) for v in violations))
     return set(names)
 
 
 def _scan(order):
-    """The front-end walk: ``(vertex names, violations, Params)`` of the tree
-    of ``order``, from name sets and inc nesting bottom-up and h, l as
-    running maxima; a tree-depth pattern is walked by the same combine with
-    ``td_only``.  Duplicate names are reported in sorted order."""
+    """The front-end walk: ``(vertex names, violations, Params, nestings)``
+    of the tree of ``order``, from name sets and inc nesting bottom-up and
+    h, l as running maxima.  One loop over an order keeps a stack of name
+    sets and one of inc nestings; a tree-depth pattern is walked by the
+    same loop over its ``pattern_order`` with ``td_only``, and ``nestings``
+    maps ``id`` of each subst-td node to its pattern's inc nesting.
+    Duplicate names are reported in sorted order."""
     violations = []
     checked = {}  # id(pattern) -> its messages: a shared pattern is checked once
+    nestings = {}
     h = l = 0
 
-    def bad(where, at, message):
-        violations.append(Violation(where(), message, getattr(at, "pos", None)))
-
-    def combine(node, vals, where, td_only=False):
-        # vals holds (names, inc nesting) pairs for the children
+    def walk(order, label, td_only):
         nonlocal h, l
-        t = type(node)
-        if td_only and t not in TD_NODE_TYPES:
-            bad(where, node, "pattern is not a tree-depth expression (join/subst not allowed)")
-        if t is Vertex:
-            return {node.name}, 0
-        if t is Inc:
-            names, k = vals[0]
-            if not (node.in_names <= names and node.out_names <= names):
-                for target in sorted(node.neighbor_names):
-                    if target not in names:
-                        bad(where, node, f"unknown inc target {target!r}")
-            if node.name in names:
-                bad(where, node, f"duplicate vertex name {node.name!r}")
-            names.add(node.name)
-            return names, k + 1
-        if t is Empty:
-            return set(), 0
-        if t is Union or t is Join:
-            if len(node.children) < 2:
-                bad(where, node, "union/join needs at least two children")
-        elif t is Subst:
-            pattern = node.pattern
-            messages = checked.get(id(pattern))
-            if messages is None:
-                messages = checked[id(pattern)] = []
-                _check_pattern(pattern, messages.append)
-            for message in messages:
-                bad(where, pattern, message)
-            _check_bindings(node, pattern.names, vals, where, bad)
-            if not td_only and len(pattern.names) > h:
-                h = len(pattern.names)
-        elif t is SubstTd:
-            pattern_names, depth = fold_expression(
-                node.pattern_expr, combine_td, lambda: where() + "/pattern"
-            )
-            pattern_names = sorted(pattern_names)
-            if len(pattern_names) < 2:
-                bad(where, node, "subst-td pattern has fewer than two vertices")
-            _check_bindings(node, pattern_names, vals, where, bad)
-            if not td_only and depth > l:
-                l = depth
-        else:
-            bad(where, node, f"unknown node type {t.__name__}")
-            return set(), 0
-        # merge into the largest set; a name in two children is a duplicate
-        parts = sorted([names for names, _ in vals], key=len, reverse=True)
-        names = parts[0] if parts else set()
-        for part in parts[1:]:
-            if not names.isdisjoint(part):
-                for nm in sorted(part & names):
-                    bad(where, node, f"duplicate vertex name {nm!r}")
-            names |= part
-        return names, max([k for _, k in vals], default=0)
+        locate = locator(order, label)
+        sets, ks = [], []  # per finished subtree: its names, its inc nesting
 
-    combine_td = partial(combine, td_only=True)
+        def bad(at, message):
+            violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
 
-    names, k = fold_order(order, combine)
-    return names, violations, Params(k, h, l)
+        for i, (node, c, _) in enumerate(order):
+            t = type(node)
+            if td_only and t not in TD_NODE_TYPES:
+                bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
+            if t is Vertex or t is Empty:
+                sets.append({node.name} if t is Vertex else set())
+                ks.append(0)
+                continue
+            if t is Inc:
+                names = sets[-1]
+                if not (node.in_names <= names and node.out_names <= names):
+                    for target in sorted(node.neighbor_names):
+                        if target not in names:
+                            bad(node, f"unknown inc target {target!r}")
+                if node.name in names:
+                    bad(node, f"duplicate vertex name {node.name!r}")
+                names.add(node.name)
+                ks[-1] += 1
+                continue
+            top = len(sets) - c
+            kids, k = sets[top:], max(ks[top:], default=0)
+            del sets[top:], ks[top:]
+            if t is Union or t is Join:
+                if c < 2:
+                    bad(node, "union/join needs at least two children")
+            elif t is Subst:
+                pattern = node.pattern
+                messages = checked.get(id(pattern))
+                if messages is None:
+                    messages = checked[id(pattern)] = []
+                    _check_pattern(pattern, messages.append)
+                for message in messages:
+                    bad(pattern, message)
+                for message in _check_bindings(node, pattern.names, kids):
+                    bad(node, message)
+                if not td_only and len(pattern.names) > h:
+                    h = len(pattern.names)
+            elif t is SubstTd:
+                pattern_names, depth = walk(
+                    node.pattern_order, lambda i=i: locate(i) + "/pattern", True
+                )
+                nestings[id(node)] = depth
+                pattern_names = sorted(pattern_names)
+                if len(pattern_names) < 2:
+                    bad(node, "subst-td pattern has fewer than two vertices")
+                for message in _check_bindings(node, pattern_names, kids):
+                    bad(node, message)
+                if not td_only and depth > l:
+                    l = depth
+            else:  # a leaf, as post_order counts no children for it
+                bad(node, f"unknown node type {t.__name__}")
+            # merge into the largest set; a name in two children is a duplicate
+            parts = sorted(kids, key=len, reverse=True)
+            names = parts[0] if parts else set()
+            for part in parts[1:]:
+                if not names.isdisjoint(part):
+                    for nm in sorted(part & names):
+                        bad(node, f"duplicate vertex name {nm!r}")
+                names |= part
+            sets.append(names)
+            ks.append(k)
+        return sets[0], ks[0]
+
+    names, k = walk(order, lambda: "root", False)
+    return names, violations, Params(k, h, l), nestings
 
 
 def _check_pattern(pattern, bad):
@@ -706,20 +729,22 @@ def _check_pattern(pattern, bad):
             bad(f"pattern edge ({a!r}, {b!r}) uses undeclared vertex")
 
 
-def _check_bindings(node, pattern_names, vals, where, bad):
+def _check_bindings(node, pattern_names, child_names):
+    """The messages about ``node``'s bindings, whose children have the
+    vertex-name sets ``child_names``."""
     seen = set()
     pattern_set = set(pattern_names)
-    for (bname, _), (child_names, _) in zip(node.bindings, vals):
+    for (bname, _), names in zip(node.bindings, child_names):
         if bname in seen:
-            bad(where, node, f"pattern vertex {bname!r} bound twice")
+            yield f"pattern vertex {bname!r} bound twice"
         seen.add(bname)
         if bname not in pattern_set:
-            bad(where, node, f"binding for unknown pattern vertex {bname!r}")
-        if not child_names:
-            bad(where, node, f"binding {bname!r} is the empty graph")
+            yield f"binding for unknown pattern vertex {bname!r}"
+        if not names:
+            yield f"binding {bname!r} is the empty graph"
     for pname in pattern_names:
         if pname not in seen:
-            bad(where, node, f"pattern vertex {pname!r} has no binding")
+            yield f"pattern vertex {pname!r} has no binding"
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +807,7 @@ def evaluate_node(order, mode):
                 if t is Subst:
                     pattern_edges = node.pattern.edges
                 else:
-                    pattern_edges = td_pattern_edges(node.pattern_expr, mode)
+                    pattern_edges = td_pattern_edges(node.pattern_order, mode)
                 part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
                 pairs = [(part[p], part[q]) for p, q in pattern_edges]
             for p, q in pairs:
@@ -798,14 +823,13 @@ def evaluate_node(order, mode):
     return verts, out, inn
 
 
-def td_pattern_edges(pattern_expr, mode):
-    """Edges of the tree-depth pattern ``pattern_expr``, read from its inc
-    nodes: for an inc vertex x, ``(u, x)`` per in-name u and ``(x, v)`` per
-    out-name v; in undirected mode ``(x, u)`` once per neighbor u."""
+def td_pattern_edges(pattern_order, mode):
+    """Edges of the tree-depth pattern whose order (``post_order``) is
+    ``pattern_order``, read from its inc nodes, the last first: for an inc
+    vertex x, ``(u, x)`` per in-name u and ``(x, v)`` per out-name v; in
+    undirected mode ``(x, u)`` once per neighbor u."""
     directed = mode == DIRECTED
-    stack = [pattern_expr]
-    while stack:
-        node = stack.pop()
+    for node, _, _ in reversed(pattern_order):
         if type(node) is Inc:
             x = node.name
             if directed:
@@ -813,21 +837,10 @@ def td_pattern_edges(pattern_expr, mode):
                 yield from ((x, v) for v in node.out_names)
             else:
                 yield from ((x, u) for u in node.neighbor_names)
-        stack.extend(subexpressions(node))
 
 
 # ---------------------------------------------------------------------------
 # Parameters
-
-
-def inc_nesting(node) -> int:
-    """Maximum number of inc nodes on a root-to-leaf path."""
-
-    def combine(n, vals, _where):
-        depth = max(vals, default=0)
-        return depth + 1 if type(n) is Inc else depth
-
-    return fold_expression(node, combine)
 
 
 def params(e: Expression) -> Params:
@@ -856,7 +869,7 @@ def normalize(e: Expression) -> Expression:
     inc, subst or subst-td node none of whose children changed is returned
     itself, so subtrees without union or join are shared with ``e``."""
 
-    def combine(node, vals, _where):
+    def combine(node, vals):
         t = type(node)
         if t is Subst or t is SubstTd:
             if all(v is sub for v, (_, sub) in zip(vals, node.bindings)):

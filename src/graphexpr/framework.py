@@ -13,10 +13,13 @@ it needs of the child graph: triangle counting counts the closed edges from
 it in a loop of its own, the shortest-path handlers evaluate it.
 A substitution handler gets its pattern: an explicit pattern as a graph,
 built once per fold however many nodes share it, a tree-depth pattern as
-its expression.  The fold evaluates nothing unless ``verify`` is given.
+its order (``SubstTd.pattern_order``), which the NCD and APSP handlers
+replay with ``fold_td_expression``, a loop like the fold's.  The fold
+evaluates nothing unless ``verify`` is given.
 
 The fold also collects accounting statistics (pattern-order sums, inc
-nesting) that the theory bounds; ``assert_stats`` re-checks those bounds on
+nesting, and the pattern nesting that the front end records per subst-td
+node) that the theory bounds; ``assert_stats`` re-checks those bounds on
 every run.
 """
 
@@ -39,10 +42,7 @@ from .expr import (
     _PAT_K2,
     evaluate,
     expression_of,
-    fold_order,
-    inc_nesting,
     locator,
-    post_order,
 )
 
 _NO_VERTICES = object()  # the value of a subtree without vertices
@@ -57,17 +57,18 @@ class HandlerSet:
     order, where size is the child's subtree size (``expr.post_order``).
     on_subst receives the pattern graph and the children as ``(pattern
     vertex name, summary)`` pairs in pattern vertex order, also per step of
-    a join; on_subst_td receives the pattern's tree-depth expression and
-    the children in binding order; on_union the summaries of a union's two
-    or more parts with vertices, in order.  The leaf, inc and union
-    handlers also fold tree-depth patterns (``fold_td_expression``).
+    a join; on_subst_td receives the order of the pattern's tree-depth
+    expression (``SubstTd.pattern_order``) and the children in binding
+    order; on_union the summaries of a union's two or more parts with
+    vertices, in order.  The leaf, inc and union handlers also fold
+    tree-depth patterns (``fold_td_expression``).
     """
 
     base_empty: Callable
     base_vertex: Callable
     on_inc: Callable      # (child F, name, in_names, out_names, child order) -> F
     on_subst: Callable    # (pattern Graph, [(name, F), ...]) -> F
-    on_subst_td: Callable  # (pattern_expr, [(name, F), ...]) -> F
+    on_subst_td: Callable  # (pattern order, [(name, F), ...]) -> F
     on_union: Callable    # ([F, F, ...]) -> F
 
 
@@ -179,9 +180,9 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                     n_subst_td += 1
                     # validation binds each pattern vertex exactly once
                     sum_pattern_order += len(node.bindings)
-                    max_subtd_depth = max(max_subtd_depth, inc_nesting(node.pattern_expr))
+                    max_subtd_depth = max(max_subtd_depth, e._front_end[3][id(node)])
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
-                    value = handlers.on_subst_td(node.pattern_expr, children)
+                    value = handlers.on_subst_td(node.pattern_order, children)
                 else:
                     raise InputError(f"unknown node type {t.__name__}")
             if verify is not None and value is not _NO_VERTICES:  # not an empty leaf
@@ -243,33 +244,32 @@ def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
 # Subst-td handlers replay their pattern with the problem's own handlers.
 
 
-def fold_td_expression(pattern_expr, handlers: HandlerSet):
-    """Post-order fold over a pure tree-depth expression with vertices, with
-    the leaf, inc and union handlers of ``handlers`` under the rules of
+def fold_td_expression(pattern_order, handlers: HandlerSet):
+    """Fold a pure tree-depth expression with vertices, given as its order
+    (``SubstTd.pattern_order``), in one loop like ``fold``'s, with the
+    leaf, inc and union handlers of ``handlers`` under the rules of
     ``fold``: a union drops its parts without vertices, and an inc over a
     part without vertices is ``base_vertex``.  The inc handler gets the
     order of the child sub-pattern expression."""
-    order = post_order(pattern_expr)
-    at = -1  # the index of the entry being combined
-
-    def combine(node, vals, _where):
-        nonlocal at
-        at += 1
+    base_vertex, on_inc, on_union = handlers.base_vertex, handlers.on_inc, handlers.on_union
+    vals = []
+    for i, (node, c, _) in enumerate(pattern_order):
         t = type(node)
-        if t is Inc:
-            if vals[0] is _NO_VERTICES:
-                return handlers.base_vertex(node.name)
-            child = order[at - order[at - 1][2] : at]
-            return handlers.on_inc(vals[0], node.name, node.in_names, node.out_names, child)
         if t is Vertex:
-            return handlers.base_vertex(node.name)
-        if t is Union:
-            parts = [v for v in vals if v is not _NO_VERTICES]
-            if len(parts) < 2:
-                return parts[0] if parts else _NO_VERTICES
-            return handlers.on_union(parts)
-        if t is Empty:
-            return _NO_VERTICES
-        raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
-
-    return fold_order(order, combine)
+            vals.append(base_vertex(node.name))
+        elif t is Inc:
+            if vals[-1] is _NO_VERTICES:
+                vals[-1] = base_vertex(node.name)
+            else:
+                child = pattern_order[i - pattern_order[i - 1][2] : i]
+                vals[-1] = on_inc(vals[-1], node.name, node.in_names, node.out_names, child)
+        elif t is Union:
+            top = len(vals) - c
+            parts = [v for v in vals[top:] if v is not _NO_VERTICES]
+            del vals[top:]
+            vals.append(on_union(parts) if len(parts) > 1 else parts[0] if parts else _NO_VERTICES)
+        elif t is Empty:
+            vals.append(_NO_VERTICES)
+        else:
+            raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
+    return vals[0]

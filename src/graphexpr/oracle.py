@@ -26,12 +26,12 @@ from .expr import (
     Join,
     Pattern,
     Subst,
-    SubstTd,
     Union,
     Vertex,
     collect_vertex_names,
     params,
     post_order,
+    subst_td_of,
     validate,
 )
 from .graphs import (
@@ -375,19 +375,20 @@ def _gen_subst_td(rng, namer, mode, spec, budget, d, kcap, depth):
     """Subst-td node over ``budget`` vertices whose pattern expression has
     inc nesting exactly ``d``; the bound sub-expressions start at ``depth``."""
     t = rng.randint(max(2, d), min(budget, max(2, d) + 3))
-    pattern_expr = _gen_td(rng, namer, mode, d, t)
-    order = _vertex_order(pattern_expr)
-    sizes = _split(rng, budget, len(order))
+    pattern_order = post_order(_gen_td(rng, namer, mode, d, t))
+    names = _vertex_order(pattern_order)
+    sizes = _split(rng, budget, len(names))
     bindings = tuple(
         (nm, _gen_node(rng, namer, mode, spec, sz, kcap, depth))
-        for nm, sz in zip(order, sizes)
+        for nm, sz in zip(names, sizes)
     )
-    return SubstTd(pattern_expr, bindings)
+    return subst_td_of(pattern_order, bindings)
 
 
-def _vertex_order(pattern_expr):
-    """The vertex names of ``pattern_expr`` in the order ``evaluate`` lists them."""
-    return [n.name for n, _, _ in post_order(pattern_expr) if type(n) is Vertex or type(n) is Inc]
+def _vertex_order(pattern_order):
+    """The vertex names of the pattern of ``pattern_order`` (``post_order``)
+    in the order ``evaluate`` lists them."""
+    return [n.name for n, _, _ in pattern_order if type(n) is Vertex or type(n) is Inc]
 
 
 def _gen_node(rng, namer, mode, spec, budget, kcap, depth):
@@ -483,14 +484,13 @@ def gen_fixture(name: str, p: int, clique: int = 1) -> Expression:
     if name == "lemma7.2":
         if clique < 0:
             raise InputError("clique parameter must be non-negative")
-        pattern_expr = _substar_td(p, center="pc", mid="pm", leaf="pl")
-        order = _vertex_order(pattern_expr)
+        pattern_order = post_order(_substar_td(p, center="pc", mid="pm", leaf="pl"))
         namer = _Namer("u")
         bindings = []
-        for pname in order:
+        for pname in _vertex_order(pattern_order):
             members = [Vertex(namer.fresh()) for _ in range(clique + 1)]
             bindings.append((pname, members[0] if clique == 0 else Join(tuple(members))))
-        return Expression(UNDIRECTED, SubstTd(pattern_expr, tuple(bindings)))
+        return Expression(UNDIRECTED, subst_td_of(pattern_order, tuple(bindings)))
     if name == "cliquependant":
         core = [f"c{i}" for i in range(1, p + 1)]
         pend = [f"d{i}" for i in range(1, p + 1)]

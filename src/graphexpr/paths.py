@@ -317,7 +317,7 @@ def ncd_subst(pattern_graph, children, tol):
     return NcdSummary(_shifted_union(children, pi_h, "potential"), min(map(min, rows)))
 
 
-def ncd_subst_td(pattern_expr, children, tol):
+def ncd_subst_td(pattern_order, children, tol):
     """Same contract as ncd_subst, but the pattern summary is computed by
     replaying the pattern's tree-depth expression with the NCD handlers
     over the pattern reweighted with the child msps."""
@@ -325,7 +325,7 @@ def ncd_subst_td(pattern_expr, children, tol):
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(pattern_expr, ncd_handlers(omega, tol))
+    inner = fold_td_expression(pattern_order, ncd_handlers(omega, tol))
     if is_negative_cycle(inner):
         return inner
     pi_h = potential_dict(inner.potential)
@@ -504,7 +504,7 @@ def apsp_subst(pattern_graph, children, tol):
     return _assemble_module(children, D.rows)
 
 
-def apsp_subst_td(pattern_expr, children, tol):
+def apsp_subst_td(pattern_order, children, tol):
     """Same contract as apsp_subst; the pattern's all-pairs distances come
     from replaying its tree-depth expression with the all-pairs handlers
     over the pattern reweighted with the child msps."""
@@ -512,7 +512,7 @@ def apsp_subst_td(pattern_expr, children, tol):
         if is_negative_cycle(s):
             return s
     omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(pattern_expr, apsp_handlers(omega, tol))
+    inner = fold_td_expression(pattern_order, apsp_handlers(omega, tol))
     if is_negative_cycle(inner):
         return inner
     if isinstance(inner, ModuleSummary):
@@ -562,7 +562,7 @@ def ncd_handlers(w: dict, tol: float) -> HandlerSet:
         base_vertex=lambda name: NcdSummary({name: 0.0}, w[name]),
         on_inc=lambda f, x, inn, out, child: ncd_inc(f, x, inn, out, w, child, tol),
         on_subst=lambda pg, children: ncd_subst(pg, children, tol),
-        on_subst_td=lambda pe, children: ncd_subst_td(pe, children, tol),
+        on_subst_td=lambda po, children: ncd_subst_td(po, children, tol),
         on_union=_ncd_union,
     )
 
@@ -573,7 +573,7 @@ def apsp_handlers(w: dict, tol: float) -> HandlerSet:
         base_vertex=lambda name: _full_singleton(name, w[name]),
         on_inc=lambda f, x, inn, out, child: apsp_inc(f, x, inn, out, w, child, tol),
         on_subst=lambda pg, children: apsp_subst(pg, children, tol),
-        on_subst_td=lambda pe, children: apsp_subst_td(pe, children, tol),
+        on_subst_td=lambda po, children: apsp_subst_td(po, children, tol),
         on_union=_apsp_union,
     )
 

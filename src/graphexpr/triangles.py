@@ -6,13 +6,13 @@ endpoints are both neighbors of x.  That number is counted from the child
 subexpression, not from edges, so a solve never builds the evaluated graph:
 a loop over the child's order (the slice of the expression's post-order
 that the inc handler gets) keeps, per node, how many of its vertices lie in
-S = N(x) and how many of its edges lie inside S, on two integer stacks: an
-``expr.fold_order`` combine, a Python call per node, would cost more than
-the work.  This costs O(size of the child) per inc node, O(k * size of the
-expression) per solve.  Substitution combines summaries arithmetically:
-every pattern edge {i, j} contributes n_i * n_j edges and m_i * n_j + n_i *
-m_j triangles, and every pattern triangle {i, j, k} n_i * n_j * n_k
-triangles.  A tree-depth pattern is turned into its graph
+S = N(x) and how many of its edges lie inside S, on two integer stacks: a
+Python call per node would cost more than the work.  This costs O(size of
+the child) per inc node, O(k * size of the expression) per solve.
+Substitution combines summaries arithmetically: every pattern edge {i, j}
+contributes n_i * n_j edges and m_i * n_j + n_i * m_j triangles, and every
+pattern triangle {i, j, k} n_i * n_j * n_k triangles.  A tree-depth pattern
+is turned into its graph by one loop over its recorded order
 (``expr.td_pattern_edges``) and combined the same way.
 """
 
@@ -90,7 +90,7 @@ def edges_within(child, s) -> int:
                 if t is Subst:
                     edges = node.pattern.edges
                 else:
-                    edges = td_pattern_edges(node.pattern_expr, UNDIRECTED)
+                    edges = td_pattern_edges(node.pattern_order, UNDIRECTED)
                 if edges:
                     inside = {bn: ci for (bn, _), ci in zip(node.bindings, kids)}
                     for (u, v) in edges:
@@ -122,11 +122,12 @@ def combine_subst(h, children) -> TriFold:
     return _assemble(children, h.edges, tri_total)
 
 
-def combine_subst_td(pattern_expr, children) -> TriFold:
-    """combine_subst on the graph of the tree-depth pattern ``pattern_expr``,
-    whose vertices are the binding names of ``children``."""
+def combine_subst_td(pattern_order, children) -> TriFold:
+    """combine_subst on the graph of the tree-depth pattern whose order
+    (``expr.post_order``) is ``pattern_order``, and whose vertices are the
+    binding names of ``children``."""
     names = [name for name, _ in children]
-    h = Graph(UNDIRECTED, names, td_pattern_edges(pattern_expr, UNDIRECTED))
+    h = Graph(UNDIRECTED, names, td_pattern_edges(pattern_order, UNDIRECTED))
     return combine_subst(h, children)
 
 

@@ -32,6 +32,7 @@ from graphexpr import (
     params,
 )
 from graphexpr.cli import main as cli_main
+from graphexpr.expr import post_order
 from graphexpr.graphs import TOL, DistView
 from graphexpr.oracle import GenSpec
 from graphexpr.paths import (
@@ -243,16 +244,16 @@ def test_criterion_6_handler_cross_equality():
             assert len(order) <= 12
             tri, ncd, apsp = _tiny_children(order, mode, seed)
             if mode == UNDIRECTED:
-                assert combine_subst(pg, tri) == combine_subst_td(pe, tri)
+                assert combine_subst(pg, tri) == combine_subst_td(post_order(pe), tri)
                 continue
-            a, b = ncd_subst(pg, ncd, TOL), ncd_subst_td(pe, ncd, TOL)
+            a, b = ncd_subst(pg, ncd, TOL), ncd_subst_td(post_order(pe), ncd, TOL)
             assert is_negative_cycle(a) == is_negative_cycle(b)
             if not is_negative_cycle(a):
                 assert _close(a.msp, b.msp, tol)
                 pa, pb = potential_dict(a.potential), potential_dict(b.potential)
                 for k in pa:
                     assert _close(pa[k], pb[k], tol)
-            fa, fb = apsp_subst(pg, apsp, TOL), apsp_subst_td(pe, apsp, TOL)
+            fa, fb = apsp_subst(pg, apsp, TOL), apsp_subst_td(post_order(pe), apsp, TOL)
             assert is_negative_cycle(fa) == is_negative_cycle(fb)
             if not is_negative_cycle(fa):
                 assert _close(fa.msp, fb.msp, tol)

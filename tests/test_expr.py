@@ -434,16 +434,22 @@ def test_hand_built_expression_matches_the_parsed_one(tc_corpus):
 
 
 def _assert_parse_records_the_post_order(text):
+    e = parse(text)
+    _assert_is_the_post_order(e.__dict__["_order"], e.root)  # set by parse, not by a walk
+
+
+def _assert_is_the_post_order(recorded, root):
+    # and so is each subst-td pattern's, however the patterns nest
     from graphexpr.expr import post_order
 
-    e = parse(text)
-    recorded = e.__dict__["_order"]  # set by parse, not by a walk
-    walked = post_order(e.root)
+    walked = post_order(root)
     assert len(recorded) == len(walked)
     for (node, c, size), (want, want_c, want_size) in zip(recorded, walked):
         assert node is want
         assert (c, size) == (want_c, want_size)
-    assert recorded[-1][0] is e.root and recorded[-1][2] == len(recorded)
+        if isinstance(node, SubstTd):
+            _assert_is_the_post_order(node.__dict__["pattern_order"], node.pattern_expr)
+    assert recorded[-1][0] is root and recorded[-1][2] == len(recorded)
 
 
 def test_parse_records_the_post_order(tc_corpus, paths_corpus):
@@ -691,7 +697,7 @@ def test_td_pattern_edges_are_the_evaluated_pattern_edges(tc_corpus, paths_corpu
             stack.extend(subexpressions(node))
             if not isinstance(node, SubstTd):
                 continue
-            listed = list(td_pattern_edges(node.pattern_expr, e.mode))
+            listed = list(td_pattern_edges(node.pattern_order, e.mode))
             want = evaluate(Expression(e.mode, node.pattern_expr)).edges
             assert len(listed) == len(want)
             assert {canonical_edge(e.mode, a, b) for a, b in listed} == want
@@ -704,7 +710,7 @@ def test_td_pattern_edges_are_the_evaluated_pattern_edges(tc_corpus, paths_corpu
 )
 def test_td_pattern_edges_of_a_neighbor_both_in_and_out(mode, want):
     # one edge each way when directed, one edge when undirected
-    pattern = parse(f"({mode} (inc x ((x a) (a x)) (vertex a)))").root
+    pattern = parse(f"({mode} (inc x ((x a) (a x)) (vertex a)))")._order
     assert sorted(td_pattern_edges(pattern, mode)) == want
 
 

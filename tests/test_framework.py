@@ -22,7 +22,7 @@ from graphexpr import (
     validate,
     validate_or_raise,
 )
-from graphexpr.expr import Inc, SubstTd, Union, canonical_edge
+from graphexpr.expr import Inc, SubstTd, Union, canonical_edge, expression_of
 from graphexpr.triangles import handlers as tri_handlers
 
 from conftest import corpus_instance
@@ -150,14 +150,14 @@ def test_fold_equals_fold_of_normalize(tc_corpus, paths_corpus):
 def logging_handlers(log):
     """``counting_handlers`` that log each call: the handler, its node name
     or pattern, and its children (names and summaries) or the length and
-    root identity of its child order."""
+    root identity of its child or pattern order."""
 
     def subst(pg, children):
         log.append(("on_subst", pg.vertices, pg.edges, tuple(children)))
         return sum(f for _, f in children)
 
-    def subst_td(pe, children):
-        log.append(("on_subst_td", id(pe), tuple(children)))
+    def subst_td(po, children):
+        log.append(("on_subst_td", len(po), id(po[-1][0]), tuple(children)))
         return sum(f for _, f in children)
 
     return HandlerSet(
@@ -181,7 +181,7 @@ def _reference_fold(e, hs):
     ``_PAT_K2`` graph, an inc over nothing ``base_vertex`` below an empty
     leaf, and a root without vertices ``base_empty``."""
     from graphexpr import FoldStats
-    from graphexpr.expr import _PAT_K2, Empty, inc_nesting, post_order, subexpressions
+    from graphexpr.expr import _PAT_K2, Empty, post_order, subexpressions
 
     stats = FoldStats()
     k2 = _PAT_K2[e.mode].to_graph()
@@ -223,9 +223,9 @@ def _reference_fold(e, hs):
         if isinstance(node, SubstTd):
             count("subst_td")
             stats.sum_pattern_order += len(node.bindings)
-            stats.max_subtd_depth = max(stats.max_subtd_depth, inc_nesting(node.pattern_expr))
+            stats.max_subtd_depth = max(stats.max_subtd_depth, _inc_nesting(node.pattern_expr))
             children = [(bn, f) for (bn, _), (f, _) in zip(node.bindings, kids)]
-            return hs.on_subst_td(node.pattern_expr, children), depth
+            return hs.on_subst_td(post_order(node.pattern_expr), children), depth
         parts = [f for f, _ in kids if f is not None]
         if len(parts) < 2:
             return (parts[0] if parts else None), depth
@@ -243,6 +243,15 @@ def _reference_fold(e, hs):
         leaf("empty")
         value = hs.base_empty()
     return value, stats
+
+
+def _inc_nesting(node):
+    """The most inc nodes on a root-to-leaf path of the tree under ``node``,
+    by recursion."""
+    from graphexpr.expr import subexpressions
+
+    depth = max(map(_inc_nesting, subexpressions(node)), default=0)
+    return depth + 1 if isinstance(node, Inc) else depth
 
 
 def _with_deep_stack(fn, *args):
@@ -311,7 +320,7 @@ def test_verify_sees_a_union_whole_and_every_step_of_a_join(tc_corpus):
     # steps; a join is checked at each step, on the children folded so far
     from collections import Counter
 
-    from graphexpr.expr import collect_vertex_names, fold_expression
+    from graphexpr.expr import collect_vertex_names, post_order
 
     def seen(e):
         calls = Counter()
@@ -326,8 +335,7 @@ def test_verify_sees_a_union_whole_and_every_step_of_a_join(tc_corpus):
     for e in cases + [e for e, *_ in tc_corpus[:200]]:
         got, chained = seen(e), seen(normalize(e))
         assert not got - chained
-        nodes = []
-        fold_expression(e.root, lambda node, _vals, _where: nodes.append(node))
+        nodes = [node for node, _, _ in post_order(e.root)]
         steps = 0
         for u in nodes:
             r = sum(bool(collect_vertex_names(c)) for c in u.children) if type(u) is Union else 0
@@ -395,7 +403,7 @@ def graph_rebuild_handlers(mode):
         base_vertex=lambda name: ({name}, set()),
         on_inc=inc,
         on_subst=subst,
-        on_subst_td=lambda pe, children: subst(evaluate(Expression(mode, pe)), children),
+        on_subst_td=lambda po, children: subst(evaluate(expression_of(mode, po)), children),
         on_union=lambda parts: (
             set().union(*(v for v, _ in parts)),
             set().union(*(e for _, e in parts)),
@@ -695,11 +703,10 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
         is_negative_cycle,
         ncd_outcome,
     )
-    from graphexpr.expr import Inc, SubstTd, collect_vertex_names, fold_expression
+    from graphexpr.expr import Inc, SubstTd, collect_vertex_names, post_order
 
     def inc_children(root):
-        nodes = []
-        fold_expression(root, lambda node, _vals, _where: nodes.append(node))
+        nodes = [node for node, _, _ in post_order(root)]
         incs = [n.child for n in nodes if isinstance(n, Inc)]
         return incs, [n.pattern_expr for n in nodes if isinstance(n, SubstTd)]
 
@@ -845,15 +852,14 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     # core resolves that child's vertices and edges with one evaluation and
     # never evaluates the whole graph
     from graphexpr import DIRECTED, apsp_outcome, is_negative_cycle, ncd_outcome
-    from graphexpr.expr import Inc, fold_expression, post_order
+    from graphexpr.expr import Inc, post_order
     from graphexpr.paths import ncd_handlers, solve_tolerance
 
     e = parse(
         "(directed (join (vertex z) (inc y ((y x)) (inc x ((x a) (b x)) "
         "(union (vertex a) (vertex b))))))"
     )
-    nodes = []
-    fold_expression(e.root, lambda node, _vals, _where: nodes.append(node))
+    nodes = [node for node, _, _ in post_order(e.root)]
     incs = [n for n in nodes if isinstance(n, Inc)]
     assert [n.name for n in incs] == ["x", "y"]
     w = {v: 1.0 for v in "abxyz"}
@@ -884,12 +890,11 @@ def test_fold_evaluates_the_whole_graph_only_for_inc_views(evaluations):
     # without verify the fold evaluates nothing, not even the whole graph;
     # with verify it evaluates each node's own subexpression once, in post
     # order, so the whole graph is evaluated once, for the root alone
-    from graphexpr.expr import fold_expression
+    from graphexpr.expr import post_order
 
     for seed in range(10):
         ne = normalize(corpus_instance(seed, UNDIRECTED, 25))
-        nodes = []
-        fold_expression(ne.root, lambda node, _vals, _where: nodes.append(node))
+        nodes = [node for node, _, _ in post_order(ne.root)]
         evaluations.clear()
         plain, _ = fold(ne, counting_handlers())
         assert evaluations == [], seed
@@ -931,3 +936,63 @@ def test_fold_builds_each_pattern_graph_once(monkeypatch):
             assert value.msp == 1.0
         assert stats.counts["subst"] == r - 1
         assert len(calls) <= 2, mode
+
+
+def _deep_td_text(mode, d):
+    """A subst-td whose pattern is the inc chain p_{d-1} over ... over p0,
+    d deep, with each p_i bound to (vertex v_i)."""
+    pattern = "(vertex p0)"
+    for i in range(1, d):
+        pattern = f"(inc p{i} ((p{i} p{i - 1})) {pattern})"
+    bindings = " ".join(f"(p{i} (vertex v{i}))" for i in range(d))
+    return f"({mode} (subst-td {pattern} ({bindings})))"
+
+
+def test_solves_walk_each_pattern_from_its_recorded_order(monkeypatch, tc_corpus, paths_corpus):
+    # parse records each subst-td pattern's order, so the front end, TC's
+    # pattern edges and the NCD and APSP pattern replays build no order and
+    # make no fold_order call of their own
+    import graphexpr
+    from graphexpr import apsp_outcome, cli, expr, ncd_outcome, oracle, paths, triangles
+    from graphexpr.cli import format_expression
+
+    calls = []
+    for module in (graphexpr, cli, expr, graphexpr.framework, oracle, paths, triangles):
+        for name in ("post_order", "fold_order"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                spy = lambda *args, real=real, name=name: calls.append(name) or real(*args)
+                monkeypatch.setattr(module, name, spy)
+    tc_texts = [format_expression(e) for e, _, p in tc_corpus if p.l >= 1][:150]
+    paths_cases = [(format_expression(e), w) for e, _, w, p in paths_corpus if p.l >= 1][:150]
+    tc_texts.append(_deep_td_text("undirected", 3000))
+    # the directed replays cost quadratic time in the inc depth of a chain
+    deep = _deep_td_text("directed", 200)
+    paths_cases.append((deep, {f"v{i}": 1.0 + i % 3 for i in range(200)}))
+    assert len(tc_texts) == len(paths_cases) == 151
+    for text in tc_texts:
+        assert params(parse(text)).l >= 1
+        value, stats = graphexpr.triangle_summary(parse(text))
+    for text, w in paths_cases:
+        assert params(parse(text)).l >= 1
+        ncd_outcome(parse(text), w)
+        apsp_outcome(parse(text), w)
+    assert calls == []
+    # the last TC case is the 3000-deep pattern, a path
+    assert (value.n, value.m, value.t, stats.max_subtd_depth) == (3000, 2999, 0, 2999)
+
+
+def test_fold_counts_the_pattern_nesting_of_params(tc_corpus, paths_corpus):
+    # the fold's max_subtd_depth is the l of params, read from the nesting
+    # that the front end records for each subst-td node
+    from graphexpr import gen_fixture
+
+    cases = [e for e, *_ in tc_corpus + paths_corpus]
+    cases += [gen_fixture("substar", 5), gen_fixture("lemma7.2", 4, clique=1)]
+    seen = set()
+    for e in cases:
+        _, stats = fold(e, counting_handlers())
+        assert stats.max_subtd_depth == params(e).l
+        seen.add(params(e).l)
+    assert {0, 2, 3} <= seen
+    assert params(cases[-1]).l == 3

@@ -154,11 +154,9 @@ def test_gen_random_achieves_exact_parameters():
 
 def _nodes(root):
     """Every main-tree node of an expression."""
-    from graphexpr.expr import fold_expression
+    from graphexpr.expr import post_order
 
-    nodes = []
-    fold_expression(root, lambda node, _vals, _where: nodes.append(node))
-    return nodes
+    return [node for node, _, _ in post_order(root)]
 
 
 def test_gen_random_cograph_shape():

@@ -33,7 +33,7 @@ from graphexpr import (
     oracle_ncd,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Join, Union, Vertex, collect_vertex_names
+from graphexpr.expr import Empty, Inc, Join, Union, Vertex, collect_vertex_names, post_order
 from graphexpr.graphs import TOL, DistView, floyd_vertex_weighted
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
@@ -322,7 +322,7 @@ def test_subst_td_directed_path_pattern():
     names = pg.vertices
     assert names == ("p1", "p2", "p3")
     children = _summaries_for(names, (1.0, 2.0, 3.0), "apsp")
-    out = apsp_subst_td(top, children, TOL)
+    out = apsp_subst_td(post_order(top), children, TOL)
     assert close(_pattern_dist(out)[("p1", "p3")], 6.0)
     ref = apsp_subst(pg, children, TOL)
     _assert_module_summaries_equal(out, ref)
@@ -334,7 +334,7 @@ def test_subst_td_negative_cycle_in_pattern():
     leaf = Inc("p1", frozenset(), frozenset(), Empty())
     top = Inc("p2", frozenset({"p1"}), frozenset({"p1"}), leaf)  # 2-cycle
     children = _summaries_for(("p1", "p2"), (-3.0, 2.0), "ncd")
-    assert is_negative_cycle(ncd_subst_td(top, children, TOL))
+    assert is_negative_cycle(ncd_subst_td(post_order(top), children, TOL))
 
 
 def _pattern_dist(s):
@@ -371,7 +371,7 @@ def test_handler_cross_equality_on_generated_patterns():
 
         ncd_children = _summaries_for(names, weights, "ncd")
         a = ncd_subst(pg, ncd_children, TOL)
-        b = ncd_subst_td(pe, ncd_children, TOL)
+        b = ncd_subst_td(post_order(pe), ncd_children, TOL)
         assert is_negative_cycle(a) == is_negative_cycle(b)
         if not is_negative_cycle(a):
             assert close(a.msp, b.msp)
@@ -381,7 +381,7 @@ def test_handler_cross_equality_on_generated_patterns():
 
         apsp_children = _summaries_for(names, weights, "apsp")
         fa = apsp_subst(pg, apsp_children, TOL)
-        fb = apsp_subst_td(pe, apsp_children, TOL)
+        fb = apsp_subst_td(post_order(pe), apsp_children, TOL)
         assert is_negative_cycle(fa) == is_negative_cycle(fb)
         if not is_negative_cycle(fa):
             _assert_module_summaries_equal(fa, fb)
@@ -414,7 +414,7 @@ def test_substitution_handlers_leave_their_children_alone():
     before = _child_state(ncd)
     for handler in (
         lambda: ncd_subst(pg, ncd, TOL),
-        lambda: ncd_subst_td(top, ncd, TOL),
+        lambda: ncd_subst_td(post_order(top), ncd, TOL),
     ):
         a, b = handler(), handler()
         assert a.msp == b.msp
@@ -429,7 +429,7 @@ def test_substitution_handlers_leave_their_children_alone():
     before = _child_state(apsp)
     for handler in (
         lambda: apsp_subst(pg, apsp, TOL),
-        lambda: apsp_subst_td(top, apsp, TOL),
+        lambda: apsp_subst_td(post_order(top), apsp, TOL),
     ):
         a, b = handler(), handler()
         _assert_module_summaries_equal(a, b, tol=0.0)
@@ -530,7 +530,7 @@ def test_ncd_subst_td_edgeless_pattern():
         )
     )
     children = [("p1", _ncd_single("a", 4.0)), ("p2", _ncd_single("b", -1.5))]
-    out = ncd_subst_td(pe, children, TOL)
+    out = ncd_subst_td(post_order(pe), children, TOL)
     assert close(out.msp, -1.5)
 
 

@@ -22,7 +22,7 @@ from graphexpr import (
     params,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Join, Union, Vertex, fold_expression, post_order
+from graphexpr.expr import Empty, Inc, Join, Union, Vertex, post_order
 from graphexpr.oracle import GenSpec
 from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td, edges_within
 
@@ -94,10 +94,7 @@ def test_edges_within_matches_induced_subgraph(seed, mask):
     children = []
     for root in (e.root, normalize(e).root):
         children.append(root)
-        fold_expression(
-            root,
-            lambda node, _vals, _where: isinstance(node, Inc) and children.append(node.child),
-        )
+        children += [node.child for node, _, _ in post_order(root) if isinstance(node, Inc)]
     for child in children:
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
@@ -137,9 +134,7 @@ def test_edges_within_counts_induced_edges_on_raw_trees(rng, mask):
     # joins, and empty children, at the root and at every inc child
     root = _random_cograph_expr(rng)
     children = [root]
-    fold_expression(
-        root, lambda node, _vals, _where: isinstance(node, Inc) and children.append(node.child)
-    )
+    children += [node.child for node, _, _ in post_order(root) if isinstance(node, Inc)]
     for child in children:
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
@@ -213,7 +208,7 @@ def test_subst_edgeless_pattern_matches_the_general_formula():
         got = combine_subst(Graph(UNDIRECTED, names, ()), children)
         assert got == _assemble(children, (), 0), trial
         pattern_expr = Union(tuple(Vertex(nm) for nm in names))
-        assert got == combine_subst_td(pattern_expr, children), trial
+        assert got == combine_subst_td(post_order(pattern_expr), children), trial
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ def test_subst_td_matches_subst_on_triangle():
         ("r", TriFold(1, 0, 0)),
     ]
     pe = k3_td_pattern()
-    assert combine_subst_td(pe, children) == TriFold(4, 5, 2)
+    assert combine_subst_td(post_order(pe), children) == TriFold(4, 5, 2)
 
 
 def test_subst_td_edgeless_pattern():
@@ -245,14 +240,14 @@ def test_subst_td_edgeless_pattern():
         )
     )
     children = [("p", TriFold(2, 1, 1)), ("q", TriFold(3, 0, 0))]
-    assert combine_subst_td(pe, children).t == 1
+    assert combine_subst_td(post_order(pe), children).t == 1
 
 
 def test_subst_td_tree_pattern_with_singletons_is_triangle_free():
     pe = gen_fixture("substar", 4).root
     pg = evaluate(Expression(UNDIRECTED, pe))
     children = [(nm, TriFold(1, 0, 0)) for nm in pg.vertices]
-    assert combine_subst_td(pe, children).t == 0
+    assert combine_subst_td(post_order(pe), children).t == 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,7 @@ def test_subst_td_equals_subst_on_generated_patterns():
             (nm, TriFold(n, min(m, n * (n - 1) // 2), 0))
             for nm, (n, m, _) in zip(names, rng_vals)
         ]
-        assert combine_subst(pg, children) == combine_subst_td(pe, children), seed
+        assert combine_subst(pg, children) == combine_subst_td(post_order(pe), children), seed
 
 
 def test_count_large_tree_depth_pattern():
