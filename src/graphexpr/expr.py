@@ -22,11 +22,10 @@ the parser records as it closes nodes (``Expression._order``); a subtree is
 a slice of it.  Each subst-td pattern has its own (``SubstTd.pattern_order``),
 which the parser records too.  Every walk is a flat loop over an order:
 the front end (``_scan``), ``framework.fold`` and the pattern replay,
-``triangles.edges_within`` and the evaluator, as a Python call per node
-costs more than most nodes' work; only ``normalize`` folds through
-``fold_order``, with a call per node.  The evaluator builds adjacency
-lists: union and join are substitutions into an edgeless resp. complete
-pattern.
+``triangles.edges_within``, the evaluator and ``normalize``, as a Python
+call per node costs more than most nodes' work.  The evaluator builds
+adjacency lists: union and join are substitutions into an edgeless resp.
+complete pattern.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
@@ -226,21 +225,6 @@ def post_order(root) -> list:
         sizes[-1] = size
         order.append((node, c, size))
     return order
-
-
-def fold_order(order, combine):
-    """Fold an order (``post_order``) bottom-up in one flat loop:
-    ``combine(node, child_values)`` returns the value of ``node``, and the
-    root's is returned."""
-    vals = []
-    for node, c, _ in order:
-        if c:
-            kids = vals[-c:]
-            del vals[-c:]
-            vals.append(combine(node, kids))
-        else:
-            vals.append(combine(node, ()))
-    return vals[0]
 
 
 def locator(order, label=lambda: "root"):
@@ -865,32 +849,35 @@ def normalize(e: Expression) -> Expression:
     """Rewrite union/join nodes into chains of binary substitutions
     (pattern: two isolated resp. two adjacent vertices), dropping empty
     children on the way.  The evaluated graph is unchanged: same vertex
-    names, same edges.  Subst-td pattern expressions are left alone.  An
-    inc, subst or subst-td node none of whose children changed is returned
-    itself, so subtrees without union or join are shared with ``e``."""
-
-    def combine(node, vals):
+    names, same edges.  Subst-td patterns are left alone, and a rebuilt
+    subst-td node keeps its pattern's order.  An inc, subst or subst-td
+    node none of whose children changed is returned itself, so subtrees
+    without union or join are shared with ``e``.  One loop over the order
+    keeps a stack of the rewritten subtrees."""
+    vals = []
+    for node, c, _ in e._order:
         t = type(node)
-        if t is Subst or t is SubstTd:
-            if all(v is sub for v, (_, sub) in zip(vals, node.bindings)):
-                return node
-            bindings = tuple((bn, v) for (bn, _), v in zip(node.bindings, vals))
-            return t(node.pattern if t is Subst else node.pattern_expr, bindings)
+        top = len(vals) - c
+        kids = vals[top:]
+        del vals[top:]
         if t is Inc:
-            if vals[0] is node.child:
-                return node
-            return Inc(node.name, node.in_names, node.out_names, vals[0])
-        if t is not Union and t is not Join:
-            return node
-        survivors = [v for v in vals if type(v) is not Empty]
-        if not survivors:
-            return Empty()
-        if len(survivors) == 1:
-            return survivors[0]
-        pat = (_PAT_K2 if t is Join else _PAT_I2)[e.mode]
-        acc = survivors[0]
-        for child in survivors[1:]:
-            acc = Subst(pat, (("a", acc), ("b", child)))
-        return acc
-
-    return Expression(e.mode, fold_order(e._order, combine))
+            if kids[0] is not node.child:
+                node = Inc(node.name, node.in_names, node.out_names, kids[0])
+        elif t is Subst or t is SubstTd:
+            if any(v is not sub for v, (_, sub) in zip(kids, node.bindings)):
+                bindings = tuple((bn, v) for (bn, _), v in zip(node.bindings, kids))
+                if t is Subst:
+                    node = Subst(node.pattern, bindings)
+                else:
+                    node = subst_td_of(node.pattern_order, bindings)
+        elif t is Union or t is Join:
+            survivors = [v for v in kids if type(v) is not Empty]
+            if not survivors:
+                node = Empty()
+            else:
+                pat = (_PAT_K2 if t is Join else _PAT_I2)[e.mode]
+                node = survivors[0]
+                for child in survivors[1:]:
+                    node = Subst(pat, (("a", node), ("b", child)))
+        vals.append(node)
+    return Expression(e.mode, vals[0])

@@ -3,15 +3,16 @@
 A problem is solved on an expression by supplying one handler per operation;
 the fold threads per-subtree summary values upward as the expression is
 structured, a union in one call, a join as a chain of binary substitutions.
-The fold is its own loop over the expression's post-order
+The fold is one loop over the expression's post-order
 (``Expression._order``, which the parser records) with a stack of child
-summaries, not an ``expr.fold_order`` combine: a Python call per node costs
-more than most nodes' work.  Handlers see only summaries and the node
-payload.  An inc handler gets the order of its child subexpression, the
-slice of the expression's order just before the inc, and reads from it what
-it needs of the child graph: triangle counting counts the closed edges from
-it in a loop of its own, the shortest-path handlers evaluate it.
-A substitution handler gets its pattern: an explicit pattern as a graph,
+summaries, as a Python call per node costs more than most nodes' work.
+Handlers see only summaries and the node payload.  An inc handler gets the
+order of its child subexpression, the slice of the expression's order just
+before the inc, and reads from it what it needs of the child graph:
+triangle counting counts the closed edges from it in a loop of its own, the
+shortest-path handlers evaluate it.  A substitution into a pattern without
+edges is a disjoint union, and goes to the union handler.  Any other
+substitution handler gets its pattern: an explicit pattern as a graph,
 built once per fold however many nodes share it, a tree-depth pattern as
 its order (``SubstTd.pattern_order``), which the NCD and APSP handlers
 replay with ``fold_td_expression``, a loop like the fold's.  The fold
@@ -55,19 +56,21 @@ class HandlerSet:
     on_inc receives the child's summary and the child subexpression's
     order, ``order[i - size : i]`` for the inc at index i of the folded
     order, where size is the child's subtree size (``expr.post_order``).
-    on_subst receives the pattern graph and the children as ``(pattern
-    vertex name, summary)`` pairs in pattern vertex order, also per step of
-    a join; on_subst_td receives the order of the pattern's tree-depth
-    expression (``SubstTd.pattern_order``) and the children in binding
-    order; on_union the summaries of a union's two or more parts with
-    vertices, in order.  The leaf, inc and union handlers also fold
-    tree-depth patterns (``fold_td_expression``).
+    on_subst receives the pattern graph, which has edges, and the children
+    as ``(pattern vertex name, summary)`` pairs in pattern vertex order,
+    also per step of a join; on_subst_td receives the order of the
+    pattern's tree-depth expression (``SubstTd.pattern_order``) and the
+    children in binding order; on_union the summaries of the two or more
+    parts with vertices of a union, in order, or of the children of a
+    substitution into a pattern without edges, in pattern vertex order.
+    The leaf, inc and union handlers also fold tree-depth patterns
+    (``fold_td_expression``).
     """
 
     base_empty: Callable
     base_vertex: Callable
     on_inc: Callable      # (child F, name, in_names, out_names, child order) -> F
-    on_subst: Callable    # (pattern Graph, [(name, F), ...]) -> F
+    on_subst: Callable    # (pattern Graph with edges, [(name, F), ...]) -> F
     on_subst_td: Callable  # (pattern order, [(name, F), ...]) -> F
     on_union: Callable    # ([F, F, ...]) -> F
 
@@ -89,9 +92,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     folding ``normalize(e)``: a union or join drops its children without
     vertices, a union passes the rest to one ``on_union`` call counted as
     the substitutions it stands for, and a join chains them through
-    ``on_subst``; a subtree without vertices is one empty leaf where an inc
-    (which is then ``base_vertex``) or the root keeps it.  Returns
-    ``(summary, FoldStats)``.
+    ``on_subst``; a substitution into a pattern without edges is one
+    ``on_union`` call, counted as that substitution; a subtree without
+    vertices is one empty leaf where an inc (which is then ``base_vertex``)
+    or the root keeps it.  Returns ``(summary, FoldStats)``.
 
     ``verify``, when given, is called as ``verify(path, node, summary,
     subgraph)`` after every handler with the evaluated subgraph of that node
@@ -159,7 +163,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                     sum_pattern_order += len(names)
                     max_subst_order = max(max_subst_order, len(names))
                     by_name = {bn: v for (bn, _), v in zip(node.bindings, kids)}
-                    value = on_subst(graph_of(node.pattern), [(p, by_name[p]) for p in names])
+                    if node.pattern.edges:
+                        value = on_subst(graph_of(node.pattern), [(p, by_name[p]) for p in names])
+                    else:  # a disjoint union
+                        value = on_union([by_name[p] for p in names])
                 elif t is Union or t is Join:
                     parts = [v for v in kids if v is not _NO_VERTICES]
                     value = parts[0] if parts else _NO_VERTICES

@@ -15,23 +15,23 @@ Every handler keeps two things alive while folding the expression:
 Substitution reduces to the pattern graph reweighted with the children's
 msp values: that small graph has a negative cycle iff the substituted graph
 does, and its distance matrix provides both the new msp and the pieces of
-the distance composition.  A pattern without edges is a disjoint union: its
-distances are the diagonal of child msps, every shift is zero and no Floyd
-runs; so is a union node, in one call on all its parts (``_ncd_union``,
-``_apsp_union``).  For the all-pairs problem, substitution
-nodes keep distances at pattern granularity (ModuleSummary) and are
-expanded to full pairwise distances (FullSummary) only when a
-vertex-addition node or the root needs them; the expansion walks the
-substitution spine top-down with the classic "cheapest detour that leaves
-this module" values.  All
-distances are dense rows (a DistView reads them by ``(u, v)``): pattern
-distances in pattern order, full distances in the vertex order of
-``min_out`` (children in pattern order, an added vertex last), so each
-spine node's vertices form one contiguous block.  The rows start as inf,
-and the expansion writes only the row segments between two modules whose
-connector (the cheaper of the pattern route and the detour) is finite; an
-inc recomputes only the rows of vertices that reach the added one.  So
-beyond the n^2 prefill, the work follows the pairs that can be finite.
+the distance composition.  A disjoint union (a union node, or a
+substitution into a pattern without edges, which the fold hands to the
+union handler) needs no Floyd: every shift is zero, and the msp is the
+least of the parts' (``_ncd_union``, ``_apsp_union``).  For the all-pairs
+problem, substitution nodes keep distances at pattern granularity
+(ModuleSummary) and are expanded to full pairwise distances (FullSummary)
+only when a vertex-addition node or the root needs them; the expansion
+walks the substitution spine top-down with the classic "cheapest detour
+that leaves this module" values.  All distances are dense rows (a
+DistView reads them by ``(u, v)``): pattern distances in pattern order,
+full distances in the vertex order of ``min_out`` (children in pattern
+order, an added vertex last), so each spine node's vertices form one
+contiguous block.  The rows start as inf, and the expansion writes only
+the row segments between two modules whose connector (the cheaper of the
+pattern route and the detour) is finite; an inc recomputes only the rows of
+vertices that reach the added one.  So beyond the n^2 prefill, the work
+follows the pairs that can be finite.
 
 Substitution summaries keep their per-vertex maps -- the potential, and
 for APSP the exits and entries ``min_out``/``min_in`` -- as *shifted
@@ -301,11 +301,7 @@ def _ncd_union(vals):
 
 def ncd_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps; the pattern
-    potential shifts each child's potential, in O(pattern order).  A
-    pattern without edges is a disjoint union (``_ncd_union``), and no
-    Floyd runs."""
-    if not pattern_graph.edges:
-        return _ncd_union([s for _, s in children])
+    potential shifts each child's potential, in O(pattern order)."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
@@ -486,18 +482,10 @@ def _apsp_union(parts):
 
 def apsp_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps, then the module
-    summary.  A pattern without edges is a disjoint union: its distances
-    are the diagonal of child msps, all shifts are zero, and no Floyd
-    runs."""
+    summary."""
     for _, s in children:
         if is_negative_cycle(s):
             return s
-    if not pattern_graph.edges:
-        rows = [[INF] * len(children) for _ in children]
-        for i, (_, s) in enumerate(children):
-            rows[i][i] = s.msp
-        zeros = [0.0] * len(children)
-        return _assemble_module(children, rows, (zeros, zeros))
     D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
     if is_negative_cycle(D):
         return D

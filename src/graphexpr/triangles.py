@@ -106,10 +106,7 @@ def combine_union(parts) -> TriFold:
 
 
 def combine_subst(h, children) -> TriFold:
-    """Summary of substituting ``children`` into the pattern graph ``h``.
-    A pattern without edges is a disjoint union (``combine_union``)."""
-    if not h.edges:
-        return combine_union([f for _, f in children])
+    """Summary of substituting ``children`` into the pattern graph ``h``."""
     sizes = {name: f.n for name, f in children}
     index = {name: i for i, name in enumerate(h.vertices)}
     tri_total = 0

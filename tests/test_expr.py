@@ -851,6 +851,37 @@ def test_normalize_shares_unchanged_subtrees(tc_corpus, paths_corpus):
     assert normalize(e).root.bindings[0][1] is e.root.children[0]
 
 
+def test_normalize_keeps_the_recorded_pattern_orders(monkeypatch, tc_corpus, paths_corpus):
+    # a rebuilt subst-td node keeps the order that parse recorded for its
+    # pattern, so solving a normalized tree builds its main order and no
+    # pattern's
+    from graphexpr import apsp_outcome, expr, triangle_summary
+
+    tc_texts = [format_expression(e) for e, _, p in tc_corpus if p.l >= 1][:100]
+    paths_cases = [(format_expression(e), w) for e, _, w, p in paths_corpus if p.l >= 1][:100]
+    calls, roots, rebuilt = [], [], 0
+    real = expr.post_order
+    monkeypatch.setattr(expr, "post_order", lambda root: calls.append(id(root)) or real(root))
+
+    def normalized(text):
+        nonlocal rebuilt
+        e = parse(text)
+        ne = normalize(e)
+        roots.append(id(ne.root))
+        parsed = {id(node) for node, _, _ in e._order}
+        rebuilt += sum(type(n) is SubstTd and id(n) not in parsed for n, _, _ in ne._order)
+        return ne
+
+    for text in tc_texts:
+        triangle_summary(normalized(text))
+    for text, w in paths_cases:
+        ne = normalized(text)
+        ncd_outcome(ne, w)
+        apsp_outcome(ne, w)
+    assert calls == roots and len(roots) == 200
+    assert rebuilt > 50
+
+
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_print_parse_round_trip(mode):
     for seed in range(120):

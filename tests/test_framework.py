@@ -147,6 +147,66 @@ def test_fold_equals_fold_of_normalize(tc_corpus, paths_corpus):
     assert stats.counts == {"empty": 1} and stats.leaf_count == 1
 
 
+def test_a_union_and_its_parts_as_one_edgeless_subst_agree(monkeypatch, tc_corpus, paths_corpus):
+    # a substitution into a pattern without edges is a disjoint union, which
+    # the fold hands to on_union: every solve gives the union's values and
+    # makes no Floyd call for it, and FoldStats count one substitution of
+    # order r where the union counts r - 1 of order 2
+    from dataclasses import replace
+
+    from graphexpr import apsp_outcome, gen_weights, ncd_outcome, paths, triangle_summary
+    from graphexpr.expr import Pattern, collect_vertex_names
+
+    floyd_calls = []
+    real = paths.floyd_vertex_weighted
+    monkeypatch.setattr(
+        paths, "floyd_vertex_weighted", lambda *a: floyd_calls.append(a) or real(*a)
+    )
+
+    def as_subst(e):
+        names = tuple(f"p{i}" for i in range(len(e.root.children)))
+        pattern = Pattern(e.mode, names, frozenset())
+        return Expression(e.mode, Subst(pattern, tuple(zip(names, e.root.children))))
+
+    def agree(e, solve, *args):
+        floyd_calls.clear()
+        u_value, u_stats = solve(e, *args)
+        u_floyd = len(floyd_calls)
+        s_value, s_stats = solve(as_subst(e), *args)
+        assert len(floyd_calls) == 2 * u_floyd
+        assert _comparable(s_value) == _comparable(u_value)
+        fewer = len(e.root.children) - 2
+        assert s_stats == replace(
+            u_stats,
+            counts={**u_stats.counts, "subst": u_stats.counts["subst"] - fewer},
+            sum_pattern_order=u_stats.sum_pattern_order - fewer,
+            max_subst_order=max(u_stats.max_subst_order, fewer + 2),
+        )
+        return u_floyd
+
+    def unions(corpus):
+        roots = [x for x in corpus if type(x[0].root) is Union]
+        return [x for x in roots if all(map(collect_vertex_names, x[0].root.children))][:150]
+
+    for e, *_ in unions(tc_corpus):
+        agree(e, triangle_summary)
+    floyd = 0
+    for e, g, w, _ in unions(paths_corpus):
+        for weights in (w, gen_weights(g.vertices, 0.0, 5.0, len(g.vertices))):
+            floyd += agree(e, ncd_outcome, weights)
+            floyd += agree(e, apsp_outcome, weights)
+    assert floyd > 0
+    r = 300
+    e = parse(
+        "(directed (union "
+        + " ".join(f"(inc b{i} ((a{i} b{i}) (b{i} a{i})) (vertex a{i}))" for i in range(r))
+        + "))"
+    )
+    w = {f"{s}{i}": 1.0 + (s == "b") for i in range(r) for s in "ab"}
+    for solve in (ncd_outcome, apsp_outcome):
+        assert agree(e, solve, w) == 0
+
+
 def logging_handlers(log):
     """``counting_handlers`` that log each call: the handler, its node name
     or pattern, and its children (names and summaries) or the length and
@@ -178,8 +238,10 @@ def _reference_fold(e, hs):
     recursion over the node fields: parts without vertices are dropped, a
     union is one ``on_union`` call counted as r - 1 substitutions into two
     isolated vertices, a join a left chain of ``on_subst`` steps over the
-    ``_PAT_K2`` graph, an inc over nothing ``base_vertex`` below an empty
-    leaf, and a root without vertices ``base_empty``."""
+    ``_PAT_K2`` graph, a substitution into a pattern without edges one
+    ``on_union`` call counted as that substitution, an inc over nothing
+    ``base_vertex`` below an empty leaf, and a root without vertices
+    ``base_empty``."""
     from graphexpr import FoldStats
     from graphexpr.expr import _PAT_K2, Empty, post_order, subexpressions
 
@@ -218,6 +280,8 @@ def _reference_fold(e, hs):
         if isinstance(node, Subst):
             by_name = {bn: f for (bn, _), (f, _) in zip(node.bindings, kids)}
             substituted(len(node.pattern.names))
+            if not node.pattern.edges:  # a disjoint union
+                return hs.on_union([by_name[p] for p in node.pattern.names]), depth
             children = [(p, by_name[p]) for p in node.pattern.names]
             return hs.on_subst(node.pattern.to_graph(), children), depth
         if isinstance(node, SubstTd):

@@ -33,7 +33,17 @@ from graphexpr import (
     oracle_ncd,
     parse,
 )
-from graphexpr.expr import Empty, Inc, Join, Union, Vertex, collect_vertex_names, post_order
+from graphexpr.expr import (
+    Empty,
+    Inc,
+    Join,
+    Pattern,
+    Subst,
+    Union,
+    Vertex,
+    collect_vertex_names,
+    post_order,
+)
 from graphexpr.graphs import TOL, DistView, floyd_vertex_weighted
 from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
 from graphexpr.paths import (
@@ -705,12 +715,24 @@ def test_expanding_a_wide_union_skips_its_unreachable_blocks():
     assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
-@pytest.mark.parametrize("kind, r", [(Union, 4000), (Join, 1000)], ids=["union", "join"])
+def _edgeless_subst(parts):
+    """The disjoint union of ``parts`` as one substitution into a pattern
+    without edges, with pattern vertex p_i bound to the i-th part."""
+    names = tuple(f"p{i}" for i in range(len(parts)))
+    return Subst(Pattern(DIRECTED, names, frozenset()), tuple(zip(names, parts)))
+
+
+@pytest.mark.parametrize(
+    "kind, r",
+    [(Union, 4000), (Join, 1000), (_edgeless_subst, 4000)],
+    ids=["union", "join", "edgeless-subst"],
+)
 def test_apsp_fold_memory_is_linear_in_a_wide_union_or_join(kind, r):
     # module summaries hold their exits and entries as shifted unions over
     # their children's, about 2 kB per vertex on a 2-core x86-64 VM; a
     # dict copy of every entry below each level of the chain peaked at
-    # 211 kB (union) and 54 kB (join) per vertex
+    # 211 kB (union) and 54 kB (join) per vertex, and one module with the
+    # r x r diagonal of an edgeless pattern's distances at 33.6 kB
     e = Expression(DIRECTED, kind(tuple(Vertex(f"v{i}") for i in range(r))))
     w = {f"v{i}": float(i % 5) for i in range(r)}
     handlers = apsp_handlers(w, solve_tolerance(w))
