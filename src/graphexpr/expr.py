@@ -17,6 +17,10 @@ on root-to-leaf paths, h = largest explicit substitution pattern, l = largest
 inc nesting depth among subst-td pattern expressions.  It comes from the walk
 that validates, which each ``Expression`` runs once and caches.
 
+AST nodes are frozen, slotted dataclasses built positionally, each with an
+``__init__`` that sets its fields directly; ``SubstTd`` and ``Expression``
+keep an instance dict, as their recorded orders are written into it.
+
 Each expression has one post-order of its tree (``post_order``), which
 the parser records as it closes nodes (``Expression._order``); a subtree is
 a slice of it.  Each subst-td pattern has its own (``SubstTd.pattern_order``),
@@ -61,30 +65,50 @@ class ValidationError(InputError):
 # AST
 
 
-@dataclass(frozen=True)
+# Frozen, slotted nodes built positionally: each sets its fields with
+# ``_set``, which costs less than the generated ``__init__``
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class Empty:
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, pos=None):
+        _set(self, "pos", pos)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Vertex:
     name: str
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, name, pos=None):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Union:
     children: tuple
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, children, pos=None):
+        _set(self, "children", children)
+        _set(self, "pos", pos)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Join:
     children: tuple
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, children, pos=None):
+        _set(self, "children", children)
+        _set(self, "pos", pos)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Inc:
     """Add vertex ``name``; ``in_names``/``out_names`` are the child vertices
     with an edge into resp. out of the new vertex.  In undirected mode an
@@ -98,12 +122,19 @@ class Inc:
     child: object
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, name, in_names, out_names, child, pos=None):
+        _set(self, "name", name)
+        _set(self, "in_names", in_names)
+        _set(self, "out_names", out_names)
+        _set(self, "child", child)
+        _set(self, "pos", pos)
+
     @property
     def neighbor_names(self):
         return self.in_names | self.out_names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """Explicit substitution pattern: a small graph plus a vertex order."""
 
@@ -112,19 +143,30 @@ class Pattern:
     edges: frozenset
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, kind, names, edges, pos=None):
+        _set(self, "kind", kind)
+        _set(self, "names", names)
+        _set(self, "edges", edges)
+        _set(self, "pos", pos)
+
     def to_graph(self) -> Graph:
         return Graph(self.kind, self.names, self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subst:
     pattern: Pattern
     bindings: tuple  # ((pattern vertex name, sub-expression), ...)
     pos: tuple = field(default=None, compare=False, repr=False)
 
+    def __init__(self, pattern, bindings, pos=None):
+        _set(self, "pattern", pattern)
+        _set(self, "bindings", bindings)
+        _set(self, "pos", pos)
+
 
 @dataclass(frozen=True)
-class SubstTd:
+class SubstTd:  # not slotted: ``pattern_order`` is kept in its instance dict
     pattern_expr: object  # tree-depth expression over the pattern vertices
     bindings: tuple
     pos: tuple = field(default=None, compare=False, repr=False)
@@ -160,7 +202,7 @@ def expression_of(mode, order) -> Expression:
 
 def subst_td_of(pattern_order, bindings, pos=None) -> SubstTd:
     """The SubstTd of the pattern of ``pattern_order``, which it keeps."""
-    node = SubstTd(pattern_order[-1][0], bindings, pos=pos)
+    node = SubstTd(pattern_order[-1][0], bindings, pos)
     node.__dict__["pattern_order"] = pattern_order
     return node
 
@@ -298,6 +340,7 @@ _BAD_CHAR_RE = re.compile(rf"[^\s(){_NAME_CHARS}]")
 # tokens' end columns; only error messages need those
 _TOKEN_RE = re.compile(rf"\s*(?:[()]|[{_NAME_CHARS}]+)")
 _PARENS = frozenset("()")
+_NO_NAMES = frozenset()  # every inc's empty name sets
 
 
 class _Tokens(NamedTuple):
@@ -372,7 +415,7 @@ def parse(text: str) -> Expression:
         opens = 1  # the "(" tokens before token i
         # open nodes: [Union or Join, pos, children, start, at],
         # [Inc, pos, name, in_names, out_names] and
-        # [Subst or SubstTd, pos, pattern, bindings, name of the open binding, at],
+        # [Subst or SubstTd, pos, pattern, bindings, name of the open binding, at, start],
         # where start indexes the node's "(", at is len(order) at its
         # opening and a subst-td pattern is None until its expression is
         # read, then that expression's order
@@ -393,7 +436,7 @@ def parse(text: str) -> Expression:
                 if toks[i + 1] != ")":
                     raise tokens.expected(i + 1, "')'")
                 i += 2
-                node = Vertex(name, pos=pos)
+                node = Vertex(name, pos)
                 order.append((node, 0, 1))
             elif op == "inc":
                 name = toks[i]
@@ -403,6 +446,10 @@ def parse(text: str) -> Expression:
                     raise tokens.expected(i + 1, "'('")
                 i += 2
                 opens += 1
+                if toks[i] == ")":
+                    stack.append([Inc, pos, name, _NO_NAMES, _NO_NAMES])
+                    i += 1
+                    continue
                 in_names, out_names = set(), set()
                 while (tok := toks[i]) != ")":
                     # the edge "(" a b ")"
@@ -426,29 +473,33 @@ def parse(text: str) -> Expression:
                         raise tokens.error(i, f"inc edge must have {name!r} as one endpoint")
                     i += 4
                     opens += 1
-                stack.append([Inc, pos, name, frozenset(in_names), frozenset(out_names)])
+                in_names = frozenset(in_names) if in_names else _NO_NAMES
+                out_names = frozenset(out_names) if out_names else _NO_NAMES
+                stack.append([Inc, pos, name, in_names, out_names])
                 i += 1
-                continue
-            elif op == "union" or op == "join":
-                stack.append([Union if op == "union" else Join, pos, [], start, len(order)])
-                node = None
-            elif op == "subst":
-                pattern, i, opens = _pattern_at(tokens, i, opens, mode)
-                if toks[i] != "(":
-                    raise tokens.expected(i, "'('")
-                stack.append([Subst, pos, pattern, [], None, len(order)])
-                i += 1
-                opens += 1
-                node = None
-            elif op == "subst-td":
-                stack.append([SubstTd, pos, None, [], None, len(order)])
                 continue
             elif op == "empty":
                 if toks[i] != ")":
                     raise tokens.expected(i, "')'")
                 i += 1
-                node = Empty(pos=pos)
+                node = Empty(pos)
                 order.append((node, 0, 1))
+            elif op == "union" or op == "join":
+                stack.append([Union if op == "union" else Join, pos, [], start, len(order)])
+                if toks[i] == "(":
+                    continue  # its first child
+                node = None
+            elif op == "subst":
+                pattern, i, opens = _pattern_at(tokens, i, opens, mode)
+                if toks[i] != "(":
+                    raise tokens.expected(i, "'('")
+                stack.append([Subst, pos, pattern, [], None, len(order), start])
+                i += 1
+                opens += 1
+                node = None
+            elif op == "subst-td":
+                stack.append([SubstTd, pos, None, [], None, len(order), start])
+                continue
             else:
                 raise tokens.error(start + 1, f"unknown operator {op!r}")
 
@@ -463,7 +514,7 @@ def parse(text: str) -> Expression:
                         raise tokens.expected(i, "')'")
                     i += 1
                     _, pos, name, in_names, out_names = frame
-                    node = Inc(name, in_names, out_names, node, pos=pos)
+                    node = Inc(name, in_names, out_names, node, pos)
                     order.append((node, 1, order[-1][2] + 1))
                 elif kind is Union or kind is Join:
                     _, pos, children, start, at = frame
@@ -475,7 +526,7 @@ def parse(text: str) -> Expression:
                     if len(children) < 2:
                         op = "union" if kind is Union else "join"
                         raise tokens.error(start + 1, f"{op} needs at least two arguments")
-                    node = kind(tuple(children), pos=pos)
+                    node = kind(tuple(children), pos)
                     order.append((node, len(children), len(order) - at + 1))
                 else:
                     bindings = frame[3]
@@ -502,12 +553,12 @@ def parse(text: str) -> Expression:
                         opens += 1
                         break
                     if not bindings:
-                        raise ParseError("substitution needs at least one binding")
+                        raise tokens.error(frame[6] + 1, "substitution needs at least one binding")
                     if toks[i + 1] != ")":
                         raise tokens.expected(i + 1, "')'")
                     i += 2
                     make = Subst if kind is Subst else subst_td_of
-                    node = make(frame[2], tuple(bindings), pos=frame[1])
+                    node = make(frame[2], tuple(bindings), frame[1])
                     order.append((node, len(bindings), len(order) - frame[5] + 1))
                 stack.pop()
             else:
@@ -579,7 +630,7 @@ def _pattern_at(tokens, i, opens, mode):
         opens += 1
     if toks[i + 1] != ")":
         raise tokens.expected(i + 1, "')'")
-    return Pattern(mode, tuple(names), frozenset(edges), pos=pos), i + 2, opens
+    return Pattern(mode, tuple(names), frozenset(edges), pos), i + 2, opens
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +669,8 @@ def _scan(order):
     h, l as running maxima.  One loop over an order keeps a stack of name
     sets and one of inc nestings; a tree-depth pattern is walked by the
     same loop over its ``pattern_order`` with ``td_only``, and ``nestings``
-    maps ``id`` of each subst-td node to its pattern's inc nesting.
+    maps the index in ``order`` of each subst-td node to its pattern's inc
+    nesting: an index, unlike an ``id``, holds in a copy of the expression.
     Duplicate names are reported in sorted order."""
     violations = []
     checked = {}  # id(pattern) -> its messages: a shared pattern is checked once
@@ -674,14 +726,14 @@ def _scan(order):
                 pattern_names, depth = walk(
                     node.pattern_order, lambda i=i: locate(i) + "/pattern", True
                 )
-                nestings[id(node)] = depth
                 pattern_names = sorted(pattern_names)
                 if len(pattern_names) < 2:
                     bad(node, "subst-td pattern has fewer than two vertices")
                 for message in _check_bindings(node, pattern_names, kids):
                     bad(node, message)
-                if not td_only and depth > l:
-                    l = depth
+                if not td_only:
+                    nestings[i] = depth
+                    l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
                 bad(node, f"unknown node type {t.__name__}")
             # merge into the largest set; a name in two children is a duplicate

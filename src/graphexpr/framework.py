@@ -187,7 +187,7 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                     n_subst_td += 1
                     # validation binds each pattern vertex exactly once
                     sum_pattern_order += len(node.bindings)
-                    max_subtd_depth = max(max_subtd_depth, e._front_end[3][id(node)])
+                    max_subtd_depth = max(max_subtd_depth, e._front_end[3][i])
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
                     value = handlers.on_subst_td(node.pattern_order, children)
                 else:

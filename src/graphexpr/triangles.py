@@ -18,7 +18,7 @@ is turned into its graph by one loop over its recorded order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import framework
 from .errors import InputError
@@ -39,11 +39,14 @@ from .framework import fold_td_expression  # noqa: F401  (no caller here; perfbe
 from .graphs import UNDIRECTED, Graph
 
 
-@dataclass(frozen=True)
-class TriFold:
+class TriFold(NamedTuple):
     n: int
     m: int
     t: int
+
+
+# the summaries of a vertex and of nothing, shared by every leaf
+_VERTEX, _NOTHING = TriFold(1, 0, 0), TriFold(0, 0, 0)
 
 
 def combine_inc(f: TriFold, neighbors, child) -> TriFold:
@@ -133,9 +136,10 @@ def _assemble(children, pattern_edges, tri_total) -> TriFold:
     and m_i * n_j + n_i * m_j triangles per pattern edge {i, j}, plus the
     weighted pattern-triangle sum ``tri_total``."""
     by_name = dict(children)
-    n = sum(f.n for f in by_name.values())
-    m = sum(f.m for f in by_name.values())
-    t = sum(f.t for f in by_name.values()) + tri_total
+    parts = by_name.values()
+    n = sum([f.n for f in parts])
+    m = sum([f.m for f in parts])
+    t = sum([f.t for f in parts]) + tri_total
     for (u, v) in pattern_edges:
         fu, fv = by_name[u], by_name[v]
         m += fu.n * fv.n
@@ -145,8 +149,8 @@ def _assemble(children, pattern_edges, tri_total) -> TriFold:
 
 def handlers() -> HandlerSet:
     return HandlerSet(
-        base_empty=lambda: TriFold(0, 0, 0),
-        base_vertex=lambda name: TriFold(1, 0, 0),
+        base_empty=lambda: _NOTHING,
+        base_vertex=lambda name: _VERTEX,
         on_inc=lambda f, name, inn, out, child: combine_inc(f, inn | out, child),
         on_subst=combine_subst,
         on_subst_td=combine_subst_td,

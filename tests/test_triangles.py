@@ -24,7 +24,13 @@ from graphexpr import (
 )
 from graphexpr.expr import Empty, Inc, Join, Union, Vertex, post_order
 from graphexpr.oracle import GenSpec
-from graphexpr.triangles import combine_inc, combine_subst, combine_subst_td, edges_within
+from graphexpr.triangles import (
+    combine_inc,
+    combine_subst,
+    combine_subst_td,
+    edges_within,
+    handlers,
+)
 
 from conftest import corpus_instance
 
@@ -248,6 +254,25 @@ def test_subst_td_tree_pattern_with_singletons_is_triangle_free():
     pg = evaluate(Expression(UNDIRECTED, pe))
     children = [(nm, TriFold(1, 0, 0)) for nm in pg.vertices]
     assert combine_subst_td(post_order(pe), children).t == 0
+
+
+def test_trifold_is_an_immutable_named_triple():
+    f = TriFold(1, 0, 0)
+    assert TriFold._fields == ("n", "m", "t")
+    assert repr(f) == "TriFold(n=1, m=0, t=0)"
+    assert (f.n, f.m, f.t) == (1, 0, 0)
+    with pytest.raises(AttributeError):
+        f.n = 2
+
+
+def test_a_solve_leaves_the_shared_leaf_summaries_unchanged():
+    h = handlers()
+    vertex, nothing = h.base_vertex("a"), h.base_empty()
+    assert handlers().base_vertex("b") is vertex and handlers().base_empty() is nothing
+    for seed in range(20):
+        count_triangles(corpus_instance(seed, UNDIRECTED, 40))
+    assert count_triangles(parse("(undirected (union (empty) (inc x () (union (empty) (empty)))))")) == 0
+    assert vertex == (1, 0, 0) and nothing == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
