@@ -43,6 +43,7 @@ when a parse error names it.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, count, permutations, repeat
@@ -791,9 +792,9 @@ def evaluate(e: Expression) -> Graph:
     """Build the concrete graph denoted by a validated expression."""
     verts, out, _ = evaluate_node(e._order, e.mode)
     if e.mode == UNDIRECTED:  # each edge is listed at both ends
-        edges = ((u, v) for u in verts for v in out[u] if u < v)
+        edges = ((u, v) for u in verts for v in out.get(u, ()) if u < v)
     else:
-        edges = ((u, v) for u in verts for v in out[u])
+        edges = ((u, v) for u in verts for v in out.get(u, ()))
     return Graph(e.mode, verts, edges)
 
 
@@ -801,16 +802,20 @@ def evaluate_node(order, mode):
     """Vertex list and adjacency lists ``(verts, out, inn)`` of the tree of
     ``order`` (``post_order``), all fresh: ``out[v]`` lists the heads of v's
     out-edges, ``inn[v]`` the tails of its in-edges; in undirected mode
-    ``inn`` is ``out``.  One loop over the order appends the vertices in
-    leaf order, so each subtree's vertices form one run of ``verts``, and
-    stacks the run starts of subtrees whose parent is still to come.  A
-    join, a substitution into a pattern with edges or a subst-td reads its
-    children's runs off that stack, so each pattern edge between two runs
-    extends the lists of their vertices directly.  A tree-depth pattern's
-    edges are read from its inc nodes (``td_pattern_edges``)."""
+    ``inn`` is ``out``.  The adjacency is sparse: ``out`` and ``inn`` are
+    ``defaultdict(list)``s that hold a list only for a vertex with an edge
+    in that direction, so a vertex without edges costs one entry of
+    ``verts`` (read the lists with ``out.get(v, ())``).  One loop over the
+    order appends the vertices in leaf order, so each subtree's vertices
+    form one run of ``verts``, and stacks the run starts of subtrees whose
+    parent is still to come.  A join, a substitution into a pattern with
+    edges or a subst-td reads its children's runs off that stack, so each
+    pattern edge between two runs with vertices extends the lists of their
+    vertices directly.  A tree-depth pattern's edges are read from its inc
+    nodes (``td_pattern_edges``)."""
     directed = mode == DIRECTED
-    verts, out = [], {}
-    inn = {} if directed else out
+    verts, out = [], defaultdict(list)
+    inn = defaultdict(list) if directed else out
     starts = []
     for node, c, _ in order:
         t = type(node)
@@ -818,19 +823,18 @@ def evaluate_node(order, mode):
             starts.append(len(verts))
         if t is Vertex:
             verts.append(node.name)
-            out[node.name] = []
-            if directed:
-                inn[node.name] = []
         elif t is Inc:  # its run starts where its child's does
             x = node.name
             verts.append(x)
-            if directed:
+            if directed and node.in_names:
                 inn[x] = list(node.in_names)
                 for u in node.in_names:
                     out[u].append(x)
-            out[x] = list(node.out_names if directed else node.neighbor_names)
-            for u in out[x]:
-                inn[u].append(x)
+            heads = node.out_names if directed else node.neighbor_names
+            if heads:
+                out[x] = list(heads)
+                for u in heads:
+                    inn[u].append(x)
         elif t is Union or t is Subst and not node.pattern.edges:
             del starts[len(starts) + 1 - c :]
         elif t is Join or t is Subst or t is SubstTd:
@@ -850,6 +854,8 @@ def evaluate_node(order, mode):
                 # a run is copied only for an edge, so edgeless chains stay linear
                 part_p = verts[bounds[p] : bounds[p + 1]]
                 part_q = verts[bounds[q] : bounds[q + 1]]
+                if not (part_p and part_q):
+                    continue  # a child without vertices adds no edge
                 for a in part_p:
                     out[a].extend(part_q)
                 for b in part_q:

@@ -7,7 +7,11 @@ Every handler keeps two things alive while folding the expression:
   source wired to every vertex with zero-cost edges, taken under the
   edge-shifted costs ``cost((x, y)) = w(x)``.  Feasibility (all reduced edge
   costs non-negative) is what lets the incremental steps run Dijkstra
-  instead of Bellman-Ford (an inc over a child without vertices runs none);
+  instead of Bellman-Ford (an inc over a child without vertices runs none).
+  An inc evaluates its child into sparse adjacency lists, which hold only
+  vertices with edges, and its two searches queue only such vertices, so
+  their cost follows the child's edges and x's own, not the number of
+  child vertices without edges;
 * ``msp``, the minimum total weight over all paths including single
   vertices, which is exactly the vertex weight that a substituted module
   contributes to paths passing through it.
@@ -182,31 +186,38 @@ class ModuleSummary:
 # Primitives
 
 
-def _dijkstra_labels(adjacency, reduced_cost, sources, tol):
-    """Dijkstra with (possibly negative) initial labels and reduced edge
-    costs that are non-negative up to ``tol``.  Returns a label for each
-    vertex it reaches; unreached vertices have none (read them with
-    ``dist.get(v, INF)``)."""
-    dist = {}
-    heap = []
-    for v, lab in sources.items():
-        if lab < dist.get(v, INF):
-            dist[v] = lab
-            heapq.heappush(heap, (lab, v))
+def _dijkstra_labels(adjacency, w, pi, sources, tol, forward=True):
+    """Dijkstra under the feasible potential ``pi`` of the edge-shifted
+    costs ``cost((a, b)) = w(a)``, from ``sources``, a map of vertices to
+    (possibly negative) initial labels.  Forward, it follows the out-lists
+    ``adjacency[v]`` under the reduced costs ``w(v) + pi(v) - pi(u)``;
+    backward, the in-lists under ``w(u) + pi(u) - pi(v)`` of the edges
+    ``(u, v)``.  The reduced costs must be non-negative up to ``tol``.
+
+    A vertex without an adjacency list is labelled but never queued, so the
+    search touches only vertices with edges and the ones they reach.
+    Returns a label for each source and each vertex it reaches; unreached
+    vertices have none (read them with ``dist.get(v, INF)``)."""
+    dist = dict(sources)
+    heap = [(lab, v) for v, lab in dist.items() if v in adjacency]
+    heapq.heapify(heap)
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v] + tol:
             continue
+        pi_v = pi[v]
         for u in adjacency[v]:
-            rc = reduced_cost(v, u)
+            rc = w[v] + pi_v - pi[u] if forward else w[u] + pi[u] - pi_v
             if rc < -tol:
+                tail, head = (v, u) if forward else (u, v)
                 raise ContractViolation(
-                    f"negative reduced cost on edge ({v!r}, {u!r}): potential not feasible"
+                    f"negative reduced cost on edge ({tail!r}, {head!r}): potential not feasible"
                 )
             nd = d + max(rc, 0.0)
             if nd < dist.get(u, INF):
                 dist[u] = nd
-                heapq.heappush(heap, (nd, u))
+                if u in adjacency:
+                    heapq.heappush(heap, (nd, u))
     return dist
 
 
@@ -214,9 +225,12 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
     subexpression, given as its order ``child`` (``expr.post_order``),
     whose shortest-path feasible potential ``pi`` is known.  The child is
-    evaluated here into out- and in-adjacency lists, for main-tree and
-    tree-depth pattern incs alike; the folds never call it on a child
-    without vertices.
+    evaluated here into sparse out- and in-adjacency lists, for main-tree
+    and tree-depth pattern incs alike; the folds never call it on a child
+    without vertices.  One search (``_dijkstra_labels``) runs forward from
+    x's out-names and one backward from its in-names; each queues only
+    vertices with edges, so in the searches a child vertex without edges
+    costs a label at most, and only where x has an edge to it.
 
     Returns NEGATIVE_CYCLE or ``(new_potential, msp, pi, fwd, bwd)``: the
     child's potential as a dict, and the Dijkstra labels of the vertices
@@ -230,24 +244,14 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
 
     # labels from x under reduced edge-shifted costs; the only potentially
     # negative costs are the first hops, folded into the initial labels
-    fwd = _dijkstra_labels(
-        adj_out,
-        lambda a, b: w[a] + pi[a] - pi[b],
-        {u: wx - pi[u] for u in out_names},
-        tol,
-    )
+    fwd = _dijkstra_labels(adj_out, w, pi, {u: wx - pi[u] for u in out_names}, tol)
 
     # a new negative cycle must run x -> ... -> u -> x for an in-neighbor u
     for u in in_names:
         if u in fwd and fwd[u] + pi[u] + w[u] < -tol:
             return NEGATIVE_CYCLE
 
-    bwd = _dijkstra_labels(
-        adj_in,
-        lambda a, b: w[b] + pi[b] - pi[a],
-        {u: w[u] + pi[u] for u in in_names},
-        tol,
-    )
+    bwd = _dijkstra_labels(adj_in, w, pi, {u: w[u] + pi[u] for u in in_names}, tol, forward=False)
 
     # cheapest arrival value at x for the virtual super-source: either enter
     # at x directly (0) or enter the child graph and walk to an in-neighbor

@@ -56,6 +56,24 @@ def test_eval_empty_graph(capsys, tmp_path):
     assert out.splitlines() == ["n=0", "m=0"]
 
 
+@pytest.mark.parametrize(
+    "mode, problems", [("directed", ("ncd", "apsp")), ("undirected", ("tc",))]
+)
+def test_eval_and_verify_on_a_union_of_edgeless_vertices(capsys, tmp_path, mode, problems):
+    # no vertex has an adjacency list; every one is still listed and solved
+    f = tmp_path / "e.expr"
+    f.write_text(f"({mode} (union (vertex c) (inc a () (empty)) (union (vertex b) (empty))))\n")
+    code, out, _ = run(capsys, "eval", str(f))
+    assert code == 0
+    assert out.splitlines() == ["n=3", "m=0", "a", "b", "c"]
+    w = tmp_path / "w.tsv"
+    w.write_text("a\t-1\nb\t2\nc\t0\n")
+    for problem in problems:
+        weights = (str(w),) if problem != "tc" else ()
+        code, out, _ = run(capsys, "solve", problem, str(f), *weights, "--verify")
+        assert code == 0 and kv(out)["stats-ok"] == "true"
+
+
 def test_eval_fixture_matches_hand_count(capsys, tmp_path):
     from graphexpr import gen_fixture
     from graphexpr.cli import format_expression

@@ -40,6 +40,7 @@ from graphexpr.expr import (
     Pattern,
     SubstTd,
     Union,
+    evaluate_node,
     subexpressions,
     td_pattern_edges,
 )
@@ -621,6 +622,9 @@ def test_evaluate_reads_a_node_without_children_as_no_vertices():
         assert validate(e)
         g = evaluate(e)
         assert (g.vertices, set(g.edges)) == (vertices, edges)
+        # no adjacency list for a vertex whose join partner has no vertices
+        _, out, inn = evaluate_node(e._order, DIRECTED)
+        assert set(out) == {u for u, _ in edges} and set(inn) == {v for _, v in edges}
 
 
 def test_long_normalized_union_chain_is_linear():
@@ -677,8 +681,6 @@ def _naive_graph(node, mode):
 
 
 def _assert_evaluates_like_naive(e):
-    from graphexpr.expr import evaluate_node
-
     verts, edges = _naive_graph(e.root, e.mode)
     g = evaluate(e)
     assert len(g.vertices) == len(verts) and set(g.vertices) == verts
@@ -686,6 +688,7 @@ def _assert_evaluates_like_naive(e):
     # the adjacency lists themselves list every edge once, at both ends
     vertex_list, out, inn = evaluate_node(e._order, e.mode)
     assert vertex_list == list(g.vertices)
+    assert all(out.values()) and all(inn.values())  # a list only where an edge is
     listed = sorted((u, v) for u in vertex_list for v in out[u])
     if e.mode == DIRECTED:
         assert listed == sorted(edges)

@@ -33,19 +33,17 @@ def dgraph(vertices, edges):
     return Graph(DIRECTED, vertices, edges)
 
 
-def dijkstra_labels(g, costs, pi, sources):
-    """The solvers' Dijkstra under reduced costs ``c(e) + pi(tail) - pi(head)``,
-    from ``(vertex, initial_label)`` sources, with INF for the vertices it
-    does not reach (the search labels only those it reaches)."""
-    adjacency = {v: [] for v in g.vertices}
+def dijkstra_labels(g, w, pi, sources, forward=True):
+    """The solvers' Dijkstra under the reduced edge-shifted costs
+    ``w(tail) + pi(tail) - pi(head)``, along out-lists (``forward``) or
+    in-lists, from ``(vertex, initial_label)`` sources, with INF for the
+    vertices it does not reach (the search labels only those it reaches).
+    Like the solvers' adjacency, only vertices with edges have a list."""
+    adjacency = {}
     for a, b in g.edges:
-        adjacency[a].append(b)
-    labels = _dijkstra_labels(
-        adjacency,
-        lambda a, b: costs[(a, b)] + pi[a] - pi[b],
-        dict(sources),
-        TOL,
-    )
+        tail, head = (a, b) if forward else (b, a)
+        adjacency.setdefault(tail, []).append(head)
+    labels = _dijkstra_labels(adjacency, w, pi, dict(sources), TOL, forward)
     return {v: labels.get(v, INF) for v in g.vertices}
 
 
@@ -106,21 +104,22 @@ def test_check_potential_negative_edge_zero_potential():
 
 def test_dijkstra_single_source_edgeless():
     g = dgraph("abc", [])
-    labels = dijkstra_labels(g, {}, {v: 0.0 for v in "abc"}, [("a", 0.0)])
+    zeros = {v: 0.0 for v in "abc"}
+    labels = dijkstra_labels(g, zeros, zeros, [("a", 0.0)])
     assert labels == {"a": 0.0, "b": INF, "c": INF}
 
 
 def test_dijkstra_zero_cost_path():
     g = dgraph("abc", [("a", "b"), ("b", "c")])
-    costs = {("a", "b"): 0.0, ("b", "c"): 0.0}
-    labels = dijkstra_labels(g, costs, {v: 0.0 for v in "abc"}, [("a", 0.0)])
+    zeros = {v: 0.0 for v in "abc"}
+    labels = dijkstra_labels(g, zeros, zeros, [("a", 0.0)])
     assert labels == {"a": 0.0, "b": 0.0, "c": 0.0}
 
 
 def test_dijkstra_negative_initial_label_beats_relaxation():
     g = dgraph("ab", [("b", "a")])
     labels = dijkstra_labels(
-        g, {("b", "a"): 1.0}, {"a": 0.0, "b": 0.0}, [("a", -3.0), ("b", 0.0)]
+        g, {"a": 0.0, "b": 1.0}, {"a": 0.0, "b": 0.0}, [("a", -3.0), ("b", 0.0)]
     )
     assert labels["a"] == -3.0  # -3 < 0 + 1
 
@@ -128,7 +127,7 @@ def test_dijkstra_negative_initial_label_beats_relaxation():
 def test_dijkstra_rejects_infeasible_potential():
     g = dgraph("ab", [("a", "b")])
     with pytest.raises(ContractViolation):
-        dijkstra_labels(g, {("a", "b"): -1.0}, {"a": 0.0, "b": 0.0}, [("a", 0.0)])
+        dijkstra_labels(g, {"a": -1.0, "b": 0.0}, {"a": 0.0, "b": 0.0}, [("a", 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def test_dijkstra_matches_bellman_ford_oracle():
         assert check_potential(g, costs, pi)
         want = oracle_apsp(g, w)
         for s in g.vertices:
-            labels = dijkstra_labels(g, costs, pi, [(s, 0.0)])
+            labels = dijkstra_labels(g, w, pi, [(s, 0.0)])
             for v in g.vertices:
                 got = labels[v] - pi[s] + pi[v] + w[v] if labels[v] < INF else INF
                 ref = want[(s, v)] if v != s else w[s]
@@ -236,6 +235,35 @@ def test_dijkstra_matches_bellman_ford_oracle():
                 assert got == ref == INF or math.isclose(got, ref, abs_tol=1e-6)
         checked += 1
     assert checked >= 40
+
+
+def test_backward_dijkstra_matches_bellman_ford_oracle():
+    # labels along in-lists from several sources at once, as an inc's
+    # search back from its in-names: sources without edges, and vertices
+    # without in-edges that only a relaxation reaches, are labelled too
+    rng = random.Random(5)
+    checked = edgeless_sources = relaxed_dead_ends = 0
+    for _ in range(120):
+        g = _random_digraph(rng, rng.randint(2, 8))
+        sources = rng.sample(list(g.vertices), rng.randint(1, min(3, g.n))) + ["z0"]
+        g = dgraph(list(g.vertices) + ["z0", "z1"], g.edges)  # two edgeless vertices
+        w = {v: rng.uniform(-5, 5) for v in g.vertices}
+        if oracle_ncd(g, w):
+            continue
+        pi = shortest_path_potential(g, w)
+        want = oracle_apsp(g, w)
+        labels = dijkstra_labels(g, w, pi, [(s, w[s] + pi[s]) for s in sources], forward=False)
+        has_in = {b for _, b in g.edges}
+        for v in g.vertices:
+            # the cheapest path from v into a source, both endpoints counted
+            ref = min(w[s] if v == s else want[(v, s)] for s in sources)
+            got = labels[v] - pi[v] if labels[v] < INF else INF
+            assert got == ref == INF or math.isclose(got, ref, abs_tol=1e-6)
+            if v not in sources and v not in has_in and labels[v] < INF:
+                relaxed_dead_ends += 1
+        edgeless_sources += labels["z0"] == w["z0"] + pi["z0"] and labels["z1"] == INF
+        checked += 1
+    assert checked >= 40 and edgeless_sources == checked and relaxed_dead_ends >= 10
 
 
 def test_floyd_agrees_with_oracle_on_random_graphs():

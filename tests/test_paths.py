@@ -2,6 +2,7 @@
 distances, handler cross-equality, oracle equivalence."""
 
 import copy
+import heapq
 import math
 import random
 import time
@@ -32,6 +33,7 @@ from graphexpr import (
     oracle_apsp,
     oracle_ncd,
     parse,
+    paths,
 )
 from graphexpr.expr import (
     Empty,
@@ -42,6 +44,7 @@ from graphexpr.expr import (
     Union,
     Vertex,
     collect_vertex_names,
+    evaluate_node,
     post_order,
 )
 from graphexpr.graphs import TOL, DistView, floyd_vertex_weighted
@@ -141,6 +144,56 @@ def test_ncd_inc_feasibility_needs_entry_shift():
     g = evaluate(e)
     assert check_potential(g, edge_shift(g, w), value.potential)
     assert close(value.msp, -10.0)
+
+
+def test_backward_search_names_the_child_edge_tail_first():
+    # the child's edge a -> b is infeasible under pi; the search back from
+    # x's in-name b meets it from its head, and still names it (a, b)
+    e = parse("(directed (inc x ((b x)) (inc b ((a b)) (vertex a))))")
+    w = {"a": 0.0, "b": 0.0, "x": 0.0}
+    with pytest.raises(ContractViolation, match=r"edge \('a', 'b'\)"):
+        paths._inc_core({"a": 0.0, "b": 5.0}, 0.0, "x", {"b"}, (), w, e._order[:-1], TOL)
+
+
+class _HeapSpy:
+    """``heapq`` as the searches see it, recording every vertex queued."""
+
+    def __init__(self):
+        self.queued = []
+
+    def heapify(self, heap):
+        self.queued += [v for _, v in heap]
+        heapq.heapify(heap)
+
+    def heappush(self, heap, item):
+        self.queued.append(item[1])
+        heapq.heappush(heap, item)
+
+    heappop = staticmethod(heapq.heappop)
+
+
+def test_inc_searches_never_queue_a_vertex_without_edges(monkeypatch):
+    # y's searches start at x, whose out- and in-names are among 2000
+    # vertices without edges of their own; x's searches start at those
+    r = 2000
+    outs = " ".join(f"(x v{i})" for i in range(0, r, 5))
+    ins = " ".join(f"(v{i} x)" for i in range(2, r, 5))
+    leaves = " ".join(f"(inc v{i} () (empty))" for i in range(r))
+    e = parse(f"(directed (inc y ((y x) (x y)) (inc x ({outs} {ins}) (union {leaves}))))")
+    w = {f"v{i}": float(i % 5) for i in range(r)} | {"x": 1.0, "y": -1.0}
+    # the adjacency holds a list only for a vertex with an edge that way
+    _, out, inn = evaluate_node(e._order, DIRECTED)
+    edges = evaluate(e).edges
+    assert set(out) == {a for a, _ in edges} and set(inn) == {b for _, b in edges}
+    assert all(out.values()) and all(inn.values())
+    for outcome in (ncd_outcome, apsp_outcome):
+        spy = _HeapSpy()
+        monkeypatch.setattr(paths, "heapq", spy)
+        value, _ = outcome(e, w)
+        monkeypatch.undo()
+        assert value.msp == -1.0
+        # x is the only vertex with both out- and in-edges in y's child
+        assert set(spy.queued) == {"x"}
 
 
 # ---------------------------------------------------------------------------
