@@ -665,23 +665,22 @@ def validate_or_raise(e: Expression) -> set:
 
 
 def _scan(order):
-    """The front-end walk: ``(vertex names, violations, Params, nestings)``
+    """The front-end walk: ``(vertex names, violations, Params, fold stats)``
     of the tree of ``order``, from name sets and inc nesting bottom-up and
-    h, l as running maxima.  One loop over an order keeps a stack of name
-    sets and one of inc nestings; a tree-depth pattern is walked by the
-    same loop over its ``pattern_order`` with ``td_only``, and ``nestings``
-    maps the index in ``order`` of each subst-td node to its pattern's inc
-    nesting: an index, unlike an ``id``, holds in a copy of the expression.
-    Duplicate names are reported in sorted order."""
+    h, l as running maxima; the fold stats are ``framework.FoldStats``'s
+    fields, under the rules of ``framework.fold``.  One loop over an order
+    keeps a stack of name sets and one of inc nestings; a tree-depth pattern
+    is walked by the same loop over its ``pattern_order`` with ``td_only``,
+    and its stats dropped.  Duplicate names are reported in sorted order."""
     violations = []
     checked = {}  # id(pattern) -> its messages: a shared pattern is checked once
-    nestings = {}
     h = l = 0
 
     def walk(order, label, td_only):
         nonlocal h, l
         locate = locator(order, label)
         sets, ks = [], []  # per finished subtree: its names, its inc nesting
+        n_vertex = n_empty = n_inc = n_subst = n_subst_td = sum_pattern_order = steps = 0
 
         def bad(at, message):
             violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
@@ -691,11 +690,13 @@ def _scan(order):
             if td_only and t not in TD_NODE_TYPES:
                 bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
             if t is Vertex or t is Empty:
+                n_vertex += t is Vertex
                 sets.append({node.name} if t is Vertex else set())
                 ks.append(0)
                 continue
             if t is Inc:
                 names = sets[-1]
+                n_inc, n_empty = n_inc + 1, n_empty + (not names)
                 if not (node.in_names <= names and node.out_names <= names):
                     for target in sorted(node.neighbor_names):
                         if target not in names:
@@ -711,6 +712,8 @@ def _scan(order):
             if t is Union or t is Join:
                 if c < 2:
                     bad(node, "union/join needs at least two children")
+                r = c if all(kids) else sum(map(bool, kids))  # the children with vertices
+                steps += r - 1 if r > 1 else 0
             elif t is Subst:
                 pattern = node.pattern
                 messages = checked.get(id(pattern))
@@ -721,10 +724,12 @@ def _scan(order):
                     bad(pattern, message)
                 for message in _check_bindings(node, pattern.names, kids):
                     bad(node, message)
+                n_subst += 1
+                sum_pattern_order += len(pattern.names)
                 if not td_only and len(pattern.names) > h:
                     h = len(pattern.names)
             elif t is SubstTd:
-                pattern_names, depth = walk(
+                pattern_names, depth, _ = walk(
                     node.pattern_order, lambda i=i: locate(i) + "/pattern", True
                 )
                 pattern_names = sorted(pattern_names)
@@ -732,8 +737,9 @@ def _scan(order):
                     bad(node, "subst-td pattern has fewer than two vertices")
                 for message in _check_bindings(node, pattern_names, kids):
                     bad(node, message)
+                n_subst_td += 1
+                sum_pattern_order += len(node.bindings)  # one per pattern vertex, once valid
                 if not td_only:
-                    nestings[i] = depth
                     l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
                 bad(node, f"unknown node type {t.__name__}")
@@ -747,10 +753,18 @@ def _scan(order):
                 names |= part
             sets.append(names)
             ks.append(k)
-        return sets[0], ks[0]
+        names, k, n_empty = sets[0], ks[0], n_empty + (not sets[0])
+        counts = dict(
+            vertex=n_vertex, empty=n_empty, inc=n_inc, subst=n_subst + steps, subst_td=n_subst_td
+        )
+        stats = (
+            {kind: n for kind, n in counts.items() if n}, sum_pattern_order + 2 * steps, k,
+            n_vertex + n_empty, max(h, 2) if steps else h, l,
+        )
+        return names, k, stats
 
-    names, k = walk(order, lambda: "root", False)
-    return names, violations, Params(k, h, l), nestings
+    names, k, stats = walk(order, lambda: "root", False)
+    return names, violations, Params(k, h, l), stats
 
 
 def _check_pattern(pattern, bad):

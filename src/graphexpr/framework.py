@@ -18,10 +18,10 @@ its order (``SubstTd.pattern_order``), which the NCD and APSP handlers
 replay with ``fold_td_expression``, a loop like the fold's.  The fold
 evaluates nothing unless ``verify`` is given.
 
-The fold also collects accounting statistics (pattern-order sums, inc
-nesting, and the pattern nesting that the front end records per subst-td
-node) that the theory bounds; ``assert_stats`` re-checks those bounds on
-every run.
+A handler whose value answers the whole expression, such as a negative
+cycle, raises ``Verdict`` with it, which ends the fold.  The front end's
+walk (``expr._scan``) counts the fold's accounting statistics, which the
+theory bounds, and ``assert_stats`` re-checks those bounds on every run.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class HandlerSet:
     parts with vertices of a union, in order, or of the children of a
     substitution into a pattern without edges, in pattern vertex order.
     The leaf, inc and union handlers also fold tree-depth patterns
-    (``fold_td_expression``).
+    (``fold_td_expression``).  A handler raises ``Verdict(value)`` instead
+    of returning a value that answers the whole expression.
     """
 
     base_empty: Callable
@@ -77,7 +78,7 @@ class HandlerSet:
 
 @dataclass
 class FoldStats:
-    """Accounting collected during a fold."""
+    """The fold's accounting, counted by the front end (``expr._scan``)."""
 
     counts: dict = field(default_factory=dict)
     sum_pattern_order: int = 0
@@ -85,6 +86,13 @@ class FoldStats:
     leaf_count: int = 0
     max_subst_order: int = 0
     max_subtd_depth: int = 0
+
+
+class Verdict(Exception):
+    """Raised by a handler with the ``value`` that answers the whole
+    expression, such as a negative cycle: ``fold`` returns it at once."""
+
+    value = property(lambda self: self.args[0])
 
 
 def fold(e: Expression, handlers: HandlerSet, *, verify=None):
@@ -95,23 +103,26 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     ``on_subst``; a substitution into a pattern without edges is one
     ``on_union`` call, counted as that substitution; a subtree without
     vertices is one empty leaf where an inc (which is then ``base_vertex``)
-    or the root keeps it.  Returns ``(summary, FoldStats)``.
+    or the root keeps it.  Returns ``(summary, FoldStats)``; a ``Verdict``
+    ends the fold with its value, and the stats, which the front end counts
+    (``expr._scan``), still cover the whole expression.
 
     ``verify``, when given, is called as ``verify(path, node, summary,
     subgraph)`` after every handler with the evaluated subgraph of that node
     or of a join's children folded so far (debug mode; cubic in the width
-    of a join).  Without ``verify`` the fold evaluates nothing.
+    of a join), and with a verdict's value at the node that raised it.
+    Without ``verify`` the fold evaluates nothing.
     """
     order = e._order
+    counts, *accounting = e._front_end[3]
+    stats = FoldStats(dict(counts), *accounting)
     locate = locator(order)
     base_vertex, on_inc = handlers.base_vertex, handlers.on_inc
     on_subst, on_union = handlers.on_subst, handlers.on_union
     # local, so that no pattern outlives the fold, and keyed by identity,
     # which is stable while the expression lives and cheaper than a hash
     pattern_graphs = {}
-    vals, depths = [], []  # per finished subtree: its summary, its inc nesting
-    n_vertex = n_empty = n_inc = n_subst = n_subst_td = 0
-    sum_pattern_order = max_inc_nesting = max_subst_order = max_subtd_depth = 0
+    vals = []  # per finished subtree, its summary
 
     def graph_of(p):
         return pattern_graphs.get(id(p)) or pattern_graphs.setdefault(id(p), p.to_graph())
@@ -136,32 +147,25 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
         for i, (node, c, _) in enumerate(order):
             t = type(node)
             if t is Vertex:
-                n_vertex += 1
-                value, depth = base_vertex(node.name), 0
+                value = base_vertex(node.name)
             elif t is Inc:
-                n_inc += 1
-                f, depth = vals.pop(), depths.pop() + 1
-                max_inc_nesting = max(max_inc_nesting, depth)
+                f = vals.pop()
                 if f is not _NO_VERTICES:
                     child = order[i - order[i - 1][2] : i]
                     value = on_inc(f, node.name, node.in_names, node.out_names, child)
                 else:  # x is the whole graph
-                    n_empty += 1
                     if verify is not None:
                         empty = handlers.base_empty()
                         verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
                     value = base_vertex(node.name)
             elif t is Empty:
-                value, depth = _NO_VERTICES, 0
+                value = _NO_VERTICES
             else:
                 top = len(vals) - c
-                kids, depth = vals[top:], max(depths[top:], default=0)
-                del vals[top:], depths[top:]
+                kids = vals[top:]
+                del vals[top:]
                 if t is Subst:
                     names = node.pattern.names
-                    n_subst += 1
-                    sum_pattern_order += len(names)
-                    max_subst_order = max(max_subst_order, len(names))
                     by_name = {bn: v for (bn, _), v in zip(node.bindings, kids)}
                     if node.pattern.edges:
                         value = on_subst(graph_of(node.pattern), [(p, by_name[p]) for p in names])
@@ -171,9 +175,6 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                     parts = [v for v in kids if v is not _NO_VERTICES]
                     value = parts[0] if parts else _NO_VERTICES
                     if len(parts) > 1:  # r - 1 steps into two-vertex patterns
-                        n_subst += len(parts) - 1
-                        sum_pattern_order += 2 * (len(parts) - 1)
-                        max_subst_order = max(max_subst_order, 2)
                         if t is Join:
                             value = join(i, node, kids, parts)
                         else:
@@ -181,13 +182,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                             if verify is not None:
                                 verify(locate(i), node, value, subgraph(i))
                     vals.append(value)
-                    depths.append(depth)
                     continue
                 elif t is SubstTd:
-                    n_subst_td += 1
-                    # validation binds each pattern vertex exactly once
-                    sum_pattern_order += len(node.bindings)
-                    max_subtd_depth = max(max_subtd_depth, e._front_end[3][i])
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
                     value = handlers.on_subst_td(node.pattern_order, children)
                 else:
@@ -195,7 +191,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
             if verify is not None and value is not _NO_VERTICES:  # not an empty leaf
                 verify(locate(i), node, value, subgraph(i))
             vals.append(value)
-            depths.append(depth)
+    except Verdict as verdict:
+        if verify is not None:
+            verify(locate(i), node, verdict.value, subgraph(i))
+        return verdict.value, stats
     except VerificationError:
         raise
     except Exception as exc:
@@ -207,15 +206,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
 
     value = vals[0]
     if value is _NO_VERTICES:
-        n_empty += 1
         if verify is not None:
             verify("root", order[-1][0], handlers.base_empty(), subgraph(len(order) - 1))
         value = handlers.base_empty()
-    counts = dict(vertex=n_vertex, empty=n_empty, inc=n_inc, subst=n_subst, subst_td=n_subst_td)
-    return value, FoldStats(
-        {kind: n for kind, n in counts.items() if n}, sum_pattern_order, max_inc_nesting,
-        n_vertex + n_empty, max_subst_order, max_subtd_depth,
-    )
+    return value, stats
 
 
 def assert_stats(stats: FoldStats, n: int, p: Params) -> list:

@@ -48,6 +48,10 @@ are read: at an inc node (``_inc_core``), in the ``--verify`` checker, and
 at the root, where the outcomes return plain dicts and the expansion
 (``to_full_summary``) reads the exits and entries once for all its levels.
 
+A negative cycle answers the whole problem: ``_inc_core`` and the pattern
+Floyd ``_pattern_rows`` raise ``framework.Verdict(NEGATIVE_CYCLE)``, which
+ends the fold, so no handler is handed a negative cycle as a child.
+
 The solvers reject weights for which ``_OVERFLOW_SLACK * n * max |w|`` is
 not a finite float, so no path sum or potential difference overflows.
 """
@@ -64,7 +68,7 @@ from . import framework
 from .errors import ContractViolation, InputError, VerificationError
 from .expr import Expression, evaluate_node, validate_or_raise
 from .expr import evaluate, normalize  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
-from .framework import HandlerSet, fold_td_expression
+from .framework import HandlerSet, Verdict, fold_td_expression
 from .graphs import (
     DIRECTED,
     INF,
@@ -232,11 +236,11 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     vertices with edges, so in the searches a child vertex without edges
     costs a label at most, and only where x has an edge to it.
 
-    Returns NEGATIVE_CYCLE or ``(new_potential, msp, pi, fwd, bwd)``: the
-    child's potential as a dict, and the Dijkstra labels of the vertices
-    reached from x resp. reaching x, under reduced costs.  The new
-    potential is a copy of ``pi`` in which only the vertices reached from x
-    are lowered.
+    Returns ``(new_potential, msp, pi, fwd, bwd)``: the child's potential
+    as a dict, and the Dijkstra labels of the vertices reached from x resp.
+    reaching x, under reduced costs.  The new potential is a copy of ``pi``
+    in which only the vertices reached from x are lowered.  A negative
+    cycle through x raises ``Verdict(NEGATIVE_CYCLE)``, which ends the fold.
     """
     wx = w[x]
     pi = potential_dict(pi)
@@ -249,7 +253,7 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     # a new negative cycle must run x -> ... -> u -> x for an in-neighbor u
     for u in in_names:
         if u in fwd and fwd[u] + pi[u] + w[u] < -tol:
-            return NEGATIVE_CYCLE
+            raise Verdict(NEGATIVE_CYCLE)
 
     bwd = _dijkstra_labels(adj_in, w, pi, {u: w[u] + pi[u] for u in in_names}, tol, forward=False)
 
@@ -276,12 +280,7 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
 
 
 def ncd_inc(f, x, in_names, out_names, w, child, tol):
-    if is_negative_cycle(f):
-        return f
-    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
-    if is_negative_cycle(core):
-        return core
-    return NcdSummary(core[0], core[1])
+    return NcdSummary(*_inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)[:2])
 
 
 def _shift(lines, omega):
@@ -293,10 +292,17 @@ def _shift(lines, omega):
     return [m - om for m, om in zip(map(min, lines), omega)]
 
 
+def _pattern_rows(pattern_graph, children, tol):
+    """The distance rows of the pattern weighted by the child msps; a
+    negative cycle in it is one in the substituted graph, and a Verdict."""
+    D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
+    if is_negative_cycle(D):
+        raise Verdict(NEGATIVE_CYCLE)
+    return D.rows
+
+
 def _ncd_union(vals):
     """Disjoint union of NCD summaries: zero shifts, the least msp."""
-    if any(map(is_negative_cycle, vals)):
-        return NEGATIVE_CYCLE
     potential = []
     for s in vals:
         potential += (s.potential, 0.0)
@@ -306,13 +312,7 @@ def _ncd_union(vals):
 def ncd_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps; the pattern
     potential shifts each child's potential, in O(pattern order)."""
-    for _, s in children:
-        if is_negative_cycle(s):
-            return s
-    D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
-    if is_negative_cycle(D):
-        return D
-    rows = D.rows
+    rows = _pattern_rows(pattern_graph, children, tol)
     pi_h = _shift(zip(*rows), [s.msp for _, s in children])
     return NcdSummary(_shifted_union(children, pi_h, "potential"), min(map(min, rows)))
 
@@ -321,13 +321,7 @@ def ncd_subst_td(pattern_order, children, tol):
     """Same contract as ncd_subst, but the pattern summary is computed by
     replaying the pattern's tree-depth expression with the NCD handlers
     over the pattern reweighted with the child msps."""
-    for _, s in children:
-        if is_negative_cycle(s):
-            return s
-    omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(pattern_order, ncd_handlers(omega, tol))
-    if is_negative_cycle(inner):
-        return inner
+    inner = fold_td_expression(pattern_order, ncd_handlers({p: s.msp for p, s in children}, tol))
     pi_h = potential_dict(inner.potential)
     shift = [pi_h[p] for p, _ in children]
     return NcdSummary(_shifted_union(children, shift, "potential"), inner.msp)
@@ -413,15 +407,10 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
 
 
 def apsp_inc(f, x, in_names, out_names, w, child, tol):
-    if is_negative_cycle(f):
-        return f
-    core = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
-    if is_negative_cycle(core):
-        return core
+    new_pi, msp, pi, fwd, bwd = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
     # expand the child only once x is known to close no negative cycle
     if isinstance(f, ModuleSummary):
         f = to_full_summary(f)
-    new_pi, msp, pi, fwd, bwd = core
     wx = w[x]
     names = list(f.min_out)
     # distances from and to x; inf where the search did not reach
@@ -474,8 +463,6 @@ def _apsp_union(parts):
     """Disjoint union of APSP summaries: the left-deep chain of modules of
     two parts each, with the diagonal of their msps and zero shifts, so
     that no module holds r^2 distances."""
-    if any(map(is_negative_cycle, parts)):
-        return NEGATIVE_CYCLE
     zeros = [0.0, 0.0]
     value = parts[0]
     for s in parts[1:]:
@@ -487,26 +474,14 @@ def _apsp_union(parts):
 def apsp_subst(pattern_graph, children, tol):
     """Floyd on the pattern weighted by the child msps, then the module
     summary."""
-    for _, s in children:
-        if is_negative_cycle(s):
-            return s
-    D = floyd_vertex_weighted(pattern_graph, {name: s.msp for name, s in children}, tol)
-    if is_negative_cycle(D):
-        return D
-    return _assemble_module(children, D.rows)
+    return _assemble_module(children, _pattern_rows(pattern_graph, children, tol))
 
 
 def apsp_subst_td(pattern_order, children, tol):
     """Same contract as apsp_subst; the pattern's all-pairs distances come
     from replaying its tree-depth expression with the all-pairs handlers
     over the pattern reweighted with the child msps."""
-    for _, s in children:
-        if is_negative_cycle(s):
-            return s
-    omega = {name: s.msp for name, s in children}
-    inner = fold_td_expression(pattern_order, apsp_handlers(omega, tol))
-    if is_negative_cycle(inner):
-        return inner
+    inner = fold_td_expression(pattern_order, apsp_handlers({p: s.msp for p, s in children}, tol))
     if isinstance(inner, ModuleSummary):
         inner = to_full_summary(inner)
     by_name = dict(children)
@@ -623,7 +598,9 @@ _VERIFY_TOL = 1e-6
 def make_paths_verifier(w: dict, solve_tol: float):
     """Checker for ``--verify`` runs: every emitted potential must be
     feasible on the node's materialized subgraph, and on small subgraphs the
-    summary values are compared against an independent Floyd run."""
+    summary values are compared against an independent Floyd run.  A
+    negative-cycle verdict is checked the same way, once, on the subgraph
+    of the node whose handler reported it."""
     tol = max(_VERIFY_TOL, solve_tol)
 
     def close(a, b):

@@ -9,6 +9,7 @@ criteria.
 import pytest
 
 from graphexpr import DIRECTED, UNDIRECTED, evaluate, gen_random, gen_weights, params
+from graphexpr.framework import Verdict
 from graphexpr.oracle import GenSpec
 
 # (k, h, l) templates for the seven class shapes
@@ -32,6 +33,15 @@ def _need(k, h, l):
     if l:
         need += max(2, l)
     return max(need, 1)
+
+
+def answer(handler, *args):
+    """What a handler called directly answers: its value, or the value of
+    the ``Verdict`` it raises to end a fold."""
+    try:
+        return handler(*args)
+    except Verdict as verdict:
+        return verdict.value
 
 
 def corpus_instance(seed, mode, max_budget):

@@ -874,6 +874,99 @@ def test_a_wide_union_of_incs_over_nothing_is_one_union_call(monkeypatch):
         assert stats.sum_pattern_order == 2 * (r - 1) and stats.max_subst_order == 2
 
 
+def _cycle_then_incs(r, cycle_weight):
+    """A union whose first part is the 2-cycle a <-> x of weight
+    2 * cycle_weight, followed by r incs over nothing, and its weights."""
+    incs = " ".join(f"(inc v{i} () (empty))" for i in range(r))
+    e = parse(f"(directed (union (inc x ((x a) (a x)) (vertex a)) {incs}))")
+    w = {"a": cycle_weight, "x": cycle_weight, **{f"v{i}": 1.0 for i in range(r)}}
+    return e, w
+
+
+def _spied(handlers, calls):
+    """``handlers`` with each call recorded in ``calls`` by handler name."""
+    from dataclasses import fields
+
+    def spy(name, handler):
+        def call(*args):
+            calls.append(name)
+            return handler(*args)
+
+        return call
+
+    return HandlerSet(**{f.name: spy(f.name, getattr(handlers, f.name)) for f in fields(handlers)})
+
+
+def test_a_negative_cycle_ends_the_fold_with_the_stats_of_the_whole_expression(monkeypatch):
+    # the first inc finds the cycle, and the 10^4 parts after it reach no
+    # handler; the stats still count every node, as the front end counts
+    # them, and equal those of the same input without the cycle
+    from graphexpr import NEGATIVE_CYCLE, paths
+    from graphexpr.framework import Verdict
+
+    calls = []
+    real = paths._inc_core
+
+    def inc_core(*args):
+        try:
+            return real(*args)
+        except Verdict:
+            calls.append("verdict")
+            raise
+
+    monkeypatch.setattr(paths, "_inc_core", inc_core)
+    r = 10**4
+    for make in (paths.ncd_handlers, paths.apsp_handlers):
+        e, w = _cycle_then_incs(r, -1.0)
+        calls.clear()
+        value, stats = fold(e, _spied(make(w, paths.solve_tolerance(w)), calls))
+        assert value is NEGATIVE_CYCLE
+        assert calls == ["base_vertex", "on_inc", "verdict"]
+        e_pos, w_pos = _cycle_then_incs(r, 1.0)
+        value_pos, stats_pos = fold(e_pos, make(w_pos, paths.solve_tolerance(w_pos)))
+        assert value_pos.msp == 1.0
+        assert stats == stats_pos == fold(e, counting_handlers())[1]
+        assert stats.counts == {"vertex": 1, "inc": r + 1, "empty": r, "subst": r}
+
+
+def test_verify_checks_a_verdict_once_at_the_node_that_reported_it():
+    from graphexpr import paths
+
+    e, w = _cycle_then_incs(100, -1.0)
+    tol = paths.solve_tolerance(w)
+    for make in (paths.ncd_handlers, paths.apsp_handlers):
+        checker, seen = paths.make_paths_verifier(w, tol), []
+
+        def check(path, node, value, sub):
+            seen.append((path, value))
+            checker(path, node, value, sub)
+
+        value, _ = fold(e, make(w, tol), verify=check)
+        assert [(path, v) for path, v in seen if v is value] == [("root/0", value)]
+        assert [path for path, _ in seen] == ["root/0/child", "root/0"]
+
+
+def test_verify_catches_a_false_verdict(monkeypatch, tmp_path, capsys):
+    # a handler that reports a negative cycle where there is none ends the
+    # fold, and --verify finds no cycle in that node's subgraph
+    from graphexpr import NEGATIVE_CYCLE, cli, paths
+    from graphexpr.framework import Verdict
+
+    def inc_core(*args):
+        raise Verdict(NEGATIVE_CYCLE)
+
+    (tmp_path / "e.txt").write_text("(directed (inc x ((x a) (b x)) (join (vertex a) (vertex b))))")
+    (tmp_path / "w.tsv").write_text("a\t1\nb\t2\nx\t3\n")
+    argv = ["solve", "ncd", str(tmp_path / "e.txt"), str(tmp_path / "w.tsv")]
+    assert cli.main(argv + ["--verify"]) == 0
+    assert "negative-cycle=false" in capsys.readouterr().out
+    monkeypatch.setattr(paths, "_inc_core", inc_core)
+    assert cli.main(argv) == 0
+    assert "negative-cycle=true" in capsys.readouterr().out
+    assert cli.main(argv + ["--verify"]) == 3
+    assert "root: handler reported a negative cycle, subgraph has none" in capsys.readouterr().err
+
+
 def test_verify_checks_a_wide_union_once():
     # verify checks a union on its whole subgraph once; checking each step
     # on the growing partial union instead is quadratic, about 8 s here

@@ -62,7 +62,7 @@ from graphexpr.paths import (
     to_full_summary,
 )
 
-from conftest import SHAPES, _need, corpus_instance
+from conftest import SHAPES, _need, answer, corpus_instance
 
 
 def close(a, b, tol=1e-9):
@@ -213,7 +213,7 @@ def test_ncd_subst_two_cycle_with_negative_sum():
         ("p", _ncd_single("a", -3.0)),
         ("q", _ncd_single("b", 2.0)),
     ]
-    assert is_negative_cycle(ncd_subst(two_cycle_pattern(), children, TOL))
+    assert is_negative_cycle(answer(ncd_subst, two_cycle_pattern(), children, TOL))
 
 
 def test_ncd_subst_edge_pattern_msp():
@@ -397,7 +397,7 @@ def test_subst_td_negative_cycle_in_pattern():
     leaf = Inc("p1", frozenset(), frozenset(), Empty())
     top = Inc("p2", frozenset({"p1"}), frozenset({"p1"}), leaf)  # 2-cycle
     children = _summaries_for(("p1", "p2"), (-3.0, 2.0), "ncd")
-    assert is_negative_cycle(ncd_subst_td(post_order(top), children, TOL))
+    assert is_negative_cycle(answer(ncd_subst_td, post_order(top), children, TOL))
 
 
 def _pattern_dist(s):
@@ -433,8 +433,8 @@ def test_handler_cross_equality_on_generated_patterns():
         weights = [((seed + i * 7) % 11) - 5.0 for i in range(len(names))]
 
         ncd_children = _summaries_for(names, weights, "ncd")
-        a = ncd_subst(pg, ncd_children, TOL)
-        b = ncd_subst_td(post_order(pe), ncd_children, TOL)
+        a = answer(ncd_subst, pg, ncd_children, TOL)
+        b = answer(ncd_subst_td, post_order(pe), ncd_children, TOL)
         assert is_negative_cycle(a) == is_negative_cycle(b)
         if not is_negative_cycle(a):
             assert close(a.msp, b.msp)
@@ -443,8 +443,8 @@ def test_handler_cross_equality_on_generated_patterns():
                 assert close(pa[k], pb[k])
 
         apsp_children = _summaries_for(names, weights, "apsp")
-        fa = apsp_subst(pg, apsp_children, TOL)
-        fb = apsp_subst_td(post_order(pe), apsp_children, TOL)
+        fa = answer(apsp_subst, pg, apsp_children, TOL)
+        fb = answer(apsp_subst_td, post_order(pe), apsp_children, TOL)
         assert is_negative_cycle(fa) == is_negative_cycle(fb)
         if not is_negative_cycle(fa):
             _assert_module_summaries_equal(fa, fb)
