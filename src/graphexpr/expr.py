@@ -18,7 +18,8 @@ inc nesting depth among subst-td pattern expressions.  It comes from the walk
 that validates, which each ``Expression`` runs once and caches.
 
 AST nodes are frozen, slotted dataclasses built positionally, each with an
-``__init__`` that sets its fields directly; ``SubstTd`` and ``Expression``
+``__init__`` that writes its fields through the ``__set__`` of its class's
+own slot descriptors, bound once at import; ``SubstTd`` and ``Expression``
 keep an instance dict, as their recorded orders are written into it.
 
 Each expression has one post-order of its tree (``post_order``), which
@@ -34,17 +35,20 @@ complete pattern.
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
 produced by ``normalize``.  The parser splits each line, after its ``#``
-comment is cut, at whitespace and parentheses.  A node's ``pos`` (line,
-column of its ``(``) comes from the running lengths of the text between a
-line's ``(`` characters; the column of any other token is worked out only
-when a parse error names it.
+comment is cut, at whitespace and parentheses.  An ASCII line is screened
+for characters that start no token by one ``bytes.translate`` that deletes
+the allowed ones; a line that is not ASCII, or keeps a character, is
+searched with ``_BAD_CHAR_RE``, which names the first.  A node's ``pos``
+(line, column of its ``(``) comes from the running lengths of the text
+between a line's ``(`` characters; the column of any other token is worked
+out only when a parse error names it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, combinations, count, permutations, repeat
 from operator import add
@@ -66,9 +70,12 @@ class ValidationError(InputError):
 # AST
 
 
-# Frozen, slotted nodes built positionally: each sets its fields with
-# ``_set``, which costs less than the generated ``__init__``
-_set = object.__setattr__
+# Frozen, slotted nodes built positionally: each ``__init__`` writes its
+# fields through the ``__set__`` of its class's own slot descriptors, bound
+# once below, which costs less than ``object.__setattr__`` by field name
+def _setters(cls):
+    """The bound ``__set__`` of each field's slot descriptor, in field order."""
+    return [cls.__dict__[f.name].__set__ for f in fields(cls)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +83,7 @@ class Empty:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, pos=None):
-        _set(self, "pos", pos)
+        _empty_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +92,8 @@ class Vertex:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, name, pos=None):
-        _set(self, "name", name)
-        _set(self, "pos", pos)
+        _vertex_name(self, name)
+        _vertex_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +102,8 @@ class Union:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, children, pos=None):
-        _set(self, "children", children)
-        _set(self, "pos", pos)
+        _union_children(self, children)
+        _union_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +112,8 @@ class Join:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, children, pos=None):
-        _set(self, "children", children)
-        _set(self, "pos", pos)
+        _join_children(self, children)
+        _join_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,11 +131,11 @@ class Inc:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, name, in_names, out_names, child, pos=None):
-        _set(self, "name", name)
-        _set(self, "in_names", in_names)
-        _set(self, "out_names", out_names)
-        _set(self, "child", child)
-        _set(self, "pos", pos)
+        _inc_name(self, name)
+        _inc_in_names(self, in_names)
+        _inc_out_names(self, out_names)
+        _inc_child(self, child)
+        _inc_pos(self, pos)
 
     @property
     def neighbor_names(self):
@@ -145,10 +152,10 @@ class Pattern:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, kind, names, edges, pos=None):
-        _set(self, "kind", kind)
-        _set(self, "names", names)
-        _set(self, "edges", edges)
-        _set(self, "pos", pos)
+        _pattern_kind(self, kind)
+        _pattern_names(self, names)
+        _pattern_edges(self, edges)
+        _pattern_pos(self, pos)
 
     def to_graph(self) -> Graph:
         return Graph(self.kind, self.names, self.edges)
@@ -161,9 +168,18 @@ class Subst:
     pos: tuple = field(default=None, compare=False, repr=False)
 
     def __init__(self, pattern, bindings, pos=None):
-        _set(self, "pattern", pattern)
-        _set(self, "bindings", bindings)
-        _set(self, "pos", pos)
+        _subst_pattern(self, pattern)
+        _subst_bindings(self, bindings)
+        _subst_pos(self, pos)
+
+
+(_empty_pos,) = _setters(Empty)
+_vertex_name, _vertex_pos = _setters(Vertex)
+_union_children, _union_pos = _setters(Union)
+_join_children, _join_pos = _setters(Join)
+_inc_name, _inc_in_names, _inc_out_names, _inc_child, _inc_pos = _setters(Inc)
+_pattern_kind, _pattern_names, _pattern_edges, _pattern_pos = _setters(Pattern)
+_subst_pattern, _subst_bindings, _subst_pos = _setters(Subst)
 
 
 @dataclass(frozen=True)
@@ -336,6 +352,9 @@ def collect_vertex_names(node) -> set:
 _NAME_CHARS = r"A-Za-z0-9_.\-"
 # a character that starts no token; one search per line finds the first
 _BAD_CHAR_RE = re.compile(rf"[^\s(){_NAME_CHARS}]")
+# the ASCII characters it allows, which one ``bytes.translate`` deletes from
+# an ASCII line: the line is clean iff nothing is left
+_OK_BYTES = bytes(c for c in range(128) if not _BAD_CHAR_RE.match(chr(c)))
 # one token with the whitespace before it: on a line without bad characters
 # the matches tile the line, so running sums of their lengths are the
 # tokens' end columns; only error messages need those
@@ -367,14 +386,20 @@ class _Tokens(NamedTuple):
 
 
 def _tokenize(text) -> _Tokens:
+    """Split ``text`` into ``_Tokens``, or raise ParseError at the first
+    character that starts no token.  An ASCII line without one is accepted
+    by one C pass, ``bytes.translate`` deleting the ``_OK_BYTES``; any
+    other line runs ``_BAD_CHAR_RE.search``, which gives the error its
+    column and reads whitespace as ``\\s`` does, Unicode included."""
     tokens = _Tokens([], [], [], text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0]
-        bad = _BAD_CHAR_RE.search(line)
-        if bad:
-            raise ParseError(
-                f"line {lineno} col {bad.start() + 1}: unexpected character {bad.group()!r}"
-            )
+        if not line.isascii() or line.encode().translate(None, _OK_BYTES):
+            bad = _BAD_CHAR_RE.search(line)
+            if bad:
+                raise ParseError(
+                    f"line {lineno} col {bad.start() + 1}: unexpected character {bad.group()!r}"
+                )
         toks = line.replace("(", " ( ").replace(")", " ) ").split()
         tokens.toks.extend(toks)
         tokens.lines.extend(repeat(lineno, len(toks)))
@@ -389,8 +414,10 @@ def parse(text: str) -> Expression:
     """Parse an expression file into an Expression, or raise ParseError with
     line/column information.
 
-    Each line, after its ``#`` comment is cut, is split into tokens at
-    whitespace and parentheses.  One loop over the tokens keeps the open
+    Each line, after its ``#`` comment is cut, is checked for characters
+    that start no token (one ``bytes.translate`` on an ASCII line, a regex
+    search on any other) and split into tokens at whitespace and
+    parentheses.  One loop over the tokens keeps the open
     union, join, inc, subst and subst-td nodes on an explicit stack, so any
     nesting depth parses.  A node's ``pos`` is the line and the 1-based
     column of its opening parenthesis: the loop counts the ``(`` tokens it

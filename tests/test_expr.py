@@ -34,6 +34,7 @@ from graphexpr import (
 )
 from graphexpr.cli import format_expression
 from graphexpr.expr import (
+    _BAD_CHAR_RE,
     Empty,
     Inc,
     ParseError,
@@ -265,6 +266,45 @@ def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [chr(c) for c in range(128)] + ["é", "\xa0", "\u2028", "\u3000", "\ufeff"],
+    ids=lambda ch: f"U+{ord(ch):04X}",
+)
+def test_parse_accepts_exactly_the_characters_the_alphabet_allows(ch):
+    # each character inside a vertex name, between two tokens and in a
+    # comment: ASCII lines take a faster screen than other lines, and both
+    # must read every character as the regex does
+    in_name = f"(directed (vertex a{ch}b))"
+    between = f"(directed (union (vertex a){ch}(vertex b)))"
+    assert parse(f"(directed (vertex a)) #{ch}") == parse("(directed (vertex a))")
+    allowed = _BAD_CHAR_RE.match(ch) is None
+    if re.fullmatch(r"\s", ch):
+        assert allowed
+        assert parse(between) == parse(between.replace(ch, " "))
+        assert _parse_error(in_name).endswith("expected ')', found 'b'")
+    elif re.fullmatch(r"[A-Za-z0-9_.\-]", ch):
+        assert allowed
+        assert parse(in_name).root == Vertex(f"a{ch}b")
+        assert _parse_error(between) == f"line 1 col 28: expected '(', found '{ch}'"
+    elif ch in "()":
+        assert allowed
+        assert "unexpected character" not in _parse_error(in_name)
+        assert "unexpected character" not in _parse_error(between)
+    elif ch == "#":  # starts a comment, which cuts the rest of the line
+        assert _parse_error(in_name) == _parse_error(between) == "unexpected end of input"
+    else:
+        assert not allowed
+        assert _parse_error(in_name) == f"line 1 col 20: unexpected character {ch!r}"
+        assert _parse_error(between) == f"line 1 col 28: unexpected character {ch!r}"
 
 
 _TEXT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
