@@ -193,7 +193,8 @@ def cmd_solve(args):
         if not args.weights:
             raise InputError(f"solve {args.problem} requires a weights file")
         w = parse_weights(_read(args.weights))
-        outcome = paths.ncd_outcome if args.problem == "ncd" else paths.apsp_outcome
+        # solve ncd prints no potential, so it leaves the root's unread
+        outcome = paths._ncd_fold if args.problem == "ncd" else paths.apsp_outcome
         value, stats = outcome(e, w, verify=args.verify)
         if is_negative_cycle(value):
             result_lines = ["negative-cycle=true"]

@@ -841,7 +841,10 @@ def evaluate(e: Expression) -> Graph:
 
 def evaluate_node(order, mode):
     """Vertex list and adjacency lists ``(verts, out, inn)`` of the tree of
-    ``order`` (``post_order``), all fresh: ``out[v]`` lists the heads of v's
+    ``order`` (``post_order``), all fresh.  ``order`` may also be a
+    subtree's edge-bearing parts, in post-order, as an inc handler gets
+    them (``framework.HandlerSet``): the adjacency lists are then the same,
+    and ``verts`` means nothing.  ``out[v]`` lists the heads of v's
     out-edges, ``inn[v]`` the tails of its in-edges; in undirected mode
     ``inn`` is ``out``.  The adjacency is sparse: ``out`` and ``inn`` are
     ``defaultdict(list)``s that hold a list only for a vertex with an edge

@@ -7,10 +7,15 @@ The fold is one loop over the expression's post-order
 (``Expression._order``, which the parser records) with a stack of child
 summaries, as a Python call per node costs more than most nodes' work.
 Handlers see only summaries and the node payload.  An inc handler gets the
-order of its child subexpression, the slice of the expression's order just
-before the inc, and reads from it what it needs of the child graph:
-triangle counting counts the closed edges from it in a loop of its own, the
-shortest-path handlers evaluate it.  A substitution into a pattern without
+child's edge-bearing parts, in post-order, and reads from them what it
+needs of the child graph: triangle counting counts the closed edges in a
+loop of its own, the shortest-path handlers evaluate them.  A *piece* is a
+part of the order that holds edges: the whole subtree of a join with two or
+more parts with vertices, of a substitution into a pattern with edges or of
+a subst-td, or the lone entry of an inc with in- or out-names.  The fold
+keeps the order index of each maximal piece finished so far, and every
+edge of a child graph is made inside one of its pieces, so an inc pays for
+the child's edges, not for its size.  A substitution into a pattern without
 edges is a disjoint union, and goes to the union handler.  Any other
 substitution handler gets its pattern: an explicit pattern as a graph,
 built once per fold however many nodes share it, a tree-depth pattern as
@@ -26,6 +31,7 @@ theory bounds, and ``assert_stats`` re-checks those bounds on every run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,9 +59,13 @@ _NO_VERTICES = object()  # the value of a subtree without vertices
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
-    on_inc receives the child's summary and the child subexpression's
-    order, ``order[i - size : i]`` for the inc at index i of the folded
-    order, where size is the child's subtree size (``expr.post_order``).
+    on_inc receives the child's summary and the child's edge-bearing parts,
+    in post-order: the entries of the folded order (``expr.post_order``)
+    of the maximal joins of two or more parts with vertices, substitutions
+    into patterns with edges and subst-tds inside the child, each with its
+    whole subtree, and of the incs with in- or out-names there that none of
+    those holds, each alone.  Every edge of the child graph is made inside
+    one of them; the whole child order is one such sequence too.
     on_subst receives the pattern graph, which has edges, and the children
     as ``(pattern vertex name, summary)`` pairs in pattern vertex order,
     also per step of a join; on_subst_td receives the order of the
@@ -70,7 +80,7 @@ class HandlerSet:
 
     base_empty: Callable
     base_vertex: Callable
-    on_inc: Callable      # (child F, name, in_names, out_names, child order) -> F
+    on_inc: Callable      # (child F, name, in_names, out_names, child pieces) -> F
     on_subst: Callable    # (pattern Graph with edges, [(name, F), ...]) -> F
     on_subst_td: Callable  # (pattern order, [(name, F), ...]) -> F
     on_union: Callable    # ([F, F, ...]) -> F
@@ -123,6 +133,10 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     # which is stable while the expression lives and cheaper than a hash
     pattern_graphs = {}
     vals = []  # per finished subtree, its summary
+    # the order index r of each maximal piece finished so far, ascending: an
+    # inc's piece is its entry order[r : r + 1], any other the whole subtree
+    # that ends at r; a new subtree piece replaces the pieces inside it
+    roots = []
 
     def graph_of(p):
         return pattern_graphs.get(id(p)) or pattern_graphs.setdefault(id(p), p.to_graph())
@@ -151,13 +165,17 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
             elif t is Inc:
                 f = vals.pop()
                 if f is not _NO_VERTICES:
-                    child = order[i - order[i - 1][2] : i]
+                    child = []
+                    for r in roots[bisect_left(roots, i - order[i - 1][2]) :]:
+                        child += order[r if type(order[r][0]) is Inc else r + 1 - order[r][2] : r + 1]
                     value = on_inc(f, node.name, node.in_names, node.out_names, child)
                 else:  # x is the whole graph
                     if verify is not None:
                         empty = handlers.base_empty()
                         verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
                     value = base_vertex(node.name)
+                if node.in_names or node.out_names:  # a piece of its own
+                    roots.append(i)
             elif t is Empty:
                 value = _NO_VERTICES
             else:
@@ -169,6 +187,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                     by_name = {bn: v for (bn, _), v in zip(node.bindings, kids)}
                     if node.pattern.edges:
                         value = on_subst(graph_of(node.pattern), [(p, by_name[p]) for p in names])
+                        del roots[bisect_left(roots, i + 1 - order[i][2]) :]
+                        roots.append(i)
                     else:  # a disjoint union
                         value = on_union([by_name[p] for p in names])
                 elif t is Union or t is Join:
@@ -177,6 +197,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                     if len(parts) > 1:  # r - 1 steps into two-vertex patterns
                         if t is Join:
                             value = join(i, node, kids, parts)
+                            del roots[bisect_left(roots, i + 1 - order[i][2]) :]
+                            roots.append(i)
                         else:
                             value = on_union(parts)
                             if verify is not None:
@@ -186,6 +208,8 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
                 elif t is SubstTd:
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
                     value = handlers.on_subst_td(node.pattern_order, children)
+                    del roots[bisect_left(roots, i + 1 - order[i][2]) :]
+                    roots.append(i)
                 else:
                     raise InputError(f"unknown node type {t.__name__}")
             if verify is not None and value is not _NO_VERTICES:  # not an empty leaf
@@ -251,7 +275,8 @@ def fold_td_expression(pattern_order, handlers: HandlerSet):
     leaf, inc and union handlers of ``handlers`` under the rules of
     ``fold``: a union drops its parts without vertices, and an inc over a
     part without vertices is ``base_vertex``.  The inc handler gets the
-    order of the child sub-pattern expression."""
+    whole order of the child sub-pattern expression, which is one sequence
+    of the child's edge-bearing parts in post-order (see ``HandlerSet``)."""
     base_vertex, on_inc, on_union = handlers.base_vertex, handlers.on_inc, handlers.on_union
     vals = []
     for i, (node, c, _) in enumerate(pattern_order):

@@ -8,10 +8,11 @@ Every handler keeps two things alive while folding the expression:
   edge-shifted costs ``cost((x, y)) = w(x)``.  Feasibility (all reduced edge
   costs non-negative) is what lets the incremental steps run Dijkstra
   instead of Bellman-Ford (an inc over a child without vertices runs none).
-  An inc evaluates its child into sparse adjacency lists, which hold only
-  vertices with edges, and its two searches queue only such vertices, so
-  their cost follows the child's edges and x's own, not the number of
-  child vertices without edges;
+  An inc evaluates the child's edge-bearing parts, in post-order, which the
+  fold hands it, into sparse adjacency lists, which hold only vertices with
+  edges, and its two searches queue only such vertices, so their cost
+  follows the child's edges and x's own, not the number of child vertices
+  without edges;
 * ``msp``, the minimum total weight over all paths including single
   vertices, which is exactly the vertex weight that a substituted module
   contributes to paths passing through it.
@@ -47,6 +48,7 @@ walk that adds up the shifts on the way down; it runs only where values
 are read: at an inc node (``_inc_core``), in the ``--verify`` checker, and
 at the root, where the outcomes return plain dicts and the expansion
 (``to_full_summary``) reads the exits and entries once for all its levels.
+A negative cycle test reads no potential at the root (``_ncd_fold``).
 
 A negative cycle answers the whole problem: ``_inc_core`` and the pattern
 Floyd ``_pattern_rows`` raise ``framework.Verdict(NEGATIVE_CYCLE)``, which
@@ -101,20 +103,24 @@ def potential_dict(pi) -> dict:
     itself when it is a dict, else a fresh dict filled from the shifted union
     ``pi``, a tuple ``(map, shift, map, shift, ...)`` whose maps are dicts or
     shifted unions.  The walk is iterative (chains are far deeper than the
-    recursion limit) and visits the parts in pattern order."""
+    recursion limit), with one cursor per nesting level, so a dict part
+    costs no push, and visits the parts in pattern order.  Every value is
+    ``val + shift``, a shift of 0.0 included, so -0.0 reads as 0.0."""
     if isinstance(pi, dict):
         return pi
     out = {}
-    stack = [(pi, 0.0)]
+    stack = [(iter(pi), 0.0)]  # per level, its cursor and its total shift
     while stack:
-        p, acc = stack.pop()
-        if isinstance(p, tuple):
-            # pushed last to first, so that they are visited in order
-            for i in range(len(p) - 2, -1, -2):
-                stack.append((p[i], acc + p[i + 1]))
-        else:
+        parts, acc = stack[-1]
+        for p in parts:
+            shift = acc + next(parts)
+            if isinstance(p, tuple):
+                stack.append((iter(p), shift))
+                break
             for v, val in p.items():
-                out[v] = val + acc
+                out[v] = val + shift
+        else:
+            stack.pop()
     return out
 
 
@@ -227,14 +233,15 @@ def _dijkstra_labels(adjacency, w, pi, sources, tol, forward=True):
 
 def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
-    subexpression, given as its order ``child`` (``expr.post_order``),
-    whose shortest-path feasible potential ``pi`` is known.  The child is
-    evaluated here into sparse out- and in-adjacency lists, for main-tree
-    and tree-depth pattern incs alike; the folds never call it on a child
-    without vertices.  One search (``_dijkstra_labels``) runs forward from
-    x's out-names and one backward from its in-names; each queues only
-    vertices with edges, so in the searches a child vertex without edges
-    costs a label at most, and only where x has an edge to it.
+    subexpression, given as its edge-bearing parts in post-order ``child``
+    (``framework.HandlerSet``; a tree-depth pattern inc gets the child's
+    whole order), whose shortest-path feasible potential ``pi`` is known.
+    The parts are evaluated here into sparse out- and in-adjacency lists;
+    the folds never call it on a child without vertices.  One search
+    (``_dijkstra_labels``) runs forward from x's out-names and one backward
+    from its in-names; each queues only vertices with edges, so in the
+    searches a child vertex without edges costs a label at most, and only
+    where x has an edge to it.
 
     Returns ``(new_potential, msp, pi, fwd, bwd)``: the child's potential
     as a dict, and the Dijkstra labels of the vertices reached from x resp.
@@ -545,14 +552,20 @@ def apsp_handlers(w: dict, tol: float) -> HandlerSet:
     )
 
 
+def _ncd_fold(e: Expression, w: dict, verify=False):
+    """``ncd_outcome`` without reading the root's potential, which may stay
+    a shifted union: for the callers that need only the verdict and msp."""
+    w = _gate(e, w, "negative cycle detection")
+    tol = solve_tolerance(w)
+    checker = make_paths_verifier(w, tol) if verify else None
+    return framework.fold(e, ncd_handlers(w, tol), verify=checker)
+
+
 def ncd_outcome(e: Expression, w: dict, *, verify=False):
     """Fold the expression with the NCD handlers.  Returns
     ``(NcdSummary | NEGATIVE_CYCLE, FoldStats)``; the summary's potential is
     a dict."""
-    w = _gate(e, w, "negative cycle detection")
-    tol = solve_tolerance(w)
-    checker = make_paths_verifier(w, tol) if verify else None
-    value, stats = framework.fold(e, ncd_handlers(w, tol), verify=checker)
+    value, stats = _ncd_fold(e, w, verify)
     if not is_negative_cycle(value):
         value = NcdSummary(potential_dict(value.potential), value.msp)
     return value, stats
@@ -561,8 +574,7 @@ def ncd_outcome(e: Expression, w: dict, *, verify=False):
 def detect_negative_cycle(e: Expression, w: dict, *, verify=False) -> bool:
     """True iff the evaluated graph contains a cycle of negative total
     vertex weight."""
-    value, _ = ncd_outcome(e, w, verify=verify)
-    return is_negative_cycle(value)
+    return is_negative_cycle(_ncd_fold(e, w, verify)[0])
 
 
 def apsp_outcome(e: Expression, w: dict, *, verify=False):

@@ -4,11 +4,12 @@ The fold summary is the triple (n, m, t): vertex count, edge count, triangle
 count.  Adding a vertex x creates one new triangle per child edge whose
 endpoints are both neighbors of x.  That number is counted from the child
 subexpression, not from edges, so a solve never builds the evaluated graph:
-a loop over the child's order (the slice of the expression's post-order
-that the inc handler gets) keeps, per node, how many of its vertices lie in
-S = N(x) and how many of its edges lie inside S, on two integer stacks: a
-Python call per node would cost more than the work.  This costs O(size of
-the child) per inc node, O(k * size of the expression) per solve.
+a loop over the child's edge-bearing parts, in post-order (the entries of
+the expression's post-order that the inc handler gets), keeps, per node,
+how many of its vertices lie in S = N(x) and how many of its edges lie
+inside S, on two integer stacks: a Python call per node would cost more
+than the work.  This costs O(size of those parts) per inc node, at most
+O(size of the child), and O(k * size of the expression) per solve.
 Substitution combines summaries arithmetically: every pattern edge {i, j}
 contributes n_i * n_j edges and m_i * n_j + n_i * m_j triangles, and every
 pattern triangle {i, j, k} n_i * n_j * n_k triangles.  A tree-depth pattern
@@ -51,7 +52,8 @@ _VERTEX, _NOTHING = TriFold(1, 0, 0), TriFold(0, 0, 0)
 
 def combine_inc(f: TriFold, neighbors, child) -> TriFold:
     """Summary after adding one vertex adjacent to ``neighbors`` to the graph
-    of the subexpression whose order (``expr.post_order``) is ``child``.
+    of the subexpression whose edge-bearing parts, in post-order, are
+    ``child`` (see ``framework.HandlerSet``).
 
     Every new triangle uses the new vertex plus exactly one child edge with
     both endpoints adjacent to it.
@@ -61,18 +63,21 @@ def combine_inc(f: TriFold, neighbors, child) -> TriFold:
 
 
 def edges_within(child, s) -> int:
-    """Number of edges of the graph of the subexpression whose order
-    (``expr.post_order``) is ``child`` with both endpoints in the
-    vertex-name set ``s``.
+    """Number of edges with both endpoints in the vertex-name set ``s`` of
+    the graph of the subexpression whose edge-bearing parts, in post-order,
+    are ``child`` (see ``framework.HandlerSet``; its whole order is one such
+    sequence).
 
-    Each node's value is (vertices in s, edges inside s), on two stacks.
-    An inc vertex in s adds its edges into s; a union adds up its children's
-    values, a join adds c_i * c_j for each pair of children and a
-    substitution for each pattern edge {i, j}, where c_i counts the vertices
-    in s of child i; a tree-depth pattern's edges come from
+    Each node's value is (vertices in s, edges inside s), on two stacks
+    that start with a 0 sentinel, and the answer is the sum of the edge
+    stack, one value per part.  An inc vertex in s adds its edges into s,
+    to its child's value or, as a part alone, to the total; a union adds up
+    its children's values, a join adds c_i * c_j for each pair of children
+    and a substitution for each pattern edge {i, j}, where c_i counts the
+    vertices in s of child i; a tree-depth pattern's edges come from
     ``expr.td_pattern_edges``.
     """
-    cs, es = [], []
+    cs, es = [0], [0]
     for node, c, _ in child:
         t = type(node)
         if t is Vertex or t is Empty:
@@ -100,7 +105,7 @@ def edges_within(child, s) -> int:
                         e += inside[u] * inside[v]
             cs.append(n)
             es.append(e)
-    return es[0]
+    return sum(es)
 
 
 def combine_union(parts) -> TriFold:

@@ -207,10 +207,41 @@ def test_a_union_and_its_parts_as_one_edgeless_subst_agree(monkeypatch, tc_corpu
         assert agree(e, solve, w) == 0
 
 
+def _edge_parts(root):
+    """What the fold hands an inc over ``root``: the order entries of the
+    maximal edge-bearing parts under ``root``, in post-order, by recursion
+    over the node fields.  A part is the whole subtree of a join with two
+    or more children with vertices, of a substitution into a pattern with
+    edges or of a subst-td, or the lone entry of an inc with in- or
+    out-names."""
+    from graphexpr.expr import collect_vertex_names, post_order, subexpressions
+
+    def rec(node):
+        kids = subexpressions(node)
+        if (
+            isinstance(node, Join) and sum(bool(collect_vertex_names(c)) for c in kids) > 1
+            or isinstance(node, Subst) and node.pattern.edges
+            or isinstance(node, SubstTd)
+        ):
+            return post_order(node)
+        parts = [entry for child in kids for entry in rec(child)]
+        if isinstance(node, Inc) and (node.in_names or node.out_names):
+            parts.append(post_order(node)[-1])
+        return parts
+
+    return rec(root)
+
+
+def _entry_ids(entries):
+    """An order's entries, with each node by its identity."""
+    return tuple((id(node), c, size) for node, c, size in entries)
+
+
 def logging_handlers(log):
     """``counting_handlers`` that log each call: the handler, its node name
-    or pattern, and its children (names and summaries) or the length and
-    root identity of its child or pattern order."""
+    or pattern, and its children (names and summaries), the entries of its
+    child's edge-bearing parts or the length and root identity of its
+    pattern order."""
 
     def subst(pg, children):
         log.append(("on_subst", pg.vertices, pg.edges, tuple(children)))
@@ -224,7 +255,7 @@ def logging_handlers(log):
         base_empty=lambda: log.append(("base_empty",)) or 0,
         base_vertex=lambda name: log.append(("base_vertex", name)) or 1,
         on_inc=lambda f, name, inn, out, child: log.append(
-            ("on_inc", name, f, len(child), id(child[-1][0]))
+            ("on_inc", name, f, _entry_ids(child))
         )
         or f + 1,
         on_subst=subst,
@@ -240,8 +271,9 @@ def _reference_fold(e, hs):
     isolated vertices, a join a left chain of ``on_subst`` steps over the
     ``_PAT_K2`` graph, a substitution into a pattern without edges one
     ``on_union`` call counted as that substitution, an inc over nothing
-    ``base_vertex`` below an empty leaf, and a root without vertices
-    ``base_empty``."""
+    ``base_vertex`` below an empty leaf, an inc over vertices handed the
+    edge-bearing parts of its child (``_edge_parts``), and a root without
+    vertices ``base_empty``."""
     from graphexpr import FoldStats
     from graphexpr.expr import _PAT_K2, Empty, post_order, subexpressions
 
@@ -275,7 +307,7 @@ def _reference_fold(e, hs):
             if f is None:
                 leaf("empty")
                 return hs.base_vertex(node.name), depth + 1
-            child = post_order(node.child)
+            child = _edge_parts(node.child)
             return hs.on_inc(f, node.name, node.in_names, node.out_names, child), depth + 1
         if isinstance(node, Subst):
             by_name = {bn: f for (bn, _), (f, _) in zip(node.bindings, kids)}
@@ -700,32 +732,46 @@ def test_solve_handler_error_names_the_raw_input_path(monkeypatch):
 
 
 def test_inc_handler_gets_its_child_expression_only():
+    # x's child has edges in a join and at the inc y; x gets those two
+    # parts of its child alone, and nothing of the join to z above it
+    from graphexpr.expr import evaluate_node
+
     e = parse(
         "(undirected (join (vertex z) (inc x ((x a)) "
-        "(union (vertex a) (vertex b)))))"
+        "(union (join (vertex a) (vertex b)) (vertex c) (inc y ((y c)) (vertex d))))))"
     )
-    seen = {}
+    for folded in (e, normalize(e)):
+        seen = {}
 
-    def spy(f, name, inn, out, child):
-        # the child comes as its order, whose last entry is its root
-        seen["graph"] = evaluate(Expression(UNDIRECTED, child[-1][0]))
-        return f + 1
+        def spy(f, name, inn, out, child):
+            seen[name] = child
+            return f + 1
 
-    hs = counting_handlers()
-    hs.on_inc = spy
-    fold(normalize(e), hs)
-    # the join to z happens above the inc; the child must not contain z or
-    # any join edges
-    assert set(seen["graph"].vertices) == {"a", "b"}
-    assert seen["graph"].edges == frozenset()
+        hs = counting_handlers()
+        hs.on_inc = spy
+        fold(folded, hs)
+        x = folded.root.children[1] if folded is e else folded.root.bindings[1][1]
+        child = seen["x"]
+        assert _entry_ids(child) == _entry_ids(_edge_parts(x.child))
+        # the parts: the subtree of the join of a and b, and the entry of y
+        kinds = [type(node).__name__ for node, _, _ in child]
+        assert kinds[-1] == "Inc" and child[-1][0].name == "y"
+        assert {type(node).__name__ for node, _, _ in child[:-1]} <= {"Join", "Subst", "Vertex"}
+        _, out, _ = evaluate_node(child, UNDIRECTED)
+        edges = {canonical_edge(UNDIRECTED, u, v) for u, heads in out.items() for v in heads}
+        assert edges == {canonical_edge(UNDIRECTED, *p) for p in (("a", "b"), ("y", "c"))}
+        assert "z" not in out and "x" not in out
+        # an inc over a child without edges gets no part at all
+        assert seen["y"] == []
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Roots of the evaluations started outside the evaluator: every
-    module's ``evaluate`` and ``evaluate_node`` is wrapped (the root of an
-    order is its last entry), and the calls the evaluator makes to itself
-    are not recorded."""
+    """The evaluations started outside the evaluator: every module's
+    ``evaluate`` and ``evaluate_node`` is wrapped, and the calls the
+    evaluator makes to itself are not recorded.  An ``evaluate`` call is
+    recorded as its expression's root, an ``evaluate_node`` call as the
+    entries of its order, each node by its identity (``_entry_ids``)."""
     from graphexpr import expr, framework, paths, triangles
 
     roots, depth = [], [0]
@@ -746,17 +792,18 @@ def evaluations(monkeypatch):
         if hasattr(module, "evaluate"):
             monkeypatch.setattr(module, "evaluate", wrap(module.evaluate, lambda e: e.root))
         if hasattr(module, "evaluate_node"):
+            real = module.evaluate_node
             monkeypatch.setattr(
-                module, "evaluate_node", wrap(module.evaluate_node, lambda order, mode: order[-1][0])
+                module, "evaluate_node", wrap(real, lambda order, mode: _entry_ids(order))
             )
     return roots
 
 
 def test_solves_evaluate_only_their_inc_children(evaluations):
     # without verify, the fold and a TC solve evaluate nothing; an NCD or
-    # APSP solve evaluates each inc node's child once, in the main tree and
-    # in subst-td patterns alike (an inc over a vertexless child is answered
-    # without evaluating it)
+    # APSP solve evaluates each inc node's child once: in the main tree its
+    # edge-bearing parts, in subst-td patterns its whole order (an inc over
+    # a vertexless child is answered without evaluating it)
     from collections import Counter
 
     from graphexpr import (
@@ -795,9 +842,10 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
                 value, _ = solve(e, w)
                 assert not is_negative_cycle(value)
                 want = Counter(
-                    c
-                    for c in main + pattern_incs
-                    if collect_vertex_names(c)
+                    _entry_ids(_edge_parts(c)) for c in main if collect_vertex_names(c)
+                )
+                want.update(
+                    _entry_ids(post_order(c)) for c in pattern_incs if collect_vertex_names(c)
                 )
                 assert Counter(evaluations) == want, (seed, solve.__name__)
     assert seen["main"] and seen["pattern"]
@@ -1005,21 +1053,25 @@ def test_verify_locates_each_node_of_a_wide_union_in_constant_time():
 
 
 def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
-    # an inc handler gets the Inc node's own child; the shortest-path inc
-    # core resolves that child's vertices and edges with one evaluation and
-    # never evaluates the whole graph
+    # an inc handler gets the edge-bearing parts of the Inc node's own
+    # child; the shortest-path inc core resolves that child's edges with one
+    # evaluation of those parts and never evaluates the whole graph
     from graphexpr import DIRECTED, apsp_outcome, is_negative_cycle, ncd_outcome
     from graphexpr.expr import Inc, post_order
     from graphexpr.paths import ncd_handlers, solve_tolerance
 
     e = parse(
-        "(directed (join (vertex z) (inc y ((y x)) (inc x ((x a) (b x)) "
-        "(union (vertex a) (vertex b))))))"
+        "(directed (join (vertex z) (inc y ((y x) (c y)) (inc x ((x a) (b x)) "
+        "(union (vertex a) (vertex b) (join (vertex c) (vertex d)))))))"
     )
     nodes = [node for node, _, _ in post_order(e.root)]
     incs = [n for n in nodes if isinstance(n, Inc)]
     assert [n.name for n in incs] == ["x", "y"]
-    w = {v: 1.0 for v in "abxyz"}
+    w = {v: 1.0 for v in "abcdxyz"}
+    # x gets the join of c and d; y gets that join and the entry of x
+    cd = nodes[[type(n) for n in nodes].index(Join)]
+    parts = [post_order(cd), post_order(cd) + [post_order(incs[0])[-1]]]
+    assert [_edge_parts(n.child) for n in incs] == parts
 
     received = []
     hs = ncd_handlers(w, solve_tolerance(w))
@@ -1029,18 +1081,17 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     )
     evaluations.clear()
     fold(e, hs)
-    # each child comes as its order, whose last entry is the child itself
-    assert [id(c[-1][0]) for c in received] == [id(n.child) for n in incs]
-    assert received == [post_order(n.child) for n in incs]
-    assert [id(r) for r in evaluations] == [id(n.child) for n in incs]
+    # each child comes as the entries of its parts, nodes of the tree itself
+    assert [_entry_ids(c) for c in received] == [_entry_ids(p) for p in parts]
+    assert evaluations == [_entry_ids(p) for p in parts]
 
     for solve in (ncd_outcome, apsp_outcome):
         evaluations.clear()
         value, _ = solve(e, w)
         assert not is_negative_cycle(value)
-        assert [id(r) for r in evaluations] == [id(n.child) for n in incs], solve.__name__
+        assert evaluations == [_entry_ids(p) for p in parts], solve.__name__
         assert e.root not in evaluations
-    assert evaluate(Expression(DIRECTED, incs[0].child)).edges == frozenset()
+    assert evaluate(Expression(DIRECTED, incs[0].child)).edges == {("c", "d"), ("d", "c")}
 
 
 def test_fold_evaluates_the_whole_graph_only_for_inc_views(evaluations):
@@ -1153,3 +1204,74 @@ def test_fold_counts_the_pattern_nesting_of_params(tc_corpus, paths_corpus):
         seen.add(params(e).l)
     assert {0, 2, 3} <= seen
     assert params(cases[-1]).l == 3
+
+
+def _inc_chain(mode, r, k):
+    """k nested incs x1 .. xk, each with one or two edges, over a union of
+    r incs ``(inc vI () (empty))``: x1 has an edge to v0, and xj an edge to
+    x(j-1) and one to a vertex vc, the same vc as x(j-1)'s for even j, which
+    closes a triangle resp. a cycle; directed, the edge between xj and
+    x(j-1) points down for even j and up for odd j."""
+    text = "(union " + " ".join(f"(inc v{i} () (empty))" for i in range(r)) + ")"
+    c = 0
+    for j in range(1, k + 1):
+        x = f"x{j}"
+        if j == 1:
+            edges = [(x, "v0")]
+        else:
+            c = c if j % 2 == 0 else (c + 7) % r
+            down = mode == UNDIRECTED or j % 2 == 0
+            below = [(x, f"x{j - 1}") if down else (f"x{j - 1}", x)]
+            edges = below + [(f"v{c}", x) if j % 2 == 0 else (x, f"v{c}")]
+        text = f"(inc {x} ({' '.join(f'({a} {b})' for a, b in edges)}) {text})"
+    return parse(f"({mode} {text})")
+
+
+def test_an_inc_is_handed_the_edges_of_its_child_not_its_size():
+    # a chain of k incs with edges over a union of r edgeless incs: the
+    # inc xj is handed the lone entries of x1 .. x(j-1) and nothing of the
+    # union, k(k - 1)/2 entries in all where the whole children hold about
+    # 2rk; the solvers agree with the oracles on a small chain
+    from graphexpr import (
+        DIRECTED,
+        all_pairs,
+        count_triangles,
+        detect_negative_cycle,
+        gen_weights,
+        is_negative_cycle,
+        oracle_apsp,
+        oracle_ncd,
+        oracle_triangles,
+    )
+
+    r, k = 10**4, 40
+    for mode in (UNDIRECTED, DIRECTED):
+        e = _inc_chain(mode, r, k)
+        handed = []
+        hs = counting_handlers()
+        hs.on_inc = lambda f, name, inn, out, child: handed.append((name, child)) or f + 1
+        value, _ = fold(e, hs)
+        assert value == r + k
+        chain = [(name, child) for name, child in handed if name.startswith("x")]
+        assert len(chain) == k
+        assert sum(len(child) for _, child in handed) == k * (k - 1) // 2
+        for j, (name, child) in enumerate(chain, 1):
+            assert name == f"x{j}"
+            assert [node.name for node, _, _ in child] == [f"x{i}" for i in range(1, j)]
+    assert count_triangles(_inc_chain(UNDIRECTED, r, k)) == k // 2
+
+    for r, k in ((30, 8), (12, 5)):
+        e = _inc_chain(UNDIRECTED, r, k)
+        assert count_triangles(e) == oracle_triangles(evaluate(e)) == k // 2
+        e = _inc_chain(DIRECTED, r, k)
+        g = evaluate(e)
+        for seed in range(6):
+            for lo in (-5.0, 0.0):
+                w = gen_weights(g.vertices, lo, 5.0, seed)
+                assert detect_negative_cycle(e, w) == oracle_ncd(g, w), (r, seed, lo)
+                got, want = all_pairs(e, w), oracle_apsp(g, w)
+                assert is_negative_cycle(got) == is_negative_cycle(want), (r, seed, lo)
+                if not is_negative_cycle(want):
+                    assert got.keys() == want.keys()
+                    for pair, d in want.items():
+                        assert d == got[pair] or abs(d - got[pair]) <= 1e-9, (r, seed, pair)

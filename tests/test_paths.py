@@ -921,3 +921,79 @@ def test_apsp_on_an_alternating_chain_matches_the_oracle():
     assert value.dist.keys() == ref.keys()
     for pair, d in ref.items():
         assert close(value.dist[pair], d), pair
+
+
+def _potential_reference(pi):
+    """``potential_dict`` by plain recursion over the shifted union."""
+    if isinstance(pi, dict):
+        return pi
+    out = {}
+
+    def rec(p, acc):
+        if isinstance(p, dict):
+            for v, val in p.items():
+                out[v] = val + acc
+        else:
+            for i in range(0, len(p), 2):
+                rec(p[i], acc + p[i + 1])
+
+    rec(pi, 0.0)
+    return out
+
+
+@st.composite
+def _shifted_unions(draw):
+    # nested shifted unions over fresh names, with zero and non-zero shifts,
+    # weights of -0.0 and empty parts (empty dicts and empty unions)
+    names = iter(range(10**6))
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 3e17])
+    shifts = st.one_of(st.just(0.0), st.just(-0.0), values, st.floats(-1e6, 1e6))
+
+    def leaf(n):
+        return {f"v{next(names)}": draw(values) for _ in range(n)}
+
+    def union(depth):
+        parts = []
+        for _ in range(draw(st.integers(0, 4))):
+            deeper = depth and draw(st.booleans())
+            parts += (union(depth - 1) if deeper else leaf(draw(st.integers(0, 3))), draw(shifts))
+        return tuple(parts)
+
+    return union(draw(st.integers(0, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shifted_unions())
+def test_potential_dict_matches_a_recursive_reference(pi):
+    # the same keys in the same insertion order, and bit-identical values
+    got, want = potential_dict(pi), _potential_reference(pi)
+    assert [(v, x.hex()) for v, x in got.items()] == [(v, x.hex()) for v, x in want.items()]
+
+
+def test_potential_dict_walks_a_chain_deeper_than_the_recursion_limit():
+    # a left-deep chain of 10^5 shifted unions, each adding a vertex of
+    # weight -0.0 that its shift of 0.0 turns into 0.0
+    depth = 10**5
+    pi = {"v0": 1.0}
+    for i in range(1, depth):
+        pi = (pi, 0.5, {f"v{i}": -0.0}, 0.0)
+    got = potential_dict(pi)
+    assert list(got) == [f"v{i}" for i in range(depth)]
+    assert got["v0"] == 1.0 + 0.5 * (depth - 1)
+    assert all(math.copysign(1.0, got[f"v{i}"]) == 1.0 for i in range(1, depth))
+
+
+def test_a_negative_cycle_test_reads_no_root_potential(monkeypatch):
+    # detect_negative_cycle needs only the verdict, so the root's shifted
+    # union is never turned into a dict; ncd_outcome still returns one
+    calls = []
+    real = paths.potential_dict
+    monkeypatch.setattr(paths, "potential_dict", lambda pi: calls.append(pi) or real(pi))
+    r = 1000
+    e = parse("(directed (union " + " ".join(f"(inc v{i} () (empty))" for i in range(r)) + "))")
+    w = {f"v{i}": float(i % 7 - 3) for i in range(r)}
+    assert not detect_negative_cycle(e, w)
+    assert calls == []
+    value, _ = ncd_outcome(e, w)
+    assert len(calls) == 1 and type(calls[0]) is tuple
+    assert type(value.potential) is dict and len(value.potential) == r
