@@ -26,11 +26,11 @@ Each expression has one post-order of its tree (``post_order``), which
 the parser records as it closes nodes (``Expression._order``); a subtree is
 a slice of it.  Each subst-td pattern has its own (``SubstTd.pattern_order``),
 which the parser records too.  Every walk is a flat loop over an order:
-the front end (``_scan``), ``framework.fold`` and the pattern replay,
-``triangles.edges_within``, the evaluator and ``normalize``, as a Python
-call per node costs more than most nodes' work.  The evaluator builds
-adjacency lists: union and join are substitutions into an edgeless resp.
-complete pattern.
+the front end (``_scan``), ``framework.fold``, whose loop also replays
+patterns, ``triangles.edges_within``, the evaluator and ``normalize``, as
+a Python call per node costs more than most nodes' work.  The evaluator
+builds adjacency lists: union and join are substitutions into an edgeless
+resp. complete pattern.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains

@@ -20,7 +20,8 @@ edges is a disjoint union, and goes to the union handler.  Any other
 substitution handler gets its pattern: an explicit pattern as a graph,
 built once per fold however many nodes share it, a tree-depth pattern as
 its order (``SubstTd.pattern_order``), which the NCD and APSP handlers
-replay with ``fold_td_expression``, a loop like the fold's.  The fold
+replay with ``fold_td_expression``, the fold's own loop over that order,
+so a pattern inc is handed its child's pieces as well.  The fold
 evaluates nothing unless ``verify`` is given.
 
 A handler whose value answers the whole expression, such as a negative
@@ -73,9 +74,11 @@ class HandlerSet:
     children in binding order; on_union the summaries of the two or more
     parts with vertices of a union, in order, or of the children of a
     substitution into a pattern without edges, in pattern vertex order.
-    The leaf, inc and union handlers also fold tree-depth patterns
-    (``fold_td_expression``).  A handler raises ``Verdict(value)`` instead
-    of returning a value that answers the whole expression.
+    The leaf, inc and union handlers also replay tree-depth patterns by
+    the same loop (``fold_td_expression``), where an inc gets the
+    edge-bearing parts of its child in the pattern order.  A handler raises
+    ``Verdict(value)`` instead of returning a value that answers the whole
+    expression.
     """
 
     base_empty: Callable
@@ -115,7 +118,9 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     vertices is one empty leaf where an inc (which is then ``base_vertex``)
     or the root keeps it.  Returns ``(summary, FoldStats)``; a ``Verdict``
     ends the fold with its value, and the stats, which the front end counts
-    (``expr._scan``), still cover the whole expression.
+    (``expr._scan``), still cover the whole expression.  A handler error
+    is re-raised with the path of its node in the main tree appended, that
+    of the subst-td node for an error in a pattern replay.
 
     ``verify``, when given, is called as ``verify(path, node, summary,
     subgraph)`` after every handler with the evaluated subgraph of that node
@@ -123,9 +128,38 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     of a join), and with a verdict's value at the node that raised it.
     Without ``verify`` the fold evaluates nothing.
     """
-    order = e._order
     counts, *accounting = e._front_end[3]
     stats = FoldStats(dict(counts), *accounting)
+    try:
+        value = _fold(e._order, e.mode, handlers, verify)
+    except Verdict as verdict:
+        return verdict.value, stats
+    except VerificationError:
+        raise
+    except Exception as exc:
+        path = exc._fold_path = locator(e._order)(exc._fold_index)
+        message = exc.args[0] if exc.args else repr(exc)
+        exc.args = (f"{message} [at {path}]",) + exc.args[1:]
+        raise
+    if value is _NO_VERTICES:
+        if verify is not None:
+            verify("root", e.root, handlers.base_empty(), evaluate(e))
+        value = handlers.base_empty()
+    return value, stats
+
+
+def fold_td_expression(pattern_order, handlers: HandlerSet):
+    """The summary of a tree-depth pattern with vertices, given as its
+    order (``SubstTd.pattern_order``), by the loop of ``fold`` with
+    ``handlers``: the subst-td handlers replay their pattern with it."""
+    return _fold(pattern_order, None, handlers, None)
+
+
+def _fold(order, mode, handlers, verify):
+    """The loop of ``fold`` over ``order``: the summary of its root, or
+    ``_NO_VERTICES``.  A ``Verdict`` is checked by ``verify`` at its node
+    and passes on; any other handler error is tagged with the index of its
+    node as ``_fold_index``, which an enclosing loop overwrites."""
     locate = locator(order)
     base_vertex, on_inc = handlers.base_vertex, handlers.on_inc
     on_subst, on_union = handlers.on_subst, handlers.on_union
@@ -143,18 +177,18 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
 
     def subgraph(j):
         # the evaluated subtree of the entry at j, for verify
-        return evaluate(expression_of(e.mode, order[j + 1 - order[j][2] : j + 1]))
+        return evaluate(expression_of(mode, order[j + 1 - order[j][2] : j + 1]))
 
     def join(i, node, kids, parts):
         # a left chain of binary steps, each checked on the children so far
-        pg, value = graph_of(_PAT_K2[e.mode]), parts[0]
+        pg, value = graph_of(_PAT_K2[mode]), parts[0]
         if verify is not None:
             folded, *rest = [x for v, x in zip(kids, node.children) if v is not _NO_VERTICES]
         for j in range(1, len(parts)):
             value = on_subst(pg, [("a", value), ("b", parts[j])])
             if verify is not None:
-                folded = Subst(_PAT_K2[e.mode], (("a", folded), ("b", rest[j - 1])))
-                verify(locate(i), folded, value, evaluate(Expression(e.mode, folded)))
+                folded = Subst(_PAT_K2[mode], (("a", folded), ("b", rest[j - 1])))
+                verify(locate(i), folded, value, evaluate(Expression(mode, folded)))
         return value
 
     try:
@@ -218,22 +252,11 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     except Verdict as verdict:
         if verify is not None:
             verify(locate(i), node, verdict.value, subgraph(i))
-        return verdict.value, stats
-    except VerificationError:
         raise
     except Exception as exc:
-        if not getattr(exc, "_fold_path", None):
-            path = exc._fold_path = locate(i)
-            message = exc.args[0] if exc.args else repr(exc)
-            exc.args = (f"{message} [at {path}]",) + exc.args[1:]
+        exc._fold_index = i
         raise
-
-    value = vals[0]
-    if value is _NO_VERTICES:
-        if verify is not None:
-            verify("root", order[-1][0], handlers.base_empty(), subgraph(len(order) - 1))
-        value = handlers.base_empty()
-    return value, stats
+    return vals[0]
 
 
 def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
@@ -261,41 +284,3 @@ def assert_stats(stats: FoldStats, n: int, p: Params) -> list:
             f"pattern tree-depth {stats.max_subtd_depth} exceeds declared l = {p.l}"
         )
     return violations
-
-
-# ---------------------------------------------------------------------------
-# Folds over tree-depth pattern expressions.
-#
-# Subst-td handlers replay their pattern with the problem's own handlers.
-
-
-def fold_td_expression(pattern_order, handlers: HandlerSet):
-    """Fold a pure tree-depth expression with vertices, given as its order
-    (``SubstTd.pattern_order``), in one loop like ``fold``'s, with the
-    leaf, inc and union handlers of ``handlers`` under the rules of
-    ``fold``: a union drops its parts without vertices, and an inc over a
-    part without vertices is ``base_vertex``.  The inc handler gets the
-    whole order of the child sub-pattern expression, which is one sequence
-    of the child's edge-bearing parts in post-order (see ``HandlerSet``)."""
-    base_vertex, on_inc, on_union = handlers.base_vertex, handlers.on_inc, handlers.on_union
-    vals = []
-    for i, (node, c, _) in enumerate(pattern_order):
-        t = type(node)
-        if t is Vertex:
-            vals.append(base_vertex(node.name))
-        elif t is Inc:
-            if vals[-1] is _NO_VERTICES:
-                vals[-1] = base_vertex(node.name)
-            else:
-                child = pattern_order[i - pattern_order[i - 1][2] : i]
-                vals[-1] = on_inc(vals[-1], node.name, node.in_names, node.out_names, child)
-        elif t is Union:
-            top = len(vals) - c
-            parts = [v for v in vals[top:] if v is not _NO_VERTICES]
-            del vals[top:]
-            vals.append(on_union(parts) if len(parts) > 1 else parts[0] if parts else _NO_VERTICES)
-        elif t is Empty:
-            vals.append(_NO_VERTICES)
-        else:
-            raise InputError(f"{t.__name__} node inside a tree-depth pattern expression")
-    return vals[0]

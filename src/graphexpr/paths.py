@@ -234,8 +234,8 @@ def _dijkstra_labels(adjacency, w, pi, sources, tol, forward=True):
 def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
     subexpression, given as its edge-bearing parts in post-order ``child``
-    (``framework.HandlerSet``; a tree-depth pattern inc gets the child's
-    whole order), whose shortest-path feasible potential ``pi`` is known.
+    (``framework.HandlerSet``; in the main tree and in tree-depth pattern
+    replays alike), whose shortest-path feasible potential ``pi`` is known.
     The parts are evaluated here into sparse out- and in-adjacency lists;
     the folds never call it on a child without vertices.  One search
     (``_dijkstra_labels``) runs forward from x's out-names and one backward

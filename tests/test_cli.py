@@ -529,6 +529,40 @@ def test_check_apsp_with_inf_entries(capsys, tmp_path):
     assert "check=pass dev=0" in out
 
 
+def test_check_apsp_bounds_the_deviation_by_the_weights_in_use(capsys, tmp_path, monkeypatch):
+    # at weights near 1e10 the solver and the oracle round their sums
+    # differently, about 1 ulp (2e-6) apart, which an absolute bound of
+    # 1e-6 took for a mismatch; a deviation of 1e-3 is still one
+    import random
+
+    from graphexpr import DIRECTED, GenSpec, evaluate, gen_random, paths
+    from graphexpr.cli import format_expression
+
+    e = gen_random(GenSpec(DIRECTED, k=2, h=3, l=2, budget=30, seed=4))
+    rng = random.Random(4)
+    f, w = tmp_path / "e.expr", tmp_path / "w.tsv"
+    f.write_text(format_expression(e) + "\n")
+    weights = [(v, rng.uniform(0, 5) * 1e9 + rng.random()) for v in evaluate(e).vertices]
+    w.write_text("".join(f"{v}\t{x!r}\n" for v, x in weights))
+    code, out, _ = run(capsys, "check", "apsp", str(f), str(w))
+    assert code == 0
+    assert float(kv(out)["dev"]) > 1e-6
+
+    def off(real):
+        def all_pairs(*args):
+            got = dict(real(*args).items())
+            pair = next(pq for pq, d in got.items() if d < float("inf"))
+            got[pair] += 1e-3
+            return got
+
+        return all_pairs
+
+    monkeypatch.setattr(paths, "all_pairs", off(paths.all_pairs))
+    code, out, _ = run(capsys, "check", "apsp", str(f), str(w))
+    assert code == 1
+    assert "check=fail" in out
+
+
 def test_check_refuses_a_large_graph_before_evaluating_it(capsys, tmp_path):
     # the 500-vertex limit is tested on the names: evaluating this join of
     # two 1000-vertex unions (10^6 edges) first peaked at 206 MB

@@ -1,6 +1,7 @@
 """The generic fold: handler dispatch, graph reconstruction sanity check,
 accounting bounds."""
 
+import itertools
 import re
 
 import pytest
@@ -23,6 +24,7 @@ from graphexpr import (
     validate_or_raise,
 )
 from graphexpr.expr import Inc, SubstTd, Union, canonical_edge, expression_of
+from graphexpr.framework import fold_td_expression
 from graphexpr.triangles import handlers as tri_handlers
 
 from conftest import corpus_instance
@@ -724,6 +726,12 @@ def test_solve_handler_error_names_the_raw_input_path(monkeypatch):
     with pytest.raises(ContractViolation) as info:
         ncd_outcome(parse(f"(directed {nested})"), w)
     assert str(info.value) == "boom [at root/2/child]"
+    # an error in a pattern replay names the subst-td node, not the pattern
+    replayed = "(subst-td (inc q ((q p)) (vertex p)) ((p (vertex a)) (q (vertex b))))"
+    monkeypatch.setattr(paths, "ncd_inc", boom(paths.ncd_inc, lambda f, x, *_: x == "q"))
+    with pytest.raises(ContractViolation) as info:
+        ncd_outcome(parse(f"(directed (union (vertex z) {replayed}))"), dict.fromkeys("abz", 1.0))
+    assert str(info.value) == "boom [at root/1]"
 
     monkeypatch.setattr(triangles, "combine_subst", boom(triangles.combine_subst, lambda *_: True))
     with pytest.raises(ContractViolation) as info:
@@ -801,9 +809,9 @@ def evaluations(monkeypatch):
 
 def test_solves_evaluate_only_their_inc_children(evaluations):
     # without verify, the fold and a TC solve evaluate nothing; an NCD or
-    # APSP solve evaluates each inc node's child once: in the main tree its
-    # edge-bearing parts, in subst-td patterns its whole order (an inc over
-    # a vertexless child is answered without evaluating it)
+    # APSP solve evaluates each inc node's child once, its edge-bearing
+    # parts, in the main tree and in subst-td patterns alike (an inc over a
+    # vertexless child is answered without evaluating it)
     from collections import Counter
 
     from graphexpr import (
@@ -842,10 +850,9 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
                 value, _ = solve(e, w)
                 assert not is_negative_cycle(value)
                 want = Counter(
-                    _entry_ids(_edge_parts(c)) for c in main if collect_vertex_names(c)
-                )
-                want.update(
-                    _entry_ids(post_order(c)) for c in pattern_incs if collect_vertex_names(c)
+                    _entry_ids(_edge_parts(c))
+                    for c in main + pattern_incs
+                    if collect_vertex_names(c)
                 )
                 assert Counter(evaluations) == want, (seed, solve.__name__)
     assert seen["main"] and seen["pattern"]
@@ -978,7 +985,7 @@ def test_a_negative_cycle_ends_the_fold_with_the_stats_of_the_whole_expression(m
 
 
 def test_verify_checks_a_verdict_once_at_the_node_that_reported_it():
-    from graphexpr import paths
+    from graphexpr import NEGATIVE_CYCLE, paths
 
     e, w = _cycle_then_incs(100, -1.0)
     tol = paths.solve_tolerance(w)
@@ -992,6 +999,25 @@ def test_verify_checks_a_verdict_once_at_the_node_that_reported_it():
         value, _ = fold(e, make(w, tol), verify=check)
         assert [(path, v) for path, v in seen if v is value] == [("root/0", value)]
         assert [path for path, _ in seen] == ["root/0/child", "root/0"]
+    # a verdict raised in a pattern replay is checked once, at the subst-td
+    # node that replays the pattern
+    e = parse(
+        "(directed (union (vertex z) (subst-td (inc q ((q p) (p q)) (vertex p))"
+        " ((p (vertex a)) (q (vertex b))))))"
+    )
+    w = {"z": 1.0, "a": -1.0, "b": -1.0}
+    tol = paths.solve_tolerance(w)
+    for make in (paths.ncd_handlers, paths.apsp_handlers):
+        checker, seen = paths.make_paths_verifier(w, tol), []
+
+        def check(path, node, value, sub):
+            seen.append((path, value))
+            checker(path, node, value, sub)
+
+        value, _ = fold(e, make(w, tol), verify=check)
+        assert value is NEGATIVE_CYCLE
+        assert [(path, v) for path, v in seen if v is value] == [("root/1", value)]
+        assert [path for path, _ in seen] == ["root/0", "root/1/bind[p]", "root/1/bind[q]", "root/1"]
 
 
 def test_verify_catches_a_false_verdict(monkeypatch, tmp_path, capsys):
@@ -1206,13 +1232,16 @@ def test_fold_counts_the_pattern_nesting_of_params(tc_corpus, paths_corpus):
     assert params(cases[-1]).l == 3
 
 
-def _inc_chain(mode, r, k):
+def _inc_chain(mode, r, k, td=False):
     """k nested incs x1 .. xk, each with one or two edges, over a union of
     r incs ``(inc vI () (empty))``: x1 has an edge to v0, and xj an edge to
     x(j-1) and one to a vertex vc, the same vc as x(j-1)'s for even j, which
     closes a triangle resp. a cycle; directed, the edge between xj and
-    x(j-1) points down for even j and up for odd j."""
-    text = "(union " + " ".join(f"(inc v{i} () (empty))" for i in range(r)) + ")"
+    x(j-1) points down for even j and up for odd j.  With ``td``, the chain
+    over a union of r vertices ``(vertex vI)`` is the pattern of a subst-td
+    that binds each pattern vertex to a vertex of its own name."""
+    leaf = "(vertex v{})" if td else "(inc v{} () (empty))"
+    text = "(union " + " ".join(leaf.format(i) for i in range(r)) + ")"
     c = 0
     for j in range(1, k + 1):
         x = f"x{j}"
@@ -1224,14 +1253,18 @@ def _inc_chain(mode, r, k):
             below = [(x, f"x{j - 1}") if down else (f"x{j - 1}", x)]
             edges = below + [(f"v{c}", x) if j % 2 == 0 else (x, f"v{c}")]
         text = f"(inc {x} ({' '.join(f'({a} {b})' for a, b in edges)}) {text})"
+    if td:
+        names = [f"v{i}" for i in range(r)] + [f"x{j}" for j in range(1, k + 1)]
+        text = f"(subst-td {text} ({' '.join(f'({p} (vertex {p}))' for p in names)}))"
     return parse(f"({mode} {text})")
 
 
 def test_an_inc_is_handed_the_edges_of_its_child_not_its_size():
-    # a chain of k incs with edges over a union of r edgeless incs: the
-    # inc xj is handed the lone entries of x1 .. x(j-1) and nothing of the
-    # union, k(k - 1)/2 entries in all where the whole children hold about
-    # 2rk; the solvers agree with the oracles on a small chain
+    # a chain of k incs with edges over a union of r edgeless incs, or as
+    # a subst-td pattern over a union of r vertices: the inc xj is handed
+    # the lone entries of x1 .. x(j-1) and nothing of the union, k(k - 1)/2
+    # entries in all where the whole children hold rk or more; the solvers
+    # agree with the oracles on a small chain
     from graphexpr import (
         DIRECTED,
         all_pairs,
@@ -1245,11 +1278,12 @@ def test_an_inc_is_handed_the_edges_of_its_child_not_its_size():
     )
 
     r, k = 10**4, 40
-    for mode in (UNDIRECTED, DIRECTED):
-        e = _inc_chain(mode, r, k)
+    for mode, td in itertools.product((UNDIRECTED, DIRECTED), (False, True)):
+        e = _inc_chain(mode, r, k, td)
         handed = []
         hs = counting_handlers()
         hs.on_inc = lambda f, name, inn, out, child: handed.append((name, child)) or f + 1
+        hs.on_subst_td = lambda pattern_order, children: fold_td_expression(pattern_order, hs)
         value, _ = fold(e, hs)
         assert value == r + k
         chain = [(name, child) for name, child in handed if name.startswith("x")]
@@ -1258,12 +1292,13 @@ def test_an_inc_is_handed_the_edges_of_its_child_not_its_size():
         for j, (name, child) in enumerate(chain, 1):
             assert name == f"x{j}"
             assert [node.name for node, _, _ in child] == [f"x{i}" for i in range(1, j)]
-    assert count_triangles(_inc_chain(UNDIRECTED, r, k)) == k // 2
+    for td in (False, True):
+        assert count_triangles(_inc_chain(UNDIRECTED, r, k, td)) == k // 2
 
-    for r, k in ((30, 8), (12, 5)):
-        e = _inc_chain(UNDIRECTED, r, k)
+    for (r, k), td in itertools.product(((30, 8), (12, 5)), (False, True)):
+        e = _inc_chain(UNDIRECTED, r, k, td)
         assert count_triangles(e) == oracle_triangles(evaluate(e)) == k // 2
-        e = _inc_chain(DIRECTED, r, k)
+        e = _inc_chain(DIRECTED, r, k, td)
         g = evaluate(e)
         for seed in range(6):
             for lo in (-5.0, 0.0):
