@@ -47,7 +47,6 @@ from .oracle import (
     gen_weights,
     oracle_apsp,
     oracle_ncd,
-    oracle_treedepth,
     oracle_triangles,
 )
 from .paths import (
@@ -100,7 +99,6 @@ __all__ = [
     "gen_weights",
     "oracle_apsp",
     "oracle_ncd",
-    "oracle_treedepth",
     "oracle_triangles",
     "all_pairs",
     "apsp_outcome",

@@ -260,7 +260,7 @@ def cmd_check(args):
                 devs = (0.0 if got[pq] == d else abs(got[pq] - d) for pq, d in want.items())
                 dev = max(devs, default=0.0)
                 # sums of large weights round by more than an absolute bound
-                ok = dev <= max(1e-6, paths.solve_tolerance({v: w[v] for v in names}))
+                ok = dev <= max(paths._COMPARE_TOL, paths.solve_tolerance({v: w[v] for v in names}))
     report.append(f"check={'pass' if ok else 'fail'} dev={fmt(dev)}")
     _emit(report)
     return 0 if ok else 1

@@ -700,7 +700,6 @@ def _scan(order):
     is walked by the same loop over its ``pattern_order`` with ``td_only``,
     and its stats dropped.  Duplicate names are reported in sorted order."""
     violations = []
-    checked = {}  # id(pattern) -> its messages: a shared pattern is checked once
     h = l = 0
 
     def walk(order, label, td_only):
@@ -743,11 +742,7 @@ def _scan(order):
                 steps += r - 1 if r > 1 else 0
             elif t is Subst:
                 pattern = node.pattern
-                messages = checked.get(id(pattern))
-                if messages is None:
-                    messages = checked[id(pattern)] = []
-                    _check_pattern(pattern, messages.append)
-                for message in messages:
+                for message in _check_pattern(pattern):
                     bad(pattern, message)
                 for message in _check_bindings(node, pattern.names, kids):
                     bad(node, message)
@@ -794,17 +789,18 @@ def _scan(order):
     return names, violations, Params(k, h, l), stats
 
 
-def _check_pattern(pattern, bad):
+def _check_pattern(pattern):
+    """The messages about an explicit ``pattern``."""
     names = set(pattern.names)
     if len(pattern.names) < 2:
-        bad("pattern needs at least two vertices")
+        yield "pattern needs at least two vertices"
     if len(names) != len(pattern.names):
-        bad("duplicate pattern vertex name")
+        yield "duplicate pattern vertex name"
     for (a, b) in pattern.edges:
         if a == b:
-            bad(f"loop edge on pattern vertex {a!r}")
+            yield f"loop edge on pattern vertex {a!r}"
         if a not in names or b not in names:
-            bad(f"pattern edge ({a!r}, {b!r}) uses undeclared vertex")
+            yield f"pattern edge ({a!r}, {b!r}) uses undeclared vertex"
 
 
 def _check_bindings(node, pattern_names, child_names):

@@ -13,16 +13,17 @@ loop of its own, the shortest-path handlers evaluate them.  A *piece* is a
 part of the order that holds edges: the whole subtree of a join with two or
 more parts with vertices, of a substitution into a pattern with edges or of
 a subst-td, or the lone entry of an inc with in- or out-names.  The fold
-keeps the order index of each maximal piece finished so far, and every
-edge of a child graph is made inside one of its pieces, so an inc pays for
-the child's edges, not for its size.  A substitution into a pattern without
-edges is a disjoint union, and goes to the union handler.  Any other
-substitution handler gets its pattern: an explicit pattern as a graph,
-built once per fold however many nodes share it, a tree-depth pattern as
-its order (``SubstTd.pattern_order``), which the NCD and APSP handlers
-replay with ``fold_td_expression``, the fold's own loop over that order,
-so a pattern inc is handed its child's pieces as well.  The fold
-evaluates nothing unless ``verify`` is given.
+keeps the maximal runs of consecutive piece entries finished so far, and
+every edge of a child graph is made inside one of its pieces, so an inc
+pays for the child's edges, not for its size, with one slice per run.  A
+substitution into a pattern without edges is a disjoint union, and goes to
+the union handler.  Any other substitution handler gets its pattern: an
+explicit pattern as a graph, built at its node (a join step's two-vertex
+pattern once, at import), a tree-depth pattern as its order
+(``SubstTd.pattern_order``), which the NCD and APSP handlers replay with
+``fold_td_expression``, the fold's own loop over that order, so a pattern
+inc is handed its child's pieces as well.  The fold evaluates nothing
+unless ``verify`` is given.
 
 A handler whose value answers the whole expression, such as a negative
 cycle, raises ``Verdict`` with it, which ends the fold.  The front end's
@@ -32,7 +33,6 @@ theory bounds, and ``assert_stats`` re-checks those bounds on every run.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,6 +54,7 @@ from .expr import (
 )
 
 _NO_VERTICES = object()  # the value of a subtree without vertices
+_K2_GRAPH = {mode: pattern.to_graph() for mode, pattern in _PAT_K2.items()}
 
 
 @dataclass
@@ -163,17 +164,8 @@ def _fold(order, mode, handlers, verify):
     locate = locator(order)
     base_vertex, on_inc = handlers.base_vertex, handlers.on_inc
     on_subst, on_union = handlers.on_subst, handlers.on_union
-    # local, so that no pattern outlives the fold, and keyed by identity,
-    # which is stable while the expression lives and cheaper than a hash
-    pattern_graphs = {}
     vals = []  # per finished subtree, its summary
-    # the order index r of each maximal piece finished so far, ascending: an
-    # inc's piece is its entry order[r : r + 1], any other the whole subtree
-    # that ends at r; a new subtree piece replaces the pieces inside it
-    roots = []
-
-    def graph_of(p):
-        return pattern_graphs.get(id(p)) or pattern_graphs.setdefault(id(p), p.to_graph())
+    runs = []  # the maximal [start, stop) runs of piece entries, ascending
 
     def subgraph(j):
         # the evaluated subtree of the entry at j, for verify
@@ -181,7 +173,7 @@ def _fold(order, mode, handlers, verify):
 
     def join(i, node, kids, parts):
         # a left chain of binary steps, each checked on the children so far
-        pg, value = graph_of(_PAT_K2[mode]), parts[0]
+        pg, value = _K2_GRAPH[mode], parts[0]
         if verify is not None:
             folded, *rest = [x for v, x in zip(kids, node.children) if v is not _NO_VERTICES]
         for j in range(1, len(parts)):
@@ -199,9 +191,11 @@ def _fold(order, mode, handlers, verify):
             elif t is Inc:
                 f = vals.pop()
                 if f is not _NO_VERTICES:
-                    child = []
-                    for r in roots[bisect_left(roots, i - order[i - 1][2]) :]:
-                        child += order[r if type(order[r][0]) is Inc else r + 1 - order[r][2] : r + 1]
+                    a, j, child = i - order[i - 1][2], len(runs), []  # the child is order[a:i]
+                    while j and runs[j - 1][1] > a:  # the runs that end inside it
+                        j -= 1
+                    for start, stop in runs[j:]:
+                        child += order[max(start, a) : stop]
                     value = on_inc(f, node.name, node.in_names, node.out_names, child)
                 else:  # x is the whole graph
                     if verify is not None:
@@ -209,7 +203,7 @@ def _fold(order, mode, handlers, verify):
                         verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
                     value = base_vertex(node.name)
                 if node.in_names or node.out_names:  # a piece of its own
-                    roots.append(i)
+                    _add_piece(runs, i, i + 1)
             elif t is Empty:
                 value = _NO_VERTICES
             else:
@@ -220,9 +214,8 @@ def _fold(order, mode, handlers, verify):
                     names = node.pattern.names
                     by_name = {bn: v for (bn, _), v in zip(node.bindings, kids)}
                     if node.pattern.edges:
-                        value = on_subst(graph_of(node.pattern), [(p, by_name[p]) for p in names])
-                        del roots[bisect_left(roots, i + 1 - order[i][2]) :]
-                        roots.append(i)
+                        value = on_subst(node.pattern.to_graph(), [(p, by_name[p]) for p in names])
+                        _add_piece(runs, i + 1 - order[i][2], i + 1)
                     else:  # a disjoint union
                         value = on_union([by_name[p] for p in names])
                 elif t is Union or t is Join:
@@ -231,8 +224,7 @@ def _fold(order, mode, handlers, verify):
                     if len(parts) > 1:  # r - 1 steps into two-vertex patterns
                         if t is Join:
                             value = join(i, node, kids, parts)
-                            del roots[bisect_left(roots, i + 1 - order[i][2]) :]
-                            roots.append(i)
+                            _add_piece(runs, i + 1 - order[i][2], i + 1)
                         else:
                             value = on_union(parts)
                             if verify is not None:
@@ -242,8 +234,7 @@ def _fold(order, mode, handlers, verify):
                 elif t is SubstTd:
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
                     value = handlers.on_subst_td(node.pattern_order, children)
-                    del roots[bisect_left(roots, i + 1 - order[i][2]) :]
-                    roots.append(i)
+                    _add_piece(runs, i + 1 - order[i][2], i + 1)
                 else:
                     raise InputError(f"unknown node type {t.__name__}")
             if verify is not None and value is not _NO_VERTICES:  # not an empty leaf
@@ -257,6 +248,15 @@ def _fold(order, mode, handlers, verify):
         exc._fold_index = i
         raise
     return vals[0]
+
+
+def _add_piece(runs, start, stop):
+    """Record the finished piece ``order[start:stop]`` in ``runs``: it
+    takes in every run that reaches ``start``, inside the piece or next to
+    it."""
+    while runs and runs[-1][1] >= start:
+        start = min(start, runs.pop()[0])
+    runs.append((start, stop))
 
 
 def assert_stats(stats: FoldStats, n: int, p: Params) -> list:

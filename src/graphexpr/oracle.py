@@ -3,7 +3,8 @@
 The references are deliberately independent of the solvers they check:
 triangle counting by neighborhood intersection, negative cycles and
 distances by Bellman-Ford from scratch (never by the package's Floyd or the
-incremental Dijkstra machinery), tree-depth by exhaustive vertex deletion.
+incremental Dijkstra machinery).  References that only tests use live with
+the tests.
 
 ``gen_random`` produces expressions that hit a requested parameter triple
 (k, h, l) exactly: one subtree per nonzero target is planted to achieve it,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ContractViolation, InputError
+from .errors import InputError
 from .expr import (
     Empty,
     Expression,
@@ -42,7 +43,6 @@ from .graphs import (
     UNDIRECTED,
     Graph,
     canonical_edge,
-    check_total_weights,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,20 +92,6 @@ def oracle_ncd(g: Graph, w: dict) -> bool:
     return _super_source_labels(g, w) is None
 
 
-def shortest_path_potential(g: Graph, w: dict) -> dict:
-    """Distances from a virtual source connected to every vertex by a
-    zero-cost edge, under edge-shifted costs.  The result is a feasible
-    potential; raises ContractViolation when the graph has a negative cycle
-    (the caller was supposed to rule that out)."""
-    if g.kind != DIRECTED:
-        raise InputError("potentials are defined on directed graphs")
-    check_total_weights(g.vertices, w)
-    pi = _super_source_labels(g, w)
-    if pi is None:
-        raise ContractViolation("graph has a negative cycle; no potential exists")
-    return pi
-
-
 def oracle_apsp(g: Graph, w: dict):
     """All-pairs distances under the endpoint-inclusive vertex-weight
     convention, via one label-correcting Bellman-Ford per source (FIFO
@@ -133,50 +119,6 @@ def oracle_apsp(g: Graph, w: dict):
         for v in g.vertices:
             dist[(s, v)] = label[v] + w[v] if v in label else INF
     return dist
-
-
-def oracle_treedepth(g: Graph, limit: int = 10) -> int:
-    """Exact tree-depth by recursive vertex deletion over connected
-    components.  Refuses graphs larger than ``limit``."""
-    if g.n > limit:
-        raise InputError(f"tree-depth oracle is limited to {limit} vertices")
-    neighbors = {v: frozenset(g.neighbors(v)) for v in g.vertices}
-    memo = {}
-
-    def components(vs):
-        seen = set()
-        comps = []
-        for start in vs:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in neighbors[v]:
-                    if u in vs and u not in comp:
-                        comp.add(u)
-                        queue.append(u)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
-    def td(vs):
-        if not vs:
-            return 0
-        if vs in memo:
-            return memo[vs]
-        comps = components(vs)
-        if len(comps) > 1:
-            result = max(td(c) for c in comps)
-        elif len(vs) == 1:
-            result = 1
-        else:
-            result = 1 + min(td(vs - {v}) for v in vs)
-        memo[vs] = result
-        return result
-
-    return td(frozenset(g.vertices))
 
 
 # ---------------------------------------------------------------------------

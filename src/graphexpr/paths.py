@@ -603,8 +603,9 @@ def all_pairs(e: Expression, w: dict, *, verify=False):
 # Debug-mode verification
 
 _VERIFY_FLOYD_LIMIT = 64
-# least tolerance of the verifier's distance comparisons
-_VERIFY_TOL = 1e-6
+# least tolerance of a distance compared against a reference, by the
+# verifier and by ``graphexpr check apsp``
+_COMPARE_TOL = 1e-6
 
 
 def make_paths_verifier(w: dict, solve_tol: float):
@@ -613,7 +614,7 @@ def make_paths_verifier(w: dict, solve_tol: float):
     summary values are compared against an independent Floyd run.  A
     negative-cycle verdict is checked the same way, once, on the subgraph
     of the node whose handler reported it."""
-    tol = max(_VERIFY_TOL, solve_tol)
+    tol = max(_COMPARE_TOL, solve_tol)
 
     def close(a, b):
         if a == INF or b == INF:

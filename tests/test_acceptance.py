@@ -27,7 +27,6 @@ from graphexpr import (
     is_negative_cycle,
     oracle_apsp,
     oracle_ncd,
-    oracle_treedepth,
     oracle_triangles,
     params,
 )
@@ -46,6 +45,7 @@ from graphexpr.paths import (
 )
 from graphexpr.triangles import TriFold, combine_subst, combine_subst_td, triangle_summary
 
+from brute_force import oracle_treedepth
 from conftest import SHAPES, answer
 
 

@@ -27,7 +27,6 @@ from graphexpr import (
     is_negative_cycle,
     ncd_outcome,
     normalize,
-    oracle_treedepth,
     params,
     parse,
     validate,
@@ -48,6 +47,7 @@ from graphexpr.expr import (
 from graphexpr.graphs import canonical_edge
 from graphexpr.oracle import GenSpec
 
+from brute_force import oracle_treedepth
 from conftest import corpus_instance
 
 

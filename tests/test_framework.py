@@ -1147,10 +1147,11 @@ def test_fold_evaluates_the_whole_graph_only_for_inc_views(evaluations):
 
 
 def test_fold_builds_each_pattern_graph_once(monkeypatch):
-    # a normalized 2000-way union is a chain of 1999 substitutions into one
-    # shared two-vertex pattern; the fold builds its graph once, not per node
+    # the steps of a join share one two-vertex graph per mode, built at
+    # import, so folding a parsed 2000-way join builds no pattern graph; a
+    # substitution with edges builds its own pattern's graph at its node
     from graphexpr import DIRECTED
-    from graphexpr.expr import Pattern
+    from graphexpr.expr import Pattern, post_order
     from graphexpr.paths import ncd_handlers, solve_tolerance
 
     calls = []
@@ -1158,18 +1159,65 @@ def test_fold_builds_each_pattern_graph_once(monkeypatch):
     monkeypatch.setattr(Pattern, "to_graph", lambda p: calls.append(p) or real(p))
     r = 2000
     leaves = " ".join(f"(vertex a{i})" for i in range(r))
+    w = {f"a{i}": 1.0 for i in range(r)}
     for mode in (UNDIRECTED, DIRECTED):
-        e = normalize(parse(f"({mode} (union {leaves}))"))
+        e = parse(f"({mode} (join {leaves}))")
         calls.clear()
         if mode == UNDIRECTED:
             value, stats = fold(e, tri_handlers())
-            assert (value.n, value.m, value.t) == (r, 0, 0)
+            assert (value.n, value.m, value.t) == (r, r * (r - 1) // 2, r * (r - 1) * (r - 2) // 6)
         else:
-            w = {f"a{i}": 1.0 for i in range(r)}
             value, stats = fold(e, ncd_handlers(w, solve_tolerance(w)))
             assert value.msp == 1.0
         assert stats.counts["subst"] == r - 1
-        assert len(calls) <= 2, mode
+        assert calls == [], mode
+    # nested substitutions into copies of one pattern text: one graph each
+    text = "(vertex a0)"
+    for i in range(1, 50):
+        text = f"(subst (graph (p q) ((p q))) ((p {text}) (q (vertex a{i}))))"
+    for mode in (UNDIRECTED, DIRECTED):
+        e = parse(f"({mode} {text})")
+        calls.clear()
+        value, _ = fold(e, counting_handlers())
+        assert value == 50
+        substs = [node for node, _, _ in post_order(e.root) if type(node) is Subst]
+        assert len(substs) == 49
+        assert [id(p) for p in calls] == [id(node.pattern) for node in substs], mode
+
+
+def _inc_chain_text(mode, d):
+    """The inc chain p_{d-1} over ... over p0, d deep, each inc with one
+    edge to the vertex below it."""
+    text = "(vertex p0)"
+    for i in range(1, d):
+        text = f"(inc p{i} ((p{i} p{i - 1})) {text})"
+    return f"({mode} {text})"
+
+
+def test_a_deep_inc_chain_folds_in_a_small_multiple_of_its_evaluation():
+    # each inc of a chain is its own piece, and the pieces below an inc are
+    # one run of consecutive entries, handed over in one slice: folding a
+    # 4000-deep chain, in the main tree or as a subst-td pattern, takes a
+    # small multiple of evaluating it, where one slice per piece took
+    # about 100 times as long
+    import time
+
+    def best_of_3(fn, *args):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn(*args)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    d = 4000
+    hs = counting_handlers()
+    hs.on_subst_td = lambda pattern_order, children: fold_td_expression(pattern_order, hs)
+    for e in (parse(_inc_chain_text(UNDIRECTED, d)), parse(_deep_td_text(UNDIRECTED, d))):
+        assert fold(e, hs)[0] == d
+        assert evaluate(e).m == d - 1
+        fold_s, evaluate_s = best_of_3(fold, e, hs), best_of_3(evaluate, e)
+        assert fold_s <= 30 * evaluate_s, (type(e.root).__name__, fold_s, evaluate_s)
 
 
 def _deep_td_text(mode, d):

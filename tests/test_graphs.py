@@ -25,8 +25,9 @@ from graphexpr import (
     parse,
 )
 from graphexpr.graphs import TOL, check_total_weights, parse_weights
-from graphexpr.oracle import shortest_path_potential
 from graphexpr.paths import _dijkstra_labels
+
+from brute_force import shortest_path_potential
 
 
 def dgraph(vertices, edges):

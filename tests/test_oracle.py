@@ -19,13 +19,13 @@ from graphexpr import (
     is_negative_cycle,
     oracle_apsp,
     oracle_ncd,
-    oracle_treedepth,
     oracle_triangles,
     params,
     validate,
 )
 from graphexpr.oracle import GenSpec
 
+from brute_force import oracle_treedepth
 from conftest import SHAPES, corpus_instance
 
 

@@ -48,7 +48,7 @@ from graphexpr.expr import (
     post_order,
 )
 from graphexpr.graphs import TOL, DistView, floyd_vertex_weighted
-from graphexpr.oracle import GenSpec, gen_random, shortest_path_potential
+from graphexpr.oracle import GenSpec, gen_random
 from graphexpr.paths import (
     ModuleSummary,
     _full_singleton,
@@ -62,6 +62,7 @@ from graphexpr.paths import (
     to_full_summary,
 )
 
+from brute_force import shortest_path_potential
 from conftest import SHAPES, _need, answer, corpus_instance
 
 
