@@ -11,19 +11,23 @@ child's edge-bearing parts, in post-order, and reads from them what it
 needs of the child graph: triangle counting counts the closed edges in a
 loop of its own, the shortest-path handlers evaluate them.  A *piece* is a
 part of the order that holds edges: the whole subtree of a join with two or
-more parts with vertices, of a substitution into a pattern with edges or of
-a subst-td, or the lone entry of an inc with in- or out-names.  The fold
+more parts with vertices, or of a substitution or subst-td into a pattern
+with edges, or the lone entry of an inc with in- or out-names.  The fold
 keeps the maximal runs of consecutive piece entries finished so far, and
 every edge of a child graph is made inside one of its pieces, so an inc
-pays for the child's edges, not for its size, with one slice per run.  A
-substitution into a pattern without edges is a disjoint union, and goes to
-the union handler.  Any other substitution handler gets its pattern: an
-explicit pattern as a graph, built at its node (a join step's two-vertex
-pattern once, at import), a tree-depth pattern as its order
+pays for the child's edges, not for its size, with one slice per run.
+Every disjoint union goes to the union handler, in O(parts) whatever the
+size of the parts: a union node, a substitution or subst-td into a pattern
+without edges, and an inc without in- or out-names over a child with
+vertices, which is the union of the child and its vertex; none of them is
+a piece.  Any other substitution handler gets its pattern: an explicit
+pattern as a graph, built at its node (a join step's two-vertex pattern
+once, at import), a tree-depth pattern as its order
 (``SubstTd.pattern_order``), which the NCD and APSP handlers replay with
 ``fold_td_expression``, the fold's own loop over that order, so a pattern
-inc is handed its child's pieces as well.  The fold evaluates nothing
-unless ``verify`` is given.
+inc is handed its child's pieces, and a pattern inc without names goes to
+the union handler, as well.  The fold evaluates nothing unless ``verify``
+is given.
 
 A handler whose value answers the whole expression, such as a negative
 cycle, raises ``Verdict`` with it, which ends the fold.  The front end's
@@ -54,6 +58,7 @@ from .expr import (
 )
 
 _NO_VERTICES = object()  # the value of a subtree without vertices
+_NAMED = (Vertex, Inc)  # the node types of a tree-depth pattern's vertices
 _K2_GRAPH = {mode: pattern.to_graph() for mode, pattern in _PAT_K2.items()}
 
 
@@ -61,25 +66,29 @@ _K2_GRAPH = {mode: pattern.to_graph() for mode, pattern in _PAT_K2.items()}
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
-    on_inc receives the child's summary and the child's edge-bearing parts,
-    in post-order: the entries of the folded order (``expr.post_order``)
-    of the maximal joins of two or more parts with vertices, substitutions
-    into patterns with edges and subst-tds inside the child, each with its
-    whole subtree, and of the incs with in- or out-names there that none of
-    those holds, each alone.  Every edge of the child graph is made inside
-    one of them; the whole child order is one such sequence too.
-    on_subst receives the pattern graph, which has edges, and the children
-    as ``(pattern vertex name, summary)`` pairs in pattern vertex order,
-    also per step of a join; on_subst_td receives the order of the
-    pattern's tree-depth expression (``SubstTd.pattern_order``) and the
-    children in binding order; on_union the summaries of the two or more
-    parts with vertices of a union, in order, or of the children of a
-    substitution into a pattern without edges, in pattern vertex order.
-    The leaf, inc and union handlers also replay tree-depth patterns by
-    the same loop (``fold_td_expression``), where an inc gets the
-    edge-bearing parts of its child in the pattern order.  A handler raises
-    ``Verdict(value)`` instead of returning a value that answers the whole
-    expression.
+    on_inc receives, for an inc with in- or out-names, the child's summary
+    and the child's edge-bearing parts, in post-order: the entries of the
+    folded order (``expr.post_order``) of the maximal joins of two or more
+    parts with vertices and substitutions and subst-tds into patterns with
+    edges inside the child, each with its whole subtree, and of the incs
+    with in- or out-names there that none of those holds, each alone.
+    Every edge of the child graph is made inside one of them; the whole
+    child order is one such sequence too.  on_subst receives the pattern
+    graph, which has edges, and the children as ``(pattern vertex name,
+    summary)`` pairs in pattern vertex order, also per step of a join;
+    on_subst_td receives the order of the pattern's tree-depth expression
+    (``SubstTd.pattern_order``), which has edges, and the children in
+    binding order.  on_union receives the summaries of the parts of a
+    disjoint union: the two or more parts with vertices of a union, in
+    order; the children of a substitution into a pattern without edges, in
+    pattern vertex order, or of a subst-td into one, in the pattern's
+    vertex post-order (its Vertex and Inc entries); or, for an inc without
+    in- or out-names over a child with vertices, the child's summary and
+    ``base_vertex`` of the inc's vertex.  The leaf, inc and union handlers
+    also replay tree-depth patterns by the same loop
+    (``fold_td_expression``), where an inc gets the edge-bearing parts of
+    its child in the pattern order.  A handler raises ``Verdict(value)``
+    instead of returning a value that answers the whole expression.
     """
 
     base_empty: Callable
@@ -114,14 +123,16 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     folding ``normalize(e)``: a union or join drops its children without
     vertices, a union passes the rest to one ``on_union`` call counted as
     the substitutions it stands for, and a join chains them through
-    ``on_subst``; a substitution into a pattern without edges is one
-    ``on_union`` call, counted as that substitution; a subtree without
-    vertices is one empty leaf where an inc (which is then ``base_vertex``)
-    or the root keeps it.  Returns ``(summary, FoldStats)``; a ``Verdict``
-    ends the fold with its value, and the stats, which the front end counts
-    (``expr._scan``), still cover the whole expression.  A handler error
-    is re-raised with the path of its node in the main tree appended, that
-    of the subst-td node for an error in a pattern replay.
+    ``on_subst``; a substitution or subst-td into a pattern without edges
+    is one ``on_union`` call, counted as that substitution, and so is an
+    inc without in- or out-names over vertices, counted as that inc; a
+    subtree without vertices is one empty leaf where an inc (which is then
+    ``base_vertex``) or the root keeps it.  Returns ``(summary,
+    FoldStats)``; a ``Verdict`` ends the fold with its value, and the
+    stats, which the front end counts (``expr._scan``), still cover the
+    whole expression.  A handler error is re-raised with the path of its
+    node in the main tree appended, that of the subst-td node for an error
+    in a pattern replay.
 
     ``verify``, when given, is called as ``verify(path, node, summary,
     subgraph)`` after every handler with the evaluated subgraph of that node
@@ -190,20 +201,21 @@ def _fold(order, mode, handlers, verify):
                 value = base_vertex(node.name)
             elif t is Inc:
                 f = vals.pop()
-                if f is not _NO_VERTICES:
+                if f is _NO_VERTICES:  # x is the whole graph
+                    if verify is not None:
+                        empty = handlers.base_empty()
+                        verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
+                    value = base_vertex(node.name)
+                elif node.in_names or node.out_names:  # a piece of its own
                     a, j, child = i - order[i - 1][2], len(runs), []  # the child is order[a:i]
                     while j and runs[j - 1][1] > a:  # the runs that end inside it
                         j -= 1
                     for start, stop in runs[j:]:
                         child += order[max(start, a) : stop]
                     value = on_inc(f, node.name, node.in_names, node.out_names, child)
-                else:  # x is the whole graph
-                    if verify is not None:
-                        empty = handlers.base_empty()
-                        verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
-                    value = base_vertex(node.name)
-                if node.in_names or node.out_names:  # a piece of its own
                     _add_piece(runs, i, i + 1)
+                else:  # a disjoint union with x
+                    value = on_union([f, base_vertex(node.name)])
             elif t is Empty:
                 value = _NO_VERTICES
             else:
@@ -232,9 +244,14 @@ def _fold(order, mode, handlers, verify):
                     vals.append(value)
                     continue
                 elif t is SubstTd:
+                    po = node.pattern_order
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
-                    value = handlers.on_subst_td(node.pattern_order, children)
-                    _add_piece(runs, i + 1 - order[i][2], i + 1)
+                    if any(type(p) is Inc and (p.in_names or p.out_names) for p, _, _ in po):
+                        value = handlers.on_subst_td(po, children)
+                        _add_piece(runs, i + 1 - order[i][2], i + 1)
+                    else:  # a disjoint union, in the pattern's vertex post-order
+                        by_name = dict(children)
+                        value = on_union([by_name[p.name] for p, _, _ in po if type(p) in _NAMED])
                 else:
                     raise InputError(f"unknown node type {t.__name__}")
             if verify is not None and value is not _NO_VERTICES:  # not an empty leaf

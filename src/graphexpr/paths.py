@@ -20,15 +20,17 @@ Every handler keeps two things alive while folding the expression:
 Substitution reduces to the pattern graph reweighted with the children's
 msp values: that small graph has a negative cycle iff the substituted graph
 does, and its distance matrix provides both the new msp and the pieces of
-the distance composition.  A disjoint union (a union node, or a
-substitution into a pattern without edges, which the fold hands to the
-union handler) needs no Floyd: every shift is zero, and the msp is the
-least of the parts' (``_ncd_union``, ``_apsp_union``).  For the all-pairs
-problem, substitution nodes keep distances at pattern granularity
-(ModuleSummary) and are expanded to full pairwise distances (FullSummary)
-only when a vertex-addition node or the root needs them; the expansion
-walks the substitution spine top-down with the classic "cheapest detour
-that leaves this module" values.  All distances are dense rows (a
+the distance composition.  A disjoint union (a union node, a substitution
+or subst-td into a pattern without edges, or an inc without edges over
+vertices, which the fold hands to the union handler) needs no Floyd: every
+shift is zero, and the msp is the least of the parts' (``_ncd_union``,
+``_apsp_union``); for the all-pairs problem it is one module over all its
+parts, without pattern rows.  For the all-pairs problem, substitution
+nodes keep distances at pattern granularity (ModuleSummary) and are
+expanded to full pairwise distances (FullSummary) only when a
+vertex-addition node or the root needs them; the expansion walks the
+substitution spine top-down with the classic "cheapest detour that leaves
+this module" values.  All distances are dense rows (a
 DistView reads them by ``(u, v)``): pattern distances in pattern order,
 full distances in the vertex order of ``min_out`` (children in pattern
 order, an added vertex last), so each spine node's vertices form one
@@ -41,13 +43,14 @@ follows the pairs that can be finite.
 Substitution summaries keep their per-vertex maps -- the potential, and
 for APSP the exits and entries ``min_out``/``min_in`` -- as *shifted
 unions*: plain tuples ``(child map, shift, child map, shift, ...)``, one
-pair per pattern vertex, so a substitution costs O(pattern order) however
-large its children are, and a left-deep chain of r substitutions costs O(r)
-instead of O(r^2).  Their one reader is ``potential_dict``, an iterative
-walk that adds up the shifts on the way down; it runs only where values
-are read: at an inc node (``_inc_core``), in the ``--verify`` checker, and
-at the root, where the outcomes return plain dicts and the expansion
-(``to_full_summary``) reads the exits and entries once for all its levels.
+pair per pattern vertex, so a substitution or a union costs O(pattern
+order) resp. O(parts) however large its children are, and a left-deep
+chain of r substitutions costs O(r) instead of O(r^2).  Their one reader
+is ``potential_dict``, an iterative walk that adds up the shifts on the
+way down; it runs only where values are read: at an inc node
+(``_inc_core``), in the ``--verify`` checker, and at the root, where the
+outcomes return plain dicts and the expansion (``to_full_summary``) reads
+the exits and entries once for all its levels.
 A negative cycle test reads no potential at the root (``_ncd_fold``).
 
 A negative cycle answers the whole problem: ``_inc_core`` and the pattern
@@ -177,7 +180,9 @@ class ModuleSummary:
     ``omega`` (the child msps), and ``out_shift``/``in_shift`` come from
     ``_shift``.  ``min_out``, ``min_in`` and ``potential`` are shifted
     unions over the children's: exits shift by the out-shift, entries and
-    potential by the in-shift.  ``n`` counts the vertices.
+    potential by the in-shift.  ``n`` counts the vertices.  A disjoint
+    union (``_apsp_union``) has no ``rows`` or ``omega`` (None) and zero
+    shifts.
     """
 
     potential: tuple
@@ -353,11 +358,14 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     cheaper of the two, without the child exit and entry, is the connector
     ``k_pq``.  A node writes only the row segments of its block whose
     connector is finite; the rest stay at the prefilled inf, so a module
-    that reaches no other (every module of a union whose detour is inf)
-    costs O(1).  A pair inside a non-substitution spine leaf is finished
-    from its full matrix, which is copied as it is when ``c`` is inf.  The
-    root's exits and entries are read once; a child's own are the root's
-    less the out- resp. in-shifts above the child, carried next to ``c``.
+    that reaches no other costs O(1).  The parts of a disjoint union meet
+    by the detour alone: under a finite ``c`` each row of a part gets two
+    segments, the union's columns before the part's block and after it,
+    and under an infinite one the parts are only pushed.  A pair inside a
+    non-substitution spine leaf is finished from its full matrix, which is
+    copied as it is when ``c`` is inf.  The root's exits and entries are
+    read once; a child's own are the root's less the out- resp. in-shifts
+    above the child, carried next to ``c``.
     """
     min_out, min_in = potential_dict(s.min_out), potential_dict(s.min_in)
     exits, entries = list(min_out.values()), list(min_in.values())
@@ -376,6 +384,21 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
             for r, row, out in zip(range(start, stop), node.rows, node.min_out.values()):
                 t = out + c
                 rows[r][start:stop] = [a if a < t + b else t + b for a, b in zip(row, ins)]
+            continue
+        if node.rows is None:  # a disjoint union: its parts meet by the detour only
+            k, stop = c - (up_out + up_in), start + node.n
+            ks = [k + b for b in entries[start:stop]] if k < INF else None
+            first = start
+            for _, child in node.children:
+                last = first + child.n
+                if ks:  # the columns before the part and after it
+                    before, after = ks[: first - start], ks[last - start :]
+                    for r, du in enumerate(exits[first:last], first):
+                        row = rows[r]
+                        row[start:first] = [du + b for b in before]
+                        row[last:stop] = [du + b for b in after]
+                stack.append((child, c, first, up_out, up_in))
+                first = last
             continue
         D, om = node.rows, node.omega
         out_shift, in_shift = node.out_shift, node.in_shift
@@ -442,16 +465,13 @@ def apsp_inc(f, x, in_names, out_names, w, child, tol):
     return FullSummary(new_pi, msp, min_out, min_in, rows)
 
 
-def _assemble_module(children, rows, shifts=None):
+def _assemble_module(children, rows):
     """Module summary of a substitution from the pattern distance ``rows``
     under the child msps, both in the order of ``children``: a child's
     exits shift by its module's out-shift, its entries and potential by the
-    in-shift.  Nothing is copied.  ``shifts`` gives the out- and in-shifts
-    when they are known without reading ``rows``."""
+    in-shift.  Nothing is copied."""
     omega = [s.msp for _, s in children]
-    if shifts is None:
-        shifts = _shift(rows, omega), _shift(zip(*rows), omega)
-    out_shift, in_shift = shifts
+    out_shift, in_shift = _shift(rows, omega), _shift(zip(*rows), omega)
     return ModuleSummary(
         _shifted_union(children, in_shift, "potential"),
         min(map(min, rows)),
@@ -467,15 +487,23 @@ def _assemble_module(children, rows, shifts=None):
 
 
 def _apsp_union(parts):
-    """Disjoint union of APSP summaries: the left-deep chain of modules of
-    two parts each, with the diagonal of their msps and zero shifts, so
-    that no module holds r^2 distances."""
-    zeros = [0.0, 0.0]
-    value = parts[0]
-    for s in parts[1:]:
-        rows = [[value.msp, INF], [INF, s.msp]]
-        value = _assemble_module([("a", value), ("b", s)], rows, (zeros, zeros))
-    return value
+    """Disjoint union of APSP summaries: one module over all the parts, with
+    zero shifts and no pattern rows (``rows`` is None), as no path joins two
+    parts."""
+    children = tuple((None, s) for s in parts)
+    zeros = [0.0] * len(parts)
+    return ModuleSummary(
+        _shifted_union(children, zeros, "potential"),
+        min([s.msp for s in parts]),
+        _shifted_union(children, zeros, "min_out"),
+        _shifted_union(children, zeros, "min_in"),
+        None,
+        None,
+        zeros,
+        zeros,
+        children,
+        sum(s.n for s in parts),
+    )
 
 
 def apsp_subst(pattern_graph, children, tol):

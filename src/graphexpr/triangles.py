@@ -56,9 +56,10 @@ def combine_inc(f: TriFold, neighbors, child) -> TriFold:
     ``child`` (see ``framework.HandlerSet``).
 
     Every new triangle uses the new vertex plus exactly one child edge with
-    both endpoints adjacent to it.
+    both endpoints adjacent to it, so a vertex with fewer than two
+    neighbors closes none, and the child is not read.
     """
-    closed = edges_within(child, neighbors)
+    closed = edges_within(child, neighbors) if len(neighbors) > 1 else 0
     return TriFold(f.n + 1, f.m + len(neighbors), f.t + closed)
 
 

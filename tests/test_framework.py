@@ -23,7 +23,7 @@ from graphexpr import (
     validate,
     validate_or_raise,
 )
-from graphexpr.expr import Inc, SubstTd, Union, canonical_edge, expression_of
+from graphexpr.expr import Inc, SubstTd, Union, canonical_edge, expression_of, td_pattern_edges
 from graphexpr.framework import fold_td_expression
 from graphexpr.triangles import handlers as tri_handlers
 
@@ -209,12 +209,22 @@ def test_a_union_and_its_parts_as_one_edgeless_subst_agree(monkeypatch, tc_corpu
         assert agree(e, solve, w) == 0
 
 
+def _td_vertices(node):
+    """The vertices of the tree-depth pattern ``node`` in post-order, each
+    as ``(name, whether its inc has in- or out-names)``, by recursion."""
+    if isinstance(node, Vertex):
+        return [(node.name, False)]
+    if isinstance(node, Inc):
+        return _td_vertices(node.child) + [(node.name, bool(node.in_names or node.out_names))]
+    return [v for child in getattr(node, "children", ()) for v in _td_vertices(child)]
+
+
 def _edge_parts(root):
     """What the fold hands an inc over ``root``: the order entries of the
     maximal edge-bearing parts under ``root``, in post-order, by recursion
     over the node fields.  A part is the whole subtree of a join with two
-    or more children with vertices, of a substitution into a pattern with
-    edges or of a subst-td, or the lone entry of an inc with in- or
+    or more children with vertices, or of a substitution or subst-td into a
+    pattern with edges, or the lone entry of an inc with in- or
     out-names."""
     from graphexpr.expr import collect_vertex_names, post_order, subexpressions
 
@@ -224,6 +234,7 @@ def _edge_parts(root):
             isinstance(node, Join) and sum(bool(collect_vertex_names(c)) for c in kids) > 1
             or isinstance(node, Subst) and node.pattern.edges
             or isinstance(node, SubstTd)
+            and any(named for _, named in _td_vertices(node.pattern_expr))
         ):
             return post_order(node)
         parts = [entry for child in kids for entry in rec(child)]
@@ -271,11 +282,13 @@ def _reference_fold(e, hs):
     recursion over the node fields: parts without vertices are dropped, a
     union is one ``on_union`` call counted as r - 1 substitutions into two
     isolated vertices, a join a left chain of ``on_subst`` steps over the
-    ``_PAT_K2`` graph, a substitution into a pattern without edges one
-    ``on_union`` call counted as that substitution, an inc over nothing
-    ``base_vertex`` below an empty leaf, an inc over vertices handed the
-    edge-bearing parts of its child (``_edge_parts``), and a root without
-    vertices ``base_empty``."""
+    ``_PAT_K2`` graph, a substitution or subst-td into a pattern without
+    edges one ``on_union`` call (over the children in the pattern's vertex
+    post-order for a subst-td) counted as that substitution, an inc over
+    nothing ``base_vertex`` below an empty leaf, an inc without in- or
+    out-names over vertices ``on_union`` of its child and x, an inc with
+    names handed the edge-bearing parts of its child (``_edge_parts``), and
+    a root without vertices ``base_empty``."""
     from graphexpr import FoldStats
     from graphexpr.expr import _PAT_K2, Empty, post_order, subexpressions
 
@@ -309,6 +322,8 @@ def _reference_fold(e, hs):
             if f is None:
                 leaf("empty")
                 return hs.base_vertex(node.name), depth + 1
+            if not (node.in_names or node.out_names):  # a disjoint union
+                return hs.on_union([f, hs.base_vertex(node.name)]), depth + 1
             child = _edge_parts(node.child)
             return hs.on_inc(f, node.name, node.in_names, node.out_names, child), depth + 1
         if isinstance(node, Subst):
@@ -323,6 +338,10 @@ def _reference_fold(e, hs):
             stats.sum_pattern_order += len(node.bindings)
             stats.max_subtd_depth = max(stats.max_subtd_depth, _inc_nesting(node.pattern_expr))
             children = [(bn, f) for (bn, _), (f, _) in zip(node.bindings, kids)]
+            vertices = _td_vertices(node.pattern_expr)
+            if not any(named for _, named in vertices):  # a disjoint union
+                by_name = dict(children)
+                return hs.on_union([by_name[p] for p, _ in vertices]), depth
             return hs.on_subst_td(post_order(node.pattern_expr), children), depth
         parts = [f for f, _ in kids if f is not None]
         if len(parts) < 2:
@@ -573,7 +592,7 @@ def test_assert_stats_reports_violation():
 
 
 def test_handler_error_carries_node_path():
-    e = parse("(directed (inc x () (vertex a)))")
+    e = parse("(directed (inc x ((x a)) (vertex a)))")
 
     def boom(f, name, inn, out, child):
         raise RuntimeError("boom")
@@ -586,7 +605,7 @@ def test_handler_error_carries_node_path():
 
 NESTED = (
     "(directed (subst (graph (a b) ()) ((a (vertex u))"
-    " (b (subst (graph (p q) ()) ((p (inc x () (vertex y))) (q (vertex z))))))))"
+    " (b (subst (graph (p q) ()) ((p (inc x ((x y)) (vertex y))) (q (vertex z))))))))"
 )
 
 
@@ -689,7 +708,7 @@ def test_verify_receives_node_paths_in_post_order(tc_corpus, paths_corpus):
 
 def test_handler_error_path_on_deep_normalized_chain():
     r = 3001
-    leaves = " ".join(f"(inc x{i} () (vertex a{i}))" for i in range(r))
+    leaves = " ".join(f"(inc x{i} ((x{i} a{i})) (vertex a{i}))" for i in range(r))
     e = normalize(parse(f"(directed (union {leaves}))"))
 
     def boom(f, name, inn, out, child):
@@ -720,7 +739,7 @@ def test_solve_handler_error_names_the_raw_input_path(monkeypatch):
 
         return spy
 
-    nested = "(union (vertex a) (vertex b) (inc y () (inc x () (union (vertex c) (empty)))))"
+    nested = "(union (vertex a) (vertex b) (inc y () (inc x ((x c)) (union (vertex c) (empty)))))"
     monkeypatch.setattr(paths, "ncd_inc", boom(paths.ncd_inc, lambda f, x, *_: x == "x"))
     w = dict.fromkeys("abcxy", 1.0)
     with pytest.raises(ContractViolation) as info:
@@ -809,9 +828,10 @@ def evaluations(monkeypatch):
 
 def test_solves_evaluate_only_their_inc_children(evaluations):
     # without verify, the fold and a TC solve evaluate nothing; an NCD or
-    # APSP solve evaluates each inc node's child once, its edge-bearing
-    # parts, in the main tree and in subst-td patterns alike (an inc over a
-    # vertexless child is answered without evaluating it)
+    # APSP solve evaluates the child of each inc node with in- or out-names
+    # once, its edge-bearing parts, in the main tree and in subst-td
+    # patterns alike (an inc without names is a disjoint union, and
+    # evaluates nothing)
     from collections import Counter
 
     from graphexpr import (
@@ -826,7 +846,7 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
 
     def inc_children(root):
         nodes = [node for node, _, _ in post_order(root)]
-        incs = [n.child for n in nodes if isinstance(n, Inc)]
+        incs = [n.child for n in nodes if isinstance(n, Inc) and (n.in_names or n.out_names)]
         return incs, [n.pattern_expr for n in nodes if isinstance(n, SubstTd)]
 
     seen = Counter()
@@ -849,11 +869,7 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
                 evaluations.clear()
                 value, _ = solve(e, w)
                 assert not is_negative_cycle(value)
-                want = Counter(
-                    _entry_ids(_edge_parts(c))
-                    for c in main + pattern_incs
-                    if collect_vertex_names(c)
-                )
+                want = Counter(_entry_ids(_edge_parts(c)) for c in main + pattern_incs)
                 assert Counter(evaluations) == want, (seed, solve.__name__)
     assert seen["main"] and seen["pattern"]
 
@@ -927,6 +943,62 @@ def test_a_wide_union_of_incs_over_nothing_is_one_union_call(monkeypatch):
         assert stats == fold(normalize(e), counting_handlers())[1]
         assert stats.counts == {"inc": r, "empty": r, "subst": r - 1}
         assert stats.sum_pattern_order == 2 * (r - 1) and stats.max_subst_order == 2
+
+
+def test_every_disjoint_union_reaches_on_union(tc_corpus, paths_corpus):
+    # an inc without in- or out-names over vertices, and a subst-td into a
+    # pattern without edges, are disjoint unions: the fold hands them to
+    # on_union, in the main tree and in pattern replays, and never to
+    # on_inc or on_subst_td.  A summary is the tuple of the vertex names in
+    # leaf order; on_subst_td replays its pattern with the same handlers.
+    from graphexpr.expr import collect_vertex_names
+
+    def inc(f, name, inn, out, child):
+        assert inn or out, f"on_inc for {name!r}, which has no edges"
+        return f + (name,)
+
+    def subst_td(po, children):
+        assert list(td_pattern_edges(po, "directed")), "on_subst_td for an edgeless pattern"
+        fold_td_expression(po, hs)
+        return sum((f for _, f in children), ())
+
+    unions = []
+    hs = HandlerSet(
+        base_empty=tuple,
+        base_vertex=lambda name: (name,),
+        on_inc=inc,
+        on_subst=lambda pg, children: sum((f for _, f in children), ()),
+        on_subst_td=subst_td,
+        on_union=lambda parts: unions.append(tuple(parts)) or sum(parts, ()),
+    )
+    e = parse(
+        "(directed (union (inc x () (subst-td (union (inc p () (vertex q)) (vertex s))"
+        " ((p (vertex a)) (q (vertex b)) (s (vertex c)))))"
+        " (subst-td (union (inc p () (vertex q)) (inc r ((r s)) (vertex s)))"
+        " ((p (vertex d)) (q (vertex e)) (r (vertex f)) (s (vertex g))))))"
+    )
+    value, _ = fold(e, hs)
+    assert value == ("b", "a", "c", "x", "d", "e", "f", "g")
+    assert unions == [
+        (("b",), ("a",), ("c",)),  # the edgeless subst-td, in pattern vertex post-order
+        (("b", "a", "c"), ("x",)),  # the inc x over it
+        (("q",), ("p",)),  # the inc p in the replay of the other pattern
+        (("q", "p"), ("s", "r")),  # that pattern's union
+        (("b", "a", "c", "x"), ("d", "e", "f", "g")),  # the root
+    ]
+
+    # the corpora put no inc without names over vertices into a pattern
+    # with edges, so the replay is pinned by the input above only
+    routed = {"inc": 0, "subst_td": 0}
+    for e, *_ in tc_corpus + paths_corpus:
+        for node, _, _ in e._order:
+            if type(node) is Inc and not (node.in_names or node.out_names):
+                routed["inc"] += bool(collect_vertex_names(node.child))
+            elif type(node) is SubstTd:
+                routed["subst_td"] += not list(td_pattern_edges(node.pattern_order, e.mode))
+        value, _ = fold(e, hs)
+        assert sorted(value) == sorted(validate_or_raise(e))
+    assert min(routed.values()) > 50, routed
 
 
 def _cycle_then_incs(r, cycle_weight):

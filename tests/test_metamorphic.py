@@ -1,8 +1,11 @@
 """Metamorphic checks: the same graph written as another expression gives
-the same answers.  The rewrite here reverses the order of the children of
+the same answers.  One rewrite reverses the order of the children of
 every union and join and of the bindings of every substitution, which
 changes the post-order the fold runs over, and so which edge-bearing
-pieces of an inc's child sit next to each other in it."""
+pieces of an inc's child sit next to each other in it.  The others write
+each disjoint union another way: a union as a substitution or subst-td
+into a pattern without edges, and an inc without edges as a union with
+its vertex."""
 
 from graphexpr import (
     Expression,
@@ -17,7 +20,7 @@ from graphexpr import (
     is_negative_cycle,
     ncd_outcome,
 )
-from graphexpr.expr import Inc, SubstTd, subst_td_of
+from graphexpr.expr import Empty, Inc, Pattern, SubstTd, subst_td_of
 from graphexpr.paths import solve_tolerance
 
 
@@ -89,3 +92,93 @@ def test_reversal_keeps_the_shortest_path_answers(paths_corpus):
                     _assert_close(got.dist[pair], d, tol, (seed, pair))
     assert verdicts == {True, False}
 
+
+
+# ---------------------------------------------------------------------------
+# A disjoint union, four ways
+
+
+def _unions_rewritten(e, form):
+    """``e`` with the disjoint unions of its main tree written another way,
+    and how many nodes were rewritten.  ``"subst"`` writes a union of r >= 2
+    parts with vertices as a subst into the edgeless r-vertex pattern, and
+    ``"subst-td"`` as a subst-td into ``(union (inc p1 () (empty)) ...)``,
+    both dropping its parts without vertices; ``"inc"`` writes every ``(inc
+    x () C)`` as ``(union C (vertex x))``.  One loop over ``e._order`` with a
+    stack of the rewritten subtrees and one of whether they have
+    vertices."""
+    vals, full, rewritten = [], [], 0
+    for node, c, _ in e._order:
+        t = type(node)
+        top = len(vals) - c
+        kids, has = vals[top:], full[top:]
+        del vals[top:], full[top:]
+        parts = [kid for kid, h in zip(kids, has) if h]
+        if t is Union and form != "inc" and len(parts) > 1:
+            names = tuple(f"p{i}" for i in range(1, len(parts) + 1))
+            bindings = tuple(zip(names, parts))
+            if form == "subst":
+                node = Subst(Pattern(e.mode, names, frozenset()), bindings)
+            else:
+                none = frozenset()
+                node = SubstTd(Union(tuple(Inc(p, none, none, Empty()) for p in names)), bindings)
+            rewritten += 1
+        elif t is Union or t is Join:
+            node = t(tuple(kids))
+        elif t is Inc and form == "inc" and not (node.in_names or node.out_names):
+            node = Union((kids[0], Vertex(node.name)))
+            rewritten += 1
+        elif t is Inc:
+            node = Inc(node.name, node.in_names, node.out_names, kids[0])
+        elif t is Subst or t is SubstTd:
+            bindings = tuple(zip([bn for bn, _ in node.bindings], kids))
+            if t is Subst:
+                node = Subst(node.pattern, bindings)
+            else:
+                node = subst_td_of(node.pattern_order, bindings)
+        vals.append(node)
+        full.append(t is Vertex or t is Inc or bool(parts))
+    return Expression(e.mode, vals[0]), rewritten
+
+
+_FORMS = ("subst", "subst-td", "inc")
+
+
+def test_a_disjoint_union_written_four_ways_keeps_the_graph_and_triangle_count(
+    tc_corpus, paths_corpus
+):
+    rewritten = dict.fromkeys(_FORMS, 0)
+    for e, g, *_ in tc_corpus + paths_corpus:
+        for form in _FORMS:
+            other, count = _unions_rewritten(e, form)
+            rewritten[form] += count
+            og = evaluate(other)
+            assert (set(og.vertices), og.edges) == (set(g.vertices), g.edges), form
+            if e.mode == "undirected" and count:
+                assert count_triangles(other) == count_triangles(e), form
+    assert min(rewritten.values()) > 5000, rewritten
+
+
+def test_a_disjoint_union_written_four_ways_keeps_the_shortest_path_answers(paths_corpus):
+    # the corpus weights (mostly negative cycles), within the solve
+    # tolerance, and integer weights in [0, 5], which never make one and
+    # whose path sums are exact, so they must agree exactly
+    verdicts = set()
+    for seed, (e, g, w, _) in enumerate(paths_corpus):
+        others = [x for x, count in (_unions_rewritten(e, form) for form in _FORMS) if count]
+        whole = {v: float(round(x)) for v, x in gen_weights(g.vertices, 0.0, 5.0, seed).items()}
+        for weights, tol in ((w, solve_tolerance(w)), (whole, 0.0)):
+            ncd, apsp = ncd_outcome(e, weights)[0], apsp_outcome(e, weights)[0]
+            verdicts.add(is_negative_cycle(ncd))
+            for other in others:
+                got = ncd_outcome(other, weights)[0]
+                assert is_negative_cycle(got) == is_negative_cycle(ncd), seed
+                if not is_negative_cycle(ncd):
+                    _assert_close(got.msp, ncd.msp, tol, seed)
+                got = apsp_outcome(other, weights)[0]
+                assert is_negative_cycle(got) == is_negative_cycle(apsp), seed
+                if not is_negative_cycle(apsp):
+                    assert got.dist.keys() == apsp.dist.keys(), seed
+                    for pair, d in apsp.dist.items():
+                        _assert_close(got.dist[pair], d, tol, (seed, pair))
+    assert verdicts == {True, False}
