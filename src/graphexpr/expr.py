@@ -15,7 +15,11 @@ only).
 The extracted parameter triple (k, h, l) is: k = nesting depth of inc nodes
 on root-to-leaf paths, h = largest explicit substitution pattern, l = largest
 inc nesting depth among subst-td pattern expressions.  It comes from the walk
-that validates, which each ``Expression`` runs once and caches.
+that validates, which each ``Expression`` runs once and caches.  That walk
+keeps one dict from each vertex name to the order index of its latest
+occurrence: an inc target lies in the child iff its index is at least the
+child's first, and a name met again is a duplicate of the lowest common
+ancestor of its two occurrences, reported when that node closes.
 
 AST nodes are frozen, slotted dataclasses built positionally, each with an
 ``__init__`` that writes its fields through the ``__set__`` of its class's
@@ -47,9 +51,11 @@ out only when a parse error names it.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import accumulate, combinations, count, permutations, repeat
 from operator import add
 from typing import NamedTuple
@@ -693,48 +699,89 @@ def validate_or_raise(e: Expression) -> set:
 
 def _scan(order):
     """The front-end walk: ``(vertex names, violations, Params, fold stats)``
-    of the tree of ``order``, from name sets and inc nesting bottom-up and
-    h, l as running maxima; the fold stats are ``framework.FoldStats``'s
+    of the tree of ``order``, from one name index and inc nesting bottom-up
+    and h, l as running maxima; the fold stats are ``framework.FoldStats``'s
     fields, under the rules of ``framework.fold``.  One loop over an order
-    keeps a stack of name sets and one of inc nestings; a tree-depth pattern
-    is walked by the same loop over its ``pattern_order`` with ``td_only``,
-    and its stats dropped.  Duplicate names are reported in sorted order."""
+    keeps a dict from each vertex name to the order index of its latest
+    occurrence, which it returns as the names, a stack of the distinct-name
+    counts of the finished subtrees, and one of the finished incs that no
+    finished inc holds, with their inc nestings.  An inc target lies in the
+    child iff its latest occurrence is at or after the child's first index.
+    A name met again is a duplicate at the lowest common ancestor of its two
+    occurrences, the first node to close whose subtree holds the earlier
+    one: the pair waits on a heap until then (``_duplicates``), and is
+    reported as merging name sets would report it.  A tree-depth pattern is
+    walked by the same loop over its ``pattern_order`` with ``td_only``, and
+    its stats dropped."""
     violations = []
     h = l = 0
 
     def walk(order, label, td_only):
         nonlocal h, l
         locate = locator(order, label)
-        sets, ks = [], []  # per finished subtree: its names, its inc nesting
-        n_vertex = n_empty = n_inc = n_subst = n_subst_td = sum_pattern_order = steps = 0
+        last = {}  # vertex name -> order index of its latest occurrence
+        setdefault, get = last.setdefault, last.get
+        distinct = []  # per finished subtree whose parent is open: its distinct names
+        inc_at = []  # the indices of the finished incs that no finished inc holds
+        nesting = {}  # inc index -> its inc nesting, where above 1
+        pending = []  # heap of (-i, j, name) per name at i met again at j
+        n_vertex = n_empty = n_dup = n_subst = n_subst_td = sum_pattern_order = steps = 0
 
         def bad(at, message):
             violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
 
-        for i, (node, c, _) in enumerate(order):
+        for i, (node, c, size) in enumerate(order):
             t = type(node)
             if td_only and t not in TD_NODE_TYPES:
                 bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
-            if t is Vertex or t is Empty:
-                n_vertex += t is Vertex
-                sets.append({node.name} if t is Vertex else set())
-                ks.append(0)
+            if t is Vertex:
+                n_vertex += 1
+                if setdefault(node.name, i) != i:
+                    heappush(pending, (-last[node.name], i, node.name))
+                    last[node.name] = i
+                    n_dup += 1
+                distinct.append(1)
+                continue
+            if t is Empty:
+                distinct.append(0)
                 continue
             if t is Inc:
-                names = sets[-1]
-                n_inc, n_empty = n_inc + 1, n_empty + (not names)
-                if not (node.in_names <= names and node.out_names <= names):
+                before = i - size  # the child's entries follow this index
+                if not distinct[-1]:
+                    n_empty += 1
+                unknown = False
+                for target in node.in_names:
+                    if get(target, -1) <= before:
+                        unknown = True
+                for target in node.out_names:
+                    if get(target, -1) <= before:
+                        unknown = True
+                if unknown:
                     for target in sorted(node.neighbor_names):
-                        if target not in names:
+                        if get(target, -1) <= before:
                             bad(node, f"unknown inc target {target!r}")
-                if node.name in names:
-                    bad(node, f"duplicate vertex name {node.name!r}")
-                names.add(node.name)
-                ks[-1] += 1
+                x = node.name
+                if (prev := setdefault(x, i)) == i:
+                    distinct[-1] += 1
+                else:
+                    last[x] = i
+                    n_dup += 1
+                    if prev > before:
+                        bad(node, f"duplicate vertex name {x!r}")
+                    else:
+                        distinct[-1] += 1
+                        heappush(pending, (-prev, i, x))
+                if inc_at and inc_at[-1] > before:  # the child holds incs
+                    k = 1
+                    while inc_at and inc_at[-1] > before:
+                        if (d := nesting.get(inc_at.pop(), 1)) > k:
+                            k = d
+                    nesting[i] = k + 1
+                inc_at.append(i)
                 continue
-            top = len(sets) - c
-            kids, k = sets[top:], max(ks[top:], default=0)
-            del sets[top:], ks[top:]
+            top = len(distinct) - c
+            kids = distinct[top:]
+            del distinct[top:]
             if t is Union or t is Join:
                 if c < 2:
                     bad(node, "union/join needs at least two children")
@@ -765,17 +812,16 @@ def _scan(order):
                     l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
                 bad(node, f"unknown node type {t.__name__}")
-            # merge into the largest set; a name in two children is a duplicate
-            parts = sorted(kids, key=len, reverse=True)
-            names = parts[0] if parts else set()
-            for part in parts[1:]:
-                if not names.isdisjoint(part):
-                    for nm in sorted(part & names):
-                        bad(node, f"duplicate vertex name {nm!r}")
-                names |= part
-            sets.append(names)
-            ks.append(k)
-        names, k, n_empty = sets[0], ks[0], n_empty + (not sets[0])
+            n = sum(kids)
+            if pending and -pending[0][0] > i - size:  # a duplicate's earlier occurrence is here
+                duplicates = _duplicates(order, i, kids, pending)
+                for nm in duplicates:
+                    bad(node, f"duplicate vertex name {nm!r}")
+                n -= len(duplicates)
+            distinct.append(n)
+        k = max(nesting.values(), default=1) if inc_at else 0
+        # each vertex or inc adds a name or repeats one
+        n_inc, n_empty = len(last) + n_dup - n_vertex, n_empty + (not distinct[0])
         counts = dict(
             vertex=n_vertex, empty=n_empty, inc=n_inc, subst=n_subst + steps, subst_td=n_subst_td
         )
@@ -783,10 +829,31 @@ def _scan(order):
             {kind: n for kind, n in counts.items() if n}, sum_pattern_order + 2 * steps, k,
             n_vertex + n_empty, max(h, 2) if steps else h, l,
         )
-        return names, k, stats
+        return last, k, stats
 
     names, k, stats = walk(order, lambda: "root", False)
     return names, violations, Params(k, h, l), stats
+
+
+def _duplicates(order, i, kids, pending):
+    """Pop off the heap ``pending`` the duplicate pairs whose lowest common
+    ancestor is the node at i, whose children have the distinct-name counts
+    ``kids``, and return the names to report there, in the order of merging
+    the children's name sets largest first (a stable sort): a name once at
+    each child that holds it but the first so merged, sorted per child."""
+    starts, j = [], i  # the children's first indices, the last child's first
+    for _ in kids:
+        j -= order[j - 1][2]
+        starts.append(j)
+    starts.reverse()
+    merged = sorted(range(len(kids)), key=kids.__getitem__, reverse=True)
+    rank = {child: r for r, child in enumerate(merged)}
+    held = defaultdict(set)  # name -> merge ranks of the children that hold it
+    while pending and -pending[0][0] >= j:
+        p, q, name = heappop(pending)
+        held[name].update((rank[bisect_right(starts, -p) - 1], rank[bisect_right(starts, q) - 1]))
+    reports = [(r, name) for name, ranks in held.items() for r in sorted(ranks)[1:]]
+    return [name for _, name in sorted(reports)]
 
 
 def _check_pattern(pattern):
@@ -805,7 +872,8 @@ def _check_pattern(pattern):
 
 def _check_bindings(node, pattern_names, child_names):
     """The messages about ``node``'s bindings, whose children have the
-    vertex-name sets ``child_names``."""
+    vertex names ``child_names``, each a set or a count: only whether it is
+    empty is read."""
     seen = set()
     pattern_set = set(pattern_names)
     for (bname, _), names in zip(node.bindings, child_names):

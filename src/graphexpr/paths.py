@@ -527,23 +527,28 @@ def apsp_subst_td(pattern_order, children, tol):
 # Solvers
 
 
-def _gate(e: Expression, w: dict, problem: str):
-    """Validate ``e`` and check ``w`` against its vertex names: every weight
-    must be finite, and so must _OVERFLOW_SLACK * n * max |w|, so that no
-    path sum or potential difference overflows.  Returns the weights of the
-    names only, from which the solve sizes its tolerance."""
+def _gate(e: Expression, w: dict, problem: str, handlers, verify):
+    """Validate ``e``, check ``w`` against its vertex names and fold ``e``
+    with ``handlers(used, tol)`` (and ``make_paths_verifier`` if
+    ``verify``), where ``used`` holds the weights of the names only and
+    ``tol`` is ``solve_tolerance(used)``.  Every weight must be finite, and
+    so must _OVERFLOW_SLACK * n * max |w|, so that no path sum or potential
+    difference overflows; ``check_total_weights`` words a failure."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
     names = validate_or_raise(e)
-    check_total_weights(names, w)
-    used = {v: w[v] for v in names}
+    used = {v: w.get(v, INF) for v in names}
+    if not math.isfinite(sum(used.values())):  # a weight missing or not finite, or a huge sum
+        check_total_weights(names, w)
     scale = max(map(abs, used.values()), default=0.0)
     if not math.isfinite(_OVERFLOW_SLACK * len(names) * scale):
         raise InputError(
             f"weights too large: path sums over {len(names)} vertices of weight "
             f"up to {scale:g} in magnitude overflow a float"
         )
-    return used
+    tol = _tolerance(len(used), scale)
+    checker = make_paths_verifier(used, tol) if verify else None
+    return framework.fold(e, handlers(used, tol), verify=checker)
 
 
 def solve_tolerance(w: dict) -> float:
@@ -554,8 +559,12 @@ def solve_tolerance(w: dict) -> float:
     negative by more than that, however large the other weights are.  The
     solvers pass only the weights of the expression's names, so a weight
     that no vertex uses cannot widen it."""
-    scale = max(map(abs, w.values()), default=0.0)
-    return max(TOL, _ROUNDING_SLACK * len(w) * sys.float_info.epsilon * scale)
+    return _tolerance(len(w), max(map(abs, w.values()), default=0.0))
+
+
+def _tolerance(n, scale):
+    """``solve_tolerance`` of n weights at most ``scale`` in magnitude."""
+    return max(TOL, _ROUNDING_SLACK * n * sys.float_info.epsilon * scale)
 
 
 def ncd_handlers(w: dict, tol: float) -> HandlerSet:
@@ -583,10 +592,7 @@ def apsp_handlers(w: dict, tol: float) -> HandlerSet:
 def _ncd_fold(e: Expression, w: dict, verify=False):
     """``ncd_outcome`` without reading the root's potential, which may stay
     a shifted union: for the callers that need only the verdict and msp."""
-    w = _gate(e, w, "negative cycle detection")
-    tol = solve_tolerance(w)
-    checker = make_paths_verifier(w, tol) if verify else None
-    return framework.fold(e, ncd_handlers(w, tol), verify=checker)
+    return _gate(e, w, "negative cycle detection", ncd_handlers, verify)
 
 
 def ncd_outcome(e: Expression, w: dict, *, verify=False):
@@ -609,10 +615,7 @@ def apsp_outcome(e: Expression, w: dict, *, verify=False):
     """Fold with the all-pairs handlers and expand the root to a
     FullSummary.  Returns ``(FullSummary | NEGATIVE_CYCLE, FoldStats)``; the
     summary's potential is a dict."""
-    w = _gate(e, w, "all-pairs shortest paths")
-    tol = solve_tolerance(w)
-    checker = make_paths_verifier(w, tol) if verify else None
-    value, stats = framework.fold(e, apsp_handlers(w, tol), verify=checker)
+    value, stats = _gate(e, w, "all-pairs shortest paths", apsp_handlers, verify)
     if isinstance(value, ModuleSummary):
         value = to_full_summary(value)
     if not is_negative_cycle(value):

@@ -111,21 +111,37 @@ def edges_within(child, s) -> int:
 
 def combine_union(parts) -> TriFold:
     """Summary of the disjoint union of ``parts``: the counts add up."""
-    return TriFold(sum([f.n for f in parts]), sum([f.m for f in parts]), sum([f.t for f in parts]))
+    n = m = t = 0
+    for fn, fm, ft in parts:
+        n += fn
+        m += fm
+        t += ft
+    return TriFold(n, m, t)
 
 
 def combine_subst(h, children) -> TriFold:
-    """Summary of substituting ``children`` into the pattern graph ``h``."""
-    sizes = {name: f.n for name, f in children}
-    index = {name: i for i, name in enumerate(h.vertices)}
-    tri_total = 0
+    """Summary of substituting ``children`` into the pattern graph ``h``:
+    the children's own counts, plus n_i * n_j edges and m_i * n_j + n_i *
+    m_j triangles per pattern edge {i, j}, plus n_i * n_j * n_k triangles
+    per pattern triangle {i, j, k}, which only a pattern with three or more
+    edges holds, and which is met once at each of its edges."""
+    n = m = t = 0
+    for _, (fn, fm, ft) in children:
+        n += fn
+        m += fm
+        t += ft
+    by_name = dict(children)
+    closed = 0  # three times the pattern-triangle sum
+    triangles = len(h.edges) > 2
     for (u, v) in h.edges:
-        if index[u] > index[v]:
-            u, v = v, u
-        for c in h.neighbors(u) & h.neighbors(v):
-            if index[c] > index[v]:  # count each pattern triangle once
-                tri_total += sizes[u] * sizes[v] * sizes[c]
-    return _assemble(children, h.edges, tri_total)
+        nu, mu, _ = by_name[u]
+        nv, mv, _ = by_name[v]
+        m += nu * nv
+        t += mu * nv + nu * mv
+        if triangles:
+            for w in h.neighbors(u) & h.neighbors(v):
+                closed += nu * nv * by_name[w].n
+    return TriFold(n, m, t + closed // 3)
 
 
 def combine_subst_td(pattern_order, children) -> TriFold:
@@ -135,22 +151,6 @@ def combine_subst_td(pattern_order, children) -> TriFold:
     names = [name for name, _ in children]
     h = Graph(UNDIRECTED, names, td_pattern_edges(pattern_order, UNDIRECTED))
     return combine_subst(h, children)
-
-
-def _assemble(children, pattern_edges, tri_total) -> TriFold:
-    """Totals of a substitution: the children's own counts, n_i * n_j edges
-    and m_i * n_j + n_i * m_j triangles per pattern edge {i, j}, plus the
-    weighted pattern-triangle sum ``tri_total``."""
-    by_name = dict(children)
-    parts = by_name.values()
-    n = sum([f.n for f in parts])
-    m = sum([f.m for f in parts])
-    t = sum([f.t for f in parts]) + tri_total
-    for (u, v) in pattern_edges:
-        fu, fv = by_name[u], by_name[v]
-        m += fu.n * fv.n
-        t += fu.m * fv.n + fu.n * fv.m
-    return TriFold(n, m, t)
 
 
 def handlers() -> HandlerSet:

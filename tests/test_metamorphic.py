@@ -5,9 +5,14 @@ changes the post-order the fold runs over, and so which edge-bearing
 pieces of an inc's child sit next to each other in it.  The others write
 each disjoint union another way: a union as a substitution or subst-td
 into a pattern without edges, and an inc without edges as a union with
-its vertex."""
+its vertex, also inside a tree-depth pattern with edges, where a
+hand-built family also meets the oracles."""
+
+import random
 
 from graphexpr import (
+    DIRECTED,
+    UNDIRECTED,
     Expression,
     Join,
     Subst,
@@ -19,6 +24,9 @@ from graphexpr import (
     gen_weights,
     is_negative_cycle,
     ncd_outcome,
+    oracle_apsp,
+    oracle_ncd,
+    oracle_triangles,
 )
 from graphexpr.expr import Empty, Inc, Pattern, SubstTd, subst_td_of
 from graphexpr.paths import solve_tolerance
@@ -182,3 +190,92 @@ def test_a_disjoint_union_written_four_ways_keeps_the_shortest_path_answers(path
                     for pair, d in apsp.dist.items():
                         _assert_close(got.dist[pair], d, tol, (seed, pair))
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# An inc without edges inside a tree-depth pattern with edges
+
+
+def _edgeless_inc_in_a_pattern(mode, seed, as_union=False):
+    """A subst-td, sometimes under an inc, whose tree-depth pattern has
+    edges and one or more incs without names over vertices, each bound to
+    a small graph; with ``as_union``, each such pattern inc is written as
+    the union of its child and its vertex.  No generated corpus holds
+    one."""
+    rng = random.Random(seed)
+    none = frozenset()
+    names = ["p0"]
+    pattern, edgeless, edged = Vertex("p0"), 0, 0
+    while not (edgeless and edged) or len(names) < 3 or rng.random() < 0.5:
+        p = f"p{len(names)}"
+        step = rng.choice(["edges", "edges", "none", "union"])
+        if step == "union":
+            pattern = Union((pattern, Inc(p, none, none, Vertex(p + "v"))))
+            names.append(p + "v")
+            edgeless += 1
+        elif step == "none":
+            pattern = Inc(p, none, none, pattern)
+            edgeless += 1
+        else:
+            targets = rng.sample(names, rng.randint(1, min(3, len(names))))
+            ins = frozenset(t for t in targets if mode == DIRECTED and rng.random() < 0.5)
+            pattern = Inc(p, ins, frozenset(targets) - ins, pattern)
+            edged += 1
+        names.append(p)
+    if as_union:
+        pattern = _pattern_incs_as_unions(pattern)
+    bindings = []
+    for p in sorted(names):
+        a, b = Vertex(p + "a"), Vertex(p + "b")
+        edge = Inc(p + "x", none, frozenset({p + "a"}), a)
+        bindings.append((p, rng.choice([a, Union((a, b)), Join((a, b)), edge])))
+    root = SubstTd(pattern, tuple(bindings))
+    if rng.random() < 0.5:
+        top = frozenset({f"{p}a" for p in rng.sample(names, 2)})
+        root = Inc("top", top if mode == DIRECTED else none, top, root)
+    return Expression(mode, root)
+
+
+def _pattern_incs_as_unions(node):
+    """``node`` with every inc without names written as a union."""
+    t = type(node)
+    if t is Inc and not (node.in_names or node.out_names):
+        return Union((_pattern_incs_as_unions(node.child), Vertex(node.name)))
+    if t is Inc:
+        child = _pattern_incs_as_unions(node.child)
+        return Inc(node.name, node.in_names, node.out_names, child)
+    if t is Union:
+        return Union(tuple(map(_pattern_incs_as_unions, node.children)))
+    return node
+
+
+def test_an_edgeless_inc_in_a_pattern_with_edges_meets_the_oracles():
+    tc = paths = 0
+    for seed in range(120):
+        mode = (UNDIRECTED, DIRECTED)[seed % 2]
+        e = _edgeless_inc_in_a_pattern(mode, seed)
+        other = _edgeless_inc_in_a_pattern(mode, seed, as_union=True)
+        g = evaluate(e)
+        og = evaluate(other)
+        assert (set(og.vertices), og.edges) == (set(g.vertices), g.edges), seed
+        assert g.m, seed
+        if mode == UNDIRECTED:
+            assert count_triangles(e) == count_triangles(other) == oracle_triangles(g), seed
+            tc += 1
+            continue
+        whole = {v: float(round(x)) for v, x in gen_weights(g.vertices, 0.0, 5.0, seed).items()}
+        for weights in (gen_weights(g.vertices, -5.0, 5.0, seed), whole):
+            tol = solve_tolerance(weights)
+            ref = oracle_apsp(g, weights)
+            for x in (e, other):
+                ncd, apsp = ncd_outcome(x, weights)[0], apsp_outcome(x, weights)[0]
+                assert is_negative_cycle(ncd) == is_negative_cycle(apsp) == oracle_ncd(g, weights)
+                if is_negative_cycle(ref):
+                    continue
+                _assert_close(ncd.msp, min(ref.values()), tol, seed)
+                assert apsp.dist.keys() == ref.keys(), seed
+                for pair, d in ref.items():
+                    _assert_close(apsp.dist[pair], d, max(tol, 1e-9), (seed, pair))
+            paths += not is_negative_cycle(ref)
+    assert tc == 60 and paths >= 40, (tc, paths)
+
