@@ -7,7 +7,10 @@ and per command the exit code, stdout without the ``wall-time-s`` line,
 stderr and the matrix file.  Paths are relative (the runs happen in a
 temporary directory), so no digest depends on where it ran.  The inputs
 are the seven corpus shapes in both modes, the ``EMPTY_CASES`` texts and
-mutated invalid texts and weight files.
+mutated invalid texts and weight files.  The ``verify-*`` cases run the
+three solvers with ``--verify`` instead, on a slice of the corpus seeds, on
+the ``EMPTY_CASES`` texts and, to pin the exit code and the messages of a
+failed check, with a handler swapped for a wrong one.
 
 Re-pin with ``PYTHONPATH=src python tests/test_cli_pins.py --write`` and
 list every case whose digest moved, with the reason, in CHANGES.md.  A pin
@@ -24,14 +27,18 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from graphexpr import DIRECTED, UNDIRECTED, cli, gen_weights, validate_or_raise
+from graphexpr import DIRECTED, NEGATIVE_CYCLE, UNDIRECTED, cli, gen_weights, paths, triangles
+from graphexpr import validate_or_raise
+from graphexpr.framework import Verdict
 
 from conftest import corpus_instance
 from test_framework import EMPTY_CASES
 
 PINS = Path(__file__).with_name("cli_pins.json")
 SEEDS = range(150)  # per mode
+VERIFY_SEEDS = range(0, 150, 5)  # per mode, with --verify
 MAX_BUDGET = 30
 
 
@@ -51,30 +58,37 @@ def _write_weights(path, weights):
     Path(path).write_text("".join(f"{v}\t{x!r}\n" for v, x in weights.items()))
 
 
-def _digest(text, weight_files):
+def _digest(text, weight_files, flags=()):
     """The digest of one case: ``text`` as the expression file, run through
-    every command, the path solvers once per weight file."""
+    every command, the path solvers once per weight file, each solver with
+    ``flags`` added."""
     Path("e.txt").write_text(text)
-    parts = [f"--text\n{text}", _run(["params", "e.txt"]), _run(["solve", "tc", "e.txt"])]
+    parts = [f"--text\n{text}", _run(["params", "e.txt"]), _run(["solve", "tc", "e.txt", *flags])]
     for wf in weight_files:
-        parts.append(_run(["solve", "ncd", "e.txt", wf]))
+        parts.append(_run(["solve", "ncd", "e.txt", wf, *flags]))
         if os.path.exists("m.tsv"):
             os.remove("m.tsv")
-        parts.append(_run(["solve", "apsp", "e.txt", wf, "-o", "m.tsv"]))
+        parts.append(_run(["solve", "apsp", "e.txt", wf, "-o", "m.tsv", *flags]))
         matrix = Path("m.tsv").read_text() if os.path.exists("m.tsv") else "<none>\n"
         parts.append(f"--matrix\n{matrix}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _cases():
-    """``(case id, expression text, weights per weight file)``; a weights
-    entry is a dict, or raw file text for a mutated weights file."""
+def _corpus_cases(seeds):
+    """The corpus cases of ``seeds`` in both modes, each with weights in
+    [-5, 5] and in [0, 5]."""
     for mode, tag in ((DIRECTED, "D"), (UNDIRECTED, "U")):
-        for seed in SEEDS:
+        for seed in seeds:
             e = corpus_instance(seed, mode, MAX_BUDGET)
             names = validate_or_raise(e)
             weights = [gen_weights(names, -5.0, 5.0, seed), gen_weights(names, 0.0, 5.0, seed)]
             yield f"{tag}{seed}", cli.format_expression(e) + "\n", weights
+
+
+def _cases():
+    """``(case id, expression text, weights per weight file)``; a weights
+    entry is a dict, or raw file text for a mutated weights file."""
+    yield from _corpus_cases(SEEDS)
     for j, body in enumerate(EMPTY_CASES):
         for mode in (DIRECTED, UNDIRECTED):
             text = f"({mode} {body})\n"
@@ -115,14 +129,58 @@ def _invalid_cases():
     yield "bad-huge-weights", "(directed (union (vertex a) (vertex b)))\n", ["a\t1e308\nb\t-1e308\n"]
 
 
+def _verify_cases():
+    """``(case id, text, weights per weight file, patches)`` run with
+    ``--verify``; each patch ``(module, name, stand-in)`` holds for the
+    case's runs.  The patched cases fail a check: a triangle inc handler
+    that counts one too many, and a shortest-path inc core that reports a
+    negative cycle wherever it runs, in the main tree and in a pattern
+    replay."""
+    for case, text, weights in _corpus_cases(VERIFY_SEEDS):
+        yield f"verify-{case}", text, weights, []
+    for j, body in enumerate(EMPTY_CASES):
+        for mode in (DIRECTED, UNDIRECTED):
+            text = f"({mode} {body})\n"
+            names = sorted(validate_or_raise(cli.parse(text)))
+            yield f"verify-empty{j}-{mode}", text, [{v: 1.0 for v in names}], []
+
+    def off_by_one(*args):
+        f = real_inc(*args)
+        return f._replace(t=f.t + 1)
+
+    def false_verdict(*args):
+        raise Verdict(NEGATIVE_CYCLE)
+
+    real_inc = triangles.combine_inc
+    off, false = (triangles, "combine_inc", off_by_one), (paths, "_inc_core", false_verdict)
+    u5, d3 = (cli.format_expression(corpus_instance(s, m, MAX_BUDGET)) for s, m in ((5, UNDIRECTED), (3, DIRECTED)))
+    failing = [
+        ("tc-off-by-one-inc", "(undirected (inc x ((x a) (x b)) (join (vertex a) (vertex b))))", off),
+        ("tc-off-by-one-U5", u5, off),
+        ("false-verdict-inc", "(directed (inc x ((x a) (b x)) (join (vertex a) (vertex b))))", false),
+        (
+            "false-verdict-td",
+            "(directed (union (vertex z) (subst-td (inc q ((q p) (p q)) (vertex p))"
+            " ((p (vertex a)) (q (vertex b))))))",
+            false,
+        ),
+        ("false-verdict-D3", d3, false),
+    ]
+    for tag, text, patch in failing:
+        names = sorted(validate_or_raise(cli.parse(text)))
+        yield f"verify-{tag}", text + "\n", [{v: 1.0 + len(v) for v in names}], [patch]
+
+
 def compute():
     """The digest of every case, by case id, run in a temporary directory."""
     digests = {}
     here = os.getcwd()
+    cases = [(case, text, weights, (), []) for case, text, weights in _cases()]
+    cases += [(case, text, w, ("--verify",), patches) for case, text, w, patches in _verify_cases()]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for case, text, weights in _cases():
+            for case, text, weights, flags, patches in cases:
                 files = []
                 for j, w in enumerate(weights):
                     files.append(f"w{j}.tsv")
@@ -131,7 +189,10 @@ def compute():
                     else:
                         Path(files[-1]).write_text(w)
                 assert case not in digests, case
-                digests[case] = _digest(text, files)
+                with contextlib.ExitStack() as stack:
+                    for module, name, stand_in in patches:
+                        stack.enter_context(mock.patch.object(module, name, stand_in))
+                    digests[case] = _digest(text, files, flags)
         finally:
             os.chdir(here)
     return digests

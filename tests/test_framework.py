@@ -1150,6 +1150,26 @@ def test_verify_locates_each_node_of_a_wide_union_in_constant_time():
     assert stats.counts == {"inc": 10**4, "empty": 10**4, "subst": 10**4 - 1}
 
 
+def test_verify_on_a_deep_inc_chain_checks_each_node_without_refolding_it():
+    # --verify evaluates and checks each node's subgraph once, O(depth x
+    # graph) on a 300-deep inc chain with one edge per inc; folding each
+    # subtree again to check it is O(depth x fold), tens of seconds here
+    import time
+
+    from graphexpr import apsp_outcome, ncd_outcome
+
+    d = 300
+    text = "".join(f"(inc p{i} ((p{i} p{i - 1})) " for i in range(d - 1, 0, -1))
+    e = parse(f"(directed {text}(vertex p0){')' * (d - 1)})")
+    w = {f"p{i}": 1.0 for i in range(d)}
+    start = time.perf_counter()
+    value, _ = ncd_outcome(e, w, verify=True)
+    full, _ = apsp_outcome(e, w, verify=True)
+    assert time.perf_counter() - start < 3.0
+    assert value.msp == full.msp == 1.0
+    assert full.dist[(f"p{d - 1}", "p0")] == d
+
+
 def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
     # an inc handler gets the edge-bearing parts of the Inc node's own
     # child; the shortest-path inc core resolves that child's edges with one
