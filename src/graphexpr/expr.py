@@ -691,10 +691,16 @@ def validate(e: Expression) -> list:
 def validate_or_raise(e: Expression) -> set:
     """Raise a ValidationError listing the violations, if any; else return
     the vertex names of the evaluated graph, which validation collects."""
+    return set(_valid_names(e))
+
+
+def _valid_names(e: Expression) -> dict:
+    """``validate_or_raise`` without the copy: the front end's own index of
+    the vertex names (a dict), which the caller only reads."""
     names, violations, _, _ = e._front_end
     if violations:
         raise ValidationError("\n".join(str(v) for v in violations))
-    return set(names)
+    return names
 
 
 def _scan(order):

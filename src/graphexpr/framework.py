@@ -26,8 +26,10 @@ once, at import), a tree-depth pattern as its order
 (``SubstTd.pattern_order``), which the NCD and APSP handlers replay with
 ``fold_td_expression``, the fold's own loop over that order, so a pattern
 inc is handed its child's pieces, and a pattern inc without names goes to
-the union handler, as well.  The fold evaluates nothing unless ``verify``
-is given.
+the union handler, as well.  The loop yields each summary as it makes it,
+and evaluates nothing: ``fold`` drains the summaries, or hands them to a
+checker outside the loop, which evaluates each node's subgraph and checks
+the summary on it (``verify``, the ``--verify`` debug mode).
 
 A handler whose value answers the whole expression, such as a negative
 cycle, raises ``Verdict`` with it, which ends the fold.  The front end's
@@ -37,6 +39,7 @@ theory bounds, and ``assert_stats`` re-checks those bounds on every run.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,8 +55,8 @@ from .expr import (
     Union,
     Vertex,
     _PAT_K2,
+    collect_vertex_names,
     evaluate,
-    expression_of,
     locator,
 )
 
@@ -134,16 +137,19 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     node in the main tree appended, that of the subst-td node for an error
     in a pattern replay.
 
-    ``verify``, when given, is called as ``verify(path, node, summary,
-    subgraph)`` after every handler with the evaluated subgraph of that node
-    or of a join's children folded so far (debug mode; cubic in the width
-    of a join), and with a verdict's value at the node that raised it.
-    Without ``verify`` the fold evaluates nothing.
+    The loop (``_fold``) yields its summaries as it makes them, and without
+    ``verify`` they are drained, the last one being the root's.  With
+    ``verify`` (debug mode), a checker outside the loop (``_checked``)
+    calls ``verify(path, node, summary, subgraph)`` with each of them and
+    the evaluated subgraph of its node, or of a join's children folded so
+    far (cubic in the width of a join), and with a verdict's value at the
+    node that raised it.
     """
     counts, *accounting = e._front_end[3]
     stats = FoldStats(dict(counts), *accounting)
+    steps = _fold(e._order, e.mode, handlers) if verify is None else _checked(e, handlers, verify)
     try:
-        value = _fold(e._order, e.mode, handlers, verify)
+        last = deque(steps, maxlen=1)
     except Verdict as verdict:
         return verdict.value, stats
     except VerificationError:
@@ -153,47 +159,29 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
         message = exc.args[0] if exc.args else repr(exc)
         exc.args = (f"{message} [at {path}]",) + exc.args[1:]
         raise
-    if value is _NO_VERTICES:
-        if verify is not None:
-            verify("root", e.root, handlers.base_empty(), evaluate(e))
-        value = handlers.base_empty()
-    return value, stats
+    return (last[0][1] if last else handlers.base_empty()), stats
 
 
 def fold_td_expression(pattern_order, handlers: HandlerSet):
     """The summary of a tree-depth pattern with vertices, given as its
     order (``SubstTd.pattern_order``), by the loop of ``fold`` with
     ``handlers``: the subst-td handlers replay their pattern with it."""
-    return _fold(pattern_order, None, handlers, None)
+    return deque(_fold(pattern_order, None, handlers), maxlen=1)[0][1]
 
 
-def _fold(order, mode, handlers, verify):
-    """The loop of ``fold`` over ``order``: the summary of its root, or
-    ``_NO_VERTICES``.  A ``Verdict`` is checked by ``verify`` at its node
-    and passes on; any other handler error is tagged with the index of its
-    node as ``_fold_index``, which an enclosing loop overwrites."""
-    locate = locator(order)
+def _fold(order, mode, handlers):
+    """The loop of ``fold`` over ``order``.  It yields ``(i, summary)`` for
+    the entry at i after each node with vertices but a union or join with
+    one part with vertices, whose summary is that part's; a join yields at
+    each of its steps instead, and an inc over a child without vertices
+    yields ``_NO_VERTICES`` at the child's entry first.  So the last
+    summary yielded is the root's, and none means that the tree has no
+    vertices.  A handler error, a ``Verdict`` too, is tagged with the index
+    of its node as ``_fold_index``, which an enclosing loop overwrites."""
     base_vertex, on_inc = handlers.base_vertex, handlers.on_inc
     on_subst, on_union = handlers.on_subst, handlers.on_union
     vals = []  # per finished subtree, its summary
     runs = []  # the maximal [start, stop) runs of piece entries, ascending
-
-    def subgraph(j):
-        # the evaluated subtree of the entry at j, for verify
-        return evaluate(expression_of(mode, order[j + 1 - order[j][2] : j + 1]))
-
-    def join(i, node, kids, parts):
-        # a left chain of binary steps, each checked on the children so far
-        pg, value = _K2_GRAPH[mode], parts[0]
-        if verify is not None:
-            folded, *rest = [x for v, x in zip(kids, node.children) if v is not _NO_VERTICES]
-        for j in range(1, len(parts)):
-            value = on_subst(pg, [("a", value), ("b", parts[j])])
-            if verify is not None:
-                folded = Subst(_PAT_K2[mode], (("a", folded), ("b", rest[j - 1])))
-                verify(locate(i), folded, value, evaluate(Expression(mode, folded)))
-        return value
-
     try:
         for i, (node, c, _) in enumerate(order):
             t = type(node)
@@ -202,9 +190,7 @@ def _fold(order, mode, handlers, verify):
             elif t is Inc:
                 f = vals.pop()
                 if f is _NO_VERTICES:  # x is the whole graph
-                    if verify is not None:
-                        empty = handlers.base_empty()
-                        verify(locate(i) + "/child", order[i - 1][0], empty, subgraph(i - 1))
+                    yield i - 1, f
                     value = base_vertex(node.name)
                 elif node.in_names or node.out_names:  # a piece of its own
                     a, j, child = i - order[i - 1][2], len(runs), []  # the child is order[a:i]
@@ -217,7 +203,8 @@ def _fold(order, mode, handlers, verify):
                 else:  # a disjoint union with x
                     value = on_union([f, base_vertex(node.name)])
             elif t is Empty:
-                value = _NO_VERTICES
+                vals.append(_NO_VERTICES)
+                continue
             else:
                 top = len(vals) - c
                 kids = vals[top:]
@@ -233,14 +220,15 @@ def _fold(order, mode, handlers, verify):
                 elif t is Union or t is Join:
                     parts = [v for v in kids if v is not _NO_VERTICES]
                     value = parts[0] if parts else _NO_VERTICES
-                    if len(parts) > 1:  # r - 1 steps into two-vertex patterns
-                        if t is Join:
-                            value = join(i, node, kids, parts)
+                    if len(parts) > 1:
+                        if t is Join:  # r - 1 steps into two-vertex patterns
+                            for part in parts[1:]:
+                                value = on_subst(_K2_GRAPH[mode], [("a", value), ("b", part)])
+                                yield i, value
                             _add_piece(runs, i + 1 - order[i][2], i + 1)
                         else:
                             value = on_union(parts)
-                            if verify is not None:
-                                verify(locate(i), node, value, subgraph(i))
+                            yield i, value
                     vals.append(value)
                     continue
                 elif t is SubstTd:
@@ -254,17 +242,42 @@ def _fold(order, mode, handlers, verify):
                         value = on_union([by_name[p.name] for p, _, _ in po if type(p) in _NAMED])
                 else:
                     raise InputError(f"unknown node type {t.__name__}")
-            if verify is not None and value is not _NO_VERTICES:  # not an empty leaf
-                verify(locate(i), node, value, subgraph(i))
+            yield i, value
             vals.append(value)
-    except Verdict as verdict:
-        if verify is not None:
-            verify(locate(i), node, verdict.value, subgraph(i))
-        raise
     except Exception as exc:
         exc._fold_index = i
         raise
-    return vals[0]
+
+
+def _checked(e, handlers, verify):
+    """The steps of ``fold``'s loop over ``e``, passed on once ``verify``
+    has checked each summary on the evaluated subgraph of its node.  A join
+    step's node is the chain of two-vertex substitutions that the join's
+    steps so far fold, over its children with vertices; a tree without
+    vertices, an inc's child or the whole expression, is checked with
+    ``base_empty()``.  A ``Verdict`` is checked at the node that raised it,
+    and passes on."""
+    order, mode = e._order, e.mode
+    locate, last = locator(order), None
+    try:
+        for i, value in _fold(order, mode, handlers):
+            node = order[i][0]
+            if value is _NO_VERTICES:
+                value = handlers.base_empty()
+            elif type(node) is Join:
+                if i != last:  # its first step
+                    parts = filter(collect_vertex_names, node.children)
+                    folded = next(parts)
+                node = folded = Subst(_PAT_K2[mode], (("a", folded), ("b", next(parts))))
+            verify(locate(i), node, value, evaluate(Expression(mode, node)))
+            last = i
+            yield i, value
+    except Verdict as verdict:
+        node = order[verdict._fold_index][0]
+        verify(locate(verdict._fold_index), node, verdict.value, evaluate(Expression(mode, node)))
+        raise
+    if last is None:
+        verify("root", e.root, handlers.base_empty(), evaluate(e))
 
 
 def _add_piece(runs, start, stop):

@@ -71,8 +71,8 @@ from functools import cached_property
 
 from . import framework
 from .errors import ContractViolation, InputError, VerificationError
-from .expr import Expression, evaluate_node, validate_or_raise
-from .expr import evaluate, normalize  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
+from .expr import Expression, _valid_names, evaluate_node
+from .expr import evaluate, normalize, validate_or_raise  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
 from .framework import HandlerSet, Verdict, fold_td_expression
 from .graphs import (
     DIRECTED,
@@ -228,7 +228,7 @@ def _dijkstra_labels(adjacency, w, pi, sources, tol, forward=True):
                 raise ContractViolation(
                     f"negative reduced cost on edge ({tail!r}, {head!r}): potential not feasible"
                 )
-            nd = d + max(rc, 0.0)
+            nd = d + (rc if rc > 0.0 else 0.0)
             if nd < dist.get(u, INF):
                 dist[u] = nd
                 if u in adjacency:
@@ -271,8 +271,7 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
 
     # cheapest arrival value at x for the virtual super-source: either enter
     # at x directly (0) or enter the child graph and walk to an in-neighbor
-    entry = min((pi[u] + w[u] for u in in_names), default=0.0)
-    entry = min(0.0, entry)
+    entry = min([0.0] + [pi[u] + w[u] for u in in_names])
 
     new_pi = dict(pi)
     for v, d in fwd.items():
@@ -536,14 +535,13 @@ def _gate(e: Expression, w: dict, problem: str, handlers, verify):
     difference overflows; ``check_total_weights`` words a failure."""
     if e.mode != DIRECTED:
         raise InputError(f"{problem} requires a directed expression")
-    names = validate_or_raise(e)
-    used = {v: w.get(v, INF) for v in names}
+    used = {v: w.get(v, INF) for v in _valid_names(e)}
     if not math.isfinite(sum(used.values())):  # a weight missing or not finite, or a huge sum
-        check_total_weights(names, w)
+        check_total_weights(used, w)
     scale = max(map(abs, used.values()), default=0.0)
-    if not math.isfinite(_OVERFLOW_SLACK * len(names) * scale):
+    if not math.isfinite(_OVERFLOW_SLACK * len(used) * scale):
         raise InputError(
-            f"weights too large: path sums over {len(names)} vertices of weight "
+            f"weights too large: path sums over {len(used)} vertices of weight "
             f"up to {scale:g} in magnitude overflow a float"
         )
     tol = _tolerance(len(used), scale)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import framework
-from .errors import InputError
-from .expr import evaluate, normalize  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
+from .errors import InputError, VerificationError
+from .expr import evaluate, normalize, validate_or_raise  # noqa: F401  (no caller here; perfbench/tracing.py wraps the names)
 from .expr import (
     Empty,
     Expression,
@@ -32,8 +32,8 @@ from .expr import (
     Subst,
     Union,
     Vertex,
+    _valid_names,
     td_pattern_edges,
-    validate_or_raise,
 )
 from .framework import FoldStats, HandlerSet
 from .framework import fold_td_expression  # noqa: F401  (no caller here; perfbench/tracing.py wraps the name)
@@ -168,15 +168,13 @@ def triangle_summary(e: Expression, *, verify=None) -> tuple[TriFold, FoldStats]
     """Run the triangle-counting fold; returns the summary and fold stats."""
     if e.mode != UNDIRECTED:
         raise InputError("triangle counting requires an undirected expression")
-    validate_or_raise(e)
+    _valid_names(e)
     checker = None
     if verify:
         from .oracle import oracle_triangles
 
         def checker(path, node, value, sub):
             if sub.n <= 200 and value.t != oracle_triangles(sub):
-                from .errors import VerificationError
-
                 raise VerificationError(
                     f"{path}: triangle summary {value.t} disagrees with "
                     f"brute force on the materialized subgraph"

@@ -130,19 +130,21 @@ def _invalid_cases():
 
 
 def _verify_cases():
-    """``(case id, text, weights per weight file, patches)`` run with
-    ``--verify``; each patch ``(module, name, stand-in)`` holds for the
-    case's runs.  The patched cases fail a check: a triangle inc handler
+    """``(case id, text, weights per weight file, patch)`` run with
+    ``--verify``; a patch ``(module, name, stand-in)`` holds for the case's
+    runs.  The patched cases fail a check: a triangle inc handler
     that counts one too many, and a shortest-path inc core that reports a
     negative cycle wherever it runs, in the main tree and in a pattern
     replay."""
     for case, text, weights in _corpus_cases(VERIFY_SEEDS):
-        yield f"verify-{case}", text, weights, []
+        yield f"verify-{case}", text, weights, None
     for j, body in enumerate(EMPTY_CASES):
         for mode in (DIRECTED, UNDIRECTED):
             text = f"({mode} {body})\n"
             names = sorted(validate_or_raise(cli.parse(text)))
-            yield f"verify-empty{j}-{mode}", text, [{v: 1.0 for v in names}], []
+            yield f"verify-empty{j}-{mode}", text, [{v: 1.0 for v in names}], None
+
+    real_inc = triangles.combine_inc
 
     def off_by_one(*args):
         f = real_inc(*args)
@@ -151,7 +153,6 @@ def _verify_cases():
     def false_verdict(*args):
         raise Verdict(NEGATIVE_CYCLE)
 
-    real_inc = triangles.combine_inc
     off, false = (triangles, "combine_inc", off_by_one), (paths, "_inc_core", false_verdict)
     u5, d3 = (cli.format_expression(corpus_instance(s, m, MAX_BUDGET)) for s, m in ((5, UNDIRECTED), (3, DIRECTED)))
     failing = [
@@ -168,19 +169,19 @@ def _verify_cases():
     ]
     for tag, text, patch in failing:
         names = sorted(validate_or_raise(cli.parse(text)))
-        yield f"verify-{tag}", text + "\n", [{v: 1.0 + len(v) for v in names}], [patch]
+        yield f"verify-{tag}", text + "\n", [{v: 1.0 + len(v) for v in names}], patch
 
 
 def compute():
     """The digest of every case, by case id, run in a temporary directory."""
     digests = {}
     here = os.getcwd()
-    cases = [(case, text, weights, (), []) for case, text, weights in _cases()]
-    cases += [(case, text, w, ("--verify",), patches) for case, text, w, patches in _verify_cases()]
+    cases = [(case, text, weights, (), None) for case, text, weights in _cases()]
+    cases += [(case, text, w, ("--verify",), patch) for case, text, w, patch in _verify_cases()]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for case, text, weights, flags, patches in cases:
+            for case, text, weights, flags, patch in cases:
                 files = []
                 for j, w in enumerate(weights):
                     files.append(f"w{j}.tsv")
@@ -189,9 +190,7 @@ def compute():
                     else:
                         Path(files[-1]).write_text(w)
                 assert case not in digests, case
-                with contextlib.ExitStack() as stack:
-                    for module, name, stand_in in patches:
-                        stack.enter_context(mock.patch.object(module, name, stand_in))
+                with mock.patch.object(*patch) if patch else contextlib.nullcontext():
                     digests[case] = _digest(text, files, flags)
         finally:
             os.chdir(here)
