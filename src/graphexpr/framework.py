@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .expr import (
     Empty,
     Expression,
@@ -143,7 +143,7 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
     calls ``verify(path, node, summary, subgraph)`` with each of them and
     the evaluated subgraph of its node, or of a join's children folded so
     far (cubic in the width of a join), and with a verdict's value at the
-    node that raised it.
+    node that raised it.  An error that ``verify`` raises passes as raised.
     """
     counts, *accounting = e._front_end[3]
     stats = FoldStats(dict(counts), *accounting)
@@ -152,9 +152,9 @@ def fold(e: Expression, handlers: HandlerSet, *, verify=None):
         last = deque(steps, maxlen=1)
     except Verdict as verdict:
         return verdict.value, stats
-    except VerificationError:
-        raise
     except Exception as exc:
+        if not hasattr(exc, "_fold_index"):  # the checker's own, such as a VerificationError
+            raise
         path = exc._fold_path = locator(e._order)(exc._fold_index)
         message = exc.args[0] if exc.args else repr(exc)
         exc.args = (f"{message} [at {path}]",) + exc.args[1:]

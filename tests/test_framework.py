@@ -1113,6 +1113,16 @@ def test_verify_catches_a_false_verdict(monkeypatch, tmp_path, capsys):
     assert "root: handler reported a negative cycle, subgraph has none" in capsys.readouterr().err
 
 
+def test_verify_errors_leave_the_fold_as_raised():
+    # an error that verify raises is the checker's, not a handler's: the
+    # fold passes it on as it is, with no node path appended
+    def check(path, node, value, sub):
+        raise ValueError(f"checked {path}")
+
+    with pytest.raises(ValueError, match=r"^checked root/0$"):
+        fold(parse("(directed (union (vertex a) (vertex b)))"), counting_handlers(), verify=check)
+
+
 def test_verify_checks_a_wide_union_once():
     # verify checks a union on its whole subgraph once; checking each step
     # on the growing partial union instead is quadratic, about 8 s here
