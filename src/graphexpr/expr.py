@@ -29,12 +29,15 @@ keep an instance dict, as their recorded orders are written into it.
 Each expression has one post-order of its tree (``post_order``), which
 the parser records as it closes nodes (``Expression._order``); a subtree is
 a slice of it.  Each subst-td pattern has its own (``SubstTd.pattern_order``),
-which the parser records too.  Every walk is a flat loop over an order:
-the front end (``_scan``), ``framework.fold``, whose loop also replays
-patterns, ``triangles.edges_within``, the evaluator and ``normalize``, as
-a Python call per node costs more than most nodes' work.  The evaluator
-builds adjacency lists: union and join are substitutions into an edgeless
-resp. complete pattern.
+which the parser records too.  An ``Order`` is three parallel sequences,
+with no object per entry: the nodes, and their child counts and subtree
+sizes in ``array('I')``s, which the garbage collector does not track.
+Every walk is a flat loop over an order, which zips slices of those
+sequences: the front end (``_scan``), ``framework.fold``, whose loop also
+replays patterns, ``triangles.edges_within``, the evaluator and
+``normalize``, as a Python call per node costs more than most nodes' work.
+The evaluator builds adjacency lists: union and join are substitutions
+into an edgeless resp. complete pattern.
 
 The parser and all tree walks are iterative, so expressions may be nested
 to any depth: deep input text as well as the binary substitution chains
@@ -51,6 +54,7 @@ out only when a parse error names it.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
@@ -188,6 +192,28 @@ _pattern_kind, _pattern_names, _pattern_edges, _pattern_pos = _setters(Pattern)
 _subst_pattern, _subst_bindings, _subst_pos = _setters(Subst)
 
 
+@dataclass(slots=True)
+class Order:
+    """A post-order (``post_order``) as three parallel sequences: per entry,
+    its node, its child count and its subtree size, so the subtree of the
+    entry at i spans the entries ``i - sizes[i] + 1`` to i.  The counts and
+    sizes are C unsigned int arrays, ``array('I')``: an unsigned code
+    converts an int directly where a signed one runs the argument parser,
+    which costs about twice as much per item.  ``len`` is the number of
+    entries."""
+
+    nodes: list
+    counts: array
+    sizes: array
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def span(self, start, stop) -> Order:
+        """The entries from ``start`` up to ``stop``, as an Order of their own."""
+        return Order(self.nodes[start:stop], self.counts[start:stop], self.sizes[start:stop])
+
+
 @dataclass(frozen=True)
 class SubstTd:  # not slotted: ``pattern_order`` is kept in its instance dict
     pattern_expr: object  # tree-depth expression over the pattern vertices
@@ -218,14 +244,14 @@ class Expression:
 
 def expression_of(mode, order) -> Expression:
     """The Expression of the tree of ``order``, which it keeps as ``_order``."""
-    e = Expression(mode, order[-1][0])
+    e = Expression(mode, order.nodes[-1])
     e.__dict__["_order"] = order
     return e
 
 
 def subst_td_of(pattern_order, bindings, pos=None) -> SubstTd:
     """The SubstTd of the pattern of ``pattern_order``, which it keeps."""
-    node = SubstTd(pattern_order[-1][0], bindings, pos)
+    node = SubstTd(pattern_order.nodes[-1], bindings, pos)
     node.__dict__["pattern_order"] = pattern_order
     return node
 
@@ -253,12 +279,13 @@ def subexpressions(node):
     return ()
 
 
-def post_order(root) -> list:
-    """The order of the tree under ``root``: one ``(node, child count,
-    subtree size)`` entry per node in post-order, so the subtree of the
-    entry at i is the order ``order[i - size + 1 : i + 1]``.  Subst-td
-    patterns are payload, not nodes.  A stack walk lists the nodes parent
-    first and children last to first: the post-order read backwards."""
+def post_order(root) -> Order:
+    """The order of the tree under ``root``: the ``Order`` whose entries
+    are its nodes in post-order, each with its child count and subtree
+    size, so the subtree of the entry at i is ``order.span(i - size + 1,
+    i + 1)``.  Subst-td patterns are payload, not nodes.  A stack walk lists
+    the nodes parent first and children last to first: the post-order read
+    backwards."""
     nodes, counts = [], []
     stack = [root]
     while stack:  # ``subexpressions``, inlined
@@ -276,20 +303,22 @@ def post_order(root) -> list:
             stack += [sub for _, sub in node.bindings]
         else:
             counts.append(0)
-    order, sizes = [], []  # sizes of the finished subtrees whose parent is open
-    for node, c in zip(reversed(nodes), reversed(counts)):
+    nodes.reverse()
+    counts = array("I", reversed(counts))
+    sizes, open_sizes = array("I"), []  # sizes of the finished subtrees whose parent is open
+    for c in counts:
         if not c:
+            open_sizes.append(1)
             sizes.append(1)
-            order.append((node, 0, 1))
             continue
         if c == 1:
-            size = sizes[-1] + 1
+            size = open_sizes[-1] + 1
         else:
-            size = sum(sizes[-c:]) + 1
-            del sizes[1 - c :]
-        sizes[-1] = size
-        order.append((node, c, size))
-    return order
+            size = sum(open_sizes[-c:]) + 1
+            del open_sizes[1 - c :]
+        open_sizes[-1] = size
+        sizes.append(size)
+    return Order(nodes, counts, sizes)
 
 
 def locator(order, label=lambda: "root"):
@@ -304,7 +333,7 @@ def locator(order, label=lambda: "root"):
         parent, ordinal = index
         steps, j = [], i
         while (p := parent[j]) >= 0:
-            steps.append(_step(order[p][0], ordinal[j]))
+            steps.append(_step(order.nodes[p], ordinal[j]))
             j = p
         steps.append(label())
         return "/".join(reversed(steps))
@@ -315,12 +344,12 @@ def locator(order, label=lambda: "root"):
 def _parent_index(order):
     """Per entry, its parent's index (-1 at the root) and its ordinal among
     the parent's children, which end at j - 1 for the entry at j."""
-    parent, ordinal = [-1] * len(order), [0] * len(order)
-    for j, (_, c, _) in enumerate(order):
+    parent, ordinal, sizes = [-1] * len(order), [0] * len(order), order.sizes
+    for j, c in enumerate(order.counts):
         q = j - 1
         for k in range(c - 1, -1, -1):
             parent[q], ordinal[q] = j, k
-            q -= order[q][2]
+            q -= sizes[q]
     return parent, ordinal
 
 
@@ -447,13 +476,19 @@ def parse(text: str) -> Expression:
             raise tokens.expected(1, "'directed' or 'undirected'")
         i = 2
         opens = 1  # the "(" tokens before token i
-        # open nodes: [Union or Join, pos, children, start, at],
-        # [Inc, pos, name, in_names, out_names] and
+        # open nodes: (Union or Join, pos, children, start, at),
+        # (Inc, pos, name, in_names, out_names) and
         # [Subst or SubstTd, pos, pattern, bindings, name of the open binding, at, start],
-        # where start indexes the node's "(", at is len(order) at its
-        # opening and a subst-td pattern is None until its expression is
-        # read, then that expression's order
-        stack, order = [], []
+        # where start indexes the node's "(", at is the number of entries
+        # of the order at its opening and a subst-td pattern is None until
+        # its expression is read, then that expression's order
+        stack = []
+        # the order, as ``Order`` keeps it: every node opens with a "(", so
+        # it has at most len(open_ends) entries, whose counts and sizes are
+        # preset to a leaf's, 0 and 1, and set where a node has children
+        nodes = []
+        add_node = nodes.append
+        counts, sizes = _leaf_counts_and_sizes(len(open_ends))
         while True:
             # an expression starts at token i
             if toks[i] != "(":
@@ -471,7 +506,7 @@ def parse(text: str) -> Expression:
                     raise tokens.expected(i + 1, "')'")
                 i += 2
                 node = Vertex(name, pos)
-                order.append((node, 0, 1))
+                add_node(node)
             elif op == "inc":
                 name = toks[i]
                 if name in _PARENS:
@@ -481,7 +516,7 @@ def parse(text: str) -> Expression:
                 i += 2
                 opens += 1
                 if toks[i] == ")":
-                    stack.append([Inc, pos, name, _NO_NAMES, _NO_NAMES])
+                    stack.append((Inc, pos, name, _NO_NAMES, _NO_NAMES))
                     i += 1
                     continue
                 in_names, out_names = set(), set()
@@ -509,7 +544,7 @@ def parse(text: str) -> Expression:
                     opens += 1
                 in_names = frozenset(in_names) if in_names else _NO_NAMES
                 out_names = frozenset(out_names) if out_names else _NO_NAMES
-                stack.append([Inc, pos, name, in_names, out_names])
+                stack.append((Inc, pos, name, in_names, out_names))
                 i += 1
                 continue
             elif op == "empty":
@@ -517,9 +552,9 @@ def parse(text: str) -> Expression:
                     raise tokens.expected(i, "')'")
                 i += 1
                 node = Empty(pos)
-                order.append((node, 0, 1))
+                add_node(node)
             elif op == "union" or op == "join":
-                stack.append([Union if op == "union" else Join, pos, [], start, len(order)])
+                stack.append((Union if op == "union" else Join, pos, [], start, len(nodes)))
                 if toks[i] == "(":
                     continue  # its first child
                 node = None
@@ -527,12 +562,12 @@ def parse(text: str) -> Expression:
                 pattern, i, opens = _pattern_at(tokens, i, opens, mode)
                 if toks[i] != "(":
                     raise tokens.expected(i, "'('")
-                stack.append([Subst, pos, pattern, [], None, len(order), start])
+                stack.append([Subst, pos, pattern, [], None, len(nodes), start])
                 i += 1
                 opens += 1
                 node = None
             elif op == "subst-td":
-                stack.append([SubstTd, pos, None, [], None, len(order), start])
+                stack.append([SubstTd, pos, None, [], None, len(nodes), start])
                 continue
             else:
                 raise tokens.error(start + 1, f"unknown operator {op!r}")
@@ -549,7 +584,9 @@ def parse(text: str) -> Expression:
                     i += 1
                     _, pos, name, in_names, out_names = frame
                     node = Inc(name, in_names, out_names, node, pos)
-                    order.append((node, 1, order[-1][2] + 1))
+                    k = len(nodes)
+                    counts[k], sizes[k] = 1, sizes[k - 1] + 1  # its child's entry is the last
+                    add_node(node)
                 elif kind is Union or kind is Join:
                     _, pos, children, start, at = frame
                     if node is not None:
@@ -561,12 +598,16 @@ def parse(text: str) -> Expression:
                         op = "union" if kind is Union else "join"
                         raise tokens.error(start + 1, f"{op} needs at least two arguments")
                     node = kind(tuple(children), pos)
-                    order.append((node, len(children), len(order) - at + 1))
+                    k = len(nodes)
+                    counts[k], sizes[k] = len(children), k - at + 1
+                    add_node(node)
                 else:
                     bindings = frame[3]
-                    if frame[2] is None:
-                        frame[2] = order[frame[5] :]  # a pattern is payload
-                        del order[frame[5] :]
+                    if frame[2] is None:  # a pattern is payload
+                        at, k = frame[5], len(nodes)
+                        frame[2] = Order(nodes[at:], counts[at:k], sizes[at:k])
+                        del nodes[at:]
+                        counts[at:k], sizes[at:k] = _leaf_counts_and_sizes(k - at)
                         if toks[i] != "(":
                             raise tokens.expected(i, "'('")
                         i += 1
@@ -593,7 +634,9 @@ def parse(text: str) -> Expression:
                     i += 2
                     make = Subst if kind is Subst else subst_td_of
                     node = make(frame[2], tuple(bindings), frame[1])
-                    order.append((node, len(bindings), len(order) - frame[5] + 1))
+                    k = len(nodes)
+                    counts[k], sizes[k] = len(bindings), k - frame[5] + 1
+                    add_node(node)
                 stack.pop()
             else:
                 break
@@ -604,7 +647,17 @@ def parse(text: str) -> Expression:
         raise ParseError("unexpected end of input") from None
     if i + 1 < len(toks):
         raise tokens.error(i + 1, "trailing input after expression")
-    return expression_of(mode, order)
+    del counts[len(nodes) :], sizes[len(nodes) :]
+    return expression_of(mode, Order(nodes, counts, sizes))
+
+
+_LEAF_COUNT, _LEAF_SIZE = array("I", [0]), array("I", [1])
+
+
+def _leaf_counts_and_sizes(n):
+    """The counts and sizes of n leaves, 0 and 1 each, as ``array('I')``s
+    (repeated from one-entry arrays, which costs less than building them)."""
+    return _LEAF_COUNT * n, _LEAF_SIZE * n
 
 
 def _edge_at(tokens, i):
@@ -736,7 +789,7 @@ def _scan(order):
         def bad(at, message):
             violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
 
-        for i, (node, c, size) in enumerate(order):
+        for i, node, c, size in zip(count(), order.nodes, order.counts, order.sizes):
             t = type(node)
             if td_only and t not in TD_NODE_TYPES:
                 bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
@@ -820,7 +873,7 @@ def _scan(order):
                 bad(node, f"unknown node type {t.__name__}")
             n = sum(kids)
             if pending and -pending[0][0] > i - size:  # a duplicate's earlier occurrence is here
-                duplicates = _duplicates(order, i, kids, pending)
+                duplicates = _duplicates(order.sizes, i, kids, pending)
                 for nm in duplicates:
                     bad(node, f"duplicate vertex name {nm!r}")
                 n -= len(duplicates)
@@ -841,15 +894,16 @@ def _scan(order):
     return names, violations, Params(k, h, l), stats
 
 
-def _duplicates(order, i, kids, pending):
+def _duplicates(sizes, i, kids, pending):
     """Pop off the heap ``pending`` the duplicate pairs whose lowest common
-    ancestor is the node at i, whose children have the distinct-name counts
-    ``kids``, and return the names to report there, in the order of merging
-    the children's name sets largest first (a stable sort): a name once at
-    each child that holds it but the first so merged, sorted per child."""
+    ancestor is the node at i of an order with the subtree ``sizes``, whose
+    children have the distinct-name counts ``kids``, and return the names
+    to report there, in the order of merging the children's name sets
+    largest first (a stable sort): a name once at each child that holds it
+    but the first so merged, sorted per child."""
     starts, j = [], i  # the children's first indices, the last child's first
     for _ in kids:
-        j -= order[j - 1][2]
+        j -= sizes[j - 1]
         starts.append(j)
     starts.reverse()
     merged = sorted(range(len(kids)), key=kids.__getitem__, reverse=True)
@@ -909,73 +963,75 @@ def evaluate(e: Expression) -> Graph:
     return Graph(e.mode, verts, edges)
 
 
-def evaluate_node(order, mode):
+def evaluate_node(order, mode, runs=None):
     """Vertex list and adjacency lists ``(verts, out, inn)`` of the tree of
-    ``order`` (``post_order``), all fresh.  ``order`` may also be a
-    subtree's edge-bearing parts, in post-order, as an inc handler gets
-    them (``framework.HandlerSet``): the adjacency lists are then the same,
-    and ``verts`` means nothing.  ``out[v]`` lists the heads of v's
-    out-edges, ``inn[v]`` the tails of its in-edges; in undirected mode
-    ``inn`` is ``out``.  The adjacency is sparse: ``out`` and ``inn`` are
-    ``defaultdict(list)``s that hold a list only for a vertex with an edge
-    in that direction, so a vertex without edges costs one entry of
-    ``verts`` (read the lists with ``out.get(v, ())``).  One loop over the
-    order appends the vertices in leaf order, so each subtree's vertices
-    form one run of ``verts``, and stacks the run starts of subtrees whose
-    parent is still to come.  A join, a substitution into a pattern with
-    edges or a subst-td reads its children's runs off that stack, so each
-    pattern edge between two runs with vertices extends the lists of their
-    vertices directly.  A tree-depth pattern's edges are read from its inc
-    nodes (``td_pattern_edges``)."""
+    ``order`` (an ``Order``), all fresh.  ``runs``, ``[start, stop)``
+    pairs, may instead name a subtree's edge-bearing parts, in post-order,
+    as an inc handler gets them (``framework.HandlerSet``): the adjacency
+    lists are then the same, and ``verts`` means nothing.  ``out[v]`` lists
+    the heads of v's out-edges, ``inn[v]`` the tails of its in-edges; in
+    undirected mode ``inn`` is ``out``.  The adjacency is sparse: ``out``
+    and ``inn`` are ``defaultdict(list)``s that hold a list only for a
+    vertex with an edge in that direction, so a vertex without edges costs
+    one entry of ``verts`` (read the lists with ``out.get(v, ())``).  One
+    loop over the entries appends the vertices in leaf order, so each
+    subtree's vertices form one run of ``verts``, and stacks the run starts
+    of subtrees whose parent is still to come.  A join, a substitution into
+    a pattern with edges or a subst-td reads its children's runs off that
+    stack, so each pattern edge between two runs with vertices extends the
+    lists of their vertices directly.  A tree-depth pattern's edges are
+    read from its inc nodes (``td_pattern_edges``)."""
     directed = mode == DIRECTED
     verts, out = [], defaultdict(list)
     inn = defaultdict(list) if directed else out
     starts = []
-    for node, c, _ in order:
-        t = type(node)
-        if not c:  # a subtree's run starts at its first entry, a leaf
-            starts.append(len(verts))
-        if t is Vertex:
-            verts.append(node.name)
-        elif t is Inc:  # its run starts where its child's does
-            x = node.name
-            verts.append(x)
-            if directed and node.in_names:
-                inn[x] = list(node.in_names)
-                for u in node.in_names:
-                    out[u].append(x)
-            heads = node.out_names if directed else node.neighbor_names
-            if heads:
-                out[x] = list(heads)
-                for u in heads:
-                    inn[u].append(x)
-        elif t is Union or t is Subst and not node.pattern.edges:
-            del starts[len(starts) + 1 - c :]
-        elif t is Join or t is Subst or t is SubstTd:
-            bounds = starts[len(starts) - c :]
-            bounds.append(len(verts))
-            del starts[len(starts) + 1 - c :]
-            if t is Join:
-                pairs = (permutations if directed else combinations)(range(c), 2)
-            else:
-                if t is Subst:
-                    pattern_edges = node.pattern.edges
+    nodes, counts = order.nodes, order.counts
+    for start, stop in ((0, len(nodes)),) if runs is None else runs:
+        for node, c in zip(nodes[start:stop], counts[start:stop]):
+            t = type(node)
+            if not c:  # a subtree's run starts at its first entry, a leaf
+                starts.append(len(verts))
+            if t is Vertex:
+                verts.append(node.name)
+            elif t is Inc:  # its run starts where its child's does
+                x = node.name
+                verts.append(x)
+                if directed and node.in_names:
+                    inn[x] = list(node.in_names)
+                    for u in node.in_names:
+                        out[u].append(x)
+                heads = node.out_names if directed else node.neighbor_names
+                if heads:
+                    out[x] = list(heads)
+                    for u in heads:
+                        inn[u].append(x)
+            elif t is Union or t is Subst and not node.pattern.edges:
+                del starts[len(starts) + 1 - c :]
+            elif t is Join or t is Subst or t is SubstTd:
+                bounds = starts[len(starts) - c :]
+                bounds.append(len(verts))
+                del starts[len(starts) + 1 - c :]
+                if t is Join:
+                    pairs = (permutations if directed else combinations)(range(c), 2)
                 else:
-                    pattern_edges = td_pattern_edges(node.pattern_order, mode)
-                part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
-                pairs = [(part[p], part[q]) for p, q in pattern_edges]
-            for p, q in pairs:
-                # a run is copied only for an edge, so edgeless chains stay linear
-                part_p = verts[bounds[p] : bounds[p + 1]]
-                part_q = verts[bounds[q] : bounds[q + 1]]
-                if not (part_p and part_q):
-                    continue  # a child without vertices adds no edge
-                for a in part_p:
-                    out[a].extend(part_q)
-                for b in part_q:
-                    inn[b].extend(part_p)
-        elif t is not Empty:
-            raise InputError(f"cannot evaluate node of type {t.__name__}")
+                    if t is Subst:
+                        pattern_edges = node.pattern.edges
+                    else:
+                        pattern_edges = td_pattern_edges(node.pattern_order, mode)
+                    part = {bn: i for i, (bn, _) in enumerate(node.bindings)}
+                    pairs = [(part[p], part[q]) for p, q in pattern_edges]
+                for p, q in pairs:
+                    # a run is copied only for an edge, so edgeless chains stay linear
+                    part_p = verts[bounds[p] : bounds[p + 1]]
+                    part_q = verts[bounds[q] : bounds[q + 1]]
+                    if not (part_p and part_q):
+                        continue  # a child without vertices adds no edge
+                    for a in part_p:
+                        out[a].extend(part_q)
+                    for b in part_q:
+                        inn[b].extend(part_p)
+            elif t is not Empty:
+                raise InputError(f"cannot evaluate node of type {t.__name__}")
     return verts, out, inn
 
 
@@ -985,7 +1041,7 @@ def td_pattern_edges(pattern_order, mode):
     vertex x, ``(u, x)`` per in-name u and ``(x, v)`` per out-name v; in
     undirected mode ``(x, u)`` once per neighbor u."""
     directed = mode == DIRECTED
-    for node, _, _ in reversed(pattern_order):
+    for node in reversed(pattern_order.nodes):
         if type(node) is Inc:
             x = node.name
             if directed:
@@ -1026,8 +1082,8 @@ def normalize(e: Expression) -> Expression:
     node none of whose children changed is returned itself, so subtrees
     without union or join are shared with ``e``.  One loop over the order
     keeps a stack of the rewritten subtrees."""
-    vals = []
-    for node, c, _ in e._order:
+    vals, order = [], e._order
+    for node, c in zip(order.nodes, order.counts):
         t = type(node)
         top = len(vals) - c
         kids = vals[top:]

@@ -7,15 +7,17 @@ The fold is one loop over the expression's post-order
 (``Expression._order``, which the parser records) with a stack of child
 summaries, as a Python call per node costs more than most nodes' work.
 Handlers see only summaries and the node payload.  An inc handler gets the
-child's edge-bearing parts, in post-order, and reads from them what it
-needs of the child graph: triangle counting counts the closed edges in a
-loop of its own, the shortest-path handlers evaluate them.  A *piece* is a
-part of the order that holds edges: the whole subtree of a join with two or
-more parts with vertices, or of a substitution or subst-td into a pattern
-with edges, or the lone entry of an inc with in- or out-names.  The fold
-keeps the maximal runs of consecutive piece entries finished so far, and
-every edge of a child graph is made inside one of its pieces, so an inc
-pays for the child's edges, not for its size, with one slice per run.
+order and the ``[start, stop)`` runs of its child's edge-bearing parts, in
+post-order, and reads from them what it needs of the child graph: triangle
+counting counts the closed edges in a loop of its own, the shortest-path
+handlers evaluate them.  A *piece* is a part of the order that holds
+edges: the whole subtree of a join with two or more parts with vertices,
+or of a substitution or subst-td into a pattern with edges, or the lone
+entry of an inc with in- or out-names.  The fold keeps the maximal runs of
+consecutive piece entries finished so far, and every edge of a child graph
+is made inside one of its pieces, so an inc pays for the child's edges,
+not for its size: the fold hands it the runs' bounds, O(runs), and copies
+no entry.
 Every disjoint union goes to the union handler, in O(parts) whatever the
 size of the parts: a union node, a substitution or subst-td into a pattern
 without edges, and an inc without in- or out-names over a child with
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable
 
 from .errors import InputError
@@ -57,6 +60,7 @@ from .expr import (
     _PAT_K2,
     collect_vertex_names,
     evaluate,
+    expression_of,
     locator,
 )
 
@@ -69,14 +73,14 @@ _K2_GRAPH = {mode: pattern.to_graph() for mode, pattern in _PAT_K2.items()}
 class HandlerSet:
     """Per-operation handlers producing summaries of type F.
 
-    on_inc receives, for an inc with in- or out-names, the child's summary
-    and the child's edge-bearing parts, in post-order: the entries of the
-    folded order (``expr.post_order``) of the maximal joins of two or more
-    parts with vertices and substitutions and subst-tds into patterns with
-    edges inside the child, each with its whole subtree, and of the incs
+    on_inc receives, for an inc with in- or out-names, the child's summary,
+    the folded ``expr.Order`` and the child's edge-bearing parts in it, as
+    ascending ``[start, stop)`` runs of entries: the maximal joins of two or
+    more parts with vertices and substitutions and subst-tds into patterns
+    with edges inside the child, each with its whole subtree, and the incs
     with in- or out-names there that none of those holds, each alone.
-    Every edge of the child graph is made inside one of them; the whole
-    child order is one such sequence too.  on_subst receives the pattern
+    Every edge of the child graph is made inside one of them; the child's
+    whole span is one such run too.  on_subst receives the pattern
     graph, which has edges, and the children as ``(pattern vertex name,
     summary)`` pairs in pattern vertex order, also per step of a join;
     on_subst_td receives the order of the pattern's tree-depth expression
@@ -96,7 +100,7 @@ class HandlerSet:
 
     base_empty: Callable
     base_vertex: Callable
-    on_inc: Callable      # (child F, name, in_names, out_names, child pieces) -> F
+    on_inc: Callable      # (child F, name, in_names, out_names, Order, child runs) -> F
     on_subst: Callable    # (pattern Graph with edges, [(name, F), ...]) -> F
     on_subst_td: Callable  # (pattern order, [(name, F), ...]) -> F
     on_union: Callable    # ([F, F, ...]) -> F
@@ -180,10 +184,11 @@ def _fold(order, mode, handlers):
     of its node as ``_fold_index``, which an enclosing loop overwrites."""
     base_vertex, on_inc = handlers.base_vertex, handlers.on_inc
     on_subst, on_union = handlers.on_subst, handlers.on_union
+    sizes = order.sizes
     vals = []  # per finished subtree, its summary
     runs = []  # the maximal [start, stop) runs of piece entries, ascending
     try:
-        for i, (node, c, _) in enumerate(order):
+        for i, node, c in zip(count(), order.nodes, order.counts):
             t = type(node)
             if t is Vertex:
                 value = base_vertex(node.name)
@@ -193,12 +198,11 @@ def _fold(order, mode, handlers):
                     yield i - 1, f
                     value = base_vertex(node.name)
                 elif node.in_names or node.out_names:  # a piece of its own
-                    a, j, child = i - order[i - 1][2], len(runs), []  # the child is order[a:i]
+                    a, j = i - sizes[i - 1], len(runs)  # the child spans [a, i)
                     while j and runs[j - 1][1] > a:  # the runs that end inside it
                         j -= 1
-                    for start, stop in runs[j:]:
-                        child += order[max(start, a) : stop]
-                    value = on_inc(f, node.name, node.in_names, node.out_names, child)
+                    child = [(max(start, a), stop) for start, stop in runs[j:]]
+                    value = on_inc(f, node.name, node.in_names, node.out_names, order, child)
                     _add_piece(runs, i, i + 1)
                 else:  # a disjoint union with x
                     value = on_union([f, base_vertex(node.name)])
@@ -214,7 +218,7 @@ def _fold(order, mode, handlers):
                     by_name = {bn: v for (bn, _), v in zip(node.bindings, kids)}
                     if node.pattern.edges:
                         value = on_subst(node.pattern.to_graph(), [(p, by_name[p]) for p in names])
-                        _add_piece(runs, i + 1 - order[i][2], i + 1)
+                        _add_piece(runs, i + 1 - sizes[i], i + 1)
                     else:  # a disjoint union
                         value = on_union([by_name[p] for p in names])
                 elif t is Union or t is Join:
@@ -225,7 +229,7 @@ def _fold(order, mode, handlers):
                             for part in parts[1:]:
                                 value = on_subst(_K2_GRAPH[mode], [("a", value), ("b", part)])
                                 yield i, value
-                            _add_piece(runs, i + 1 - order[i][2], i + 1)
+                            _add_piece(runs, i + 1 - sizes[i], i + 1)
                         else:
                             value = on_union(parts)
                             yield i, value
@@ -234,12 +238,12 @@ def _fold(order, mode, handlers):
                 elif t is SubstTd:
                     po = node.pattern_order
                     children = [(bn, v) for (bn, _), v in zip(node.bindings, kids)]
-                    if any(type(p) is Inc and (p.in_names or p.out_names) for p, _, _ in po):
+                    if any(type(p) is Inc and (p.in_names or p.out_names) for p in po.nodes):
                         value = handlers.on_subst_td(po, children)
-                        _add_piece(runs, i + 1 - order[i][2], i + 1)
+                        _add_piece(runs, i + 1 - sizes[i], i + 1)
                     else:  # a disjoint union, in the pattern's vertex post-order
                         by_name = dict(children)
-                        value = on_union([by_name[p.name] for p, _, _ in po if type(p) in _NAMED])
+                        value = on_union([by_name[p.name] for p in po.nodes if type(p) in _NAMED])
                 else:
                     raise InputError(f"unknown node type {t.__name__}")
             yield i, value
@@ -251,30 +255,39 @@ def _fold(order, mode, handlers):
 
 def _checked(e, handlers, verify):
     """The steps of ``fold``'s loop over ``e``, passed on once ``verify``
-    has checked each summary on the evaluated subgraph of its node.  A join
-    step's node is the chain of two-vertex substitutions that the join's
-    steps so far fold, over its children with vertices; a tree without
-    vertices, an inc's child or the whole expression, is checked with
+    has checked each summary on the evaluated subgraph of its node, the
+    expression of its slice of the order.  A join step's node is the chain
+    of two-vertex substitutions that the join's steps so far fold, over its
+    children with vertices, which is walked anew; a tree without vertices,
+    an inc's child or the whole expression, is checked with
     ``base_empty()``.  A ``Verdict`` is checked at the node that raised it,
     and passes on."""
     order, mode = e._order, e.mode
+    nodes, sizes = order.nodes, order.sizes
     locate, last = locator(order), None
+
+    def subtree(i):
+        return expression_of(mode, order.span(i + 1 - sizes[i], i + 1))
+
     try:
         for i, value in _fold(order, mode, handlers):
-            node = order[i][0]
-            if value is _NO_VERTICES:
-                value = handlers.base_empty()
-            elif type(node) is Join:
+            node = nodes[i]
+            if type(node) is Join and value is not _NO_VERTICES:
                 if i != last:  # its first step
                     parts = filter(collect_vertex_names, node.children)
                     folded = next(parts)
                 node = folded = Subst(_PAT_K2[mode], (("a", folded), ("b", next(parts))))
-            verify(locate(i), node, value, evaluate(Expression(mode, node)))
+                sub = Expression(mode, node)
+            else:
+                sub = subtree(i)
+                if value is _NO_VERTICES:
+                    value = handlers.base_empty()
+            verify(locate(i), node, value, evaluate(sub))
             last = i
             yield i, value
     except Verdict as verdict:
-        node = order[verdict._fold_index][0]
-        verify(locate(verdict._fold_index), node, verdict.value, evaluate(Expression(mode, node)))
+        i = verdict._fold_index
+        verify(locate(i), nodes[i], verdict.value, evaluate(subtree(i)))
         raise
     if last is None:
         verify("root", e.root, handlers.base_empty(), evaluate(e))

@@ -330,7 +330,7 @@ def _gen_subst_td(rng, namer, mode, spec, budget, d, kcap, depth):
 def _vertex_order(pattern_order):
     """The vertex names of the pattern of ``pattern_order`` (``post_order``)
     in the order ``evaluate`` lists them."""
-    return [n.name for n, _, _ in pattern_order if type(n) is Vertex or type(n) is Inc]
+    return [n.name for n in pattern_order.nodes if type(n) is Vertex or type(n) is Inc]
 
 
 def _gen_node(rng, namer, mode, spec, budget, kcap, depth):

@@ -8,11 +8,11 @@ Every handler keeps two things alive while folding the expression:
   edge-shifted costs ``cost((x, y)) = w(x)``.  Feasibility (all reduced edge
   costs non-negative) is what lets the incremental steps run Dijkstra
   instead of Bellman-Ford (an inc over a child without vertices runs none).
-  An inc evaluates the child's edge-bearing parts, in post-order, which the
-  fold hands it, into sparse adjacency lists, which hold only vertices with
-  edges, and its two searches queue only such vertices, so their cost
-  follows the child's edges and x's own, not the number of child vertices
-  without edges;
+  An inc evaluates the child's edge-bearing parts, the runs of the order
+  that the fold hands it, into sparse adjacency lists, which hold only
+  vertices with edges, and its two searches queue only such vertices, so
+  their cost follows the child's edges and x's own, not the number of
+  child vertices without edges;
 * ``msp``, the minimum total weight over all paths including single
   vertices, which is exactly the vertex weight that a substituted module
   contributes to paths passing through it.
@@ -45,12 +45,14 @@ for APSP the exits and entries ``min_out``/``min_in`` -- as *shifted
 unions*: plain tuples ``(child map, shift, child map, shift, ...)``, one
 pair per pattern vertex, so a substitution or a union costs O(pattern
 order) resp. O(parts) however large its children are, and a left-deep
-chain of r substitutions costs O(r) instead of O(r^2).  Their one reader
-is ``potential_dict``, an iterative walk that adds up the shifts on the
-way down; it runs only where values are read: at an inc node
-(``_inc_core``), in the ``--verify`` checker, and at the root, where the
-outcomes return plain dicts and the expansion (``to_full_summary``) reads
-the exits and entries once for all its levels.
+chain of r substitutions costs O(r) instead of O(r^2).  An NCD vertex
+leaf's potential is its bare name, which stands for ``{name: 0.0}``, so a
+leaf costs no dict.  The one reader of these maps is ``potential_dict``,
+an iterative walk that adds up the shifts on the way down; it runs only
+where values are read: at an inc node (``_inc_core``), in the
+``--verify`` checker, and at the root, where the outcomes return plain
+dicts and the expansion (``to_full_summary``) reads the exits and entries
+once for all its levels.
 A negative cycle test reads no potential at the root (``_ncd_fold``).
 
 A negative cycle answers the whole problem: ``_inc_core`` and the pattern
@@ -103,14 +105,17 @@ _OVERFLOW_SLACK = 8
 
 def potential_dict(pi) -> dict:
     """A per-vertex map (potential, exits or entries) as a plain dict: ``pi``
-    itself when it is a dict, else a fresh dict filled from the shifted union
-    ``pi``, a tuple ``(map, shift, map, shift, ...)`` whose maps are dicts or
-    shifted unions.  The walk is iterative (chains are far deeper than the
-    recursion limit), with one cursor per nesting level, so a dict part
-    costs no push, and visits the parts in pattern order.  Every value is
-    ``val + shift``, a shift of 0.0 included, so -0.0 reads as 0.0."""
+    itself when it is a dict, else a fresh dict filled from the vertex name
+    ``pi``, read as ``{pi: 0.0}``, or from the shifted union ``pi``, a tuple
+    ``(map, shift, map, shift, ...)`` whose maps are dicts, names or shifted
+    unions.  The walk is iterative (chains are far deeper than the recursion
+    limit), with one cursor per nesting level, so a dict or a name costs no
+    push, and visits the parts in pattern order.  Every value is ``val +
+    shift``, a shift of 0.0 included, so -0.0 reads as 0.0."""
     if isinstance(pi, dict):
         return pi
+    if isinstance(pi, str):
+        return {pi: 0.0}
     out = {}
     stack = [(iter(pi), 0.0)]  # per level, its cursor and its total shift
     while stack:
@@ -120,6 +125,9 @@ def potential_dict(pi) -> dict:
             if isinstance(p, tuple):
                 stack.append((iter(p), shift))
                 break
+            if isinstance(p, str):
+                out[p] = 0.0 + shift
+                continue
             for v, val in p.items():
                 out[v] = val + shift
         else:
@@ -136,14 +144,14 @@ def _shifted_union(children, shift, field):
     return tuple(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class NcdSummary:
     """Negative-cycle-detection summary: feasible potential + msp.
 
-    ``potential`` is a dict, or a shifted union (read by ``potential_dict``)
-    on substitution nodes."""
+    ``potential`` is a dict, a vertex leaf's bare name, or a shifted union
+    on substitution nodes: ``potential_dict`` reads each as a dict."""
 
-    potential: dict | tuple
+    potential: dict | tuple | str
     msp: float
 
 
@@ -236,11 +244,12 @@ def _dijkstra_labels(adjacency, w, pi, sources, tol, forward=True):
     return dist
 
 
-def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
+def _inc_core(f, x, in_names, out_names, order, runs, w, tol):
     """Shared machinery for adding vertex ``x`` to the graph of the child
-    subexpression, given as its edge-bearing parts in post-order ``child``
-    (``framework.HandlerSet``; in the main tree and in tree-depth pattern
-    replays alike), whose shortest-path feasible potential ``pi`` is known.
+    subexpression, given as its edge-bearing parts, the ``[start, stop)``
+    ``runs`` of ``order`` (``framework.HandlerSet``; in the main tree and
+    in tree-depth pattern replays alike), whose summary ``f`` holds a
+    shortest-path feasible potential.
     The parts are evaluated here into sparse out- and in-adjacency lists;
     the folds never call it on a child without vertices.  One search
     (``_dijkstra_labels``) runs forward from x's out-names and one backward
@@ -255,8 +264,8 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     cycle through x raises ``Verdict(NEGATIVE_CYCLE)``, which ends the fold.
     """
     wx = w[x]
-    pi = potential_dict(pi)
-    _, adj_out, adj_in = evaluate_node(child, DIRECTED)
+    pi = potential_dict(f.potential)
+    _, adj_out, adj_in = evaluate_node(order, DIRECTED, runs)
 
     # labels from x under reduced edge-shifted costs; the only potentially
     # negative costs are the first hops, folded into the initial labels
@@ -283,15 +292,15 @@ def _inc_core(pi, msp_child, x, in_names, out_names, w, child, tol):
     best_from = min(min((d + pi[v] + w[v] for v, d in fwd.items()), default=INF), wx)
     best_to = min(min((d - pi[v] + wx for v, d in bwd.items()), default=INF), wx)
     msp_x = best_to + best_from - wx
-    return new_pi, min(msp_child, msp_x), pi, fwd, bwd
+    return new_pi, min(f.msp, msp_x), pi, fwd, bwd
 
 
 # ---------------------------------------------------------------------------
 # Negative cycle detection handlers
 
 
-def ncd_inc(f, x, in_names, out_names, w, child, tol):
-    return NcdSummary(*_inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)[:2])
+def ncd_inc(f, x, in_names, out_names, order, runs, w, tol):
+    return NcdSummary(*_inc_core(f, x, in_names, out_names, order, runs, w, tol)[:2])
 
 
 def _shift(lines, omega):
@@ -317,7 +326,7 @@ def _ncd_union(vals):
     potential = []
     for s in vals:
         potential += (s.potential, 0.0)
-    return NcdSummary(tuple(potential), min([s.msp for s in vals], default=INF))
+    return NcdSummary(tuple(potential), min([s.msp for s in vals]))
 
 
 def ncd_subst(pattern_graph, children, tol):
@@ -435,8 +444,8 @@ def to_full_summary(s: ModuleSummary) -> FullSummary:
     return FullSummary(s.potential, s.msp, min_out, min_in, rows)
 
 
-def apsp_inc(f, x, in_names, out_names, w, child, tol):
-    new_pi, msp, pi, fwd, bwd = _inc_core(f.potential, f.msp, x, in_names, out_names, w, child, tol)
+def apsp_inc(f, x, in_names, out_names, order, runs, w, tol):
+    new_pi, msp, pi, fwd, bwd = _inc_core(f, x, in_names, out_names, order, runs, w, tol)
     # expand the child only once x is known to close no negative cycle
     if isinstance(f, ModuleSummary):
         f = to_full_summary(f)
@@ -568,8 +577,8 @@ def _tolerance(n, scale):
 def ncd_handlers(w: dict, tol: float) -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: NcdSummary({}, INF),
-        base_vertex=lambda name: NcdSummary({name: 0.0}, w[name]),
-        on_inc=lambda f, x, inn, out, child: ncd_inc(f, x, inn, out, w, child, tol),
+        base_vertex=lambda name: NcdSummary(name, w[name]),
+        on_inc=lambda *inc: ncd_inc(*inc, w, tol),
         on_subst=lambda pg, children: ncd_subst(pg, children, tol),
         on_subst_td=lambda po, children: ncd_subst_td(po, children, tol),
         on_union=_ncd_union,
@@ -580,7 +589,7 @@ def apsp_handlers(w: dict, tol: float) -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: FullSummary({}, INF, {}, {}, []),
         base_vertex=lambda name: _full_singleton(name, w[name]),
-        on_inc=lambda f, x, inn, out, child: apsp_inc(f, x, inn, out, w, child, tol),
+        on_inc=lambda *inc: apsp_inc(*inc, w, tol),
         on_subst=lambda pg, children: apsp_subst(pg, children, tol),
         on_subst_td=lambda po, children: apsp_subst_td(po, children, tol),
         on_union=_apsp_union,
@@ -645,10 +654,8 @@ def make_paths_verifier(w: dict, solve_tol: float):
     of the node whose handler reported it."""
     tol = max(_COMPARE_TOL, solve_tol)
 
-    def close(a, b):
-        if a == INF or b == INF:
-            return a == b
-        return abs(a - b) <= tol
+    def close(a, b):  # an infinite distance is close to itself only
+        return a == b or abs(a - b) <= tol
 
     def check(path, node, value, sub: Graph):
         wr = {v: w[v] for v in sub.vertices}

@@ -4,11 +4,11 @@ The fold summary is the triple (n, m, t): vertex count, edge count, triangle
 count.  Adding a vertex x creates one new triangle per child edge whose
 endpoints are both neighbors of x.  That number is counted from the child
 subexpression, not from edges, so a solve never builds the evaluated graph:
-a loop over the child's edge-bearing parts, in post-order (the entries of
-the expression's post-order that the inc handler gets), keeps, per node,
-how many of its vertices lie in S = N(x) and how many of its edges lie
-inside S, on two integer stacks: a Python call per node would cost more
-than the work.  This costs O(size of those parts) per inc node, at most
+a loop over the child's edge-bearing parts, in post-order (the runs of
+entries of the expression's post-order that the inc handler gets),
+keeps, per node, how many of its vertices lie in S = N(x) and how many of
+its edges lie inside S, on two integer stacks: a Python call per node
+would cost more than the work.  This costs O(size of those parts) per inc node, at most
 O(size of the child), and O(k * size of the expression) per solve.
 Substitution combines summaries arithmetically: every pattern edge {i, j}
 contributes n_i * n_j edges and m_i * n_j + n_i * m_j triangles, and every
@@ -50,24 +50,24 @@ class TriFold(NamedTuple):
 _VERTEX, _NOTHING = TriFold(1, 0, 0), TriFold(0, 0, 0)
 
 
-def combine_inc(f: TriFold, neighbors, child) -> TriFold:
+def combine_inc(f: TriFold, neighbors, order, runs) -> TriFold:
     """Summary after adding one vertex adjacent to ``neighbors`` to the graph
-    of the subexpression whose edge-bearing parts, in post-order, are
-    ``child`` (see ``framework.HandlerSet``).
+    of the subexpression whose edge-bearing parts, in post-order, are the
+    ``[start, stop)`` ``runs`` of ``order`` (see ``framework.HandlerSet``).
 
     Every new triangle uses the new vertex plus exactly one child edge with
     both endpoints adjacent to it, so a vertex with fewer than two
     neighbors closes none, and the child is not read.
     """
-    closed = edges_within(child, neighbors) if len(neighbors) > 1 else 0
+    closed = edges_within(order, neighbors, runs) if len(neighbors) > 1 else 0
     return TriFold(f.n + 1, f.m + len(neighbors), f.t + closed)
 
 
-def edges_within(child, s) -> int:
+def edges_within(order, s, runs) -> int:
     """Number of edges with both endpoints in the vertex-name set ``s`` of
     the graph of the subexpression whose edge-bearing parts, in post-order,
-    are ``child`` (see ``framework.HandlerSet``; its whole order is one such
-    sequence).
+    are the ``[start, stop)`` ``runs`` of ``order``, an ``expr.Order`` (see
+    ``framework.HandlerSet``; the span of a whole tree is one such run).
 
     Each node's value is (vertices in s, edges inside s), on two stacks
     that start with a 0 sentinel, and the answer is the sum of the edge
@@ -79,33 +79,35 @@ def edges_within(child, s) -> int:
     ``expr.td_pattern_edges``.
     """
     cs, es = [0], [0]
-    for node, c, _ in child:
-        t = type(node)
-        if t is Vertex or t is Empty:
-            cs.append(1 if t is Vertex and node.name in s else 0)
-            es.append(0)
-        elif t is Inc:
-            if node.name in s:
-                cs[-1] += 1
-                es[-1] += len(node.neighbor_names & s)
-        else:
-            top = len(cs) - c
-            kids = cs[top:]
-            n, e = sum(kids), sum(es[top:])
-            del cs[top:], es[top:]
-            if t is Join:
-                e += (n * n - sum([ci * ci for ci in kids])) // 2
-            elif t is not Union:  # a substitution
-                if t is Subst:
-                    edges = node.pattern.edges
-                else:
-                    edges = td_pattern_edges(node.pattern_order, UNDIRECTED)
-                if edges:
-                    inside = {bn: ci for (bn, _), ci in zip(node.bindings, kids)}
-                    for (u, v) in edges:
-                        e += inside[u] * inside[v]
-            cs.append(n)
-            es.append(e)
+    nodes, counts = order.nodes, order.counts
+    for start, stop in runs:
+        for node, c in zip(nodes[start:stop], counts[start:stop]):
+            t = type(node)
+            if t is Vertex or t is Empty:
+                cs.append(1 if t is Vertex and node.name in s else 0)
+                es.append(0)
+            elif t is Inc:
+                if node.name in s:
+                    cs[-1] += 1
+                    es[-1] += len(node.neighbor_names & s)
+            else:
+                top = len(cs) - c
+                kids = cs[top:]
+                n, e = sum(kids), sum(es[top:])
+                del cs[top:], es[top:]
+                if t is Join:
+                    e += (n * n - sum([ci * ci for ci in kids])) // 2
+                elif t is not Union:  # a substitution
+                    if t is Subst:
+                        edges = node.pattern.edges
+                    else:
+                        edges = td_pattern_edges(node.pattern_order, UNDIRECTED)
+                    if edges:
+                        inside = {bn: ci for (bn, _), ci in zip(node.bindings, kids)}
+                        for (u, v) in edges:
+                            e += inside[u] * inside[v]
+                cs.append(n)
+                es.append(e)
     return sum(es)
 
 
@@ -146,7 +148,7 @@ def combine_subst(h, children) -> TriFold:
 
 def combine_subst_td(pattern_order, children) -> TriFold:
     """combine_subst on the graph of the tree-depth pattern whose order
-    (``expr.post_order``) is ``pattern_order``, and whose vertices are the
+    (an ``expr.Order``) is ``pattern_order``, and whose vertices are the
     binding names of ``children``."""
     names = [name for name, _ in children]
     h = Graph(UNDIRECTED, names, td_pattern_edges(pattern_order, UNDIRECTED))
@@ -157,7 +159,7 @@ def handlers() -> HandlerSet:
     return HandlerSet(
         base_empty=lambda: _NOTHING,
         base_vertex=lambda name: _VERTEX,
-        on_inc=lambda f, name, inn, out, child: combine_inc(f, inn | out, child),
+        on_inc=lambda f, name, inn, out, order, runs: combine_inc(f, inn | out, order, runs),
         on_subst=combine_subst,
         on_subst_td=combine_subst_td,
         on_union=combine_union,

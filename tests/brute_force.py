@@ -107,7 +107,7 @@ def scan_by_name_sets(order):
         def bad(at, message):
             violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
 
-        for i, (node, c, _) in enumerate(order):
+        for i, (node, c) in enumerate(zip(order.nodes, order.counts)):
             t = type(node)
             if td_only and t not in TD_NODE_TYPES:
                 bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")

@@ -445,7 +445,7 @@ def test_solve_verify_catches_corrupted_handler(capsys, tmp_path, monkeypatch):
     from graphexpr import triangles as tri
     from graphexpr.triangles import TriFold
 
-    def corrupt(f, neighbors, child):
+    def corrupt(f, neighbors, order, runs):
         return TriFold(f.n + 1, f.m + len(neighbors), f.t + 5)
 
     monkeypatch.setattr(tri, "combine_inc", corrupt)

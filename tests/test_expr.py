@@ -7,6 +7,7 @@ import pickle
 import re
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -494,12 +495,14 @@ def _assert_is_the_post_order(recorded, root):
 
     walked = post_order(root)
     assert len(recorded) == len(walked)
-    for (node, c, size), (want, want_c, want_size) in zip(recorded, walked):
+    # no object per entry: the counts and sizes are C int arrays
+    for got, want in ((recorded.counts, walked.counts), (recorded.sizes, walked.sizes)):
+        assert type(got) is array and got.typecode == "I" and got == want
+    for node, want in zip(recorded.nodes, walked.nodes):
         assert node is want
-        assert (c, size) == (want_c, want_size)
         if isinstance(node, SubstTd):
             _assert_is_the_post_order(node.__dict__["pattern_order"], node.pattern_expr)
-    assert recorded[-1][0] is root and recorded[-1][2] == len(recorded)
+    assert recorded.nodes[-1] is root and recorded.sizes[-1] == len(recorded)
 
 
 def test_parse_records_the_post_order(tc_corpus, paths_corpus):
@@ -526,9 +529,10 @@ def test_parse_records_the_post_order(tc_corpus, paths_corpus):
 
 
 def test_parse_memory_per_order_entry_of_a_wide_union_of_edgeless_incs():
-    # every inc without edges shares one empty name set: 248 bytes per
-    # order entry stay allocated on CPython 3.11 (x86-64), against 504 when
-    # each inc kept two empty frozensets of its own
+    # every inc without edges shares one empty name set, and the order
+    # keeps no object per entry: 192 bytes per order entry stay allocated
+    # on CPython 3.11 (x86-64), against 248 with a (node, count, size)
+    # tuple per entry and 504 when each inc kept two empty frozensets
     r = 10**5
     text = "(directed (union " + " ".join(f"(inc v{i} () (empty))" for i in range(r)) + "))"
     tracemalloc.start()
@@ -539,7 +543,7 @@ def test_parse_memory_per_order_entry_of_a_wide_union_of_edgeless_incs():
         tracemalloc.stop()
     n = len(e._order)
     assert n == 2 * r + 1
-    assert kept <= 320 * n, f"{kept / n:.0f} bytes per order entry"
+    assert kept <= 220 * n, f"{kept / n:.0f} bytes per order entry"
 
 
 def _copy(node):
@@ -561,12 +565,12 @@ def _copy(node):
 def _every_node(e):
     # the nodes of ``e``, its patterns and its subst-td patterns' nodes
     nodes = []
-    for node, _, _ in e._order:
+    for node in e._order.nodes:
         nodes.append(node)
         if type(node) is Subst:
             nodes.append(node.pattern)
         if type(node) is SubstTd:
-            nodes += [n for n, _, _ in node.pattern_order]
+            nodes += node.pattern_order.nodes
     return nodes
 
 
@@ -612,8 +616,8 @@ def test_copied_expressions_are_equal_and_solve_alike(duplicate):
     td = copied.root.children[1]
     # the recorded pattern order came along, and holds the copy's nodes
     assert td.__dict__["pattern_order"] == e.root.children[1].pattern_order
-    assert td.pattern_order[-1][0] is td.pattern_expr
-    assert copied._order[-1][0] is copied.root
+    assert td.pattern_order.nodes[-1] is td.pattern_expr
+    assert copied._order.nodes[-1] is copied.root
     assert count_triangles(copied) == want == count_triangles(parse(_TD_TEXT))
     assert params(copied) == params(e) == (1, 0, 2)
 
@@ -1001,8 +1005,8 @@ def test_normalize_keeps_the_recorded_pattern_orders(monkeypatch, tc_corpus, pat
         e = parse(text)
         ne = normalize(e)
         roots.append(id(ne.root))
-        parsed = {id(node) for node, _, _ in e._order}
-        rebuilt += sum(type(n) is SubstTd and id(n) not in parsed for n, _, _ in ne._order)
+        parsed = {id(node) for node in e._order.nodes}
+        rebuilt += sum(type(n) is SubstTd and id(n) not in parsed for n in ne._order.nodes)
         return ne
 
     for text in tc_texts:

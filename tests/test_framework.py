@@ -3,6 +3,7 @@ accounting bounds."""
 
 import itertools
 import re
+from array import array
 
 import pytest
 
@@ -23,7 +24,15 @@ from graphexpr import (
     validate,
     validate_or_raise,
 )
-from graphexpr.expr import Inc, SubstTd, Union, canonical_edge, expression_of, td_pattern_edges
+from graphexpr.expr import (
+    Inc,
+    Order,
+    SubstTd,
+    Union,
+    canonical_edge,
+    expression_of,
+    td_pattern_edges,
+)
 from graphexpr.framework import fold_td_expression
 from graphexpr.triangles import handlers as tri_handlers
 
@@ -35,7 +44,7 @@ def counting_handlers():
     return HandlerSet(
         base_empty=lambda: 0,
         base_vertex=lambda name: 1,
-        on_inc=lambda f, name, inn, out, child: f + 1,
+        on_inc=lambda f, name, inn, out, order, runs: f + 1,
         on_subst=lambda pg, children: sum(f for _, f in children),
         on_subst_td=lambda pe, children: sum(f for _, f in children),
         on_union=sum,
@@ -56,7 +65,7 @@ def nm_handlers():
     return HandlerSet(
         base_empty=lambda: (0, 0),
         base_vertex=lambda name: (1, 0),
-        on_inc=lambda f, name, inn, out, child: (f[0] + 1, f[1] + len(inn | out)),
+        on_inc=lambda f, name, inn, out, order, runs: (f[0] + 1, f[1] + len(inn | out)),
         on_subst=subst,
         on_subst_td=lambda pe, children: (_ for _ in ()).throw(AssertionError),
         on_union=lambda parts: (sum(n for n, _ in parts), sum(m for _, m in parts)),
@@ -236,13 +245,31 @@ def _edge_parts(root):
             or isinstance(node, SubstTd)
             and any(named for _, named in _td_vertices(node.pattern_expr))
         ):
-            return post_order(node)
+            return _entries(post_order(node))
         parts = [entry for child in kids for entry in rec(child)]
         if isinstance(node, Inc) and (node.in_names or node.out_names):
-            parts.append(post_order(node)[-1])
+            parts.append(_entries(post_order(node))[-1])
         return parts
 
     return rec(root)
+
+
+def _entries(order, runs=None):
+    """The ``(node, child count, subtree size)`` of each entry of ``order``
+    in ``runs``, ``[start, stop)`` pairs (by default the whole order)."""
+    if runs is None:
+        runs = [(0, len(order))]
+    return [
+        (order.nodes[i], order.counts[i], order.sizes[i])
+        for start, stop in runs
+        for i in range(start, stop)
+    ]
+
+
+def _as_order(entries):
+    """The ``Order`` whose entries are ``entries``, as ``_entries`` lists them."""
+    nodes, counts, sizes = zip(*entries) if entries else ((), (), ())
+    return Order(list(nodes), array("I", counts), array("I", sizes))
 
 
 def _entry_ids(entries):
@@ -261,14 +288,14 @@ def logging_handlers(log):
         return sum(f for _, f in children)
 
     def subst_td(po, children):
-        log.append(("on_subst_td", len(po), id(po[-1][0]), tuple(children)))
+        log.append(("on_subst_td", len(po), id(po.nodes[-1]), tuple(children)))
         return sum(f for _, f in children)
 
     return HandlerSet(
         base_empty=lambda: log.append(("base_empty",)) or 0,
         base_vertex=lambda name: log.append(("base_vertex", name)) or 1,
-        on_inc=lambda f, name, inn, out, child: log.append(
-            ("on_inc", name, f, _entry_ids(child))
+        on_inc=lambda f, name, inn, out, order, runs: log.append(
+            ("on_inc", name, f, _entry_ids(_entries(order, runs)))
         )
         or f + 1,
         on_subst=subst,
@@ -325,7 +352,8 @@ def _reference_fold(e, hs):
             if not (node.in_names or node.out_names):  # a disjoint union
                 return hs.on_union([f, hs.base_vertex(node.name)]), depth + 1
             child = _edge_parts(node.child)
-            return hs.on_inc(f, node.name, node.in_names, node.out_names, child), depth + 1
+            order, runs = _as_order(child), [(0, len(child))]
+            return hs.on_inc(f, node.name, node.in_names, node.out_names, order, runs), depth + 1
         if isinstance(node, Subst):
             by_name = {bn: f for (bn, _), (f, _) in zip(node.bindings, kids)}
             substituted(len(node.pattern.names))
@@ -452,7 +480,7 @@ def test_verify_sees_a_union_whole_and_every_step_of_a_join(tc_corpus):
     for e in cases + [e for e, *_ in tc_corpus[:200]]:
         got, chained = seen(e), seen(normalize(e))
         assert not got - chained
-        nodes = [node for node, _, _ in post_order(e.root)]
+        nodes = post_order(e.root).nodes
         steps = 0
         for u in nodes:
             r = sum(bool(collect_vertex_names(c)) for c in u.children) if type(u) is Union else 0
@@ -494,7 +522,7 @@ def graph_rebuild_handlers(mode):
     """Handlers that rebuild (vertices, edges); folding them must reproduce
     evaluate() exactly."""
 
-    def inc(f, name, inn, out, child):
+    def inc(f, name, inn, out, order, runs):
         verts, edges = f
         if mode == "directed":
             edges |= {(name, u) for u in out} | {(u, name) for u in inn}
@@ -594,7 +622,7 @@ def test_assert_stats_reports_violation():
 def test_handler_error_carries_node_path():
     e = parse("(directed (inc x ((x a)) (vertex a)))")
 
-    def boom(f, name, inn, out, child):
+    def boom(f, name, inn, out, order, runs):
         raise RuntimeError("boom")
 
     hs = counting_handlers()
@@ -610,7 +638,7 @@ NESTED = (
 
 
 def test_handler_error_message_is_unquoted():
-    def boom(f, name, inn, out, child):
+    def boom(f, name, inn, out, order, runs):
         raise RuntimeError("boom")
 
     hs = counting_handlers()
@@ -711,7 +739,7 @@ def test_handler_error_path_on_deep_normalized_chain():
     leaves = " ".join(f"(inc x{i} ((x{i} a{i})) (vertex a{i}))" for i in range(r))
     e = normalize(parse(f"(directed (union {leaves}))"))
 
-    def boom(f, name, inn, out, child):
+    def boom(f, name, inn, out, order, runs):
         if name == "x0":
             raise RuntimeError("boom")
         return f + 1
@@ -770,21 +798,22 @@ def test_inc_handler_gets_its_child_expression_only():
     for folded in (e, normalize(e)):
         seen = {}
 
-        def spy(f, name, inn, out, child):
-            seen[name] = child
+        def spy(f, name, inn, out, order, runs):
+            assert order is folded._order  # the folded order itself, not a copy
+            seen[name] = runs
             return f + 1
 
         hs = counting_handlers()
         hs.on_inc = spy
         fold(folded, hs)
         x = folded.root.children[1] if folded is e else folded.root.bindings[1][1]
-        child = seen["x"]
+        child = _entries(folded._order, seen["x"])
         assert _entry_ids(child) == _entry_ids(_edge_parts(x.child))
         # the parts: the subtree of the join of a and b, and the entry of y
         kinds = [type(node).__name__ for node, _, _ in child]
         assert kinds[-1] == "Inc" and child[-1][0].name == "y"
         assert {type(node).__name__ for node, _, _ in child[:-1]} <= {"Join", "Subst", "Vertex"}
-        _, out, _ = evaluate_node(child, UNDIRECTED)
+        _, out, _ = evaluate_node(folded._order, UNDIRECTED, seen["x"])
         edges = {canonical_edge(UNDIRECTED, u, v) for u, heads in out.items() for v in heads}
         assert edges == {canonical_edge(UNDIRECTED, *p) for p in (("a", "b"), ("y", "c"))}
         assert "z" not in out and "x" not in out
@@ -821,7 +850,9 @@ def evaluations(monkeypatch):
         if hasattr(module, "evaluate_node"):
             real = module.evaluate_node
             monkeypatch.setattr(
-                module, "evaluate_node", wrap(real, lambda order, mode: _entry_ids(order))
+                module,
+                "evaluate_node",
+                wrap(real, lambda order, mode, runs=None: _entry_ids(_entries(order, runs))),
             )
     return roots
 
@@ -845,7 +876,7 @@ def test_solves_evaluate_only_their_inc_children(evaluations):
     from graphexpr.expr import Inc, SubstTd, collect_vertex_names, post_order
 
     def inc_children(root):
-        nodes = [node for node, _, _ in post_order(root)]
+        nodes = post_order(root).nodes
         incs = [n.child for n in nodes if isinstance(n, Inc) and (n.in_names or n.out_names)]
         return incs, [n.pattern_expr for n in nodes if isinstance(n, SubstTd)]
 
@@ -953,7 +984,7 @@ def test_every_disjoint_union_reaches_on_union(tc_corpus, paths_corpus):
     # leaf order; on_subst_td replays its pattern with the same handlers.
     from graphexpr.expr import collect_vertex_names
 
-    def inc(f, name, inn, out, child):
+    def inc(f, name, inn, out, order, runs):
         assert inn or out, f"on_inc for {name!r}, which has no edges"
         return f + (name,)
 
@@ -991,7 +1022,7 @@ def test_every_disjoint_union_reaches_on_union(tc_corpus, paths_corpus):
     # with edges, so the replay is pinned by the input above only
     routed = {"inc": 0, "subst_td": 0}
     for e, *_ in tc_corpus + paths_corpus:
-        for node, _, _ in e._order:
+        for node in e._order.nodes:
             if type(node) is Inc and not (node.in_names or node.out_names):
                 routed["inc"] += bool(collect_vertex_names(node.child))
             elif type(node) is SubstTd:
@@ -1160,6 +1191,33 @@ def test_verify_locates_each_node_of_a_wide_union_in_constant_time():
     assert stats.counts == {"inc": 10**4, "empty": 10**4, "subst": 10**4 - 1}
 
 
+def test_verify_walks_only_join_steps_anew(monkeypatch, tc_corpus, paths_corpus):
+    # the checker evaluates a node's subgraph from the node's slice of the
+    # order; only a join step, the chain of two-vertex substitutions over
+    # the join's children folded so far, is no slice and is walked with
+    # post_order, once per step
+    from graphexpr import expr
+    from graphexpr.expr import collect_vertex_names
+
+    walked = []
+    real = expr.post_order
+    monkeypatch.setattr(expr, "post_order", lambda root: walked.append(root) or real(root))
+    total = 0
+    for e, *_ in tc_corpus[:300] + paths_corpus[:300]:
+        fold(e, counting_handlers())  # the order and the front end are cached in e
+        walked.clear()
+        fold(e, counting_handlers(), verify=lambda path, node, value, sub: None)
+        steps = 0
+        for node in e._order.nodes:
+            if type(node) is Join:
+                parts = sum(bool(collect_vertex_names(child)) for child in node.children)
+                steps += max(parts - 1, 0)
+        assert len(walked) == steps
+        assert all(type(root) is Subst for root in walked)
+        total += steps
+    assert total > 100
+
+
 def test_verify_on_a_deep_inc_chain_checks_each_node_without_refolding_it():
     # --verify evaluates and checks each node's subgraph once, O(depth x
     # graph) on a 300-deep inc chain with one edge per inc; folding each
@@ -1192,21 +1250,22 @@ def test_inc_view_resolves_its_vertices_and_graph_once(evaluations):
         "(directed (join (vertex z) (inc y ((y x) (c y)) (inc x ((x a) (b x)) "
         "(union (vertex a) (vertex b) (join (vertex c) (vertex d)))))))"
     )
-    nodes = [node for node, _, _ in post_order(e.root)]
+    nodes = post_order(e.root).nodes
     incs = [n for n in nodes if isinstance(n, Inc)]
     assert [n.name for n in incs] == ["x", "y"]
     w = {v: 1.0 for v in "abcdxyz"}
     # x gets the join of c and d; y gets that join and the entry of x
     cd = nodes[[type(n) for n in nodes].index(Join)]
-    parts = [post_order(cd), post_order(cd) + [post_order(incs[0])[-1]]]
+    cd_entries = _entries(post_order(cd))
+    parts = [cd_entries, cd_entries + [_entries(post_order(incs[0]))[-1]]]
     assert [_edge_parts(n.child) for n in incs] == parts
 
     received = []
     hs = ncd_handlers(w, solve_tolerance(w))
     real_inc = hs.on_inc
-    hs.on_inc = lambda f, name, inn, out, child: received.append(child) or real_inc(
-        f, name, inn, out, child
-    )
+    hs.on_inc = lambda f, name, inn, out, order, runs: received.append(
+        _entries(order, runs)
+    ) or real_inc(f, name, inn, out, order, runs)
     evaluations.clear()
     fold(e, hs)
     # each child comes as the entries of its parts, nodes of the tree itself
@@ -1230,7 +1289,7 @@ def test_fold_evaluates_the_whole_graph_only_for_inc_views(evaluations):
 
     for seed in range(10):
         ne = normalize(corpus_instance(seed, UNDIRECTED, 25))
-        nodes = [node for node, _, _ in post_order(ne.root)]
+        nodes = post_order(ne.root).nodes
         evaluations.clear()
         plain, _ = fold(ne, counting_handlers())
         assert evaluations == [], seed
@@ -1282,7 +1341,7 @@ def test_fold_builds_each_pattern_graph_once(monkeypatch):
         calls.clear()
         value, _ = fold(e, counting_handlers())
         assert value == 50
-        substs = [node for node, _, _ in post_order(e.root) if type(node) is Subst]
+        substs = [node for node in post_order(e.root).nodes if type(node) is Subst]
         assert len(substs) == 49
         assert [id(p) for p in calls] == [id(node.pattern) for node in substs], mode
 
@@ -1296,30 +1355,50 @@ def _inc_chain_text(mode, d):
     return f"({mode} {text})"
 
 
+def _best_of_3(fn, *args):
+    """The least wall time of three calls of ``fn(*args)``."""
+    import time
+
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def test_a_deep_inc_chain_folds_in_a_small_multiple_of_its_evaluation():
     # each inc of a chain is its own piece, and the pieces below an inc are
-    # one run of consecutive entries, handed over in one slice: folding a
+    # one run of consecutive entries, handed over as one run: folding a
     # 4000-deep chain, in the main tree or as a subst-td pattern, takes a
     # small multiple of evaluating it, where one slice per piece took
     # about 100 times as long
-    import time
-
-    def best_of_3(fn, *args):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            fn(*args)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
     d = 4000
     hs = counting_handlers()
     hs.on_subst_td = lambda pattern_order, children: fold_td_expression(pattern_order, hs)
     for e in (parse(_inc_chain_text(UNDIRECTED, d)), parse(_deep_td_text(UNDIRECTED, d))):
         assert fold(e, hs)[0] == d
         assert evaluate(e).m == d - 1
-        fold_s, evaluate_s = best_of_3(fold, e, hs), best_of_3(evaluate, e)
+        fold_s, evaluate_s = _best_of_3(fold, e, hs), _best_of_3(evaluate, e)
         assert fold_s <= 30 * evaluate_s, (type(e.root).__name__, fold_s, evaluate_s)
+
+
+def test_an_inc_chain_folds_without_copying_its_children():
+    # each inc of a 12000-deep chain is handed the bounds of its child's
+    # one run, not a copy of its entries, so folding the chain with trivial
+    # handlers, or counting its triangles, costs about one evaluation of it
+    # (0.7x and 1.0x on CPython 3.11, x86-64), where copying each child's
+    # run made the fold quadratic: 15 to 21 times the evaluation
+    from graphexpr import count_triangles
+
+    d = 12000
+    e = parse(_inc_chain_text(UNDIRECTED, d))
+    hs = counting_handlers()
+    assert fold(e, hs)[0] == d and count_triangles(e) == 0
+    evaluate_s = _best_of_3(evaluate, e)
+    for solve, args in ((fold, (e, hs)), (count_triangles, (e,))):
+        solve_s = _best_of_3(solve, *args)
+        assert solve_s <= 4 * evaluate_s, (solve.__name__, solve_s, evaluate_s)
 
 
 def _deep_td_text(mode, d):
@@ -1432,7 +1511,9 @@ def test_an_inc_is_handed_the_edges_of_its_child_not_its_size():
         e = _inc_chain(mode, r, k, td)
         handed = []
         hs = counting_handlers()
-        hs.on_inc = lambda f, name, inn, out, child: handed.append((name, child)) or f + 1
+        hs.on_inc = lambda f, name, inn, out, order, runs: handed.append(
+            (name, _entries(order, runs))
+        ) or f + 1
         hs.on_subst_td = lambda pattern_order, children: fold_td_expression(pattern_order, hs)
         value, _ = fold(e, hs)
         assert value == r + k

@@ -235,9 +235,11 @@ def _mutated(e, rng):
     applied = []
     for _ in range(rng.randint(1, 3)):
         mutation = rng.choice(_MUTATIONS)
-        swap = mutation(e._order, rng)
+        order = e._order  # the mutations read it as (node, count, size) entries
+        entries = list(zip(order.nodes, order.counts, order.sizes))
+        swap = mutation(entries, rng)
         if swap is not None:
-            e = Expression(e.mode, _rebuilt(e._order, swap))
+            e = Expression(e.mode, _rebuilt(entries, swap))
             applied.append(mutation.__name__)
     return e, applied
 

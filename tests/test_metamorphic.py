@@ -37,7 +37,7 @@ def reversed_expression(e):
     every subst and subst-td of its main tree in reverse order, by one loop
     over ``e._order`` with a stack of the rewritten subtrees."""
     vals = []
-    for node, c, _ in e._order:
+    for node, c in zip(e._order.nodes, e._order.counts):
         t = type(node)
         top = len(vals) - c
         kids = vals[top:][::-1]
@@ -57,7 +57,7 @@ def reversed_expression(e):
 
 
 def _leaf_names(e):
-    return [node.name for node, _, _ in e._order if type(node) is Vertex]
+    return [node.name for node in e._order.nodes if type(node) is Vertex]
 
 
 def test_reversal_changes_the_order_and_keeps_the_graph(tc_corpus, paths_corpus):
@@ -116,7 +116,7 @@ def _unions_rewritten(e, form):
     stack of the rewritten subtrees and one of whether they have
     vertices."""
     vals, full, rewritten = [], [], 0
-    for node, c, _ in e._order:
+    for node, c in zip(e._order.nodes, e._order.counts):
         t = type(node)
         top = len(vals) - c
         kids, has = vals[top:], full[top:]

@@ -156,7 +156,7 @@ def _nodes(root):
     """Every main-tree node of an expression."""
     from graphexpr.expr import post_order
 
-    return [node for node, _, _ in post_order(root)]
+    return post_order(root).nodes
 
 
 def test_gen_random_cograph_shape():

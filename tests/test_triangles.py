@@ -36,8 +36,10 @@ from conftest import corpus_instance
 
 
 def _child(text):
-    # an inc handler gets its child as the child's order
-    return post_order(normalize(parse(text)).root)
+    # an inc handler gets its child as an order and runs of its entries:
+    # here the child's own order, one run
+    order = post_order(normalize(parse(text)).root)
+    return order, [(0, len(order))]
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +48,13 @@ def _child(text):
 
 def test_inc_closes_triangle_over_child_edge():
     child = _child("(undirected (join (vertex a) (vertex b)))")
-    f = combine_inc(TriFold(2, 1, 0), {"a", "b"}, child)
+    f = combine_inc(TriFold(2, 1, 0), {"a", "b"}, *child)
     assert f == TriFold(3, 3, 1)
 
 
 def test_inc_isolated_vertex():
     child = _child("(undirected (join (vertex a) (vertex b)))")
-    assert combine_inc(TriFold(2, 1, 0), set(), child) == TriFold(3, 1, 0)
+    assert combine_inc(TriFold(2, 1, 0), set(), *child) == TriFold(3, 1, 0)
 
 
 def test_inc_path_endpoints_close_nothing():
@@ -60,7 +62,7 @@ def test_inc_path_endpoints_close_nothing():
     child = _child(
         "(undirected (inc b ((b a) (b c)) (union (vertex a) (vertex c))))"
     )
-    f = combine_inc(TriFold(3, 2, 0), {"a", "c"}, child)
+    f = combine_inc(TriFold(3, 2, 0), {"a", "c"}, *child)
     assert f.t == 0
     assert f.m == 4
 
@@ -123,12 +125,13 @@ def test_edges_within_matches_induced_subgraph(seed, mask):
     children = []
     for root in (e.root, normalize(e).root):
         children.append(root)
-        children += [node.child for node, _, _ in post_order(root) if isinstance(node, Inc)]
+        children += [node.child for node in post_order(root).nodes if isinstance(node, Inc)]
     for child in children:
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
         induced_m = sum(1 for a, b in g.edges if a in s and b in s)
-        assert edges_within(post_order(child), s) == induced_m
+        order = post_order(child)
+        assert edges_within(order, s, [(0, len(order))]) == induced_m
 
 
 def _random_cograph_expr(rng):
@@ -163,12 +166,13 @@ def test_edges_within_counts_induced_edges_on_raw_trees(rng, mask):
     # joins, and empty children, at the root and at every inc child
     root = _random_cograph_expr(rng)
     children = [root]
-    children += [node.child for node, _, _ in post_order(root) if isinstance(node, Inc)]
+    children += [node.child for node in post_order(root).nodes if isinstance(node, Inc)]
     for child in children:
         g = evaluate(Expression(UNDIRECTED, child))
         s = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1) | {"zz9"}
         induced_m = sum(1 for a, b in g.edges if a in s and b in s)
-        assert edges_within(post_order(child), s) == induced_m
+        order = post_order(child)
+        assert edges_within(order, s, [(0, len(order))]) == induced_m
 
 
 def test_edges_within_of_a_wide_join():
@@ -178,10 +182,12 @@ def test_edges_within_of_a_wide_join():
         " (join (vertex d) (union (vertex e) (empty) (vertex f)))))"
     ).root
     order = post_order(root)
-    assert edges_within(order, set("abcdef")) == evaluate(Expression(UNDIRECTED, root)).m == 13
+    whole = [(0, len(order))]
+    assert edges_within(order, set("abcdef"), whole) == evaluate(Expression(UNDIRECTED, root)).m
+    assert evaluate(Expression(UNDIRECTED, root)).m == 13
     # a, c, e: a-c, a-e, c-e; b, d: b-d
-    assert edges_within(order, set("ace")) == 3
-    assert edges_within(order, set("bd")) == 1
+    assert edges_within(order, set("ace"), whole) == 3
+    assert edges_within(order, set("bd"), whole) == 1
 
 
 # ---------------------------------------------------------------------------
