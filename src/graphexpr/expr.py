@@ -19,7 +19,8 @@ that validates, which each ``Expression`` runs once and caches.  That walk
 keeps one dict from each vertex name to the order index of its latest
 occurrence: an inc target lies in the child iff its index is at least the
 child's first, and a name met again is a duplicate of the lowest common
-ancestor of its two occurrences, reported when that node closes.
+ancestor of its two occurrences, reported when that node closes, in name
+order with that node's other duplicates.
 
 AST nodes are frozen, slotted dataclasses built positionally, each with an
 ``__init__`` that writes its fields through the ``__set__`` of its class's
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -762,16 +762,15 @@ def _scan(order):
     and h, l as running maxima; the fold stats are ``framework.FoldStats``'s
     fields, under the rules of ``framework.fold``.  One loop over an order
     keeps a dict from each vertex name to the order index of its latest
-    occurrence, which it returns as the names, a stack of the distinct-name
-    counts of the finished subtrees, and one of the finished incs that no
+    occurrence, which it returns as the names, a stack of whether each
+    finished subtree has vertices, and one of the finished incs that no
     finished inc holds, with their inc nestings.  An inc target lies in the
     child iff its latest occurrence is at or after the child's first index.
     A name met again is a duplicate at the lowest common ancestor of its two
     occurrences, the first node to close whose subtree holds the earlier
-    one: the pair waits on a heap until then (``_duplicates``), and is
-    reported as merging name sets would report it.  A tree-depth pattern is
-    walked by the same loop over its ``pattern_order`` with ``td_only``, and
-    its stats dropped."""
+    one: the pair waits on a heap until then, and each node reports its
+    pairs in name order.  A tree-depth pattern is walked by the same loop
+    over its ``pattern_order`` with ``td_only``, and its stats dropped."""
     violations = []
     h = l = 0
 
@@ -780,7 +779,7 @@ def _scan(order):
         locate = locator(order, label)
         last = {}  # vertex name -> order index of its latest occurrence
         setdefault, get = last.setdefault, last.get
-        distinct = []  # per finished subtree whose parent is open: its distinct names
+        has = []  # per finished subtree whose parent is open: whether it has vertices
         inc_at = []  # the indices of the finished incs that no finished inc holds
         nesting = {}  # inc index -> its inc nesting, where above 1
         pending = []  # heap of (-i, j, name) per name at i met again at j
@@ -799,36 +798,31 @@ def _scan(order):
                     heappush(pending, (-last[node.name], i, node.name))
                     last[node.name] = i
                     n_dup += 1
-                distinct.append(1)
+                has.append(True)
                 continue
             if t is Empty:
-                distinct.append(0)
+                has.append(False)
                 continue
             if t is Inc:
                 before = i - size  # the child's entries follow this index
-                if not distinct[-1]:
+                if not has[-1]:
                     n_empty += 1
-                unknown = False
-                for target in node.in_names:
-                    if get(target, -1) <= before:
-                        unknown = True
-                for target in node.out_names:
-                    if get(target, -1) <= before:
-                        unknown = True
-                if unknown:
+                    has[-1] = True
+                ins, outs = node.in_names, node.out_names
+                if (
+                    ins and min(map(get, ins, repeat(-1))) <= before
+                    or outs and min(map(get, outs, repeat(-1))) <= before
+                ):
                     for target in sorted(node.neighbor_names):
                         if get(target, -1) <= before:
                             bad(node, f"unknown inc target {target!r}")
                 x = node.name
-                if (prev := setdefault(x, i)) == i:
-                    distinct[-1] += 1
-                else:
+                if (prev := setdefault(x, i)) != i:
                     last[x] = i
                     n_dup += 1
                     if prev > before:
                         bad(node, f"duplicate vertex name {x!r}")
                     else:
-                        distinct[-1] += 1
                         heappush(pending, (-prev, i, x))
                 if inc_at and inc_at[-1] > before:  # the child holds incs
                     k = 1
@@ -838,13 +832,13 @@ def _scan(order):
                     nesting[i] = k + 1
                 inc_at.append(i)
                 continue
-            top = len(distinct) - c
-            kids = distinct[top:]
-            del distinct[top:]
+            top = len(has) - c
+            kids = has[top:]
+            del has[top:]
             if t is Union or t is Join:
                 if c < 2:
                     bad(node, "union/join needs at least two children")
-                r = c if all(kids) else sum(map(bool, kids))  # the children with vertices
+                r = sum(kids)  # the children with vertices
                 steps += r - 1 if r > 1 else 0
             elif t is Subst:
                 pattern = node.pattern
@@ -871,16 +865,16 @@ def _scan(order):
                     l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
                 bad(node, f"unknown node type {t.__name__}")
-            n = sum(kids)
             if pending and -pending[0][0] > i - size:  # a duplicate's earlier occurrence is here
-                duplicates = _duplicates(order.sizes, i, kids, pending)
-                for nm in duplicates:
+                duplicates = []
+                while pending and -pending[0][0] > i - size:
+                    duplicates.append(heappop(pending)[2])
+                for nm in sorted(duplicates):
                     bad(node, f"duplicate vertex name {nm!r}")
-                n -= len(duplicates)
-            distinct.append(n)
+            has.append(any(kids))
         k = max(nesting.values(), default=1) if inc_at else 0
         # each vertex or inc adds a name or repeats one
-        n_inc, n_empty = len(last) + n_dup - n_vertex, n_empty + (not distinct[0])
+        n_inc, n_empty = len(last) + n_dup - n_vertex, n_empty + (not has[0])
         counts = dict(
             vertex=n_vertex, empty=n_empty, inc=n_inc, subst=n_subst + steps, subst_td=n_subst_td
         )
@@ -892,28 +886,6 @@ def _scan(order):
 
     names, k, stats = walk(order, lambda: "root", False)
     return names, violations, Params(k, h, l), stats
-
-
-def _duplicates(sizes, i, kids, pending):
-    """Pop off the heap ``pending`` the duplicate pairs whose lowest common
-    ancestor is the node at i of an order with the subtree ``sizes``, whose
-    children have the distinct-name counts ``kids``, and return the names
-    to report there, in the order of merging the children's name sets
-    largest first (a stable sort): a name once at each child that holds it
-    but the first so merged, sorted per child."""
-    starts, j = [], i  # the children's first indices, the last child's first
-    for _ in kids:
-        j -= sizes[j - 1]
-        starts.append(j)
-    starts.reverse()
-    merged = sorted(range(len(kids)), key=kids.__getitem__, reverse=True)
-    rank = {child: r for r, child in enumerate(merged)}
-    held = defaultdict(set)  # name -> merge ranks of the children that hold it
-    while pending and -pending[0][0] >= j:
-        p, q, name = heappop(pending)
-        held[name].update((rank[bisect_right(starts, -p) - 1], rank[bisect_right(starts, q) - 1]))
-    reports = [(r, name) for name, ranks in held.items() for r in sorted(ranks)[1:]]
-    return [name for _, name in sorted(reports)]
 
 
 def _check_pattern(pattern):
@@ -932,8 +904,8 @@ def _check_pattern(pattern):
 
 def _check_bindings(node, pattern_names, child_names):
     """The messages about ``node``'s bindings, whose children have the
-    vertex names ``child_names``, each a set or a count: only whether it is
-    empty is read."""
+    vertex names ``child_names``, each a set or a bool that says whether
+    there are any: only its truth is read."""
     seen = set()
     pattern_set = set(pattern_names)
     for (bname, _), names in zip(node.bindings, child_names):

@@ -477,12 +477,17 @@ def _assemble_module(children, rows):
     """Module summary of a substitution from the pattern distance ``rows``
     under the child msps, both in the order of ``children``: a child's
     exits shift by its module's out-shift, its entries and potential by the
-    in-shift.  Nothing is copied."""
-    omega = [s.msp for _, s in children]
-    out_shift, in_shift = _shift(rows, omega), _shift(zip(*rows), omega)
+    in-shift.  ``rows`` None is a disjoint union: zero shifts, no
+    ``omega``, and the least child msp.  Nothing is copied."""
+    if rows is None:
+        omega, msp = None, min([s.msp for _, s in children])
+        out_shift = in_shift = [0.0] * len(children)
+    else:
+        omega, msp = [s.msp for _, s in children], min(map(min, rows))
+        out_shift, in_shift = _shift(rows, omega), _shift(zip(*rows), omega)
     return ModuleSummary(
         _shifted_union(children, in_shift, "potential"),
-        min(map(min, rows)),
+        msp,
         _shifted_union(children, out_shift, "min_out"),
         _shifted_union(children, in_shift, "min_in"),
         rows,
@@ -495,23 +500,9 @@ def _assemble_module(children, rows):
 
 
 def _apsp_union(parts):
-    """Disjoint union of APSP summaries: one module over all the parts, with
-    zero shifts and no pattern rows (``rows`` is None), as no path joins two
-    parts."""
-    children = tuple((None, s) for s in parts)
-    zeros = [0.0] * len(parts)
-    return ModuleSummary(
-        _shifted_union(children, zeros, "potential"),
-        min([s.msp for s in parts]),
-        _shifted_union(children, zeros, "min_out"),
-        _shifted_union(children, zeros, "min_in"),
-        None,
-        None,
-        zeros,
-        zeros,
-        children,
-        sum(s.n for s in parts),
-    )
+    """Disjoint union of APSP summaries: one module over all the parts, as
+    no path joins two parts."""
+    return _assemble_module(tuple((None, s) for s in parts), None)
 
 
 def apsp_subst(pattern_graph, children, tol):

@@ -93,8 +93,8 @@ def scan_by_name_sets(order):
     keeps a stack of name sets and one of inc nestings; a tree-depth
     pattern is walked by the same loop over its ``pattern_order`` with
     ``td_only``, and its stats dropped.  A node merges its children's sets
-    largest first, and reports the names a set shares with those merged
-    before it, sorted."""
+    in child order, and reports in name order each name that a set shares
+    with those merged before it."""
     violations = []
     h = l = 0
 
@@ -161,14 +161,14 @@ def scan_by_name_sets(order):
                     l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
                 bad(node, f"unknown node type {t.__name__}")
-            # merge into the largest set; a name in two children is a duplicate
-            parts = sorted(kids, key=len, reverse=True)
-            names = parts[0] if parts else set()
-            for part in parts[1:]:
-                if not names.isdisjoint(part):
-                    for nm in sorted(part & names):
-                        bad(node, f"duplicate vertex name {nm!r}")
+            # merge in child order: a name is a duplicate once per further
+            # child that holds it
+            names, duplicates = kids[0] if kids else set(), []
+            for part in kids[1:]:
+                duplicates += names & part
                 names |= part
+            for nm in sorted(duplicates):
+                bad(node, f"duplicate vertex name {nm!r}")
             sets.append(names)
             ks.append(k)
         names, k, n_empty = sets[0], ks[0], n_empty + (not sets[0])

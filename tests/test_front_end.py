@@ -2,12 +2,13 @@
 replaced, ``brute_force.scan_by_name_sets``: the same vertex names, the
 same violations (message, path, position and order), the same ``Params``
 and the same fold stats, on both corpora, on the CLI pins' invalid inputs
-and on seeded mutations of corpus instances; and its memory on a wide
-union."""
+and on seeded mutations of corpus instances, where each node reports its
+duplicate names in name order; and its memory on a wide union."""
 
 import random
 import tracemalloc
-from collections import Counter
+from ast import literal_eval
+from collections import Counter, defaultdict
 
 from brute_force import scan_by_name_sets
 from conftest import corpus_instance
@@ -256,6 +257,13 @@ def test_scan_matches_the_reference_on_mutated_inputs():
         at_one_node = Counter((v.path, v.message) for v in violations)
         if any(n > 1 for m, n in at_one_node.items() if m[1].startswith("duplicate vertex")):
             seen["a name in three or more children"] += 1
+        duplicates = defaultdict(list)  # node path -> its duplicate names, as reported
+        for v in violations:
+            message, _, name = v.message.rpartition(" ")
+            if message == "duplicate vertex name":
+                duplicates[v.path].append(literal_eval(name))
+        for path, names in duplicates.items():
+            assert names == sorted(names), (seed, path, names)
         for v in violations:
             seen[v.message.split(" '")[0].split(" (")[0]] += 1
             if v.message.startswith("unknown inc target") and "nowhere" not in v.message:
@@ -291,7 +299,7 @@ def test_scan_matches_the_reference_on_mutated_inputs():
         assert seen[message] >= 5, (message, seen)
 
 
-def test_a_name_repeated_across_siblings_is_reported_as_the_set_merge_reports_it():
+def test_a_name_repeated_across_siblings_is_reported_in_name_order():
     # a name in three children of different sizes, at different depths, and
     # an inc named like a vertex of its child, in one tree
     text = (
@@ -303,9 +311,9 @@ def test_a_name_repeated_across_siblings_is_reported_as_the_set_merge_reports_it
     assert [(v.path, v.message) for v in violations] == [
         ("root/3", "duplicate vertex name 'd'"),
         ("root", "duplicate vertex name 'a'"),
+        ("root", "duplicate vertex name 'a'"),
         ("root", "duplicate vertex name 'b'"),
         ("root", "duplicate vertex name 'd'"),
-        ("root", "duplicate vertex name 'a'"),
     ]
 
 
