@@ -30,7 +30,7 @@ from .expr import (
     parse,
     validate_or_raise,
 )
-from .framework import assert_stats
+from .framework import FoldStats, assert_stats
 from .graphs import DIRECTED, INF, UNDIRECTED, is_negative_cycle, parse_weights
 from .oracle import GenSpec, gen_fixture, gen_random, gen_weights
 
@@ -124,11 +124,14 @@ def _read(path):
 
 
 def _write_out(text, path):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _load_expression(path):
@@ -141,16 +144,27 @@ def _params_lines(p):
     return [f"k={p.k}", f"h={p.h}", f"l={p.l}"]
 
 
-def _stats_lines(stats):
+def _stats(stats):
+    """The fold statistics that ``solve`` prints as ``key=value`` lines and
+    ``bench`` as columns, in order."""
     counts = stats.counts
-    return [
-        f"sum-pattern-order={stats.sum_pattern_order}",
-        f"max-inc-nesting={stats.max_inc_nesting}",
-        f"leaf-count={stats.leaf_count}",
-        f"nodes-inc={counts.get('inc', 0)}",
-        f"nodes-subst={counts.get('subst', 0)}",
-        f"nodes-subst-td={counts.get('subst_td', 0)}",
-    ]
+    return {
+        "sum-pattern-order": stats.sum_pattern_order,
+        "max-inc-nesting": stats.max_inc_nesting,
+        "leaf-count": stats.leaf_count,
+        "nodes-inc": counts.get("inc", 0),
+        "nodes-subst": counts.get("subst", 0),
+        "nodes-subst-td": counts.get("subst_td", 0),
+    }
+
+
+def _solve(problem, e, w, verify=False):
+    """``(value, FoldStats)`` of ``problem``'s fold on ``e`` under weights ``w``."""
+    if problem == "tc":
+        return triangles.triangle_summary(e, verify=verify)
+    # ncd reports no potential, so it leaves the root's unread
+    outcome = paths._ncd_fold if problem == "ncd" else paths.apsp_outcome
+    return outcome(e, w, verify=verify)
 
 
 def _emit(lines):
@@ -181,42 +195,38 @@ def cmd_params(args):
 def cmd_solve(args):
     e = parse(_read(args.file))
     p = params(e)
-    report = [f"command=solve {args.problem}", f"file={args.file}", f"mode={e.mode}"]
-    report += _params_lines(p)
-
-    start = time.perf_counter()
-    matrix = None
-    if args.problem == "tc":
-        tri, stats = triangles.triangle_summary(e, verify=args.verify)
-        result_lines = [f"triangles={tri.t} n={tri.n} m={tri.m}"]
-    else:
+    w = None
+    if args.problem != "tc":
         if not args.weights:
             raise InputError(f"solve {args.problem} requires a weights file")
         w = parse_weights(_read(args.weights))
-        # solve ncd prints no potential, so it leaves the root's unread
-        outcome = paths._ncd_fold if args.problem == "ncd" else paths.apsp_outcome
-        value, stats = outcome(e, w, verify=args.verify)
-        if is_negative_cycle(value):
-            result_lines = ["negative-cycle=true"]
-        else:
-            # a large matrix holds far fewer distinct values than pairs
-            rows = value.rows if args.problem == "apsp" else []
-            text = {x: fmt(x) for x in {value.msp}.union(*rows)}
-            result_lines = ["negative-cycle=false", f"msp={text[value.msp]}"]
-            if args.problem == "apsp":
-                # row by row in name order, straight from the dense rows
-                names = list(value.min_out)
-                order = sorted(range(len(names)), key=names.__getitem__)
-                matrix = "\n".join(
-                    f"{names[i]}\t{names[j]}\t{text[rows[i][j]]}" for i in order for j in order
-                )
+    start = time.perf_counter()
+    value, stats = _solve(args.problem, e, w, args.verify)
     wall = time.perf_counter() - start
+    report = [f"command=solve {args.problem}", f"file={args.file}", f"mode={e.mode}"]
+    report += _params_lines(p)
+    matrix = None
+    if args.problem == "tc":
+        report.append(f"triangles={value.t} n={value.n} m={value.m}")
+    elif is_negative_cycle(value):
+        report.append("negative-cycle=true")
+    else:
+        # a large matrix holds far fewer distinct values than pairs
+        rows = value.rows if args.problem == "apsp" else []
+        text = {x: fmt(x) for x in {value.msp}.union(*rows)}
+        report += ["negative-cycle=false", f"msp={text[value.msp]}"]
+        if args.problem == "apsp":
+            # row by row in name order, straight from the dense rows
+            names = list(value.min_out)
+            order = sorted(range(len(names)), key=names.__getitem__)
+            matrix = "\n".join(
+                f"{names[i]}\t{names[j]}\t{text[rows[i][j]]}" for i in order for j in order
+            )
 
     # the solver validated; each vertex name is one leaf or inc of its fold
     n = stats.counts.get("vertex", 0) + stats.counts.get("inc", 0)
     violations = assert_stats(stats, n, p)
-    report += result_lines
-    report += _stats_lines(stats)
+    report += [f"{key}={x}" for key, x in _stats(stats).items()]
     report.append(f"stats-ok={'true' if not violations else 'false'}")
     report.append(f"wall-time-s={wall:.6f}")
     _emit(report)
@@ -269,10 +279,7 @@ def cmd_check(args):
 def cmd_gen(args):
     if args.what == "random":
         mode = DIRECTED if args.mode == "D" else UNDIRECTED
-        spec = GenSpec(
-            mode=mode, k=args.k, h=args.h, l=args.l, budget=args.budget, seed=args.seed
-        )
-        e = gen_random(spec)
+        e = gen_random(GenSpec(mode, args.k, args.h, args.l, args.budget, args.seed))
         header = (
             f"# random expression: mode={mode} k={args.k} h={args.h} l={args.l} "
             f"budget={args.budget} seed={args.seed}\n"
@@ -320,20 +327,16 @@ def _fixture_header(args):
 
 
 def cmd_bench(args):
-    sizes = sorted(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = sorted(map(int, args.sizes.split(",")))
+    except ValueError:
+        raise InputError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     mode = UNDIRECTED if args.problem == "tc" else DIRECTED
-    header = [
-        "n", "m", "k", "h", "l", "wall_time_s",
-        "sum_pattern_order", "max_inc_nesting", "leaf_count",
-        "nodes_inc", "nodes_subst", "nodes_subst_td", "rep",
-    ]
+    stat_keys = [key.replace("-", "_") for key in _stats(FoldStats())]
+    header = ["n", "m", "k", "h", "l", "wall_time_s", *stat_keys, "rep"]
     rows = ["\t".join(header)]
     for idx, budget in enumerate(sizes):
-        spec = GenSpec(
-            mode=mode, k=args.k, h=args.h, l=args.l, budget=budget,
-            seed=args.seed + idx,
-        )
-        e = gen_random(spec)
+        e = gen_random(GenSpec(mode, args.k, args.h, args.l, budget, args.seed + idx))
         w = None
         if args.problem != "tc":
             # the path solvers do not count edges: only the graph gives m
@@ -344,26 +347,12 @@ def cmd_bench(args):
             w = gen_weights(g.vertices, lo, 5.0, args.seed + idx)
         for rep in range(args.reps):
             start = time.perf_counter()
-            if args.problem == "tc":
-                value, stats = triangles.triangle_summary(e)
-                n, m = value.n, value.m
-            elif args.problem == "ncd":
-                _, stats = paths.ncd_outcome(e, w)
-            else:
-                _, stats = paths.apsp_outcome(e, w)
+            value, stats = _solve(args.problem, e, w)
             wall = time.perf_counter() - start
-            counts = stats.counts
-            rows.append(
-                "\t".join(
-                    str(x)
-                    for x in (
-                        n, m, args.k, args.h, args.l, f"{wall:.6f}",
-                        stats.sum_pattern_order, stats.max_inc_nesting,
-                        stats.leaf_count, counts.get("inc", 0),
-                        counts.get("subst", 0), counts.get("subst_td", 0), rep,
-                    )
-                )
-            )
+            if args.problem == "tc":
+                n, m = value.n, value.m
+            row = (n, m, args.k, args.h, args.l, f"{wall:.6f}", *_stats(stats).values(), rep)
+            rows.append("\t".join(map(str, row)))
     _write_out("\n".join(rows) + "\n", args.output)
     return 0
 
@@ -407,18 +396,21 @@ def build_parser():
                          help="seed for generated weights when no weights file is given")
     p_check.set_defaults(func=cmd_check)
 
+    # the options of gen random and bench, where -h is a parameter, not help
+    generated = argparse.ArgumentParser(add_help=False)
+    generated.add_argument("--help", action="help")
+    generated.add_argument("-k", type=int, default=0)
+    generated.add_argument("-h", type=int, default=0)
+    generated.add_argument("-l", type=int, default=0)
+    generated.add_argument("--seed", type=int, default=0)
+    generated.add_argument("-o", "--output", default=None)
+
     p_gen = sub.add_parser("gen", help="generate expressions")
     gen_sub = p_gen.add_subparsers(dest="what", required=True)
-    p_rand = gen_sub.add_parser("random", add_help=False,
+    p_rand = gen_sub.add_parser("random", add_help=False, parents=[generated],
                                 help="seeded random expression with exact parameters")
-    p_rand.add_argument("--help", action="help")
     p_rand.add_argument("--mode", choices=("D", "U"), required=True)
-    p_rand.add_argument("-k", type=int, default=0)
-    p_rand.add_argument("-h", type=int, default=0)
-    p_rand.add_argument("-l", type=int, default=0)
     p_rand.add_argument("--budget", type=int, required=True)
-    p_rand.add_argument("--seed", type=int, default=0)
-    p_rand.add_argument("-o", "--output", default=None)
     p_rand.set_defaults(func=cmd_gen)
     p_fix = gen_sub.add_parser("fixture", help="named separation-family fixture")
     p_fix.add_argument("name", choices=oracle.FIXTURE_NAMES)
@@ -428,18 +420,12 @@ def build_parser():
     p_fix.add_argument("-o", "--output", default=None)
     p_fix.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", add_help=False,
+    p_bench = sub.add_parser("bench", add_help=False, parents=[generated],
                              help="timing table over a seeded corpus")
-    p_bench.add_argument("--help", action="help")
     p_bench.add_argument("problem", choices=("tc", "ncd", "apsp"),
                          help="tc runs on undirected, ncd and apsp on directed expressions")
-    p_bench.add_argument("-k", type=int, default=0)
-    p_bench.add_argument("-h", type=int, default=0)
-    p_bench.add_argument("-l", type=int, default=0)
     p_bench.add_argument("--sizes", required=True, help="comma-separated vertex budgets")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.add_argument("-o", "--output", default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -520,18 +520,8 @@ def parse(text: str) -> Expression:
                     i += 1
                     continue
                 in_names, out_names = set(), set()
-                while (tok := toks[i]) != ")":
-                    # the edge "(" a b ")"
-                    if tok != "(":
-                        raise tokens.expected(i, "'('")
-                    a = toks[i + 1]
-                    if a in _PARENS:
-                        raise tokens.expected(i + 1, "name")
-                    b = toks[i + 2]
-                    if b in _PARENS:
-                        raise tokens.expected(i + 2, "name")
-                    if toks[i + 3] != ")":
-                        raise tokens.expected(i + 3, "')'")
+                while toks[i] != ")":
+                    a, b = _edge_at(tokens, i)
                     if a == name:
                         if b == name:
                             raise tokens.error(i, f"loop edge on {name!r}")
@@ -895,7 +885,7 @@ def _check_pattern(pattern):
         yield "pattern needs at least two vertices"
     if len(names) != len(pattern.names):
         yield "duplicate pattern vertex name"
-    for (a, b) in pattern.edges:
+    for (a, b) in sorted(pattern.edges):
         if a == b:
             yield f"loop edge on pattern vertex {a!r}"
         if a not in names or b not in names:

@@ -258,20 +258,23 @@ def _random_inc_edges(rng, mode, child_names):
     q = rng.uniform(0.2, 0.9)
     in_names, out_names = set(), set()
     for u in sorted(child_names):
-        if rng.random() >= q:
-            continue
-        if mode == UNDIRECTED:
-            out_names.add(u)
-        else:
-            r = rng.random()
-            if r < 0.48:
+        if rng.random() < q:
+            forward, backward = _direction(rng, mode)
+            if forward:
                 out_names.add(u)
-            elif r < 0.96:
+            if backward:
                 in_names.add(u)
-            else:
-                in_names.add(u)
-                out_names.add(u)
     return frozenset(in_names), frozenset(out_names)
+
+
+def _direction(rng, mode):
+    """Whether a new edge runs forward and whether it runs backward: an
+    undirected edge forward only, a directed one mostly one way, with
+    two-cycles kept rare."""
+    if mode == UNDIRECTED:
+        return True, False
+    r = rng.random()
+    return r < 0.48 or r >= 0.96, r >= 0.48
 
 
 def _random_pattern(rng, mode, names, sizes):
@@ -285,18 +288,11 @@ def _random_pattern(rng, mode, names, sizes):
             prod = size_of[a] * size_of[b]
             if prod > 64:
                 p *= 64.0 / prod
-            if mode == UNDIRECTED:
-                if rng.random() < p:
+            if rng.random() < p:
+                forward, backward = _direction(rng, mode)
+                if forward:
                     edges.add(canonical_edge(mode, a, b))
-            elif rng.random() < p:
-                # directed: mostly one direction, two-cycles kept rare
-                r = rng.random()
-                if r < 0.48:
-                    edges.add((a, b))
-                elif r < 0.96:
-                    edges.add((b, a))
-                else:
-                    edges.add((a, b))
+                if backward:
                     edges.add((b, a))
     return Pattern(mode, tuple(names), frozenset(edges))
 

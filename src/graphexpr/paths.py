@@ -544,7 +544,7 @@ def _gate(e: Expression, w: dict, problem: str, handlers, verify):
             f"weights too large: path sums over {len(used)} vertices of weight "
             f"up to {scale:g} in magnitude overflow a float"
         )
-    tol = _tolerance(len(used), scale)
+    tol = solve_tolerance(used)
     checker = make_paths_verifier(used, tol) if verify else None
     return framework.fold(e, handlers(used, tol), verify=checker)
 
@@ -557,12 +557,8 @@ def solve_tolerance(w: dict) -> float:
     negative by more than that, however large the other weights are.  The
     solvers pass only the weights of the expression's names, so a weight
     that no vertex uses cannot widen it."""
-    return _tolerance(len(w), max(map(abs, w.values()), default=0.0))
-
-
-def _tolerance(n, scale):
-    """``solve_tolerance`` of n weights at most ``scale`` in magnitude."""
-    return max(TOL, _ROUNDING_SLACK * n * sys.float_info.epsilon * scale)
+    scale = max(map(abs, w.values()), default=0.0)
+    return max(TOL, _ROUNDING_SLACK * len(w) * sys.float_info.epsilon * scale)
 
 
 def ncd_handlers(w: dict, tol: float) -> HandlerSet:

@@ -722,3 +722,64 @@ def test_bench_tc_never_evaluates_the_graph(capsys, tmp_path, monkeypatch):
         g = evaluate(gen_random(GenSpec(UNDIRECTED, k=2, h=4, l=0, budget=budget, seed=3 + idx)))
         for r in rows[2 * idx: 2 * idx + 2]:
             assert (int(r[0]), int(r[1])) == (g.n, g.m)
+
+
+@pytest.mark.parametrize("problem", ["tc", "ncd", "apsp"])
+def test_solve_and_bench_report_the_same_fold(capsys, tmp_path, monkeypatch, problem):
+    # bench times the solve that solve runs: the same six fold statistics,
+    # and for ncd the fold alone, without the root potential of ncd_outcome
+    from graphexpr import paths
+
+    def no_outcome(*args, **kwargs):
+        raise AssertionError("bench ncd called ncd_outcome")
+
+    monkeypatch.setattr(paths, "ncd_outcome", no_outcome)
+    mode = "U" if problem == "tc" else "D"
+    expr_file, weights_file, bench_file = (tmp_path / x for x in ("e.txt", "w.tsv", "b.tsv"))
+    gen = ["-k", "1", "-h", "3", "-l", "2", "--seed", "4"]
+    code, _, _ = run(
+        capsys, "gen", "random", "--mode", mode, *gen, "--budget", "30", "-o", str(expr_file)
+    )
+    assert code == 0
+    solve = ["solve", problem, str(expr_file)]
+    if problem != "tc":
+        g = cli.evaluate(cli.parse(expr_file.read_text()))
+        w = cli.gen_weights(g.vertices, 0.0 if problem == "apsp" else -5.0, 5.0, 4)
+        weights_file.write_text("".join(f"{v}\t{x!r}\n" for v, x in w.items()))
+        solve.append(str(weights_file))
+    code, out, _ = run(capsys, *solve, "-o", str(tmp_path / "m.tsv"))
+    assert code == 0
+    solved = kv(out)
+    code, _, _ = run(capsys, "bench", problem, *gen, "--sizes", "30", "-o", str(bench_file))
+    assert code == 0
+    header, row = (r.split("\t") for r in bench_file.read_text().splitlines())
+    benched = dict(zip(header, row))
+    keys = [
+        "sum-pattern-order", "max-inc-nesting", "leaf-count",
+        "nodes-inc", "nodes-subst", "nodes-subst-td",
+    ]
+    assert [solved[k] for k in keys] == [benched[k.replace("-", "_")] for k in keys]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "apsp", "{e}", "{w}", "-o", "{missing}/m.tsv"],
+        ["eval", "{e}", "-o", "{missing}/x"],
+        ["gen", "random", "--mode", "D", "--budget", "5", "-o", "{missing}/g.txt"],
+    ],
+)
+def test_an_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv):
+    e, w = tmp_path / "e.txt", tmp_path / "w.tsv"
+    e.write_text(EDGE)
+    w.write_text("a\t1\nb\t2\n")
+    paths = {"e": e, "w": w, "missing": tmp_path / "missing"}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path / 'missing'}/")
+
+
+def test_bench_sizes_that_are_not_integers_are_an_input_error(capsys):
+    code, out, err = run(capsys, "bench", "tc", "--sizes", "10,abc")
+    assert (code, out) == (2, "")
+    assert err == "error: --sizes must be comma-separated integers, got '10,abc'\n"

@@ -1095,6 +1095,42 @@ def test_validate_programmatic_bad_pattern():
     assert any("at least two" in m for m in msgs)
 
 
+def test_validate_lists_a_patterns_bad_edges_in_sorted_order(tmp_path):
+    # each process hashes strings with its own seed, and the edges are a
+    # frozenset; their messages come out in edge order, whatever the seed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphexpr
+
+    script = tmp_path / "bad_edges.py"
+    script.write_text(
+        "from graphexpr import DIRECTED, Expression, Subst, Vertex, validate\n"
+        "from graphexpr.expr import Pattern\n"
+        "edges = frozenset({('z', 'w'), ('p', 'x'), ('y', 'q'), ('p', 'p')})\n"
+        "pat = Pattern(DIRECTED, ('p', 'q'), edges)\n"
+        "e = Expression(DIRECTED, Subst(pat, (('p', Vertex('a')), ('q', Vertex('b')))))\n"
+        "print('\\n'.join(v.message for v in validate(e)))\n"
+    )
+    want = [
+        "loop edge on pattern vertex 'p'",
+        "pattern edge ('p', 'x') uses undeclared vertex",
+        "pattern edge ('y', 'q') uses undeclared vertex",
+        "pattern edge ('z', 'w') uses undeclared vertex",
+    ]
+    src = str(Path(graphexpr.__file__).resolve().parents[1])
+    outs = []
+    for seed in "12":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, check=True
+        )
+        outs.append(done.stdout.splitlines())
+    assert outs == [want, want]
+
+
 def test_validate_subst_td_binding_mismatch():
     e = parse(
         "(undirected (subst-td (union (vertex p) (vertex q))"
