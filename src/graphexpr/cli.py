@@ -11,6 +11,8 @@ breach (``--verify`` or fold accounting).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
@@ -124,10 +126,16 @@ def _read(path):
 
 
 def _write_out(text, path):
+    """Write ``text`` to ``path``, or to stdout without one; a ``text`` of
+    None removes an earlier run's ``path``, if there is one."""
     if not path:
         sys.stdout.write(text)
         return
     try:
+        if text is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -223,6 +231,12 @@ def cmd_solve(args):
                 f"{names[i]}\t{names[j]}\t{text[rows[i][j]]}" for i in order for j in order
             )
 
+    to_file = args.problem == "apsp" and args.output
+    if to_file:
+        # before the report, so a path that cannot be written prints none,
+        # and a negative cycle leaves no older matrix behind
+        _write_out(None if matrix is None else matrix + "\n", args.output)
+
     # the solver validated; each vertex name is one leaf or inc of its fold
     n = stats.counts.get("vertex", 0) + stats.counts.get("inc", 0)
     violations = assert_stats(stats, n, p)
@@ -230,8 +244,8 @@ def cmd_solve(args):
     report.append(f"stats-ok={'true' if not violations else 'false'}")
     report.append(f"wall-time-s={wall:.6f}")
     _emit(report)
-    if matrix is not None:
-        _write_out(matrix + "\n", args.output)
+    if matrix is not None and not to_file:
+        sys.stdout.write(matrix + "\n")
     for v in violations:
         print(f"stats violation: {v}", file=sys.stderr)
     return 3 if violations else 0

@@ -25,14 +25,20 @@ order with that node's other duplicates.
 AST nodes are frozen, slotted dataclasses built positionally, each with an
 ``__init__`` that writes its fields through the ``__set__`` of its class's
 own slot descriptors, bound once at import; ``SubstTd`` and ``Expression``
-keep an instance dict, as their recorded orders are written into it.
+keep an instance dict, as their recorded orders are written into it.  A
+node holds its value only: where it was written is a fact about the parse,
+which the order keeps, so equal subtrees are equal wherever they stand, and
+the parser reads every ``(empty)`` as one shared ``Empty()``.
 
 Each expression has one post-order of its tree (``post_order``), which
 the parser records as it closes nodes (``Expression._order``); a subtree is
 a slice of it.  Each subst-td pattern has its own (``SubstTd.pattern_order``),
-which the parser records too.  An ``Order`` is three parallel sequences,
-with no object per entry: the nodes, and their child counts and subtree
-sizes in ``array('I')``s, which the garbage collector does not track.
+which the parser records too.  An ``Order`` is parallel sequences, with no
+object per entry: the nodes, and their child counts and subtree sizes in
+``array('I')``s, which the garbage collector does not track, and in a parsed
+order each node's position, the line and column of its ``(``, in two more.
+A tree built in code, an ``Expression`` of a parsed subtree's root
+included, has no positions, so its violations name none.
 Every walk is a flat loop over an order, which zips slices of those
 sequences: the front end (``_scan``), ``framework.fold``, whose loop also
 replays patterns, ``triangles.edges_within``, the evaluator and
@@ -46,9 +52,10 @@ produced by ``normalize``.  The parser splits each line, after its ``#``
 comment is cut, at whitespace and parentheses.  An ASCII line is screened
 for characters that start no token by one ``bytes.translate`` that deletes
 the allowed ones; a line that is not ASCII, or keeps a character, is
-searched with ``_BAD_CHAR_RE``, which names the first.  A node's ``pos``
-(line, column of its ``(``) comes from the running lengths of the text
-between a line's ``(`` characters; the column of any other token is worked
+searched with ``_BAD_CHAR_RE``, which names the first.  The tokenizer
+keeps one line number and one end column per ``(`` token, the latter from
+the running lengths of the text between a line's ``(`` characters, and one
+token count per line; the line and column of any other token are worked
 out only when a parse error names it.
 """
 
@@ -56,8 +63,9 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate, combinations, count, permutations, repeat
@@ -90,40 +98,31 @@ def _setters(cls):
 
 @dataclass(frozen=True, slots=True)
 class Empty:
-    pos: tuple = field(default=None, compare=False, repr=False)
-
-    def __init__(self, pos=None):
-        _empty_pos(self, pos)
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class Vertex:
     name: str
-    pos: tuple = field(default=None, compare=False, repr=False)
 
-    def __init__(self, name, pos=None):
+    def __init__(self, name):
         _vertex_name(self, name)
-        _vertex_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
 class Union:
     children: tuple
-    pos: tuple = field(default=None, compare=False, repr=False)
 
-    def __init__(self, children, pos=None):
+    def __init__(self, children):
         _union_children(self, children)
-        _union_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
 class Join:
     children: tuple
-    pos: tuple = field(default=None, compare=False, repr=False)
 
-    def __init__(self, children, pos=None):
+    def __init__(self, children):
         _join_children(self, children)
-        _join_pos(self, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,14 +137,12 @@ class Inc:
     in_names: frozenset
     out_names: frozenset
     child: object
-    pos: tuple = field(default=None, compare=False, repr=False)
 
-    def __init__(self, name, in_names, out_names, child, pos=None):
+    def __init__(self, name, in_names, out_names, child):
         _inc_name(self, name)
         _inc_in_names(self, in_names)
         _inc_out_names(self, out_names)
         _inc_child(self, child)
-        _inc_pos(self, pos)
 
     @property
     def neighbor_names(self):
@@ -159,13 +156,11 @@ class Pattern:
     kind: str
     names: tuple
     edges: frozenset
-    pos: tuple = field(default=None, compare=False, repr=False)
 
-    def __init__(self, kind, names, edges, pos=None):
+    def __init__(self, kind, names, edges):
         _pattern_kind(self, kind)
         _pattern_names(self, names)
         _pattern_edges(self, edges)
-        _pattern_pos(self, pos)
 
     def to_graph(self) -> Graph:
         return Graph(self.kind, self.names, self.edges)
@@ -175,50 +170,54 @@ class Pattern:
 class Subst:
     pattern: Pattern
     bindings: tuple  # ((pattern vertex name, sub-expression), ...)
-    pos: tuple = field(default=None, compare=False, repr=False)
 
-    def __init__(self, pattern, bindings, pos=None):
+    def __init__(self, pattern, bindings):
         _subst_pattern(self, pattern)
         _subst_bindings(self, bindings)
-        _subst_pos(self, pos)
 
 
-(_empty_pos,) = _setters(Empty)
-_vertex_name, _vertex_pos = _setters(Vertex)
-_union_children, _union_pos = _setters(Union)
-_join_children, _join_pos = _setters(Join)
-_inc_name, _inc_in_names, _inc_out_names, _inc_child, _inc_pos = _setters(Inc)
-_pattern_kind, _pattern_names, _pattern_edges, _pattern_pos = _setters(Pattern)
-_subst_pattern, _subst_bindings, _subst_pos = _setters(Subst)
+(_vertex_name,) = _setters(Vertex)
+(_union_children,) = _setters(Union)
+(_join_children,) = _setters(Join)
+_inc_name, _inc_in_names, _inc_out_names, _inc_child = _setters(Inc)
+_pattern_kind, _pattern_names, _pattern_edges = _setters(Pattern)
+_subst_pattern, _subst_bindings = _setters(Subst)
 
 
 @dataclass(slots=True)
 class Order:
-    """A post-order (``post_order``) as three parallel sequences: per entry,
-    its node, its child count and its subtree size, so the subtree of the
-    entry at i spans the entries ``i - sizes[i] + 1`` to i.  The counts and
-    sizes are C unsigned int arrays, ``array('I')``: an unsigned code
-    converts an int directly where a signed one runs the argument parser,
-    which costs about twice as much per item.  ``len`` is the number of
-    entries."""
+    """A post-order (``post_order``) as parallel sequences: per entry, its
+    node, its child count and its subtree size, so the subtree of the entry
+    at i spans the entries ``i - sizes[i] + 1`` to i, and, in a parsed
+    order, the line and the 1-based column of the node's ``(``.  A tree
+    built in code has no positions: ``lines`` and ``cols`` are None.  The
+    counts, sizes, lines and columns are C unsigned int arrays,
+    ``array('I')``: an unsigned code converts an int directly where a
+    signed one runs the argument parser, which costs about twice as much
+    per item.  ``len`` is the number of entries."""
 
     nodes: list
     counts: array
     sizes: array
+    lines: array = None
+    cols: array = None
 
     def __len__(self):
         return len(self.nodes)
 
     def span(self, start, stop) -> Order:
         """The entries from ``start`` up to ``stop``, as an Order of their own."""
-        return Order(self.nodes[start:stop], self.counts[start:stop], self.sizes[start:stop])
+        lines, cols = self.lines, self.cols
+        if lines is not None:
+            lines, cols = lines[start:stop], cols[start:stop]
+        nodes, counts, sizes = self.nodes, self.counts, self.sizes
+        return Order(nodes[start:stop], counts[start:stop], sizes[start:stop], lines, cols)
 
 
 @dataclass(frozen=True)
 class SubstTd:  # not slotted: ``pattern_order`` is kept in its instance dict
     pattern_expr: object  # tree-depth expression over the pattern vertices
     bindings: tuple
-    pos: tuple = field(default=None, compare=False, repr=False)
 
     @cached_property
     def pattern_order(self):
@@ -249,9 +248,9 @@ def expression_of(mode, order) -> Expression:
     return e
 
 
-def subst_td_of(pattern_order, bindings, pos=None) -> SubstTd:
+def subst_td_of(pattern_order, bindings) -> SubstTd:
     """The SubstTd of the pattern of ``pattern_order``, which it keeps."""
-    node = SubstTd(pattern_order.nodes[-1], bindings, pos)
+    node = SubstTd(pattern_order.nodes[-1], bindings)
     node.__dict__["pattern_order"] = pattern_order
     return node
 
@@ -396,23 +395,30 @@ _OK_BYTES = bytes(c for c in range(128) if not _BAD_CHAR_RE.match(chr(c)))
 _TOKEN_RE = re.compile(rf"\s*(?:[()]|[{_NAME_CHARS}]+)")
 _PARENS = frozenset("()")
 _NO_NAMES = frozenset()  # every inc's empty name sets
+_EMPTY = Empty()  # every parsed (empty)
 
 
 class _Tokens(NamedTuple):
-    """The token strings, their line numbers, ``open_ends`` and the source
-    text; ``open_ends[r]`` is the 0-based exclusive column where the r-th
-    ``(`` token ends.  A token that is not a parenthesis is a name.
-    ``error`` works out a token's column by scanning its line again."""
+    """The token strings, the line of each ``(`` token, ``open_ends``,
+    ``line_ends`` and the source text.  ``open_ends[r]`` is the 0-based
+    exclusive column where the r-th ``(`` token ends, which is the 1-based
+    column where it starts; ``line_ends[k]`` is the number of tokens on the
+    first k + 1 lines.  A token that is not a parenthesis is a name.
+    ``error`` finds a token's line by bisecting ``line_ends`` and its column
+    by scanning that line again."""
 
     toks: list
     lines: list
     open_ends: list
+    line_ends: list
     text: str
 
     def error(self, i, message):
-        lineno = self.lines[i]
+        line_ends = self.line_ends
+        lineno = bisect_right(line_ends, i) + 1
+        first = line_ends[lineno - 2] if lineno > 1 else 0
         line = self.text.splitlines()[lineno - 1].split("#", 1)[0]
-        raw = _TOKEN_RE.findall(line)[: i - self.lines.index(lineno) + 1]
+        raw = _TOKEN_RE.findall(line)[: i - first + 1]
         col = sum(map(len, raw)) - len(self.toks[i]) + 1
         return ParseError(f"line {lineno} col {col}: {message}")
 
@@ -426,7 +432,7 @@ def _tokenize(text) -> _Tokens:
     by one C pass, ``bytes.translate`` deleting the ``_OK_BYTES``; any
     other line runs ``_BAD_CHAR_RE.search``, which gives the error its
     column and reads whitespace as ``\\s`` does, Unicode included."""
-    tokens = _Tokens([], [], [], text)
+    tokens = _Tokens([], [], [], [], text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0]
         if not line.isascii() or line.encode().translate(None, _OK_BYTES):
@@ -437,10 +443,11 @@ def _tokenize(text) -> _Tokens:
                 )
         toks = line.replace("(", " ( ").replace(")", " ) ").split()
         tokens.toks.extend(toks)
-        tokens.lines.extend(repeat(lineno, len(toks)))
+        tokens.line_ends.append(len(tokens.toks))
         # the r-th "(" ends after the text before it and r + 1 "("s
         before = line.split("(")
         before.pop()
+        tokens.lines.extend(repeat(lineno, len(before)))
         tokens.open_ends.extend(map(add, accumulate(map(len, before)), count(1)))
     return tokens
 
@@ -454,15 +461,15 @@ def parse(text: str) -> Expression:
     search on any other) and split into tokens at whitespace and
     parentheses.  One loop over the tokens keeps the open
     union, join, inc, subst and subst-td nodes on an explicit stack, so any
-    nesting depth parses.  A node's ``pos`` is the line and the 1-based
-    column of its opening parenthesis: the loop counts the ``(`` tokens it
-    consumes, and the column of the r-th is ``open_ends[r]``.  An error
-    message finds its column by scanning the token's line again.  The loop
-    closes the nodes in post-order, so it records the expression's
-    ``_order`` too, less each subst-td pattern, whose entries become that
-    node's ``pattern_order``."""
+    nesting depth parses.  The loop closes the nodes in post-order, so it
+    records the expression's ``_order``, less each subst-td pattern, whose
+    entries become that node's ``pattern_order``.  An entry's position is
+    the line and the 1-based column of its node's opening parenthesis: the
+    loop counts the ``(`` tokens it consumes, and the r-th is on line
+    ``lines[r]`` of ``_Tokens`` and ends at column ``open_ends[r]``.  An
+    error message finds its line and column from the token's index."""
     tokens = _tokenize(text)
-    toks, lines, open_ends, _ = tokens
+    toks = tokens.toks
     if not toks:
         raise ParseError("empty input: expected (MODE expr); the empty graph is written (empty)")
     try:
@@ -476,25 +483,26 @@ def parse(text: str) -> Expression:
             raise tokens.expected(1, "'directed' or 'undirected'")
         i = 2
         opens = 1  # the "(" tokens before token i
-        # open nodes: (Union or Join, pos, children, start, at),
-        # (Inc, pos, name, in_names, out_names) and
-        # [Subst or SubstTd, pos, pattern, bindings, name of the open binding, at, start],
-        # where start indexes the node's "(", at is the number of entries
-        # of the order at its opening and a subst-td pattern is None until
-        # its expression is read, then that expression's order
+        # open nodes: (Union or Join, r, children, start, at),
+        # (Inc, r, name, in_names, out_names) and
+        # [Subst or SubstTd, r, pattern, bindings, name of the open binding, at, start],
+        # where r counts the "(" tokens before the node's, start indexes it,
+        # at is the number of entries of the order at its opening and a
+        # subst-td pattern is None until its expression is read, then that
+        # expression's order
         stack = []
         # the order, as ``Order`` keeps it: every node opens with a "(", so
         # it has at most len(open_ends) entries, whose counts and sizes are
         # preset to a leaf's, 0 and 1, and set where a node has children
-        nodes = []
-        add_node = nodes.append
+        open_lines, open_ends = tokens.lines, tokens.open_ends
+        nodes, lines, cols = [], array("I"), array("I")
+        add_node, add_line, add_col = nodes.append, lines.append, cols.append
         counts, sizes = _leaf_counts_and_sizes(len(open_ends))
         while True:
             # an expression starts at token i
             if toks[i] != "(":
                 raise tokens.expected(i, "'('")
-            start = i
-            pos = (lines[i], open_ends[opens])
+            start, r = i, opens
             opens += 1
             op = toks[i + 1]
             i += 2
@@ -505,8 +513,10 @@ def parse(text: str) -> Expression:
                 if toks[i + 1] != ")":
                     raise tokens.expected(i + 1, "')'")
                 i += 2
-                node = Vertex(name, pos)
+                node = Vertex(name)
                 add_node(node)
+                add_line(open_lines[r])
+                add_col(open_ends[r])
             elif op == "inc":
                 name = toks[i]
                 if name in _PARENS:
@@ -516,7 +526,7 @@ def parse(text: str) -> Expression:
                 i += 2
                 opens += 1
                 if toks[i] == ")":
-                    stack.append((Inc, pos, name, _NO_NAMES, _NO_NAMES))
+                    stack.append((Inc, r, name, _NO_NAMES, _NO_NAMES))
                     i += 1
                     continue
                 in_names, out_names = set(), set()
@@ -534,17 +544,19 @@ def parse(text: str) -> Expression:
                     opens += 1
                 in_names = frozenset(in_names) if in_names else _NO_NAMES
                 out_names = frozenset(out_names) if out_names else _NO_NAMES
-                stack.append((Inc, pos, name, in_names, out_names))
+                stack.append((Inc, r, name, in_names, out_names))
                 i += 1
                 continue
             elif op == "empty":
                 if toks[i] != ")":
                     raise tokens.expected(i, "')'")
                 i += 1
-                node = Empty(pos)
+                node = _EMPTY
                 add_node(node)
+                add_line(open_lines[r])
+                add_col(open_ends[r])
             elif op == "union" or op == "join":
-                stack.append((Union if op == "union" else Join, pos, [], start, len(nodes)))
+                stack.append((Union if op == "union" else Join, r, [], start, len(nodes)))
                 if toks[i] == "(":
                     continue  # its first child
                 node = None
@@ -552,12 +564,12 @@ def parse(text: str) -> Expression:
                 pattern, i, opens = _pattern_at(tokens, i, opens, mode)
                 if toks[i] != "(":
                     raise tokens.expected(i, "'('")
-                stack.append([Subst, pos, pattern, [], None, len(nodes), start])
+                stack.append([Subst, r, pattern, [], None, len(nodes), start])
                 i += 1
                 opens += 1
                 node = None
             elif op == "subst-td":
-                stack.append([SubstTd, pos, None, [], None, len(nodes), start])
+                stack.append([SubstTd, r, None, [], None, len(nodes), start])
                 continue
             else:
                 raise tokens.error(start + 1, f"unknown operator {op!r}")
@@ -572,13 +584,15 @@ def parse(text: str) -> Expression:
                     if toks[i] != ")":
                         raise tokens.expected(i, "')'")
                     i += 1
-                    _, pos, name, in_names, out_names = frame
-                    node = Inc(name, in_names, out_names, node, pos)
+                    _, r, name, in_names, out_names = frame
+                    node = Inc(name, in_names, out_names, node)
                     k = len(nodes)
                     counts[k], sizes[k] = 1, sizes[k - 1] + 1  # its child's entry is the last
                     add_node(node)
+                    add_line(open_lines[r])
+                    add_col(open_ends[r])
                 elif kind is Union or kind is Join:
-                    _, pos, children, start, at = frame
+                    _, r, children, start, at = frame
                     if node is not None:
                         children.append(node)
                     if toks[i] != ")":
@@ -587,16 +601,20 @@ def parse(text: str) -> Expression:
                     if len(children) < 2:
                         op = "union" if kind is Union else "join"
                         raise tokens.error(start + 1, f"{op} needs at least two arguments")
-                    node = kind(tuple(children), pos)
+                    node = kind(tuple(children))
                     k = len(nodes)
                     counts[k], sizes[k] = len(children), k - at + 1
                     add_node(node)
+                    add_line(open_lines[r])
+                    add_col(open_ends[r])
                 else:
                     bindings = frame[3]
                     if frame[2] is None:  # a pattern is payload
                         at, k = frame[5], len(nodes)
-                        frame[2] = Order(nodes[at:], counts[at:k], sizes[at:k])
-                        del nodes[at:]
+                        frame[2] = Order(
+                            nodes[at:], counts[at:k], sizes[at:k], lines[at:], cols[at:]
+                        )
+                        del nodes[at:], lines[at:], cols[at:]
                         counts[at:k], sizes[at:k] = _leaf_counts_and_sizes(k - at)
                         if toks[i] != "(":
                             raise tokens.expected(i, "'('")
@@ -623,10 +641,12 @@ def parse(text: str) -> Expression:
                         raise tokens.expected(i + 1, "')'")
                     i += 2
                     make = Subst if kind is Subst else subst_td_of
-                    node = make(frame[2], tuple(bindings), frame[1])
+                    node = make(frame[2], tuple(bindings))
                     k = len(nodes)
                     counts[k], sizes[k] = len(bindings), k - frame[5] + 1
                     add_node(node)
+                    add_line(open_lines[frame[1]])
+                    add_col(open_ends[frame[1]])
                 stack.pop()
             else:
                 break
@@ -638,7 +658,7 @@ def parse(text: str) -> Expression:
     if i + 1 < len(toks):
         raise tokens.error(i + 1, "trailing input after expression")
     del counts[len(nodes) :], sizes[len(nodes) :]
-    return expression_of(mode, Order(nodes, counts, sizes))
+    return expression_of(mode, Order(nodes, counts, sizes, lines, cols))
 
 
 _LEAF_COUNT, _LEAF_SIZE = array("I", [0]), array("I", [1])
@@ -667,13 +687,12 @@ def _edge_at(tokens, i):
 
 
 def _pattern_at(tokens, i, opens, mode):
-    """The pattern ``(graph (names) (edges))`` at token ``i``, whose ``(`` is
-    the ``opens``-th; the index of the token after it, and the number of
-    ``(`` tokens before that."""
+    """The pattern ``(graph (names) (edges))`` at token ``i``, with ``opens``
+    ``(`` tokens before it; the index of the token after it, and the number
+    of ``(`` tokens before that."""
     toks = tokens.toks
     if toks[i] != "(":
         raise tokens.expected(i, "'('")
-    pos = (tokens.lines[i], tokens.open_ends[opens])
     graph_at = i + 1
     if toks[graph_at] != "graph":
         raise tokens.error(graph_at, "expected pattern '(graph ...)'")
@@ -707,7 +726,7 @@ def _pattern_at(tokens, i, opens, mode):
         opens += 1
     if toks[i + 1] != ")":
         raise tokens.expected(i + 1, "')'")
-    return Pattern(mode, tuple(names), frozenset(edges), pos), i + 2, opens
+    return Pattern(mode, tuple(names), frozenset(edges)), i + 2, opens
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +794,16 @@ def _scan(order):
         pending = []  # heap of (-i, j, name) per name at i met again at j
         n_vertex = n_empty = n_dup = n_subst = n_subst_td = sum_pattern_order = steps = 0
 
-        def bad(at, message):
-            violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
+        lines, cols = order.lines, order.cols
+
+        def bad(message):
+            pos = None if lines is None else (lines[i], cols[i])
+            violations.append(Violation(locate(i), message, pos))
 
         for i, node, c, size in zip(count(), order.nodes, order.counts, order.sizes):
             t = type(node)
             if td_only and t not in TD_NODE_TYPES:
-                bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
+                bad("pattern is not a tree-depth expression (join/subst not allowed)")
             if t is Vertex:
                 n_vertex += 1
                 if setdefault(node.name, i) != i:
@@ -805,13 +827,13 @@ def _scan(order):
                 ):
                     for target in sorted(node.neighbor_names):
                         if get(target, -1) <= before:
-                            bad(node, f"unknown inc target {target!r}")
+                            bad(f"unknown inc target {target!r}")
                 x = node.name
                 if (prev := setdefault(x, i)) != i:
                     last[x] = i
                     n_dup += 1
                     if prev > before:
-                        bad(node, f"duplicate vertex name {x!r}")
+                        bad(f"duplicate vertex name {x!r}")
                     else:
                         heappush(pending, (-prev, i, x))
                 if inc_at and inc_at[-1] > before:  # the child holds incs
@@ -827,15 +849,15 @@ def _scan(order):
             del has[top:]
             if t is Union or t is Join:
                 if c < 2:
-                    bad(node, "union/join needs at least two children")
+                    bad("union/join needs at least two children")
                 r = sum(kids)  # the children with vertices
                 steps += r - 1 if r > 1 else 0
             elif t is Subst:
                 pattern = node.pattern
                 for message in _check_pattern(pattern):
-                    bad(pattern, message)
+                    bad(message)
                 for message in _check_bindings(node, pattern.names, kids):
-                    bad(node, message)
+                    bad(message)
                 n_subst += 1
                 sum_pattern_order += len(pattern.names)
                 if not td_only and len(pattern.names) > h:
@@ -846,21 +868,21 @@ def _scan(order):
                 )
                 pattern_names = sorted(pattern_names)
                 if len(pattern_names) < 2:
-                    bad(node, "subst-td pattern has fewer than two vertices")
+                    bad("subst-td pattern has fewer than two vertices")
                 for message in _check_bindings(node, pattern_names, kids):
-                    bad(node, message)
+                    bad(message)
                 n_subst_td += 1
                 sum_pattern_order += len(node.bindings)  # one per pattern vertex, once valid
                 if not td_only:
                     l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
-                bad(node, f"unknown node type {t.__name__}")
+                bad(f"unknown node type {t.__name__}")
             if pending and -pending[0][0] > i - size:  # a duplicate's earlier occurrence is here
                 duplicates = []
                 while pending and -pending[0][0] > i - size:
                     duplicates.append(heappop(pending)[2])
                 for nm in sorted(duplicates):
-                    bad(node, f"duplicate vertex name {nm!r}")
+                    bad(f"duplicate vertex name {nm!r}")
             has.append(any(kids))
         k = max(nesting.values(), default=1) if inc_at else 0
         # each vertex or inc adds a name or repeats one
@@ -1063,7 +1085,7 @@ def normalize(e: Expression) -> Expression:
         elif t is Union or t is Join:
             survivors = [v for v in kids if type(v) is not Empty]
             if not survivors:
-                node = Empty()
+                node = _EMPTY
             else:
                 pat = (_PAT_K2 if t is Join else _PAT_I2)[e.mode]
                 node = survivors[0]

@@ -104,13 +104,14 @@ def scan_by_name_sets(order):
         sets, ks = [], []  # per finished subtree: its names, its inc nesting
         n_vertex = n_empty = n_inc = n_subst = n_subst_td = sum_pattern_order = steps = 0
 
-        def bad(at, message):
-            violations.append(Violation(locate(i), message, getattr(at, "pos", None)))
+        def bad(message):  # at the entry's position, if the order has positions
+            pos = None if order.lines is None else (order.lines[i], order.cols[i])
+            violations.append(Violation(locate(i), message, pos))
 
         for i, (node, c) in enumerate(zip(order.nodes, order.counts)):
             t = type(node)
             if td_only and t not in TD_NODE_TYPES:
-                bad(node, "pattern is not a tree-depth expression (join/subst not allowed)")
+                bad("pattern is not a tree-depth expression (join/subst not allowed)")
             if t is Vertex or t is Empty:
                 n_vertex += t is Vertex
                 sets.append({node.name} if t is Vertex else set())
@@ -122,9 +123,9 @@ def scan_by_name_sets(order):
                 if not (node.in_names <= names and node.out_names <= names):
                     for target in sorted(node.neighbor_names):
                         if target not in names:
-                            bad(node, f"unknown inc target {target!r}")
+                            bad(f"unknown inc target {target!r}")
                 if node.name in names:
-                    bad(node, f"duplicate vertex name {node.name!r}")
+                    bad(f"duplicate vertex name {node.name!r}")
                 names.add(node.name)
                 ks[-1] += 1
                 continue
@@ -133,15 +134,15 @@ def scan_by_name_sets(order):
             del sets[top:], ks[top:]
             if t is Union or t is Join:
                 if c < 2:
-                    bad(node, "union/join needs at least two children")
+                    bad("union/join needs at least two children")
                 r = c if all(kids) else sum(map(bool, kids))  # the children with vertices
                 steps += r - 1 if r > 1 else 0
             elif t is Subst:
                 pattern = node.pattern
                 for message in _check_pattern(pattern):
-                    bad(pattern, message)
+                    bad(message)
                 for message in _check_bindings(node, pattern.names, kids):
-                    bad(node, message)
+                    bad(message)
                 n_subst += 1
                 sum_pattern_order += len(pattern.names)
                 if not td_only and len(pattern.names) > h:
@@ -152,15 +153,15 @@ def scan_by_name_sets(order):
                 )
                 pattern_names = sorted(pattern_names)
                 if len(pattern_names) < 2:
-                    bad(node, "subst-td pattern has fewer than two vertices")
+                    bad("subst-td pattern has fewer than two vertices")
                 for message in _check_bindings(node, pattern_names, kids):
-                    bad(node, message)
+                    bad(message)
                 n_subst_td += 1
                 sum_pattern_order += len(node.bindings)  # one per pattern vertex, once valid
                 if not td_only:
                     l = max(l, depth)
             else:  # a leaf, as post_order counts no children for it
-                bad(node, f"unknown node type {t.__name__}")
+                bad(f"unknown node type {t.__name__}")
             # merge in child order: a name is a duplicate once per further
             # child that holds it
             names, duplicates = kids[0] if kids else set(), []
@@ -168,7 +169,7 @@ def scan_by_name_sets(order):
                 duplicates += names & part
                 names |= part
             for nm in sorted(duplicates):
-                bad(node, f"duplicate vertex name {nm!r}")
+                bad(f"duplicate vertex name {nm!r}")
             sets.append(names)
             ks.append(k)
         names, k, n_empty = sets[0], ks[0], n_empty + (not sets[0])

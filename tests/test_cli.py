@@ -774,9 +774,25 @@ def test_an_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv):
     e.write_text(EDGE)
     w.write_text("a\t1\nb\t2\n")
     paths = {"e": e, "w": w, "missing": tmp_path / "missing"}
-    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith(f"error: cannot write {tmp_path / 'missing'}/")
+    if argv[0] == "solve":  # no report that looks like a solve which wrote its matrix
+        assert out == ""
+
+
+def test_solve_apsp_on_a_negative_cycle_removes_an_older_matrix(capsys, tmp_path):
+    e, w, m = tmp_path / "e.txt", tmp_path / "w.tsv", tmp_path / "m.tsv"
+    e.write_text("(directed (inc x ((a x) (x a)) (vertex a)))")
+    w.write_text("a\t-1\nx\t-1\n")
+    m.write_text("stale")
+    code, out, _ = run(capsys, "solve", "apsp", str(e), str(w), "-o", str(m))
+    assert code == 0 and "negative-cycle=true\n" in out
+    assert not m.exists()
+    # and a missing file is no error
+    code, again, _ = run(capsys, "solve", "apsp", str(e), str(w), "-o", str(m))
+    assert code == 0 and not m.exists()
+    assert again.splitlines()[:-1] == out.splitlines()[:-1]  # all but wall-time-s
 
 
 def test_bench_sizes_that_are_not_integers_are_an_input_error(capsys):

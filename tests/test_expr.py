@@ -114,39 +114,37 @@ _EVERY_KIND = (
 )
 
 
-def _positions(node):
-    # (kind, pos) of the node, its pattern and everything below, in preorder
-    out = [(type(node).__name__, node.pos)]
-    if type(node) is Subst:
-        out.append(("Pattern", node.pattern.pos))
-    if type(node) is SubstTd:
-        out += _positions(node.pattern_expr)
-    for kid in subexpressions(node):
-        out += _positions(kid)
-    return out
+def _positions(order):
+    # (kind, (line, column)) of each entry of ``order``, in post-order
+    return [(type(n).__name__, pos) for n, pos in zip(order.nodes, zip(order.lines, order.cols))]
 
 
 def test_parse_node_positions():
-    # pos is (line, column of the node's "("), 1-based: a tab is one
-    # column, CRLF ends a line, and a comment's parentheses count for nothing
-    assert _positions(parse(_EVERY_KIND).root) == [
-        ("Union", (3, 3)),
+    # an entry's position is (line, column of its node's "("), 1-based: a
+    # tab is one column, CRLF ends a line, and a comment's parentheses count
+    # for nothing; a subst-td pattern's entries have theirs in its order
+    e = parse(_EVERY_KIND)
+    assert _positions(e._order) == [
         ("Vertex", (3, 10)),
         ("Empty", (3, 21)),
-        ("Inc", (4, 5)),
-        ("Join", (5, 20)),
         ("Vertex", (5, 26)),
         ("Vertex", (5, 37)),
-        ("Subst", (6, 5)),
-        ("Pattern", (6, 12)),
+        ("Join", (5, 20)),
+        ("Inc", (4, 5)),
         ("Vertex", (6, 38)),
         ("Vertex", (7, 38)),
-        ("SubstTd", (8, 2)),
-        ("Inc", (8, 12)),
-        ("Vertex", (8, 27)),
+        ("Subst", (6, 5)),
         ("Vertex", (8, 43)),
         ("Vertex", (8, 58)),
+        ("SubstTd", (8, 2)),
+        ("Union", (3, 3)),
     ]
+    assert _positions(e.root.children[4].pattern_order) == [("Vertex", (8, 27)), ("Inc", (8, 12))]
+    # its spans keep their entries' positions; a tree built in code has none
+    assert _positions(e._order.span(2, 6)) == _positions(e._order)[2:6]
+    rebuilt = Expression(e.mode, e.root.children[2])
+    assert rebuilt._order.nodes == e._order.nodes[2:6]
+    assert rebuilt._order.lines is rebuilt._order.cols is None
 
 
 def test_parse_inc_edge_must_touch_new_vertex():
@@ -267,6 +265,116 @@ def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, messages",
+    [
+        # line breaks that are not "\n": CRLF, form feed, LINE SEPARATOR
+        (
+            "(directed\r\n  (union (vertex a)\r\n\t(vertex b c)))",
+            "line 3 col 12: expected ')', found 'c'",
+        ),
+        (
+            "(directed\x0c(union (vertex a)\x0c  (vertex b c)))",
+            "line 3 col 13: expected ')', found 'c'",
+        ),
+        (
+            "(directed\u2028(union (vertex a)\u2028 (vertex b c)))",
+            "line 3 col 12: expected ')', found 'c'",
+        ),
+        # tabs, and comments whose parentheses count for nothing
+        (
+            "(directed # (a comment) ((with parens\n\t(union\t(vertex a) # ) (\n"
+            "\t\t(vertex b c)))",
+            "line 3 col 13: expected ')', found 'c'",
+        ),
+        # a fault at the first token of a line, and at the last
+        ("(directed\n  x (vertex a))", "line 2 col 3: expected '(', found 'x'"),
+        ("(directed (union (vertex a)\n  (vertex b)) y", "line 2 col 15: expected ')', found 'y'"),
+        (
+            "(directed (union (vertex a)\n  (vertex b) q\n  (vertex c)))",
+            "line 2 col 14: expected '(', found 'q'",
+        ),
+        ("(directed (vertex a)\n)\n\t)", "line 3 col 2: trailing input after expression"),
+        # inside an inc edge list, a pattern and a subst-td pattern
+        (
+            "(directed\r\n (inc x ((x a)\r\n\t(a b)) (vertex a)))",
+            "line 3 col 2: inc edge must have 'x' as one endpoint",
+        ),
+        (
+            "(directed\x0c (inc x ((x a)\x0c\t((a x) b) (vertex a)))",
+            "line 3 col 3: expected name, found '('",
+        ),
+        (
+            "(directed\n (subst (graph (p q)\n\t((p q) (q q)))\n"
+            " ((p (vertex a)) (q (vertex b)))))",
+            "line 3 col 9: loop edge in pattern",
+        ),
+        (
+            "(directed\u2028 (subst (graph (p q)\u2028\t((p q) (q r)))\u2028"
+            " ((p (vertex a)) (q (vertex b)))))",
+            "line 3 col 9: pattern edge uses undeclared vertex",
+        ),
+        (
+            "(directed # (subst\r\n (subst-td (inc p ((p q)\r\n\t(q)) (vertex q))\r\n"
+            " ((p (vertex a)) (q (vertex b)))))",
+            "line 3 col 4: expected name, found ')'",
+        ),
+        (
+            "(undirected\n (subst-td\n\t(inc p ((p q)) (vertex q)) # ((\n"
+            "\t((p (vertex a)) (q (vertex b))) z))",
+            "line 4 col 34: expected ')', found 'z'",
+        ),
+        # validation messages, each at its node's "("
+        (
+            "(directed\r\n (union (vertex a)\r\n\t(inc x ((x a)) (vertex b))))",
+            ["root/1: unknown inc target 'a' (line 3 col 2)"],
+        ),
+        (
+            "(directed\x0c(union (vertex a)\x0c\t(vertex a)))",
+            ["root: duplicate vertex name 'a' (line 2 col 1)"],
+        ),
+        (
+            "(undirected\u2028 (join (vertex a)\u2028\t(inc a () (vertex b))))",
+            ["root: duplicate vertex name 'a' (line 2 col 2)"],
+        ),
+        (
+            "(directed # (comment)\n (subst-td\n\t(inc p ((p q) (p z)) (vertex q)) # ((\n"
+            "\t((p (vertex a)) (q (vertex b)))))",
+            ["root/pattern: unknown inc target 'z' (line 3 col 2)"],
+        ),
+        (
+            "(directed\n (subst-td (join (vertex p)\n\t(vertex q))\n"
+            " ((p (vertex a)) (q (vertex b)))))",
+            [
+                "root/pattern: pattern is not a tree-depth expression"
+                " (join/subst not allowed) (line 2 col 12)"
+            ],
+        ),
+        (
+            "(directed\n (subst (graph (p q) ((p q)))\n\t((p (vertex a)) (q (empty)))))",
+            ["root: binding 'q' is the empty graph (line 2 col 2)"],
+        ),
+        (
+            "(undirected\r\n\t(subst-td (union (vertex p) (vertex p))\r\n"
+            "  ((p (vertex a)) (q (vertex b)))))",
+            [
+                "root/pattern: duplicate vertex name 'p' (line 2 col 12)",
+                "root: subst-td pattern has fewer than two vertices (line 2 col 2)",
+                "root: binding for unknown pattern vertex 'q' (line 2 col 2)",
+            ],
+        ),
+    ],
+)
+def test_messages_on_multiline_inputs(text, messages):
+    # a parse error (a string) or the validate messages (a list), with
+    # line and column, on inputs whose lines break, indent and comment
+    # in every way the tokenizer reads
+    if isinstance(messages, str):
+        assert _parse_error(text) == messages
+    else:
+        assert [str(v) for v in validate(parse(text))] == messages
 
 
 def _parse_error(text):
@@ -528,22 +636,39 @@ def test_parse_records_the_post_order(tc_corpus, paths_corpus):
     _assert_parse_records_the_post_order(deep)
 
 
-def test_parse_memory_per_order_entry_of_a_wide_union_of_edgeless_incs():
-    # every inc without edges shares one empty name set, and the order
-    # keeps no object per entry: 192 bytes per order entry stay allocated
-    # on CPython 3.11 (x86-64), against 248 with a (node, count, size)
-    # tuple per entry and 504 when each inc kept two empty frozensets
-    r = 10**5
-    text = "(directed (union " + " ".join(f"(inc v{i} () (empty))" for i in range(r)) + "))"
+def _kept_per_order_entry(text):
+    """The bytes that parsing ``text`` leaves allocated, and the order's length."""
     tracemalloc.start()
     try:
         e = parse(text)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n = len(e._order)
+    return kept, len(e._order)
+
+
+def test_parse_memory_per_order_entry_of_a_wide_union_of_edgeless_incs():
+    # every inc without edges shares one empty name set, every (empty) is
+    # one shared node, and the order keeps no object per entry, positions
+    # included: 89 bytes per order entry stay allocated on CPython 3.11
+    # (x86-64), against 192 with a position tuple per node, 248 with a
+    # (node, count, size) tuple per entry and 504 when each inc kept two
+    # empty frozensets
+    r = 10**5
+    text = "(directed (union " + " ".join(f"(inc v{i} () (empty))" for i in range(r)) + "))"
+    kept, n = _kept_per_order_entry(text)
     assert n == 2 * r + 1
-    assert kept <= 220 * n, f"{kept / n:.0f} bytes per order entry"
+    assert kept <= 110 * n, f"{kept / n:.0f} bytes per order entry"
+
+
+def test_parse_memory_per_order_entry_of_a_wide_union_of_vertices():
+    # 127 bytes per order entry on CPython 3.11 (x86-64), against 214 with
+    # a position tuple per node
+    r = 10**5
+    text = "(directed (union " + " ".join(f"(vertex v{i})" for i in range(r)) + "))"
+    kept, n = _kept_per_order_entry(text)
+    assert n == r + 1
+    assert kept <= 150 * n, f"{kept / n:.0f} bytes per order entry"
 
 
 def _copy(node):
@@ -584,11 +709,19 @@ def test_nodes_are_frozen():
 
 
 def test_node_equality_hash_and_repr_ignore_the_position():
-    for node in _every_node(parse(_EVERY_KIND)):
-        assert node.pos is not None
-        moved = dataclasses.replace(node, pos=(99, 99))
-        assert moved == node and hash(moved) == hash(node)
-        assert repr(moved) == repr(node) and "pos=" not in repr(node)
+    # the same expression in another layout: equal nodes, hashes and
+    # reprs, where only the order's positions differ; no node holds one
+    e = parse(_EVERY_KIND)
+    moved = parse(format_expression(e))
+    assert moved.root == e.root and hash(moved.root) == hash(e.root)
+    assert (moved._order.lines, moved._order.cols) != (e._order.lines, e._order.cols)
+    for node, other in zip(_every_node(e), _every_node(moved), strict=True):
+        assert other == node and hash(other) == hash(node) and repr(other) == repr(node)
+        assert "pos" not in {f.name for f in dataclasses.fields(node)}
+        assert "pos=" not in repr(node)
+    # every (empty) is one shared node
+    first, second = parse("(directed (union (empty) (empty)))").root.children
+    assert first is second is e.root.children[1]
 
 
 _TD_TEXT = (
@@ -607,13 +740,15 @@ _TD_TEXT = (
 def test_copied_expressions_are_equal_and_solve_alike(duplicate):
     for node in _every_node(parse(_EVERY_KIND)):
         assert dataclasses.replace(node) == node
-        assert duplicate(node) == node and duplicate(node).pos == node.pos
+        assert duplicate(node) == node
     e = parse(_TD_TEXT)
     want = count_triangles(e)  # the front end's results are cached in e
     copied = duplicate(e)
     assert copied == e and hash(copied) == hash(e) and copied.root is not e.root
-    assert _positions(copied.root) == _positions(e.root)
+    # the positions came along in the recorded orders
+    assert _positions(copied._order) == _positions(e._order)
     td = copied.root.children[1]
+    assert _positions(td.pattern_order) == _positions(e.root.children[1].pattern_order)
     # the recorded pattern order came along, and holds the copy's nodes
     assert td.__dict__["pattern_order"] == e.root.children[1].pattern_order
     assert td.pattern_order.nodes[-1] is td.pattern_expr

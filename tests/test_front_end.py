@@ -51,7 +51,9 @@ def test_scan_matches_the_reference_on_the_pinned_invalid_inputs():
         except InputError:
             continue  # a parse error: the front end never runs
         compared += 1
-        invalid += bool(assert_scans_agree(e))
+        violations = assert_scans_agree(e)
+        invalid += bool(violations)
+        assert all(v.pos for v in violations)  # a parsed order has positions
     assert compared >= 30 and invalid >= 8, (compared, invalid)
 
 
@@ -69,15 +71,15 @@ def _rebuilt(order, swap):
         del vals[top:]
         t = type(node)
         if t is Union or t is Join:
-            node = t(tuple(kids), node.pos)
+            node = t(tuple(kids))
         elif t is Inc:
-            node = Inc(node.name, node.in_names, node.out_names, kids[0], node.pos)
+            node = Inc(node.name, node.in_names, node.out_names, kids[0])
         elif t is Subst or t is SubstTd:
             bindings = tuple(zip([bn for bn, _ in node.bindings], kids))
             if t is Subst:
-                node = Subst(node.pattern, bindings, node.pos)
+                node = Subst(node.pattern, bindings)
             else:
-                node = SubstTd(node.pattern_expr, bindings, node.pos)
+                node = SubstTd(node.pattern_expr, bindings)
         vals.append(swap(i, node))
     return vals[0]
 
@@ -92,8 +94,8 @@ def _names(order):
 
 def _renamed(node, name):
     if type(node) is Vertex:
-        return Vertex(name, node.pos)
-    return Inc(name, node.in_names, node.out_names, node.child, node.pos)
+        return Vertex(name)
+    return Inc(name, node.in_names, node.out_names, node.child)
 
 
 def _repeat(order, rng):
@@ -146,7 +148,7 @@ def _foreign_target(order, rng):
             ins = ins | {target}
         else:
             outs = outs | {target}
-        return Inc(node.name, ins, outs, node.child, node.pos)
+        return Inc(node.name, ins, outs, node.child)
 
     return swap
 
@@ -174,8 +176,8 @@ def _bindings(order, rng):
         else:
             bindings[j] = (bn, rng.choice([Empty(), Union((Empty(), Empty()))]))
         if type(node) is Subst:
-            return Subst(node.pattern, tuple(bindings), node.pos)
-        return SubstTd(node.pattern_expr, tuple(bindings), node.pos)
+            return Subst(node.pattern, tuple(bindings))
+        return SubstTd(node.pattern_expr, tuple(bindings))
 
     return swap
 
@@ -203,7 +205,7 @@ def _pattern(order, rng):
                 names += (names[-1],)
             else:
                 names = names[:1]
-            return Subst(Pattern(p.kind, names, frozenset(edges), p.pos), node.bindings, node.pos)
+            return Subst(Pattern(p.kind, names, frozenset(edges)), node.bindings)
         pe = node.pattern_expr
         first = node.bindings[0][0]
         if how == 0:
@@ -214,7 +216,7 @@ def _pattern(order, rng):
             pe = Vertex(first)
         else:
             pe = Inc("extra", frozenset(), frozenset({"nope"}), pe)
-        return SubstTd(pe, node.bindings, node.pos)
+        return SubstTd(pe, node.bindings)
 
     return swap
 
@@ -225,7 +227,7 @@ def _one_child(order, rng):
     if not wide:
         return None
     at = rng.choice(wide)
-    return lambda i, node: type(node)(node.children[:1], node.pos) if i == at else node
+    return lambda i, node: type(node)(node.children[:1]) if i == at else node
 
 
 _MUTATIONS = (_repeat, _inc_own, _foreign_target, _bindings, _pattern, _one_child)
