@@ -11,8 +11,8 @@ breach (``--verify`` or fold accounting).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
+import stat
 import sys
 import time
 
@@ -126,16 +126,10 @@ def _read(path):
 
 
 def _write_out(text, path):
-    """Write ``text`` to ``path``, or to stdout without one; a ``text`` of
-    None removes an earlier run's ``path``, if there is one."""
     if not path:
         sys.stdout.write(text)
         return
     try:
-        if text is None:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -231,11 +225,21 @@ def cmd_solve(args):
                 f"{names[i]}\t{names[j]}\t{text[rows[i][j]]}" for i in order for j in order
             )
 
-    to_file = args.problem == "apsp" and args.output
-    if to_file:
-        # before the report, so a path that cannot be written prints none,
-        # and a negative cycle leaves no older matrix behind
-        _write_out(None if matrix is None else matrix + "\n", args.output)
+    if args.problem == "apsp" and args.output:
+        # before the report, so a path that cannot be written prints none
+        if matrix is not None:
+            _write_out(matrix + "\n", args.output)
+            matrix = None
+        else:
+            # a negative cycle leaves no older matrix behind; a device or a
+            # link (-o /dev/null, /dev/stdout) is no matrix, and stays
+            try:
+                if stat.S_ISREG(os.lstat(args.output).st_mode):
+                    os.remove(args.output)
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from None
 
     # the solver validated; each vertex name is one leaf or inc of its fold
     n = stats.counts.get("vertex", 0) + stats.counts.get("inc", 0)
@@ -244,7 +248,7 @@ def cmd_solve(args):
     report.append(f"stats-ok={'true' if not violations else 'false'}")
     report.append(f"wall-time-s={wall:.6f}")
     _emit(report)
-    if matrix is not None and not to_file:
+    if matrix is not None:
         sys.stdout.write(matrix + "\n")
     for v in violations:
         print(f"stats violation: {v}", file=sys.stderr)

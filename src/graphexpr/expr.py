@@ -38,7 +38,9 @@ object per entry: the nodes, and their child counts and subtree sizes in
 ``array('I')``s, which the garbage collector does not track, and in a parsed
 order each node's position, the line and column of its ``(``, in two more.
 A tree built in code, an ``Expression`` of a parsed subtree's root
-included, has no positions, so its violations name none.
+included, has no positions, so its violations name none; a parsed
+``SubstTd`` in it (or in ``normalize``'s result) keeps its own
+``pattern_order``, positions included, so its pattern's violations do.
 Every walk is a flat loop over an order, which zips slices of those
 sequences: the front end (``_scan``), ``framework.fold``, whose loop also
 replays patterns, ``triangles.edges_within``, the evaluator and

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import os
 import time
 
 import pytest
@@ -793,6 +794,15 @@ def test_solve_apsp_on_a_negative_cycle_removes_an_older_matrix(capsys, tmp_path
     code, again, _ = run(capsys, "solve", "apsp", str(e), str(w), "-o", str(m))
     assert code == 0 and not m.exists()
     assert again.splitlines()[:-1] == out.splitlines()[:-1]  # all but wall-time-s
+    # a device or a link is no older matrix: it stays, and the answer stands
+    code, again, _ = run(capsys, "solve", "apsp", str(e), str(w), "-o", os.devnull)
+    assert code == 0 and again.splitlines()[:-1] == out.splitlines()[:-1]
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(m)
+    m.write_text("stale")
+    code, _, _ = run(capsys, "solve", "apsp", str(e), str(w), "-o", str(link))
+    assert code == 0 and link.is_symlink() and m.read_text() == "stale"
 
 
 def test_bench_sizes_that_are_not_integers_are_an_input_error(capsys):
